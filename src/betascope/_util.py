@@ -1,4 +1,5 @@
-"""Shared plumbing: deterministic JSON output, ordered parallel map, grids."""
+"""Shared plumbing: deterministic JSON output, ordered parallel map, grids,
+and the blocked all-pairs scan."""
 
 from __future__ import annotations
 
@@ -8,7 +9,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["parallel_map", "dump_json", "geometric_grid"]
+__all__ = ["parallel_map", "dump_json", "geometric_grid",
+           "max_sq_pair_distance"]
+
+# Elements per temporary array in the blocked pairwise scans (2 MB of
+# float64), so their memory stays O(N) whatever the input size.
+BLOCK_ELEMENTS = 1 << 18
 
 
 def parallel_map(fn, items, threads: int = 1) -> list:
@@ -49,3 +55,21 @@ def geometric_grid(lo: float, hi: float, per_octave: int = 4) -> np.ndarray:
     count = int(math.floor(math.log2(hi / lo) * per_octave + 1e-9)) + 1
     grid = lo * 2.0 ** (np.arange(count) / per_octave)
     return grid[grid <= hi * (1 + 1e-12)]
+
+
+def max_sq_pair_distance(points: np.ndarray) -> float:
+    """Largest squared distance over all pairs of rows of ``points``.
+
+    Scans row blocks against the rows from the block's start onward, so
+    every unordered pair is seen once and no temporary exceeds about
+    BLOCK_ELEMENTS elements.  Each pair is scored as ``(diff**2).sum(-1)``,
+    the arithmetic of a dense all-pairs scan, so the maximum is bit-equal
+    to the dense one.
+    """
+    count, dim = points.shape
+    rows = max(1, BLOCK_ELEMENTS // max(1, count * dim))
+    best = 0.0
+    for lo in range(0, count, rows):
+        diff = points[lo:lo + rows, None, :] - points[None, lo:, :]
+        best = max(best, float((diff**2).sum(-1).max()))
+    return best

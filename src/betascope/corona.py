@@ -26,6 +26,7 @@ from collections import deque
 
 import numpy as np
 
+from ._util import BLOCK_ELEMENTS
 from .beta import BetaProfile, beta2, jones_integral
 from .lattice import COVER_FACTOR, Cell, Lattice, cover_by_doubling
 from .measure import Ball, WeightedPointMeasure
@@ -208,7 +209,7 @@ class TreeGeometry:
         """min over tree cells Q of |x - z_Q| + l(Q), per row of points."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.empty(pts.shape[0])
-        chunk = max(1, int(4_000_000 // max(1, self._centers.shape[0])))
+        chunk = max(1, BLOCK_ELEMENTS // max(1, self._centers.size))
         for lo in range(0, pts.shape[0], chunk):
             hi = min(lo + chunk, pts.shape[0])
             diff = pts[lo:hi, None, :] - self._centers[None, :, :]

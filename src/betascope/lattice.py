@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .measure import Ball, WeightedPointMeasure
+from ._util import max_sq_pair_distance
+from .measure import _TREE_SLACK, Ball, WeightedPointMeasure
 
 __all__ = [
     "Cell",
@@ -179,19 +180,29 @@ def _greedy_net(points, order, separation, seeds):
 
 
 def _nearest_center(points, centers):
-    """Index of the nearest centre per point; ties to the earlier centre."""
-    n_pts = points.shape[0]
-    n_ctr = centers.shape[0]
-    out = np.empty(n_pts, dtype=np.int64)
-    if n_ctr == 1:
-        out[:] = 0
-        return out
-    chunk = max(1, int(4_000_000 // max(1, n_ctr)))
-    for lo in range(0, n_pts, chunk):
-        hi = min(lo + chunk, n_pts)
-        diff = points[lo:hi, None, :] - centers[None, :, :]
+    """Index of the nearest centre per point; ties to the earlier centre.
+
+    A KD-tree finds the two nearest centres.  Where they are within
+    _TREE_SLACK of each other, every centre that close is re-scored with
+    the einsum arithmetic of a dense points x centres scan and the first
+    minimum wins, so the result equals that scan's argmin.
+    """
+    if centers.shape[0] == 1:
+        return np.zeros(points.shape[0], dtype=np.int64)
+    tree = cKDTree(centers)
+    dist, idx = tree.query(points, k=2)
+    out = idx[:, 0].astype(np.int64)
+    reach = dist[:, 0] * (1.0 + _TREE_SLACK)
+    tied = np.flatnonzero(dist[:, 1] <= reach)
+    if tied.size:
+        found = tree.query_ball_point(points[tied], reach[tied],
+                                      return_sorted=True)
+        width = max(len(c) for c in found)
+        # pad with each row's lowest index, which leaves its argmin unchanged
+        cand = np.array([c + c[:1] * (width - len(c)) for c in found])
+        diff = points[tied, None, :] - centers[cand]
         dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        out[lo:hi] = np.argmin(dist_sq, axis=1)
+        out[tied] = cand[np.arange(tied.size), np.argmin(dist_sq, axis=1)]
     return out
 
 
@@ -434,6 +445,34 @@ def cover_by_doubling(lattice: Lattice, cell_id: int):
     return emitted, uncovered_idx
 
 
+def _sorted_contains(sorted_values: np.ndarray, queries) -> np.ndarray:
+    """Per query, whether it occurs in the ascending array sorted_values."""
+    queries = np.asarray(queries)
+    pos = np.searchsorted(sorted_values, queries)
+    hit = pos < sorted_values.size
+    hit[hit] = sorted_values[pos[hit]] == queries[hit]
+    return hit
+
+
+def _decisive_diameter(pts: np.ndarray, thresholds) -> float:
+    """The diameter of pts, or a stand-in on the same side of each threshold.
+
+    A realised pair distance (the atom farthest from the first, then the
+    atom farthest from that one) bounds the diameter from below, and twice
+    the largest distance rho from the first atom bounds it from above.  When
+    no threshold lies in that bracket, either end of it compares with every
+    threshold as the diameter would; otherwise the exact blocked scan runs.
+    Only O(len(pts)) memory is used either way.
+    """
+    from_first = np.sqrt(((pts - pts[0]) ** 2).sum(-1))
+    far = pts[int(np.argmax(from_first))]
+    pair = float(np.sqrt(((pts - far) ** 2).sum(-1).max()))
+    upper = 2.0 * float(from_first.max()) * (1.0 + 1e-9)
+    if any(pair <= t <= upper for t in thresholds):
+        return float(np.sqrt(max_sq_pair_distance(pts)))
+    return pair
+
+
 def check_lattice(lattice: Lattice) -> dict:
     """Exact invariant audit; the reference oracle for the lattice tests.
 
@@ -466,21 +505,24 @@ def check_lattice(lattice: Lattice) -> dict:
                 <= lattice.c0 * lattice.a0 ** (-k) + 1e-15
             ):
                 report["radius_bracket_ok"] = False
-            if cell.center_index not in set(cell.point_indices.tolist()):
+            if not _sorted_contains(
+                cell.point_indices, [cell.center_index]
+            ).all():
                 report["center_membership_ok"] = False
             if cell.parent is not None:
                 parent = lattice.cells[cell.parent]
-                if not np.isin(
-                    cell.point_indices, parent.point_indices, assume_unique=True
+                if not _sorted_contains(
+                    parent.point_indices, cell.point_indices
                 ).all():
                     report["nesting_ok"] = False
             pts = measure.points[cell.point_indices]
             if pts.shape[0] >= 2:
-                diff = pts[:, None, :] - pts[None, :, :]
-                diam = float(np.sqrt((diff**2).sum(-1).max()))
-                if diam > cell.side * (1 + 1e-12):
+                max_diam = cell.side * (1 + 1e-12)
+                min_diam = cell.side / (COVER_FACTOR * lattice.c0)
+                diam = _decisive_diameter(pts, (max_diam, min_diam))
+                if diam > max_diam:
                     report["diam_upper_ok"] = False
-                if diam < cell.side / (COVER_FACTOR * lattice.c0):
+                if diam < min_diam:
                     report["diam_lower_violations"] += 1
         if not (seen == 1).all():
             report["partition_ok"] = False

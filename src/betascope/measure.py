@@ -18,7 +18,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
+
+from ._util import max_sq_pair_distance
 
 __all__ = [
     "Ball",
@@ -183,20 +185,16 @@ class WeightedPointMeasure:
             if self.size < 2:
                 self._diameter = 0.0
             else:
-                # Exact brute-force on the convex-hull-free fallback would be
-                # O(N^2); the axis-extreme heuristic is exact only in 1d, so
-                # use hull vertices when possible and fall back to full scan.
+                # The diameter is attained at hull vertices, so a large input
+                # scans those; flat or 1-d inputs, where the hull fails, scan
+                # every atom.  The scan is blocked, so memory stays O(N).
                 pts = self._points
                 if self.size > 2000:
                     try:
-                        from scipy.spatial import ConvexHull
-
-                        hull = ConvexHull(pts)
-                        pts = pts[hull.vertices]
-                    except Exception:
+                        pts = pts[ConvexHull(pts).vertices]
+                    except (QhullError, ValueError):
                         pts = self._points
-                diff = pts[:, None, :] - pts[None, :, :]
-                self._diameter = float(np.sqrt((diff**2).sum(-1).max()))
+                self._diameter = float(np.sqrt(max_sq_pair_distance(pts)))
         return self._diameter
 
     # -- ball queries -------------------------------------------------------

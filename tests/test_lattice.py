@@ -1,13 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from betascope import (boundary_audit, boundary_layer_mass, build_lattice,
-                       cantor4, check_lattice, classify_doubling,
-                       cover_by_doubling, lattice_to_json, lipschitz_graph,
-                       segment, square_area)
+from betascope import (WeightedPointMeasure, boundary_audit,
+                       boundary_layer_mass, build_lattice, cantor4,
+                       check_lattice, classify_doubling, cover_by_doubling,
+                       lattice_to_json, lipschitz_graph, segment, square_area)
+from betascope import lattice as lattice_mod
+from betascope.lattice import COVER_FACTOR, FIVE_B, _nearest_center
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +195,216 @@ def test_square_area_invariants():
     assert rep["partition_ok"] and rep["nesting_ok"]
     assert rep["five_b_violations"] == 0
     assert rep["diam_upper_ok"]
+
+
+def dense_nearest_center(points, centers):
+    """Reference: dense points x centres scan, ties to the earlier centre."""
+    n_pts = points.shape[0]
+    n_ctr = centers.shape[0]
+    out = np.empty(n_pts, dtype=np.int64)
+    if n_ctr == 1:
+        out[:] = 0
+        return out
+    chunk = max(1, int(4_000_000 // max(1, n_ctr)))
+    for lo in range(0, n_pts, chunk):
+        hi = min(lo + chunk, n_pts)
+        diff = points[lo:hi, None, :] - centers[None, :, :]
+        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        out[lo:hi] = np.argmin(dist_sq, axis=1)
+    return out
+
+
+def dense_check_lattice(lattice):
+    """Reference audit: set membership and all-pairs cell diameters."""
+    measure = lattice.measure
+    n_pts = measure.size
+    report = {
+        "partition_ok": True,
+        "nesting_ok": True,
+        "radius_bracket_ok": True,
+        "center_membership_ok": True,
+        "five_b_violations": 0,
+        "nonconforming": 0,
+        "cells": len(lattice.cells),
+        "diam_upper_ok": True,
+        "diam_lower_violations": 0,
+    }
+    for k, ids in enumerate(lattice.levels):
+        seen = np.zeros(n_pts, dtype=np.int64)
+        for cid in ids:
+            cell = lattice.cells[cid]
+            seen[cell.point_indices] += 1
+            if not (
+                lattice.a0 ** (-k) - 1e-15
+                <= cell.radius
+                <= lattice.c0 * lattice.a0 ** (-k) + 1e-15
+            ):
+                report["radius_bracket_ok"] = False
+            if cell.center_index not in set(cell.point_indices.tolist()):
+                report["center_membership_ok"] = False
+            if cell.parent is not None:
+                parent = lattice.cells[cell.parent]
+                if not np.isin(
+                    cell.point_indices, parent.point_indices, assume_unique=True
+                ).all():
+                    report["nesting_ok"] = False
+            pts = measure.points[cell.point_indices]
+            if pts.shape[0] >= 2:
+                diff = pts[:, None, :] - pts[None, :, :]
+                diam = float(np.sqrt((diff**2).sum(-1).max()))
+                if diam > cell.side * (1 + 1e-12):
+                    report["diam_upper_ok"] = False
+                if diam < cell.side / (COVER_FACTOR * lattice.c0):
+                    report["diam_lower_violations"] += 1
+        if not (seen == 1).all():
+            report["partition_ok"] = False
+        centers = np.array([lattice.cells[c].center for c in ids])
+        radii = np.array([lattice.cells[c].radius for c in ids])
+        for i in range(len(ids)):
+            for j in range(i + 1, len(ids)):
+                gap = float(np.linalg.norm(centers[i] - centers[j]))
+                if gap < FIVE_B * (radii[i] + radii[j]):
+                    report["five_b_violations"] += 1
+    report["nonconforming"] = sum(1 for c in lattice.cells if not c.conforming)
+    report["nonconforming_fraction"] = report["nonconforming"] / max(
+        1, len(lattice.cells)
+    )
+    return report
+
+
+def _doubled(measure):
+    """Every atom twice: exact zero-distance ties between duplicates."""
+    return np.concatenate([measure.points, measure.points[::-1]])
+
+
+@pytest.mark.parametrize("points", [
+    square_area(9).points,          # dyadic grid: exact two- and four-way ties
+    cantor4(3).points,              # dyadic corners: exact ties
+    _doubled(cantor4(2)),
+    lipschitz_graph(300, seed=1).points,
+], ids=["square_area", "cantor4", "duplicated", "lipschitz_graph"])
+def test_nearest_center_matches_dense_oracle(points):
+    rng = np.random.default_rng(0)
+    picks = [np.arange(0, len(points), step) for step in (2, 3, 7)]
+    picks += [rng.permutation(len(points))[:k] for k in (1, 2, 10, 40)]
+    picks.append(np.concatenate([picks[-1], picks[-1][:5]]))  # repeated centres
+    for idx in picks:
+        centers = points[idx]
+        got = _nearest_center(points, centers)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, dense_nearest_center(points, centers))
+
+
+def test_nearest_center_ties_go_to_earlier_center():
+    centers = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [0.25, 0.25]])
+    points = np.array([[0.125, 0.0], [0.125, 0.125], [0.0, 0.125]])
+    np.testing.assert_array_equal(_nearest_center(points, centers), [0, 0, 0])
+    np.testing.assert_array_equal(_nearest_center(points, centers[::-1]),
+                                  [2, 0, 1])
+
+
+def test_nearest_center_on_lattice_nets():
+    m = lipschitz_graph(800, seed=2)
+    lat = build_lattice(m)
+    for k in range(lat.max_depth + 1):
+        centers = m.points[[c.center_index for c in lat.level_cells(k)]]
+        np.testing.assert_array_equal(_nearest_center(m.points, centers),
+                                      dense_nearest_center(m.points, centers))
+
+
+@pytest.fixture(scope="module",
+                params=["lipschitz_graph", "cantor4", "random_cloud"])
+def audit_lattice_args(request):
+    if request.param == "cantor4":
+        return cantor4(3), {"a0": 4.0, "c0": 400.0}
+    if request.param == "random_cloud":
+        # some cells here have a farthest-point pair short of the diameter
+        pts = np.random.default_rng(0).uniform(size=(300, 2))
+        return WeightedPointMeasure(pts, np.full(300, 1 / 300), 1), {}
+    return lipschitz_graph(400, seed=3), {}
+
+
+def _diam_and_rho(pts):
+    diff = pts[:, None, :] - pts[None, :, :]
+    diam = float(np.sqrt((diff**2).sum(-1).max()))
+    return diam, float(np.linalg.norm(pts - pts[0], axis=1).max())
+
+
+# Per mode: new side of every multi-atom cell from its diameter and C0, and
+# whether the audit must fall back to the exact scan on all of those cells
+# (True), on none (False) or on those whose farthest-point pair is short of
+# the diameter (None).
+SIDE_MODES = {
+    # diameter above l(Q)(1+1e-12), certified by the realised pair
+    "upper_certified": (lambda diam, c0: 0.4 * diam, False),
+    # diameter below l(Q)/(28 C0), certified by the 2 rho bound
+    "lower_certified": (lambda diam, c0: 2.5 * diam * COVER_FACTOR * c0, False),
+    # l(Q)/(28 C0) just above the diameter, inside the bracket
+    "lower_straddle": (
+        lambda diam, c0: (1 + 1e-10) * diam * COVER_FACTOR * c0, True),
+    # l(Q)/(28 C0) just below the diameter: no violation
+    "lower_inside": (
+        lambda diam, c0: (1 - 1e-10) * diam * COVER_FACTOR * c0, None),
+    # l(Q)(1+1e-12) just above the diameter, inside the bracket
+    "upper_straddle": (lambda diam, c0: diam, True),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SIDE_MODES))
+def test_check_lattice_matches_dense_oracle(audit_lattice_args, mode,
+                                            monkeypatch):
+    measure, params = audit_lattice_args
+    lat = build_lattice(measure, **params)
+    assert check_lattice(lat) == dense_check_lattice(lat)
+
+    side_of, scans_expected = SIDE_MODES[mode]
+    multi = 0
+    for cell in lat.cells:
+        pts = measure.points[cell.point_indices]
+        if pts.shape[0] >= 2:
+            diam, rho = _diam_and_rho(pts)
+            assert rho <= diam <= 2 * rho
+            cell.side = side_of(diam, lat.c0)
+            multi += 1
+    scans = []
+    exact = lattice_mod.max_sq_pair_distance
+    monkeypatch.setattr(lattice_mod, "max_sq_pair_distance",
+                        lambda pts: scans.append(len(pts)) or exact(pts))
+    report = check_lattice(lat)
+    assert report == dense_check_lattice(lat)
+    if scans_expected is not None:
+        assert len(scans) == (multi if scans_expected else 0)
+    if mode == "upper_certified":
+        assert not report["diam_upper_ok"]
+    if mode in ("lower_certified", "lower_straddle"):
+        assert report["diam_lower_violations"] == multi
+    if mode == "lower_inside":
+        assert report["diam_lower_violations"] == 0
+
+
+def test_check_lattice_flags_membership_like_dense_oracle():
+    lat = build_lattice(lipschitz_graph(400, seed=3))
+    last = lat.level_cells(1)[-1]
+    child = lat.cell(last.children[0])
+    assert 0 not in last.point_indices
+    # atom 0 sorts before every atom of these cells, yet belongs to neither
+    last.center_index = 0
+    child.point_indices = np.concatenate(([0], child.point_indices))
+    report = check_lattice(lat)
+    assert report == dense_check_lattice(lat)
+    assert not report["center_membership_ok"]
+    assert not report["nesting_ok"]
+
+
+def test_large_lattice_build_and_audit_memory():
+    measure = lipschitz_graph(4096, seed=0)
+    tracemalloc.start()
+    try:
+        lat = build_lattice(measure)
+        report = check_lattice(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["partition_ok"] and report["nesting_ok"]
+    assert report["diam_upper_ok"]
+    assert peak < 32 * 2**20

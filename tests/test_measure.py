@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,7 +235,16 @@ def test_ball_scaled():
 
 
 def test_diameter_matches_brute_force():
-    m = small_measure(21, m=25)
-    pts = m.points
-    brute = max(np.linalg.norm(p - q) for p in pts for q in pts)
-    assert m.diameter == pytest.approx(brute, rel=1e-14)
+    # segment(2500) is collinear: the hull fails and every atom is scanned,
+    # which must not take O(N^2) memory
+    for m in (small_measure(21, m=25), segment(2500)):
+        pts = m.points
+        brute = max(np.linalg.norm(pts - p, axis=1).max() for p in pts)
+        tracemalloc.start()
+        try:
+            diameter = m.diameter
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diameter == pytest.approx(brute, rel=1e-14)
+        assert peak < 32 * 2**20
