@@ -13,7 +13,6 @@ from .beta import (
     BetaProfile,
     BetaResult,
     beta2,
-    beta_p,
     beta_profile_rows,
     condition_check,
     jones_integral,
@@ -21,13 +20,9 @@ from .beta import (
 from .corona import (
     CoronaTree,
     TreeGeometry,
-    b0_density_ratio,
     build_corona,
     corona_to_json,
-    delta_mu,
     packing_audit,
-    phi_growth_audit,
-    stop_strata,
     tree_density_audit,
 )
 from .generators import cantor4, lipschitz_graph, segment, square_area
@@ -45,7 +40,6 @@ from .lattice import (
 from .measure import (
     Ball,
     WeightedPointMeasure,
-    empty_measure,
     load_csv,
     load_json,
     save_csv,
@@ -58,16 +52,13 @@ from .operators import (
     cauchy_kernel,
     k_r_chain,
     k_r_telescoped,
-    m_r_phi,
     m_tilde,
     make_kernel,
     riesz_kernel,
     suppressed_kernel,
     suppression_factor,
-    t_eps,
     t_phi_eps,
     t_phi_star,
-    t_star,
     truncated_field,
     validate_kernel,
 )
@@ -98,9 +89,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "TreeGeometry",
     "WeightedPointMeasure",
-    "b0_density_ratio",
     "beta2",
-    "beta_p",
     "beta_profile_rows",
     "boundary_audit",
     "boundary_layer_mass",
@@ -116,9 +105,7 @@ __all__ = [
     "corona_to_json",
     "cotlar_check",
     "cover_by_doubling",
-    "delta_mu",
     "dump_json",
-    "empty_measure",
     "geometric_grid",
     "jones_field",
     "jones_integral",
@@ -128,28 +115,23 @@ __all__ = [
     "lipschitz_graph",
     "load_csv",
     "load_json",
-    "m_r_phi",
     "m_tilde",
     "main_lemma_check",
     "make_kernel",
     "make_report",
     "packing_audit",
     "parallel_map",
-    "phi_growth_audit",
     "pointwise_domination_check",
     "riesz_kernel",
     "save_csv",
     "save_json",
     "segment",
     "square_area",
-    "stop_strata",
     "suppressed_kernel",
     "suppression_factor",
     "t1_ball_check",
-    "t_eps",
     "t_phi_eps",
     "t_phi_star",
-    "t_star",
     "tree_density_audit",
     "truncated_field",
     "validate_kernel",

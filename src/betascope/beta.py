@@ -7,8 +7,7 @@ For a ball B = B(x, r) and an n-plane L the p-flatness of the measure is
 minimised over affine n-planes L.  For p = 2 the minimiser passes through
 the weighted centroid of B with directions spanned by the top eigenvectors
 of the weighted covariance, so beta_2 is computed exactly by an
-eigendecomposition.  For general p >= 1 the minimum has no closed form and
-a local descent from the p = 2 plane returns a certified upper bound.
+eigendecomposition.
 
 The multiscale aggregate is a left Riemann sum in logarithmic scale of
 beta_2(x, r)^2 * density(x, r) over a geometric grid of radii, the discrete
@@ -22,22 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Ball, WeightedPointMeasure
+from .measure import Ball, RadialOrder, WeightedPointMeasure
 
 __all__ = [
     "BetaResult",
     "beta2",
-    "beta_p",
     "BetaProfile",
     "jones_integral",
     "condition_check",
     "beta_profile_rows",
 ]
-
-# Local-descent controls for beta_p.
-DESCENT_MAX_SWEEPS = 200
-DESCENT_REL_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class BetaResult:
@@ -54,7 +47,6 @@ class BetaResult:
     mass: float
     plane_point: np.ndarray | None
     plane_basis: np.ndarray | None
-    p: float = 2.0
 
     @property
     def is_degenerate(self) -> bool:
@@ -112,87 +104,6 @@ def beta2(measure: WeightedPointMeasure, ball: Ball) -> BetaResult:
     )
 
 
-def _beta_p_objective(z, w, n, r, p, point, basis):
-    proj = (z - point) @ basis.T
-    resid = (z - point) - proj @ basis
-    dist = np.sqrt(np.sum(resid * resid, axis=1))
-    return float(np.sum(w * dist**p))
-
-
-def beta_p(measure: WeightedPointMeasure, ball: Ball, p: float) -> BetaResult:
-    """Upper bound on the p-flatness via local descent, p >= 1.
-
-    Starts at the exact p = 2 plane and pattern-searches over plane offsets
-    along the normal directions and rotations mixing plane directions with
-    normals.  At most ``DESCENT_MAX_SWEEPS`` sweeps, stopping when the
-    relative improvement drops below ``DESCENT_REL_TOL``.  The value is an
-    upper bound on the true infimum; for p = 2 it equals beta2 up to the
-    stopping tolerance.
-    """
-    p = float(p)
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    r = float(ball.radius)
-    base = beta2(measure, ball)
-    if base.is_degenerate:
-        return BetaResult(0.0, ball, 0.0, None, None, p=p)
-    idx = measure.ball_indices(ball.center, r)
-    z = measure.points[idx] - ball.center
-    w = measure.weights[idx]
-    n = measure.target_dim
-    d = measure.dim
-    m = d - n
-
-    point = np.asarray(base.plane_point - ball.center, dtype=float)
-    basis = np.array(base.plane_basis, dtype=float)
-    # Orthonormal complement of the plane directions.
-    full, _ = np.linalg.qr(
-        np.concatenate([basis, np.eye(d)]).T
-    )
-    normals = full.T[n : n + m]
-
-    def objective(pt, bs):
-        return _beta_p_objective(z, w, n, r, p, pt, bs)
-
-    best = objective(point, basis)
-    offset_step = 0.25 * r
-    angle_step = 0.25
-    for _ in range(DESCENT_MAX_SWEEPS):
-        improved = False
-        start = best
-        for k in range(m):
-            for sign in (1.0, -1.0):
-                cand = point + sign * offset_step * normals[k]
-                val = objective(cand, basis)
-                if val < best:
-                    best, point, improved = val, cand, True
-        for j in range(n):
-            for k in range(m):
-                for sign in (1.0, -1.0):
-                    a = sign * angle_step
-                    c, s = math.cos(a), math.sin(a)
-                    new_basis = basis.copy()
-                    new_basis[j] = c * basis[j] + s * normals[k]
-                    val = objective(point, new_basis)
-                    if val < best:
-                        new_normals = normals.copy()
-                        new_normals[k] = -s * basis[j] + c * normals[k]
-                        basis, normals = new_basis, new_normals
-                        best, improved = val, True
-        if not improved:
-            offset_step *= 0.5
-            angle_step *= 0.5
-            if offset_step < 1e-13 * r and angle_step < 1e-13:
-                break
-        elif start > 0 and (start - best) / start < DESCENT_REL_TOL:
-            break
-    value = (max(best, 0.0) / r ** (n + p)) ** (1.0 / p)
-    if p == 2.0:
-        # The p = 2 start is already optimal; never report worse than it.
-        value = min(value, base.value)
-    return BetaResult(value, ball, base.mass, ball.center + point, basis, p=p)
-
-
 class BetaProfile:
     """All-scales flatness of a single centre in O(log N) per radius.
 
@@ -210,39 +121,24 @@ class BetaProfile:
         self.measure = measure
         self.center = center
         self.n = measure.target_dim
-        d = measure.dim
-        z = measure.points - center
-        dist = np.linalg.norm(z, axis=1)
-        order = np.argsort(dist, kind="stable")
-        self.dist_sorted = dist[order]
-        w = measure.weights[order]
-        zs = z[order]
-        self.cum_w = np.cumsum(w)
-        self.cum_first = np.cumsum(w[:, None] * zs, axis=0)
+        self.d = measure.dim
+        self.radial = RadialOrder(measure, center)
+        w = measure.weights[self.radial.order]
+        zs = self.radial.offsets
+        self.cum_w = self.radial.prefix(w)
+        self.cum_first = self.radial.prefix(w[:, None] * zs)
         outer = zs[:, :, None] * zs[:, None, :]
-        self.cum_second = np.cumsum(w[:, None, None] * outer, axis=0)
-        self.d = d
-
-    def _prefix(self, radii):
-        return np.searchsorted(self.dist_sorted, radii, side="right")
-
-    def mass(self, radii) -> np.ndarray:
-        radii = np.asarray(radii, dtype=float)
-        k = self._prefix(radii)
-        out = np.zeros(radii.shape)
-        nz = k > 0
-        out[nz] = self.cum_w[k[nz] - 1]
-        return out
+        self.cum_second = self.radial.prefix(w[:, None, None] * outer)
 
     def beta_sq_theta(self, radii):
         """Arrays (beta_2^2, theta) over the given radii."""
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        k = self._prefix(radii)
+        k = self.radial.count(radii)
         beta_sq = np.zeros(radii.shape)
         theta = np.zeros(radii.shape)
         nz = k > 0
         if nz.any():
-            ki = k[nz] - 1
+            ki = k[nz]
             W = self.cum_w[ki]
             S1 = self.cum_first[ki]
             S2 = self.cum_second[ki]
@@ -275,7 +171,6 @@ def jones_integral(
     r_lo: float,
     r_hi: float,
     scales_per_octave: int = 4,
-    profile: BetaProfile | None = None,
 ) -> float:
     """Discrete multiscale flatness integral at a centre.
 
@@ -293,10 +188,8 @@ def jones_integral(
         raise ValueError("scales_per_octave must be >= 1")
     if measure.is_empty:
         return 0.0
-    if profile is None:
-        profile = BetaProfile(measure, center)
     radii, log_rho = _jones_grid(r_lo, r_hi, scales_per_octave)
-    beta_sq, theta = profile.beta_sq_theta(radii)
+    beta_sq, theta = BetaProfile(measure, center).beta_sq_theta(radii)
     return float(np.sum(beta_sq * theta) * log_rho)
 
 

@@ -364,6 +364,13 @@ def _cmd_capacity(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_common(parser, out_required=True):
     parser.add_argument("--out", required=out_required,
                         help="report JSON path")
@@ -406,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="densities and flatness profiles")
     analyze.add_argument("--input", required=True)
-    analyze.add_argument("--centers", type=int, default=12)
+    analyze.add_argument("--centers", type=_positive_int, default=12)
     analyze.add_argument("--profile-csv", default=None,
                          help="also export per-center flatness profiles")
     _add_common(analyze)
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--a-stop", type=float, default=30.0)
     ver.add_argument("--tau", type=float, default=0.12)
     ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--samples", type=int, default=32)
+    ver.add_argument("--samples", type=_positive_int, default=32)
     ver.add_argument("--baseline", default=None,
                      help="compare against stored regression values")
     _add_lattice_params(ver)

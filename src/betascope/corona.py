@@ -21,26 +21,21 @@ multiscale flatness energy.
 from __future__ import annotations
 
 import json
-import warnings
 from collections import deque
 
 import numpy as np
 
 from ._util import BLOCK_ELEMENTS
-from .beta import BetaProfile, beta2, jones_integral
-from .lattice import COVER_FACTOR, Cell, Lattice, cover_by_doubling
+from .beta import beta2, jones_integral
+from .lattice import COVER_FACTOR, Lattice, cover_by_doubling
 from .measure import Ball, WeightedPointMeasure
 
 __all__ = [
     "CoronaTree",
     "TreeGeometry",
     "build_corona",
-    "delta_mu",
     "packing_audit",
     "tree_density_audit",
-    "b0_density_ratio",
-    "phi_growth_audit",
-    "stop_strata",
     "corona_to_json",
 ]
 
@@ -70,7 +65,6 @@ class CoronaTree:
         self.tested: set[int] = tested
         self.beta_terms = beta_terms        # per cell beta2(1.1 B_Q)^2 theta(1.1 B_Q)
         self.theta_ref: dict[int, float] = theta_ref
-        top_set = set(tops)
         self.trees: dict[int, list[int]] = {t: [] for t in tops}
         for cell in lattice.cells:
             self.trees[int(owner[cell.id])].append(cell.id)
@@ -82,7 +76,6 @@ class CoronaTree:
         # atom -> owner of its deepest cell
         deepest = lattice._assignment[lattice.max_depth]
         self._atom_owner = owner[deepest]
-        del top_set
 
     @property
     def measure(self) -> WeightedPointMeasure:
@@ -265,36 +258,6 @@ class TreeGeometry:
         return self._reg
 
 
-def delta_mu(lattice: Lattice, inner: Cell, outer: Cell) -> float:
-    """Mass of 2 B_outer away from the inner cell, kernel-weighted.
-
-    Sums w_i / |x_i - z_inner|^n over atoms of 2 B_outer not in the inner
-    cell.  The inner cell must be nested in the outer one.
-    """
-    cell = inner
-    while cell.level > outer.level:
-        cell = lattice.cells[cell.parent]
-    if cell.id != outer.id:
-        raise ValueError(
-            f"cell {inner.id} is not contained in cell {outer.id}"
-        )
-    measure = lattice.measure
-    ring = measure.ball_indices(outer.center,
-                                2.0 * COVER_FACTOR * outer.radius)
-    ring = ring[~np.isin(ring, inner.point_indices, assume_unique=True)]
-    dist = np.linalg.norm(measure.points[ring] - inner.center, axis=1)
-    hit = dist == 0.0
-    if hit.any():
-        warnings.warn(
-            "atom coincides with the inner cell centre outside the cell; "
-            "excluded from delta_mu",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        ring, dist = ring[~hit], dist[~hit]
-    return float(np.sum(measure.weights[ring] / dist**measure.target_dim))
-
-
 def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
     """Compare the top-cell density sum with root term plus flatness energy.
 
@@ -316,10 +279,9 @@ def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
     r_hi = root.side
     energy = 0.0
     for i in range(measure.size):
-        profile = BetaProfile(measure, measure.points[i])
         energy += measure.weights[i] * jones_integral(
             measure, measure.points[i], r_lo, r_hi,
-            scales_per_octave=scales_per_octave, profile=profile,
+            scales_per_octave=scales_per_octave,
         )
     rhs += energy
     return {
@@ -357,63 +319,6 @@ def tree_density_audit(corona: CoronaTree) -> dict:
         per_tree[top] = peak
         worst = max(worst, peak)
     return {"per_tree": per_tree, "max_ratio": worst}
-
-
-def b0_density_ratio(corona: CoronaTree, top_id: int) -> float:
-    """theta(B0(R)) / theta(B_R) for one tree root."""
-    cell = corona.lattice.cells[top_id]
-    measure = corona.measure
-    geom = TreeGeometry(corona, top_id)
-    b0 = geom.b0
-    theta_b0 = _theta(measure, b0.center, b0.radius)
-    theta_br = _theta(measure, cell.center, COVER_FACTOR * cell.radius)
-    return theta_b0 / theta_br if theta_br > 0 else 0.0
-
-
-def phi_growth_audit(geometry: TreeGeometry, max_samples: int = 64) -> dict:
-    """Empirical C1 in mu[B(x,r) inter B_R] <= C1 theta(B_R) r^n.
-
-    Samples atoms of B_R (index-strided, deterministic) and scans radii
-    r >= max(Phi_R(x), r_min) at the distance breakpoints.
-    """
-    measure = geometry.measure
-    top = geometry.top
-    n = measure.target_dim
-    big_r = COVER_FACTOR * top.radius
-    inside = measure.ball_indices(top.center, big_r)
-    if inside.size == 0:
-        return {"c1": 0.0, "samples": 0}
-    stride = max(1, inside.size // max_samples)
-    sample = inside[::stride]
-    theta_br = _theta(measure, top.center, big_r)
-    in_br = np.zeros(measure.size, dtype=bool)
-    in_br[inside] = True
-    phi_vals = geometry.phi(measure.points[sample])
-    worst = 0.0
-    for atom, phi_x in zip(sample, phi_vals):
-        x = measure.points[atom]
-        dist = np.linalg.norm(measure.points - x, axis=1)
-        floor = max(float(phi_x), measure.r_min)
-        radii = np.unique(dist[(dist >= floor) & in_br])
-        if radii.size == 0:
-            radii = np.array([floor])
-        for r in radii:
-            mass = float(np.sum(measure.weights[(dist <= r) & in_br]))
-            worst = max(worst, mass / (theta_br * r**n))
-    return {"c1": worst, "samples": int(sample.size)}
-
-
-def stop_strata(corona: CoronaTree, top_id: int, depth: int) -> list[list[int]]:
-    """Iterated stopping generations below one root: strata 1..depth."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    strata = [sorted(corona.stops[top_id])]
-    for _ in range(depth - 1):
-        nxt: list[int] = []
-        for t in strata[-1]:
-            nxt.extend(corona.stops[t])
-        strata.append(sorted(nxt))
-    return strata
 
 
 def corona_to_json(corona: CoronaTree, path=None):

@@ -24,8 +24,8 @@ from ._util import max_sq_pair_distance
 
 __all__ = [
     "Ball",
+    "RadialOrder",
     "WeightedPointMeasure",
-    "empty_measure",
     "load_csv",
     "save_csv",
     "load_json",
@@ -263,39 +263,28 @@ class WeightedPointMeasure:
             raise ValueError(f"floor must be positive and finite, got {floor}")
         if self.is_empty:
             return 0.0
-        center = np.asarray(center, dtype=float).reshape(-1)
-        dist = np.linalg.norm(self._points - center, axis=1)
         w = self._weights if f is None else self._weights * np.abs(np.asarray(f, float))
-        order = np.argsort(dist, kind="stable")
-        dist_sorted = dist[order]
-        cum = np.cumsum(w[order])
-        candidates = np.unique(dist_sorted[dist_sorted > floor])
-        radii = np.concatenate(([floor], candidates))
-        counts = np.searchsorted(dist_sorted, radii, side="right")
-        mask = counts > 0
-        if not mask.any():
-            return 0.0
-        masses = cum[counts[mask] - 1]
-        return float(np.max(masses / radii[mask] ** self._n))
+        radial = RadialOrder(self, center)
+        masses = radial.prefix(w[radial.order])
+        breaks = np.unique(radial.dist[radial.dist > floor])
+        radii = np.concatenate(([floor], breaks))
+        return float(np.max(masses[radial.count(radii)] / radii**self._n))
 
     # -- growth and tails ---------------------------------------------------
 
-    def growth_constant(self, scale_grid=None, centers=None, exact=False) -> float:
-        """Estimate of c0 = sup over centres and radii of theta(x, r).
+    def growth_constant(self, scale_grid=None, exact=False) -> float:
+        """Estimate of c0 = sup over atoms x and radii r of theta(x, r).
 
         With ``exact=True`` the supremum over r >= r_min is computed per
-        centre from the distance breakpoints (no grid).  Otherwise a
+        atom from the distance breakpoints (no grid).  Otherwise a
         ``scale_grid`` of radii is required and the result is the maximum of
-        the density over centres x grid, a lower estimate of the true sup
+        the density over atoms x grid, a lower estimate of the true sup
         restricted to r >= r_min.
         """
         if self.is_empty:
             return 0.0
-        if centers is None:
-            centers = self._points
-        centers = np.atleast_2d(np.asarray(centers, dtype=float))
         if exact:
-            return max(self.sup_density(c, self._r_min) for c in centers)
+            return max(self.sup_density(c, self._r_min) for c in self._points)
         if scale_grid is None:
             raise ValueError("growth_constant needs a scale_grid unless exact=True")
         scale_grid = np.asarray(scale_grid, dtype=float).reshape(-1)
@@ -304,16 +293,11 @@ class WeightedPointMeasure:
         if (scale_grid < self._r_min).any():
             raise ValueError("scale_grid contains radii below r_min")
         best = 0.0
-        for c in centers:
-            dist = np.linalg.norm(self._points - c, axis=1)
-            dist_sorted = np.sort(dist, kind="stable")
-            order = np.argsort(dist, kind="stable")
-            cum = np.cumsum(self._weights[order])
-            counts = np.searchsorted(dist_sorted, scale_grid, side="right")
-            mask = counts > 0
-            if mask.any():
-                val = np.max(cum[counts[mask] - 1] / scale_grid[mask] ** self._n)
-                best = max(best, float(val))
+        for c in self._points:
+            radial = RadialOrder(self, c)
+            masses = radial.prefix(self._weights[radial.order])
+            val = np.max(masses[radial.count(scale_grid)] / scale_grid**self._n)
+            best = max(best, float(val))
         return best
 
     def annulus_tail(self, center, radius: float) -> float:
@@ -358,17 +342,50 @@ class WeightedPointMeasure:
         mask[idx] = True
         return self.restrict_mask(mask)
 
-    def restrict(self, predicate) -> "WeightedPointMeasure":
-        """Restriction by a vectorised predicate points -> bool array."""
-        mask = np.asarray(predicate(self._points), dtype=bool).reshape(-1)
-        return self.restrict_mask(mask)
 
+class RadialOrder:
+    """The atoms of a measure in order of distance from a centre x.
 
-def empty_measure(dim: int, target_dim: int, r_min: float = 1.0) -> WeightedPointMeasure:
-    """Explicit empty-measure sentinel (mass zero)."""
-    return WeightedPointMeasure(
-        np.empty((0, dim)), np.empty(0), target_dim, r_min=r_min
-    )
+    Every closed ball B(x, r) is a prefix of this order and every region
+    |p - x| > r the complementary suffix, so any sum over balls or annuli
+    centred at x is a lookup in prefix or suffix sums taken along it.  The
+    sort is stable: atoms at equal distance keep their index order, which
+    fixes the summation order of every such sum.
+
+    Attributes: ``order`` maps sorted positions to atom indices, ``dist``
+    holds the sorted distances and ``offsets`` the sorted differences p - x.
+    """
+
+    def __init__(self, measure: WeightedPointMeasure, center):
+        center = np.asarray(center, dtype=float).reshape(-1)
+        offsets = measure.points - center
+        dist = np.linalg.norm(offsets, axis=1)
+        self.order = np.argsort(dist, kind="stable")
+        self.dist = dist[self.order]
+        self.offsets = np.take(offsets, self.order, axis=0)
+
+    def count(self, radii):
+        """Number of atoms in the closed balls B(x, r) for the given radii."""
+        return np.searchsorted(self.dist, radii, side="right")
+
+    def prefix(self, values) -> np.ndarray:
+        """Sums of per-atom ``values`` (in sorted order) over closed balls.
+
+        Entry k sums the k nearest atoms along axis 0, so entry 0 is zero
+        and ``prefix(values)[count(r)]`` is the sum over B(x, r).
+        """
+        values = np.asarray(values, dtype=float)
+        head = np.zeros((1,) + values.shape[1:])
+        return np.concatenate((head, np.cumsum(values, axis=0)))
+
+    def suffix(self, values) -> np.ndarray:
+        """Sums of per-atom ``values`` (in sorted order) beyond each position.
+
+        Entry k sums every atom but the k nearest, accumulated
+        farthest-first, so ``suffix(values)[count(r)]`` is the sum over
+        |p - x| > r and the last entry is zero.
+        """
+        return self.prefix(np.asarray(values, dtype=float)[::-1])[::-1]
 
 
 # -- serialization ----------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import WeightedPointMeasure
+from .measure import RadialOrder, WeightedPointMeasure
 
 __all__ = [
     "CZKernel",
@@ -29,14 +29,11 @@ __all__ = [
     "make_kernel",
     "validate_kernel",
     "BumpFamily",
-    "t_eps",
     "truncated_field",
-    "t_star",
     "t_phi_eps",
     "t_phi_star",
     "suppressed_kernel",
     "suppression_factor",
-    "m_r_phi",
     "m_tilde",
     "k_r_chain",
     "k_r_telescoped",
@@ -270,22 +267,21 @@ class _TruncationSums:
     """
 
     def __init__(self, kernel, measure, x, f=None, damping=None):
-        x = np.asarray(x, dtype=float)
-        diffs = x[None, :] - measure.points
-        dist = np.linalg.norm(diffs, axis=1)
-        keep = dist > 0.0
-        self.dist = np.sort(dist[keep], kind="stable")
+        radial = RadialOrder(measure, x)
+        # the evaluation point's own atoms lead the order at distance 0
+        near = int(radial.count(0.0))
+        self.dist = radial.dist[near:]
         fz = _f_values(measure, f)
         if self.dist.size == 0:
             self.suffix = np.zeros((1, kernel.out_dim))
             return
-        terms = kernel(diffs[keep]) * (measure.weights[keep] * fz[keep])[:, None]
+        kept = radial.order[near:]
+        # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
+        terms = (kernel(-radial.offsets[near:])
+                 * (measure.weights[kept] * fz[kept])[:, None])
         if damping is not None:
-            terms = terms * damping[keep][:, None]
-        order = np.argsort(dist[keep], kind="stable")
-        rev = terms[order][::-1]
-        acc = np.vstack((np.zeros((1, terms.shape[1])), np.cumsum(rev, axis=0)))
-        self.suffix = acc[::-1]
+            terms = terms * damping[kept][:, None]
+        self.suffix = radial.suffix(terms)
 
     def beyond(self, eps: float) -> np.ndarray:
         """Sum of terms with distance strictly greater than eps."""
@@ -304,13 +300,6 @@ class _TruncationSums:
         return float(norms[i]), float(witnesses[i])
 
 
-def t_eps(kernel, measure, x, eps: float, f=None) -> np.ndarray:
-    """Truncated sum over |x - x_i| > eps of K(x - x_i) f_i w_i."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return _TruncationSums(kernel, measure, x, f).beyond(eps)
-
-
 def truncated_field(kernel, measure, centers, eps_values, f=None) -> np.ndarray:
     """T_eps at many centers and cutoffs: shape (centers, cutoffs, out_dim)."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -321,24 +310,6 @@ def truncated_field(kernel, measure, centers, eps_values, f=None) -> np.ndarray:
         for e, eps in enumerate(eps_values):
             out[c, e] = sums.beyond(eps)
     return out
-
-
-def t_star(kernel, measure, x, f=None, eps_grid=None) -> tuple[float, float]:
-    """sup over eps > 0 of |T_eps|(x), with the attaining cutoff.
-
-    The sum is piecewise constant in eps with breakpoints at the sorted
-    atom distances, so the default exact mode enumerates those; a supplied
-    eps_grid restricts the sup to it.
-    """
-    sums = _TruncationSums(kernel, measure, x, f)
-    if eps_grid is None:
-        return sums.sup_norm()
-    best, arg = 0.0, float(np.asarray(eps_grid, dtype=float).flat[0])
-    for eps in np.asarray(eps_grid, dtype=float):
-        norm = float(np.linalg.norm(sums.beyond(eps)))
-        if norm > best:
-            best, arg = norm, float(eps)
-    return best, arg
 
 
 def suppression_factor(kernel, diffs, phi_x: float, phi_y: np.ndarray) -> np.ndarray:
@@ -383,15 +354,6 @@ def t_phi_star(kernel, measure, x, phi_x, phi_atoms, f=None) -> tuple[float, flo
     return _phi_sums(kernel, measure, x, phi_x, phi_atoms, f).sup_norm()
 
 
-def m_r_phi(measure, x, phi_x: float, f=None) -> float:
-    """sup over r >= max(Phi(x), r_min) of the (|f| mu)-mass density at x."""
-    weights = None
-    if f is not None:
-        weights = np.abs(_f_values(measure, f))
-    floor = max(float(phi_x), measure.r_min)
-    return measure.sup_density(x, floor, f=weights)
-
-
 def m_tilde(sigma: WeightedPointMeasure, f, x, variant: str = "plain") -> float:
     """sup over r of mean |f| on B(x, r) against sigma's mass on B(x, 3r).
 
@@ -407,25 +369,20 @@ def m_tilde(sigma: WeightedPointMeasure, f, x, variant: str = "plain") -> float:
     fz = np.abs(_f_values(sigma, f))
     if variant == "3/2":
         fz = fz**1.5
-    dist = np.linalg.norm(sigma.points - np.asarray(x, dtype=float), axis=1)
-    order = np.argsort(dist, kind="stable")
-    dist_s = dist[order]
-    num_cum = np.concatenate(([0.0], np.cumsum((fz * sigma.weights)[order])))
-    den_cum = np.concatenate(([0.0], np.cumsum(sigma.weights[order])))
-    positive = np.unique(dist_s[dist_s > 0.0])
+    radial = RadialOrder(sigma, x)
+    num_cum = radial.prefix((fz * sigma.weights)[radial.order])
+    den_cum = radial.prefix(sigma.weights[radial.order])
+    positive = np.unique(radial.dist[radial.dist > 0.0])
     radii = [positive[0] / 2] if positive.size else []
     radii = np.unique(np.concatenate((radii, positive, positive / 3.0)))
     if radii.size == 0:
         # every atom sits exactly at x
         best = num_cum[-1] / den_cum[-1]
         return best ** (2.0 / 3.0) if variant == "3/2" else best
-    best = 0.0
-    for r in radii:
-        den = den_cum[int(np.searchsorted(dist_s, 3.0 * r, side="right"))]
-        if den == 0.0:
-            continue
-        num = num_cum[int(np.searchsorted(dist_s, r, side="right"))]
-        best = max(best, num / den)
+    den = den_cum[radial.count(3.0 * radii)]
+    num = num_cum[radial.count(radii)]
+    valid = den != 0.0
+    best = float(np.max(num[valid] / den[valid], initial=0.0))
     return best ** (2.0 / 3.0) if variant == "3/2" else best
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from ._util import geometric_grid, parallel_map
-from .beta import BetaProfile, _plane_residual_sq, _weighted_plane, jones_integral
+from .beta import _plane_residual_sq, _weighted_plane, jones_integral
 from .corona import TreeGeometry
 from .lattice import COVER_FACTOR
 from .measure import WeightedPointMeasure
@@ -58,10 +58,9 @@ def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
         return np.zeros(measure.size)
 
     def one(i):
-        x = measure.points[i]
         return jones_integral(
-            measure, x, r_lo, r_hi, scales_per_octave=scales_per_octave,
-            profile=BetaProfile(measure, x),
+            measure, measure.points[i], r_lo, r_hi,
+            scales_per_octave=scales_per_octave,
         )
 
     return np.array(parallel_map(one, range(measure.size), threads))

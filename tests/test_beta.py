@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from betascope import (Ball, BetaProfile, WeightedPointMeasure, beta2,
-                       beta_p, beta_profile_rows, condition_check,
-                       geometric_grid, jones_field, jones_integral, segment)
+from betascope import (Ball, WeightedPointMeasure, beta2, beta_profile_rows,
+                       condition_check, geometric_grid, jones_field,
+                       jones_integral, segment)
 from conftest import oracle_beta2, random_instance
 
 
@@ -97,29 +97,6 @@ class TestBeta2:
             assert nrm == pytest.approx(1.0, abs=1e-12)
 
 
-class TestBetaP:
-    def test_p2_agrees_with_beta2(self):
-        rng = np.random.default_rng(21)
-        m, ball = random_instance(rng, 2)
-        assert beta_p(m, ball, 2.0).value == pytest.approx(
-            beta2(m, ball).value, rel=1e-12)
-
-    def test_p1_le_p2_normalized(self):
-        # Cauchy-Schwarz: the p=1 average distance is at most the p=2 one
-        rng = np.random.default_rng(22)
-        for _ in range(10):
-            m, ball = random_instance(rng, 2)
-            theta = m.ball_mass(ball.center, ball.radius) / ball.radius
-            b1 = beta_p(m, ball, 1.0).value
-            b2 = beta2(m, ball).value
-            assert b1 <= math.sqrt(max(theta, 0.0)) * b2 + 1e-12
-
-    def test_rejects_bad_p(self):
-        m = segment(5)
-        with pytest.raises(ValueError):
-            beta_p(m, Ball((0.5, 0.0), 1.0), 0.5)
-
-
 class TestJones:
     def test_grid_spacing(self):
         g = geometric_grid(1.0, 4.0, per_octave=4)
@@ -138,15 +115,6 @@ class TestJones:
             direct += b.value ** 2 * theta * math.log(2.0 ** 0.25)
         got = jones_integral(m, x, lo, hi, scales_per_octave=4)
         assert got == pytest.approx(direct, rel=1e-10)
-
-    def test_profile_reuse_matches(self):
-        m = segment(30)
-        x = m.points[7]
-        profile = BetaProfile(m, x)
-        lo, hi = m.r_min, m.diameter
-        a = jones_integral(m, x, lo, hi, scales_per_octave=3)
-        b = jones_integral(m, x, lo, hi, scales_per_octave=3, profile=profile)
-        assert a == b
 
     def test_field_threads_equal(self):
         m = segment(60)

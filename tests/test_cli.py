@@ -158,6 +158,23 @@ class TestCliExitCodes:
     def test_usage_error_is_two(self):
         assert run_cli("frobnicate").returncode == 2
 
+    @pytest.mark.parametrize("command,flag", [("analyze", "--centers"),
+                                              ("verify", "--samples")])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_nonpositive_count_is_two(self, tmp_path, command, flag, value):
+        mfile = tmp_path / "m.csv"
+        run_cli("generate", "segment", "--count", "20", "--out", str(mfile))
+        rep = tmp_path / "rep.json"
+        extra = []
+        if command == "analyze":
+            # the per-centre profile export is what divides by the count
+            extra = ["--profile-csv", str(tmp_path / "p.csv")]
+        r = run_cli(command, "--input", str(mfile), "--out", str(rep),
+                    flag, value, *extra)
+        assert r.returncode == 2
+        assert f"argument {flag}: must be >= 1" in r.stderr
+        assert not rep.exists()
+
     def test_baseline_mismatch_is_two(self, tmp_path):
         mfile = tmp_path / "m.csv"
         rep = tmp_path / "rep.json"

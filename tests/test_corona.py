@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from betascope import (TreeGeometry, b0_density_ratio, build_corona,
-                       build_lattice, cantor4, corona_to_json, delta_mu,
-                       lipschitz_graph, packing_audit, phi_growth_audit,
-                       segment, stop_strata, tree_density_audit)
+from betascope import (TreeGeometry, build_corona, build_lattice, cantor4,
+                       corona_to_json, lipschitz_graph, packing_audit, segment,
+                       tree_density_audit)
 from conftest import two_cluster
 
 
@@ -212,43 +211,6 @@ class TestAudits:
         rec = tree_density_audit(cluster_corona)
         assert set(rec) == {"per_tree", "max_ratio"}
         assert rec["max_ratio"] >= 1.0 or rec["max_ratio"] == 0.0
-
-    def test_b0_density_ratio_positive(self, cluster_corona):
-        val = b0_density_ratio(cluster_corona, cluster_corona.root_id)
-        assert val >= 0.0
-
-    def test_phi_growth_audit(self, cluster_corona):
-        geo = TreeGeometry(cluster_corona, cluster_corona.root_id)
-        rec = phi_growth_audit(geo)
-        assert rec["samples"] > 0
-        assert np.isfinite(rec["c1"]) and rec["c1"] > 0.0
-
-    def test_phi_growth_modest_on_flat_tree(self):
-        lat = build_lattice(segment(150))
-        cor = build_corona(lat)
-        geo = TreeGeometry(cor, cor.root_id)
-        rec = phi_growth_audit(geo)
-        # a uniform segment keeps the growth constant near theta ratios
-        assert rec["c1"] < 100.0
-
-    def test_stop_strata_structure(self, cantor_corona):
-        strata = stop_strata(cantor_corona, cantor_corona.root_id, 3)
-        assert len(strata) == 3
-        assert strata[0] == sorted(cantor_corona.stop(cantor_corona.root_id))
-        # each next stratum consists of stops of the previous one
-        for prev, cur in zip(strata, strata[1:]):
-            expect = []
-            for t in prev:
-                expect.extend(cantor_corona.stop(t))
-            assert cur == sorted(expect)
-
-
-def test_delta_mu_symmetric_normalization(cantor_corona):
-    lat = cantor_corona.lattice
-    inner = lat.level_cells(3)[0]
-    outer = lat.cell(inner.parent)
-    val = delta_mu(lat, inner, outer)
-    assert val >= 0.0
 
 
 def test_corona_json_dump(tmp_path, cantor_corona):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betascope import (Ball, WeightedPointMeasure, empty_measure, load_csv,
-                       load_json, save_csv, save_json, segment)
+from betascope import (Ball, WeightedPointMeasure, load_csv, load_json,
+                       save_csv, save_json, segment)
 
 
 def small_measure(seed=0, m=30, d=2):
@@ -50,7 +50,7 @@ class TestConstruction:
         assert m.r_min == 1.0
 
     def test_empty_measure(self):
-        e = empty_measure(2, 1)
+        e = WeightedPointMeasure(np.empty((0, 2)), np.empty(0), 1, r_min=1.0)
         assert e.is_empty
         assert e.total_mass == 0.0
         assert e.diameter == 0.0
@@ -161,7 +161,7 @@ class TestRestriction:
 
     def test_restrict_predicate(self):
         m = small_measure(4)
-        sub = m.restrict(lambda pts: pts[:, 0] > 0.0)
+        sub = m.restrict_mask(m.points[:, 0] > 0.0)
         assert (sub.points[:, 0] > 0.0).all()
         assert sub.total_mass <= m.total_mass
 

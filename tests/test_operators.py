@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betascope import (BumpFamily, KernelValidationError, WeightedPointMeasure,
-                       build_corona, build_lattice, cantor4, cauchy_kernel,
-                       k_r_chain, k_r_telescoped, lipschitz_graph, m_r_phi,
-                       m_tilde, make_kernel, riesz_kernel, segment,
-                       suppressed_kernel, suppression_factor, t_eps,
-                       t_phi_eps, t_phi_star, t_star, truncated_field,
-                       validate_kernel)
+from betascope import (BumpFamily, KernelValidationError, build_corona,
+                       build_lattice, cantor4, cauchy_kernel, k_r_chain,
+                       k_r_telescoped, lipschitz_graph, m_tilde, make_kernel,
+                       riesz_kernel, segment, suppressed_kernel,
+                       suppression_factor, t_phi_eps, t_phi_star,
+                       truncated_field, validate_kernel)
 
 
 class TestKernels:
@@ -100,26 +99,28 @@ class TestTruncation:
         d = np.linalg.norm(m.points - x, axis=1)
         keep = d > eps
         brute = (k(x - m.points[keep]) * m.weights[keep, None]).sum(axis=0)
-        assert np.allclose(t_eps(k, m, x, eps), brute, rtol=1e-13)
+        assert np.allclose(truncated_field(k, m, x, [eps])[0, 0], brute,
+                           rtol=1e-13)
 
     def test_t_eps_excludes_center_atom(self):
         m = segment(10)
         x = m.points[4]
-        val = t_eps(riesz_kernel(1, 2), m, x, 1e-9)
+        val = truncated_field(riesz_kernel(1, 2), m, x, [1e-9])[0, 0]
         assert np.isfinite(val).all()
 
     def test_t_star_matches_grid_sup(self):
+        # with Phi = 0 the suppressed maximal truncation is the plain one
         m = segment(80)
         k = riesz_kernel(1, 2)
         x = np.array([0.51, 0.0])
-        sup, arg = t_star(k, m, x)
+        sup, arg = t_phi_star(k, m, x, 0.0, np.zeros(m.size))
         d = np.unique(np.linalg.norm(m.points - x, axis=1))
         grid = np.concatenate([d[d > 0] * 0.999, d[d > 0] * 1.001,
                                [1e-9, m.diameter * 2]])
-        brute = max(np.linalg.norm(t_eps(k, m, x, e)) for e in grid)
+        brute = np.linalg.norm(truncated_field(k, m, x, grid)[0], axis=1).max()
         assert sup >= brute - 1e-12
-        assert np.linalg.norm(t_eps(k, m, x, arg)) == pytest.approx(
-            sup, rel=1e-12)
+        assert np.linalg.norm(truncated_field(k, m, x, [arg])[0, 0]) == \
+            pytest.approx(sup, rel=1e-12)
 
     def test_truncated_field_matches_loop(self):
         m = segment(40)
@@ -128,11 +129,12 @@ class TestTruncation:
         eps = np.full(len(centers), 0.07)
         field = truncated_field(k, m, centers, eps)
         for row, c in zip(field, centers):
-            assert np.allclose(row, t_eps(k, m, c, 0.07), rtol=1e-13)
+            assert np.allclose(row, truncated_field(k, m, c, [0.07])[0, 0],
+                               rtol=1e-13)
 
     def test_monotone_tail_large_eps_zero(self):
         m = segment(15)
-        out = t_eps(riesz_kernel(1, 2), m, m.points[0], 100.0)
+        out = truncated_field(riesz_kernel(1, 2), m, m.points[0], [100.0])[0, 0]
         assert np.array_equal(out, np.zeros(2))
 
 
@@ -190,7 +192,7 @@ class TestSuppressedTruncation:
         x = np.array([0.4, 0.01])
         phi_atoms = np.zeros(m.size)
         a = t_phi_eps(k, m, x, 0.08, 0.0, phi_atoms)
-        b = t_eps(k, m, x, 0.08)
+        b = truncated_field(k, m, x, [0.08])[0, 0]
         assert np.array_equal(a, b)
 
     def test_t_phi_star_bounded_by_unsuppressed_lowtrunc(self):
@@ -203,20 +205,6 @@ class TestSuppressedTruncation:
 
 
 class TestMaximalFunctions:
-    def test_m_r_phi_floor(self):
-        m = segment(30)
-        x = m.points[3]
-        # zero suppression radius floors at r_min
-        base = m.sup_density(x, m.r_min)
-        assert m_r_phi(m, x, 0.0) == pytest.approx(base)
-
-    def test_m_r_phi_reweighted(self):
-        m = segment(30)
-        f = np.linspace(-1.0, 1.0, 30)
-        x = m.points[10]
-        assert m_r_phi(m, x, 0.02, f=f) == pytest.approx(
-            m.sup_density(x, max(0.02, m.r_min), f=f))
-
     def test_m_tilde_variants(self):
         m = segment(30)
         f = np.ones(30)
@@ -302,8 +290,8 @@ class TestLemma22Analogues:
             eps = phi_x * float(rng.uniform(1.0, 4.0))
             diff = np.linalg.norm(
                 t_phi_eps(k, m, x, eps, phi_x, phi_atoms)
-                - t_eps(k, m, x, eps))
-            denom = m_r_phi(m, x, phi_x)
+                - truncated_field(k, m, x, [eps])[0, 0])
+            denom = m.sup_density(x, max(phi_x, m.r_min))
             if denom > 0:
                 worst = max(worst, diff / denom)
         assert np.isfinite(worst)
@@ -322,7 +310,7 @@ class TestLemma22Analogues:
             diff = np.linalg.norm(
                 t_phi_eps(k, m, x, eps, phi_x, phi_atoms)
                 - t_phi_eps(k, m, x, phi_x, phi_x, phi_atoms))
-            denom = m_r_phi(m, x, phi_x)
+            denom = m.sup_density(x, max(phi_x, m.r_min))
             if denom > 0:
                 worst = max(worst, diff / denom)
         assert np.isfinite(worst)

@@ -1,0 +1,244 @@
+"""RadialOrder and the radial sums built on it, against the per-function
+sort-then-cumsum bodies they replaced.
+
+The oracles below are those bodies verbatim (sort the distances from x,
+cumsum along the order).  The rebuilt code performs the same floating-point
+operations in the same order, so every comparison here is exact equality.
+"""
+
+import numpy as np
+import pytest
+
+from betascope import (BetaProfile, WeightedPointMeasure, cantor4,
+                       cauchy_kernel, m_tilde, riesz_kernel, segment)
+from betascope.measure import RadialOrder
+from betascope.operators import _f_values, _TruncationSums
+
+
+def tie_cloud():
+    """Grid-snapped atoms: repeated sites and many equal distances."""
+    rng = np.random.default_rng(7)
+    pts = rng.integers(-3, 4, size=(60, 2)) * 0.125
+    pts = np.vstack((pts, pts[:5]))
+    return WeightedPointMeasure(pts, rng.uniform(0.5, 2.0, len(pts)), 1)
+
+
+MEASURES = {
+    "segment": lambda: segment(40),
+    "cantor4": lambda: cantor4(3),
+    "ties": tie_cloud,
+}
+
+
+def centres(measure):
+    """Every atom (distance-0 ties included) plus a few off-atom points."""
+    off = np.array([[0.0, 0.0], [0.3, -0.2], [0.0625, 0.1875]])
+    return np.vstack((measure.points, off))
+
+
+@pytest.fixture(params=sorted(MEASURES))
+def measure(request):
+    return MEASURES[request.param]()
+
+
+# -- oracles: the bodies the primitive replaced --------------------------------
+
+def old_sup_density(measure, center, floor, f=None):
+    center = np.asarray(center, dtype=float).reshape(-1)
+    dist = np.linalg.norm(measure.points - center, axis=1)
+    w = measure.weights if f is None else measure.weights * np.abs(np.asarray(f, float))
+    order = np.argsort(dist, kind="stable")
+    dist_sorted = dist[order]
+    cum = np.cumsum(w[order])
+    candidates = np.unique(dist_sorted[dist_sorted > floor])
+    radii = np.concatenate(([floor], candidates))
+    counts = np.searchsorted(dist_sorted, radii, side="right")
+    mask = counts > 0
+    if not mask.any():
+        return 0.0
+    masses = cum[counts[mask] - 1]
+    return float(np.max(masses / radii[mask] ** measure.target_dim))
+
+
+def old_growth_grid(measure, scale_grid):
+    scale_grid = np.asarray(scale_grid, dtype=float).reshape(-1)
+    best = 0.0
+    for c in measure.points:
+        dist = np.linalg.norm(measure.points - c, axis=1)
+        dist_sorted = np.sort(dist, kind="stable")
+        order = np.argsort(dist, kind="stable")
+        cum = np.cumsum(measure.weights[order])
+        counts = np.searchsorted(dist_sorted, scale_grid, side="right")
+        mask = counts > 0
+        if mask.any():
+            val = np.max(cum[counts[mask] - 1]
+                         / scale_grid[mask] ** measure.target_dim)
+            best = max(best, float(val))
+    return best
+
+
+class OldBetaProfile:
+    def __init__(self, measure, center):
+        center = np.asarray(center, dtype=float).reshape(-1)
+        self.n = measure.target_dim
+        self.d = measure.dim
+        z = measure.points - center
+        dist = np.linalg.norm(z, axis=1)
+        order = np.argsort(dist, kind="stable")
+        self.dist_sorted = dist[order]
+        w = measure.weights[order]
+        zs = z[order]
+        self.cum_w = np.cumsum(w)
+        self.cum_first = np.cumsum(w[:, None] * zs, axis=0)
+        outer = zs[:, :, None] * zs[:, None, :]
+        self.cum_second = np.cumsum(w[:, None, None] * outer, axis=0)
+
+    def beta_sq_theta(self, radii):
+        radii = np.atleast_1d(np.asarray(radii, dtype=float))
+        k = np.searchsorted(self.dist_sorted, radii, side="right")
+        beta_sq = np.zeros(radii.shape)
+        theta = np.zeros(radii.shape)
+        nz = k > 0
+        if nz.any():
+            ki = k[nz] - 1
+            W = self.cum_w[ki]
+            S1 = self.cum_first[ki]
+            S2 = self.cum_second[ki]
+            mean = S1 / W[:, None]
+            cov = S2 - W[:, None, None] * (mean[:, :, None] * mean[:, None, :])
+            eigvals = np.linalg.eigvalsh(cov)
+            resid = np.clip(eigvals[:, : self.d - self.n].sum(axis=1), 0.0, None)
+            r = radii[nz]
+            beta_sq[nz] = resid / r ** (self.n + 2)
+            theta[nz] = W / r**self.n
+        return beta_sq, theta
+
+
+class OldTruncationSums(_TruncationSums):
+    """The old constructor; ``beyond`` and ``sup_norm`` are inherited."""
+
+    def __init__(self, kernel, measure, x, f=None, damping=None):
+        x = np.asarray(x, dtype=float)
+        diffs = x[None, :] - measure.points
+        dist = np.linalg.norm(diffs, axis=1)
+        keep = dist > 0.0
+        self.dist = np.sort(dist[keep], kind="stable")
+        fz = _f_values(measure, f)
+        if self.dist.size == 0:
+            self.suffix = np.zeros((1, kernel.out_dim))
+            return
+        terms = kernel(diffs[keep]) * (measure.weights[keep] * fz[keep])[:, None]
+        if damping is not None:
+            terms = terms * damping[keep][:, None]
+        order = np.argsort(dist[keep], kind="stable")
+        rev = terms[order][::-1]
+        acc = np.vstack((np.zeros((1, terms.shape[1])), np.cumsum(rev, axis=0)))
+        self.suffix = acc[::-1]
+
+
+def old_m_tilde(sigma, f, x, variant="plain"):
+    fz = np.abs(_f_values(sigma, f))
+    if variant == "3/2":
+        fz = fz**1.5
+    dist = np.linalg.norm(sigma.points - np.asarray(x, dtype=float), axis=1)
+    order = np.argsort(dist, kind="stable")
+    dist_s = dist[order]
+    num_cum = np.concatenate(([0.0], np.cumsum((fz * sigma.weights)[order])))
+    den_cum = np.concatenate(([0.0], np.cumsum(sigma.weights[order])))
+    positive = np.unique(dist_s[dist_s > 0.0])
+    radii = [positive[0] / 2] if positive.size else []
+    radii = np.unique(np.concatenate((radii, positive, positive / 3.0)))
+    if radii.size == 0:
+        best = num_cum[-1] / den_cum[-1]
+        return best ** (2.0 / 3.0) if variant == "3/2" else best
+    best = 0.0
+    for r in radii:
+        den = den_cum[int(np.searchsorted(dist_s, 3.0 * r, side="right"))]
+        if den == 0.0:
+            continue
+        num = num_cum[int(np.searchsorted(dist_s, r, side="right"))]
+        best = max(best, num / den)
+    return best ** (2.0 / 3.0) if variant == "3/2" else best
+
+
+# -- the primitive's conventions ---------------------------------------------
+
+def test_radial_order_sums_match_direct_ball_sums(measure):
+    x = measure.points[3]
+    radial = RadialOrder(measure, x)
+    dist = np.linalg.norm(measure.points - x, axis=1)
+    assert np.array_equal(radial.dist, np.sort(dist))
+    assert np.array_equal(radial.offsets, measure.points[radial.order] - x)
+    w = measure.weights[radial.order]
+    inside, beyond = radial.prefix(w), radial.suffix(w)
+    assert inside[0] == 0.0 and beyond[-1] == 0.0
+    for r in np.concatenate(([0.0], np.unique(dist), [0.05, 0.4])):
+        k = radial.count(r)
+        assert k == np.count_nonzero(dist <= r)
+        assert inside[k] == pytest.approx(measure.weights[dist <= r].sum(),
+                                          rel=1e-12, abs=0.0)
+        assert beyond[k] == pytest.approx(measure.weights[dist > r].sum(),
+                                          rel=1e-12, abs=0.0)
+
+
+# -- bit equality with the replaced bodies ------------------------------------
+
+def test_sup_density_bit_equal(measure):
+    f = np.random.default_rng(1).normal(size=measure.size)
+    for x in centres(measure):
+        for floor in (measure.r_min, 0.1, 10.0):
+            assert measure.sup_density(x, floor) == \
+                old_sup_density(measure, x, floor)
+            assert measure.sup_density(x, floor, f=f) == \
+                old_sup_density(measure, x, floor, f=f)
+
+
+def test_growth_constant_grid_bit_equal(measure):
+    grid = measure.r_min * 2.0 ** np.arange(0.0, 6.0, 0.5)
+    assert measure.growth_constant(grid) == old_growth_grid(measure, grid)
+
+
+def test_beta_profile_bit_equal(measure):
+    dist = np.linalg.norm(measure.points - measure.points[0], axis=1)
+    radii = np.concatenate((np.geomspace(measure.r_min, 2.0, 17),
+                            np.unique(dist[dist > 0.0])))
+    for x in centres(measure):
+        new, old = BetaProfile(measure, x), OldBetaProfile(measure, x)
+        assert new.cum_w[0] == 0.0
+        assert np.array_equal(new.cum_w[1:], old.cum_w)
+        assert np.array_equal(new.cum_first[1:], old.cum_first)
+        assert np.array_equal(new.cum_second[1:], old.cum_second)
+        for a, b in zip(new.beta_sq_theta(radii), old.beta_sq_theta(radii)):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(1, 2), cauchy_kernel()],
+                         ids=["riesz", "cauchy"])
+def test_truncation_sums_bit_equal(measure, kernel):
+    rng = np.random.default_rng(2)
+    f = rng.normal(size=measure.size)
+    damping = rng.uniform(0.1, 1.0, size=measure.size)
+    for x in centres(measure):
+        for kw in ({}, {"f": f}, {"damping": damping},
+                   {"f": f, "damping": damping}):
+            new = _TruncationSums(kernel, measure, x, **kw)
+            old = OldTruncationSums(kernel, measure, x, **kw)
+            assert np.array_equal(new.dist, old.dist)
+            assert np.array_equal(new.suffix, old.suffix)
+            assert new.sup_norm() == old.sup_norm()
+
+
+@pytest.mark.parametrize("variant", ["plain", "3/2"])
+def test_m_tilde_bit_equal(measure, variant):
+    f = np.random.default_rng(3).normal(size=measure.size)
+    for x in centres(measure):
+        assert m_tilde(measure, f, x, variant) == \
+            old_m_tilde(measure, f, x, variant)
+
+
+def test_m_tilde_all_atoms_at_centre_bit_equal():
+    m = WeightedPointMeasure(np.zeros((4, 2)), np.array([1.0, 2.0, 0.5, 1.5]), 1)
+    f = np.array([0.3, -1.0, 2.0, 0.7])
+    for variant in ("plain", "3/2"):
+        assert m_tilde(m, f, (0.0, 0.0), variant) == \
+            old_m_tilde(m, f, (0.0, 0.0), variant)
