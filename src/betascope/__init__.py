@@ -33,7 +33,6 @@ from .lattice import (
     boundary_layer_mass,
     build_lattice,
     check_lattice,
-    classify_doubling,
     cover_by_doubling,
     lattice_to_json,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "capacity_lower_bound",
     "cauchy_kernel",
     "check_lattice",
-    "classify_doubling",
     "compare_baseline",
     "condition_check",
     "corona_to_json",

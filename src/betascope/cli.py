@@ -376,8 +376,6 @@ def _add_common(parser, out_required=True):
                         help="report JSON path")
     parser.add_argument("--r-min", type=float, default=None,
                         help="override the measure resolution")
-    parser.add_argument("--threads", type=int, default=1)
-    parser.add_argument("--scales-per-octave", type=int, default=4)
     parser.add_argument("--stamp", action="store_true",
                         help="embed the wall-clock time (breaks determinism)")
 
@@ -451,6 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
                      help="one or more candidate measure files")
     _add_common(cap)
 
+    for sp in (analyze, ver, cap):
+        sp.add_argument("--threads", type=int, default=1)
+    for sp in (analyze, cor, ver, cap):
+        sp.add_argument("--scales-per-octave", type=_positive_int, default=4)
     return parser
 
 

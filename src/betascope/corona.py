@@ -47,24 +47,20 @@ DEFAULT_A_STOP = 30.0
 DEFAULT_TAU = 0.12
 
 
-def _theta(measure: WeightedPointMeasure, center, radius: float) -> float:
-    return measure.ball_mass(center, radius) / radius**measure.target_dim
-
-
 class CoronaTree:
     """Top cells plus derived per-tree structure over one lattice."""
 
-    def __init__(self, lattice, a_stop, tau, tops, owner, triggered, tested,
-                 beta_terms, theta_ref):
+    def __init__(self, lattice, a_stop, tau, tops, owner, triggered,
+                 beta_terms, theta_big, theta_ref):
         self.lattice = lattice
         self.a_stop = float(a_stop)
         self.tau = float(tau)
         self.tops: list[int] = tops
         self.owner = owner                  # cell id -> owning top id
         self.triggered: dict[int, str] = triggered
-        self.tested: set[int] = tested
         self.beta_terms = beta_terms        # per cell beta2(1.1 B_Q)^2 theta(1.1 B_Q)
-        self.theta_ref: dict[int, float] = theta_ref
+        self.theta_big = theta_big          # per cell theta(1.1 B_Q)
+        self.theta_ref: dict[int, float] = theta_ref   # per top theta(B_R)
         self.trees: dict[int, list[int]] = {t: [] for t in tops}
         for cell in lattice.cells:
             self.trees[int(owner[cell.id])].append(cell.id)
@@ -98,6 +94,11 @@ class CoronaTree:
 
     def good_mass(self, top_id: int) -> float:
         return float(np.sum(self.measure.weights[self.good_points(top_id)]))
+
+    def packing_term(self, top_id: int) -> float:
+        """theta(B_R)^2 mu(R) for a tree root R."""
+        cell = self.lattice.cells[top_id]
+        return self.theta_ref[top_id] ** 2 * cell.mass(self.measure)
 
 
 def build_corona(
@@ -136,18 +137,18 @@ def build_corona(
     root = lattice.root.id
     tops: list[int] = [root]
     triggered: dict[int, str] = {}
-    tested: set[int] = set()
     theta_ref: dict[int, float] = {}
     queue = deque([root])
     while queue:
         top = queue.popleft()
         top_cell = lattice.cells[top]
-        ref = _theta(measure, top_cell.center, COVER_FACTOR * top_cell.radius)
+        # positive: the centre atom lies in its own ball
+        radius = COVER_FACTOR * top_cell.radius
+        ref = measure.ball_mass(top_cell.center, radius) / radius**n
         theta_ref[top] = ref
         walk = deque((child, 0.0) for child in top_cell.children)
         while walk:
             cid, chain = walk.popleft()
-            tested.add(cid)
             chain = chain + float(beta_terms[cid])
             reason = None
             if theta_big[cid] > a_stop * ref:
@@ -170,8 +171,8 @@ def build_corona(
             owner[cell.id] = cell.id
         else:
             owner[cell.id] = owner[cell.parent]
-    return CoronaTree(lattice, a_stop, tau, tops, owner, triggered, tested,
-                      beta_terms, theta_ref)
+    return CoronaTree(lattice, a_stop, tau, tops, owner, triggered,
+                      beta_terms, theta_big, theta_ref)
 
 
 class TreeGeometry:
@@ -265,18 +266,13 @@ def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
     own term plus the atom-weighted multiscale flatness energy from the
     resolution up to the root side length.
     """
-    lattice = corona.lattice
     measure = corona.measure
     lhs = 0.0
     for top in corona.tops:
-        cell = lattice.cells[top]
-        theta = _theta(measure, cell.center, COVER_FACTOR * cell.radius)
-        lhs += theta**2 * cell.mass(measure)
-    root = lattice.cells[corona.root_id]
-    theta_root = _theta(measure, root.center, COVER_FACTOR * root.radius)
-    rhs = theta_root**2 * root.mass(measure)
+        lhs += corona.packing_term(top)
+    rhs = corona.packing_term(corona.root_id)
     r_lo = measure.r_min
-    r_hi = root.side
+    r_hi = corona.lattice.cells[corona.root_id].side
     energy = 0.0
     for i in range(measure.size):
         energy += measure.weights[i] * jones_integral(
@@ -301,39 +297,26 @@ def tree_density_audit(corona: CoronaTree) -> dict:
     construction; untested cells below triggered ones are reported here so
     the empirical tree constant is visible.
     """
-    lattice = corona.lattice
-    measure = corona.measure
     per_tree = {}
     worst = 0.0
     for top, ids in corona.trees.items():
-        ref = corona.theta_ref.get(top)
-        if ref is None or ref == 0.0:
-            cell = lattice.cells[top]
-            ref = _theta(measure, cell.center, COVER_FACTOR * cell.radius)
-        peak = 0.0
-        for cid in ids:
-            cell = lattice.cells[cid]
-            radius = max(DENSITY_BALL_FACTOR * COVER_FACTOR * cell.radius,
-                         measure.r_min)
-            peak = max(peak, _theta(measure, cell.center, radius) / ref)
+        # dividing by the positive ref is monotone: max of the quotients
+        peak = float(np.max(corona.theta_big[ids])) / corona.theta_ref[top]
         per_tree[top] = peak
         worst = max(worst, peak)
     return {"per_tree": per_tree, "max_ratio": worst}
 
 
 def corona_to_json(corona: CoronaTree, path=None):
-    lattice = corona.lattice
-    measure = corona.measure
     per_tree = {}
     for top in corona.tops:
-        cell = lattice.cells[top]
-        theta = _theta(measure, cell.center, COVER_FACTOR * cell.radius)
+        cell = corona.lattice.cells[top]
         per_tree[str(top)] = {
             "level": cell.level,
             "stop": corona.stops[top],
             "tree_size": len(corona.trees[top]),
             "good_mass": corona.good_mass(top),
-            "packing_term": theta**2 * cell.mass(measure),
+            "packing_term": corona.packing_term(top),
         }
     payload = {
         "a_stop": corona.a_stop,

@@ -46,7 +46,6 @@ __all__ = [
     "Cell",
     "Lattice",
     "build_lattice",
-    "classify_doubling",
     "boundary_layer_mass",
     "boundary_audit",
     "cover_by_doubling",
@@ -322,18 +321,18 @@ def build_lattice(
             ).astype(np.intp)
 
     lattice = Lattice(measure, cells, levels, assignment, a0, c0, strict)
-    _verify_conformity(lattice)
-    classify_doubling(lattice)
+    _classify_cells(lattice)
     return lattice
 
 
-def _verify_conformity(lattice: Lattice) -> None:
-    """Re-verify the two ball inclusions per cell at the clamped radius.
+def _classify_cells(lattice: Lattice) -> None:
+    """Set each cell's conforming and doubling flags from one B(Q) query.
 
     r(Q) is the lower clamp A0^-k (ball containment only shrinks with the
     radius, so the smallest admissible radius in the bracket is its lower
     edge).  A cell is conforming when support inter B(z_Q, r(Q)) stays
-    inside Q and Q stays inside 28 B(Q).
+    inside Q and Q stays inside 28 B(Q), and doubling when
+    mu(100 B(Q)) <= C0 * mu(B(Q)).
     """
     measure = lattice.measure
     for cell in lattice.cells:
@@ -345,13 +344,7 @@ def _verify_conformity(lattice: Lattice) -> None:
         )
         covering_ok = bool((span <= COVER_FACTOR * cell.radius).all())
         cell.conforming = containment_ok and covering_ok
-
-
-def classify_doubling(lattice: Lattice) -> None:
-    """Flag cells with mu(100 B(Q)) <= C0 * mu(B(Q))."""
-    measure = lattice.measure
-    for cell in lattice.cells:
-        small = measure.ball_mass(cell.center, cell.radius)
+        small = float(np.sum(measure.weights[inside]))
         big = measure.ball_mass(cell.center, DOUBLING_FACTOR * cell.radius)
         cell.doubling = bool(big <= lattice.c0 * small)
 

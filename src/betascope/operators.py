@@ -263,10 +263,12 @@ class _TruncationSums:
 
     suffix[j] holds the sum of all terms strictly farther than the j-th
     sorted distance position, accumulated farthest-first; lookups for any
-    cutoff are O(log N) and share that one summation order.
+    cutoff are O(log N) and share that one summation order.  Given the
+    suppression values phi_atoms, each term is damped by the factor of
+    ``suppression_factor``, computed from the kernel values already taken.
     """
 
-    def __init__(self, kernel, measure, x, f=None, damping=None):
+    def __init__(self, kernel, measure, x, f=None, phi_x=0.0, phi_atoms=None):
         radial = RadialOrder(measure, x)
         # the evaluation point's own atoms lead the order at distance 0
         near = int(radial.count(0.0))
@@ -277,10 +279,11 @@ class _TruncationSums:
             return
         kept = radial.order[near:]
         # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
-        terms = (kernel(-radial.offsets[near:])
-                 * (measure.weights[kept] * fz[kept])[:, None])
-        if damping is not None:
-            terms = terms * damping[kept][:, None]
+        vals = kernel(-radial.offsets[near:])
+        terms = vals * (measure.weights[kept] * fz[kept])[:, None]
+        if phi_atoms is not None:
+            phi_y = np.asarray(phi_atoms, dtype=float)[kept]
+            terms = terms * _damping(kernel, vals, float(phi_x), phi_y)[:, None]
         self.suffix = radial.suffix(terms)
 
     def beyond(self, eps: float) -> np.ndarray:
@@ -312,12 +315,16 @@ def truncated_field(kernel, measure, centers, eps_values, f=None) -> np.ndarray:
     return out
 
 
-def suppression_factor(kernel, diffs, phi_x: float, phi_y: np.ndarray) -> np.ndarray:
-    """Damping 1/(1 + |K|^2 (Phi(x) Phi(y))^n) for the suppressed kernel."""
-    vals = kernel(diffs)
+def _damping(kernel, vals, phi_x: float, phi_y: np.ndarray) -> np.ndarray:
+    """1/(1 + |K|^2 (Phi(x) Phi(y))^n) from the kernel values K per row."""
     ksq = np.sum(vals**2, axis=1)
     return 1.0 / (1.0 + ksq * (max(phi_x, 0.0) * np.maximum(phi_y, 0.0))
                   ** kernel.n)
+
+
+def suppression_factor(kernel, diffs, phi_x: float, phi_y: np.ndarray) -> np.ndarray:
+    """Damping 1/(1 + |K|^2 (Phi(x) Phi(y))^n) for the suppressed kernel."""
+    return _damping(kernel, kernel(diffs), phi_x, phi_y)
 
 
 def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
@@ -327,31 +334,21 @@ def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
     is then literally 1.0) and is antisymmetric whenever the kernel is odd.
     """
     diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    factor = suppression_factor(kernel, diff[None, :], float(phi_x),
-                                np.array([float(phi_y)]))
-    return kernel(diff[None, :])[0] * factor[0]
-
-
-def _phi_sums(kernel, measure, x, phi_x, phi_atoms, f):
-    diffs = np.asarray(x, dtype=float)[None, :] - measure.points
-    dist = np.linalg.norm(diffs, axis=1)
-    damping = np.ones(measure.size)
-    nz = dist > 0.0
-    damping[nz] = suppression_factor(kernel, diffs[nz], float(phi_x),
-                                     np.asarray(phi_atoms, dtype=float)[nz])
-    return _TruncationSums(kernel, measure, x, f, damping=damping)
+    vals = kernel(diff[None, :])
+    factor = _damping(kernel, vals, float(phi_x), np.array([float(phi_y)]))
+    return vals[0] * factor[0]
 
 
 def t_phi_eps(kernel, measure, x, eps, phi_x, phi_atoms, f=None) -> np.ndarray:
     """Suppressed truncated sum: kernel damped by Phi, cutoff |x - y| > eps."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return _phi_sums(kernel, measure, x, phi_x, phi_atoms, f).beyond(eps)
+    return _TruncationSums(kernel, measure, x, f, phi_x, phi_atoms).beyond(eps)
 
 
 def t_phi_star(kernel, measure, x, phi_x, phi_atoms, f=None) -> tuple[float, float]:
     """sup over eps > 0 of the suppressed truncation, with witness cutoff."""
-    return _phi_sums(kernel, measure, x, phi_x, phi_atoms, f).sup_norm()
+    return _TruncationSums(kernel, measure, x, f, phi_x, phi_atoms).sup_norm()
 
 
 def m_tilde(sigma: WeightedPointMeasure, f, x, variant: str = "plain") -> float:

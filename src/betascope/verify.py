@@ -17,7 +17,6 @@ import numpy as np
 from ._util import geometric_grid, parallel_map
 from .beta import _plane_residual_sq, _weighted_plane, jones_integral
 from .corona import TreeGeometry
-from .lattice import COVER_FACTOR
 from .measure import WeightedPointMeasure
 from .operators import (
     k_r_chain,
@@ -225,10 +224,7 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
     top_cell = corona.lattice.cells[top_id]
     sigma = measure.restrict_ball(geometry.b0)
     phi_sigma = geometry.phi(sigma.points)
-    theta_ref = corona.theta_ref.get(top_id)
-    if theta_ref is None:
-        radius = COVER_FACTOR * top_cell.radius
-        theta_ref = measure.ball_mass(top_cell.center, radius) / radius**measure.target_dim
+    theta_ref = corona.theta_ref[top_id]
     sample = _strided(top_cell.point_indices, max_samples)
 
     def one(atom):

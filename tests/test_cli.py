@@ -158,8 +158,14 @@ class TestCliExitCodes:
     def test_usage_error_is_two(self):
         assert run_cli("frobnicate").returncode == 2
 
-    @pytest.mark.parametrize("command,flag", [("analyze", "--centers"),
-                                              ("verify", "--samples")])
+    @pytest.mark.parametrize("command,flag", [
+        ("analyze", "--centers"),
+        ("verify", "--samples"),
+        ("analyze", "--scales-per-octave"),
+        ("corona", "--scales-per-octave"),
+        ("verify", "--scales-per-octave"),
+        ("capacity", "--scales-per-octave"),
+    ])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_count_is_two(self, tmp_path, command, flag, value):
         mfile = tmp_path / "m.csv"
@@ -173,6 +179,22 @@ class TestCliExitCodes:
                     flag, value, *extra)
         assert r.returncode == 2
         assert f"argument {flag}: must be >= 1" in r.stderr
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("lattice", "--threads", "2"),
+        ("lattice", "--scales-per-octave", "4"),
+        ("corona", "--threads", "2"),
+    ])
+    def test_unread_flag_is_two(self, tmp_path, command, flag, value):
+        # lattice reads neither flag and corona reads no thread count
+        mfile = tmp_path / "m.csv"
+        run_cli("generate", "segment", "--count", "20", "--out", str(mfile))
+        rep = tmp_path / "rep.json"
+        r = run_cli(command, "--input", str(mfile), "--out", str(rep),
+                    flag, value)
+        assert r.returncode == 2
+        assert f"unrecognized arguments: {flag}" in r.stderr
         assert not rep.exists()
 
     def test_baseline_mismatch_is_two(self, tmp_path):

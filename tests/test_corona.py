@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from betascope import (TreeGeometry, build_corona, build_lattice, cantor4,
-                       corona_to_json, lipschitz_graph, packing_audit, segment,
-                       tree_density_audit)
+from betascope import (TreeGeometry, WeightedPointMeasure, build_corona,
+                       build_lattice, cantor4, corona_to_json, lipschitz_graph,
+                       packing_audit, segment, tree_density_audit)
+from betascope.corona import DENSITY_BALL_FACTOR
+from betascope.lattice import COVER_FACTOR
 from conftest import two_cluster
 
 
@@ -222,3 +224,84 @@ def test_corona_json_dump(tmp_path, cantor_corona):
     assert data["a_stop"] == cantor_corona.a_stop
     assert str(cantor_corona.root_id) in data["trees"] or \
         cantor_corona.root_id in map(int, data["trees"])
+
+
+# -- stored ball statistics ---------------------------------------------------
+#
+# The audits used to query every ball again; those recomputing bodies are
+# kept here as oracles, and the stored values must equal them bit for bit.
+
+CORONAS = ["cantor_corona", "cluster_corona", "graph_corona"]
+
+
+def old_theta(measure, center, radius):
+    return measure.ball_mass(center, radius) / radius**measure.target_dim
+
+
+def old_theta_ref(corona, top):
+    cell = corona.lattice.cells[top]
+    return old_theta(corona.measure, cell.center, COVER_FACTOR * cell.radius)
+
+
+def old_theta_big(corona, cid):
+    cell = corona.lattice.cells[cid]
+    radius = max(DENSITY_BALL_FACTOR * COVER_FACTOR * cell.radius,
+                 corona.measure.r_min)
+    return old_theta(corona.measure, cell.center, radius)
+
+
+def old_tree_density_audit(corona):
+    per_tree = {}
+    worst = 0.0
+    for top, ids in corona.trees.items():
+        ref = old_theta_ref(corona, top)
+        peak = 0.0
+        for cid in ids:
+            peak = max(peak, old_theta_big(corona, cid) / ref)
+        per_tree[top] = peak
+        worst = max(worst, peak)
+    return {"per_tree": per_tree, "max_ratio": worst}
+
+
+def old_packing_term(corona, top):
+    cell = corona.lattice.cells[top]
+    return old_theta_ref(corona, top) ** 2 * cell.mass(corona.measure)
+
+
+@pytest.mark.parametrize("name", CORONAS)
+def test_stored_densities_match_recomputed(request, name):
+    corona = request.getfixturevalue(name)
+    for top in corona.tops:
+        assert corona.theta_ref[top] == old_theta_ref(corona, top)
+    for cell in corona.lattice.cells:
+        assert corona.theta_big[cell.id] == old_theta_big(corona, cell.id)
+    assert tree_density_audit(corona) == old_tree_density_audit(corona)
+    trees = corona_to_json(corona)["trees"]
+    for top in corona.tops:
+        assert trees[str(top)]["packing_term"] == old_packing_term(corona, top)
+
+
+@pytest.mark.parametrize("name", CORONAS)
+def test_packing_audit_matches_recomputed(request, name):
+    corona = request.getfixturevalue(name)
+    rec = packing_audit(corona, scales_per_octave=2)
+    lhs = 0.0
+    for top in corona.tops:
+        lhs += old_packing_term(corona, top)
+    assert rec["lhs"] == lhs
+    assert rec["rhs"] == (old_packing_term(corona, corona.root_id)
+                          + rec["jones_energy"])
+
+
+@pytest.mark.parametrize("audit", [tree_density_audit, packing_audit])
+def test_audits_query_no_balls(monkeypatch, cluster_corona, audit):
+    calls = []
+    original = WeightedPointMeasure.ball_indices
+
+    def counting(self, center, radius):
+        calls.append(radius)
+        return original(self, center, radius)
+
+    monkeypatch.setattr(WeightedPointMeasure, "ball_indices", counting)
+    audit(cluster_corona)
+    assert calls == []

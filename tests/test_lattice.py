@@ -7,10 +7,12 @@ import pytest
 
 from betascope import (WeightedPointMeasure, boundary_audit,
                        boundary_layer_mass, build_lattice, cantor4,
-                       check_lattice, classify_doubling, cover_by_doubling,
+                       check_lattice, cover_by_doubling,
                        lattice_to_json, lipschitz_graph, segment, square_area)
 from betascope import lattice as lattice_mod
-from betascope.lattice import COVER_FACTOR, FIVE_B, _nearest_center
+from betascope.lattice import (COVER_FACTOR, DOUBLING_FACTOR, FIVE_B,
+                               _nearest_center)
+from conftest import two_cluster
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +133,6 @@ class TestInvariantReport:
 
 class TestDoubling:
     def test_flags_match_definition(self, cantor_lattice):
-        classify_doubling(cantor_lattice)
         mu = cantor_lattice.measure
         for k in range(cantor_lattice.max_depth + 1):
             for c in cantor_lattice.level_cells(k):
@@ -408,3 +409,68 @@ def test_large_lattice_build_and_audit_memory():
     assert report["partition_ok"] and report["nesting_ok"]
     assert report["diam_upper_ok"]
     assert peak < 32 * 2**20
+
+
+# -- cell flags from one B(Q) query per cell ----------------------------------
+#
+# The flags used to come from two passes, each querying B(Q) on its own; the
+# old bodies are kept here as the oracle.
+
+def old_cell_flags(lattice):
+    """(conforming, doubling) per cell, computed by the two old passes."""
+    measure = lattice.measure
+    conforming, doubling = [], []
+    for cell in lattice.cells:
+        inside = measure.ball_indices(cell.center, cell.radius)
+        member = np.isin(inside, cell.point_indices, assume_unique=True)
+        containment_ok = bool(member.all())
+        span = np.linalg.norm(
+            measure.points[cell.point_indices] - cell.center, axis=1
+        )
+        covering_ok = bool((span <= COVER_FACTOR * cell.radius).all())
+        conforming.append(containment_ok and covering_ok)
+    for cell in lattice.cells:
+        small = measure.ball_mass(cell.center, cell.radius)
+        big = measure.ball_mass(cell.center, DOUBLING_FACTOR * cell.radius)
+        doubling.append(bool(big <= lattice.c0 * small))
+    return conforming, doubling
+
+
+FLAG_FAMILIES = {
+    "cantor4": lambda: build_lattice(cantor4(4), a0=4.0, c0=400.0),
+    "two_cluster": lambda: build_lattice(two_cluster(), a0=50.0, c0=4.0),
+    "lipschitz_graph": lambda: build_lattice(lipschitz_graph(500, seed=1)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FLAG_FAMILIES))
+def test_cell_flags_match_two_pass_oracle(family):
+    lat = FLAG_FAMILIES[family]()
+    conforming, doubling = old_cell_flags(lat)
+    assert [c.conforming for c in lat.cells] == conforming
+    assert [c.doubling for c in lat.cells] == doubling
+
+
+def test_cell_flags_oracle_sees_both_values():
+    # the flag oracle only means something if both outcomes occur
+    doubling = set()
+    conforming = set()
+    for make in FLAG_FAMILIES.values():
+        lat = make()
+        doubling.update(c.doubling for c in lat.cells)
+        conforming.update(c.conforming for c in lat.cells)
+    assert doubling == {True, False}
+    assert True in conforming
+
+
+def test_build_lattice_queries_two_balls_per_cell(monkeypatch):
+    calls = []
+    original = WeightedPointMeasure.ball_indices
+
+    def counting(self, center, radius):
+        calls.append(radius)
+        return original(self, center, radius)
+
+    monkeypatch.setattr(WeightedPointMeasure, "ball_indices", counting)
+    lat = build_lattice(lipschitz_graph(300, seed=2))
+    assert len(calls) == 2 * len(lat.cells)

@@ -136,6 +136,20 @@ class OldTruncationSums(_TruncationSums):
         self.suffix = acc[::-1]
 
 
+def old_damping(kernel, measure, x, phi_x, phi_atoms):
+    """The old per-atom suppression factors, one kernel evaluation of their
+    own; the atoms at x keep factor 1."""
+    diffs = np.asarray(x, dtype=float)[None, :] - measure.points
+    dist = np.linalg.norm(diffs, axis=1)
+    damping = np.ones(measure.size)
+    nz = dist > 0.0
+    ksq = np.sum(kernel(diffs[nz]) ** 2, axis=1)
+    damping[nz] = 1.0 / (1.0 + ksq * (max(float(phi_x), 0.0)
+                                      * np.maximum(phi_atoms[nz], 0.0))
+                         ** kernel.n)
+    return damping
+
+
 def old_m_tilde(sigma, f, x, variant="plain"):
     fz = np.abs(_f_values(sigma, f))
     if variant == "3/2":
@@ -217,12 +231,18 @@ def test_beta_profile_bit_equal(measure):
 def test_truncation_sums_bit_equal(measure, kernel):
     rng = np.random.default_rng(2)
     f = rng.normal(size=measure.size)
-    damping = rng.uniform(0.1, 1.0, size=measure.size)
+    # some negative values: the damping clips Phi at 0
+    phi_atoms = rng.uniform(-0.05, 0.5, size=measure.size)
+    phi = {"phi_x": 0.3, "phi_atoms": phi_atoms}
     for x in centres(measure):
-        for kw in ({}, {"f": f}, {"damping": damping},
-                   {"f": f, "damping": damping}):
-            new = _TruncationSums(kernel, measure, x, **kw)
-            old = OldTruncationSums(kernel, measure, x, **kw)
+        damping = old_damping(kernel, measure, x, 0.3, phi_atoms)
+        assert (damping < 1.0).any() and (damping == 1.0).any()
+        for new_kw, old_kw in (({}, {}),
+                               ({"f": f}, {"f": f}),
+                               (phi, {"damping": damping}),
+                               ({"f": f, **phi}, {"f": f, "damping": damping})):
+            new = _TruncationSums(kernel, measure, x, **new_kw)
+            old = OldTruncationSums(kernel, measure, x, **old_kw)
             assert np.array_equal(new.dist, old.dist)
             assert np.array_equal(new.suffix, old.suffix)
             assert new.sup_norm() == old.sup_norm()
