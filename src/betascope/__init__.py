@@ -55,7 +55,6 @@ from .operators import (
     make_kernel,
     riesz_kernel,
     suppressed_kernel,
-    suppression_factor,
     t_phi_eps,
     t_phi_star,
     truncated_field,
@@ -126,7 +125,6 @@ __all__ = [
     "segment",
     "square_area",
     "suppressed_kernel",
-    "suppression_factor",
     "t1_ball_check",
     "t_phi_eps",
     "t_phi_star",

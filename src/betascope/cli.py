@@ -289,7 +289,7 @@ def _cmd_verify(args) -> int:
         t1_ball_check(measure, kernel, balls,
                       scales_per_octave=args.scales_per_octave,
                       threads=args.threads),
-        cotlar_check(measure, kernel, corona, root, s=1.0,
+        cotlar_check(measure, kernel, corona, root,
                      max_samples=args.samples, threads=args.threads),
         pointwise_domination_check(measure, kernel, corona, bump, root,
                                    max_samples=args.samples,
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cap)
 
     for sp in (analyze, ver, cap):
-        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--threads", type=_positive_int, default=1)
     for sp in (analyze, cor, ver, cap):
         sp.add_argument("--scales-per-octave", type=_positive_int, default=4)
     return parser

@@ -219,9 +219,6 @@ class TreeGeometry:
     def phi(self, points: np.ndarray) -> np.ndarray:
         return self.d_r(points) / (PHI_SCALE * self.lattice.a0**2)
 
-    def phi_atoms(self) -> np.ndarray:
-        return self.d_r_atoms() / (PHI_SCALE * self.lattice.a0**2)
-
     def cell_min_dr(self, cell_id: int) -> float:
         got = self._cell_min.get(cell_id)
         if got is None:

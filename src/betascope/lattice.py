@@ -84,11 +84,6 @@ class Cell:
     def ball(self) -> Ball:
         return Ball(self.center, self.radius)
 
-    @property
-    def big_ball(self) -> Ball:
-        """B_Q = 28 B(Q)."""
-        return Ball(self.center, COVER_FACTOR * self.radius)
-
     def mass(self, measure: WeightedPointMeasure) -> float:
         return float(np.sum(measure.weights[self.point_indices]))
 
@@ -120,9 +115,6 @@ class Lattice:
     def cell_of(self, point_index: int, level: int) -> Cell:
         """The level-k cell containing a given atom."""
         return self.cells[self._assignment[level, point_index]]
-
-    def separation(self, k: int) -> float:
-        return NET_FACTOR * self.a0 ** (-k)
 
     def side(self, k: int) -> float:
         return SIDE_FACTOR * self.c0 * self.a0 ** (-k)
@@ -266,59 +258,42 @@ def build_lattice(
         voronoi.append(_nearest_center(points, points[net]))
         seeds = net
 
-    # Cells, deepest level first: the finest partition is the provisional
-    # one; a coarser cell is the union of the cells whose centre it owns.
-    cells: list[Cell] = []
-    levels: list[list[int]] = [[] for _ in range(max_depth + 1)]
+    # Cells are numbered level by level in net order: the j-th centre of
+    # level k heads cell first[k] + j.  The finest partition is the
+    # provisional one; a coarser cell is the union of the cells whose
+    # centre it owns, so a level-(k+1) cell's parent is the level-k cell
+    # owning its centre.
+    first = np.cumsum([0] + [len(net) for net in nets]).tolist()
     assignment = np.empty((max_depth + 1, n_pts), dtype=np.int64)
+    assignment[max_depth] = first[max_depth] + voronoi[max_depth]
+    parents: list = [None] * (max_depth + 1)
+    for k in range(max_depth - 1, -1, -1):
+        parents[k + 1] = first[k] + voronoi[k][nets[k + 1]]
+        assignment[k] = parents[k + 1][assignment[k + 1] - first[k + 1]]
 
-    cell_ids_per_level: list[dict[int, int]] = [dict() for _ in range(max_depth + 1)]
-    for k in range(max_depth + 1):
+    cells: list[Cell] = []
+    for k, net in enumerate(nets):
         r = a0 ** (-k)
         side = SIDE_FACTOR * c0 * a0 ** (-k)
-        for local, center_idx in enumerate(nets[k]):
-            cid = len(cells)
-            cells.append(
-                Cell(
-                    id=cid,
-                    level=k,
-                    center_index=int(center_idx),
-                    center=points[center_idx].copy(),
-                    radius=r,
-                    side=side,
-                    point_indices=np.empty(0, dtype=np.intp),
-                    parent=None,
-                )
-            )
-            levels[k].append(cid)
-            cell_ids_per_level[k][local] = cid
-
-    # Deepest level: provisional assignment is final.
-    deepest = max_depth
-    assignment[deepest] = np.array(
-        [cell_ids_per_level[deepest][int(v)] for v in voronoi[deepest]]
-    )
-    # Parent of a level-(k+1) cell: the level-k cell owning its centre.
-    for k in range(max_depth - 1, -1, -1):
-        parent_of_local = voronoi[k]  # per atom: local centre index at level k
-        child_to_parent = {}
-        for local, cid in cell_ids_per_level[k + 1].items():
-            center_idx = cells[cid].center_index
-            parent_local = int(parent_of_local[center_idx])
-            parent_cid = cell_ids_per_level[k][parent_local]
-            child_to_parent[cid] = parent_cid
-            cells[cid].parent = parent_cid
-            cells[parent_cid].children.append(cid)
-        remap = np.empty(len(cells), dtype=np.int64)
-        for cid, pcid in child_to_parent.items():
-            remap[cid] = pcid
-        assignment[k] = remap[assignment[k + 1]]
-
-    for k in range(max_depth + 1):
-        for cid in levels[k]:
-            cells[cid].point_indices = np.flatnonzero(
-                assignment[k] == cid
-            ).astype(np.intp)
+        members = np.argsort(assignment[k], kind="stable")
+        bounds = np.searchsorted(assignment[k][members],
+                                 np.arange(first[k], first[k + 1] + 1))
+        for j, center_idx in enumerate(net):
+            parent = int(parents[k][j]) if k else None
+            cells.append(Cell(
+                id=first[k] + j,
+                level=k,
+                center_index=int(center_idx),
+                center=points[center_idx].copy(),
+                radius=r,
+                side=side,
+                point_indices=members[bounds[j]:bounds[j + 1]],
+                parent=parent,
+            ))
+            if parent is not None:
+                cells[parent].children.append(first[k] + j)
+    levels = [list(range(first[k], first[k + 1]))
+              for k in range(max_depth + 1)]
 
     lattice = Lattice(measure, cells, levels, assignment, a0, c0, strict)
     _classify_cells(lattice)
@@ -350,64 +325,58 @@ def _classify_cells(lattice: Lattice) -> None:
 
 
 def boundary_layer_mass(
-    lattice: Lattice, cell: Cell, lam: float
-) -> tuple[float, float]:
-    """Inner and outer boundary-layer masses of a cell at thickness lam*l(Q).
+    lattice: Lattice, cell: Cell, lambdas
+) -> list[tuple[float, float]]:
+    """Inner and outer boundary-layer masses of a cell, one pair per lam.
 
-    inner: atoms of Q within lam * l(Q) of the complement of Q;
-    outer: atoms of 4 B_Q outside Q within lam * l(Q) of Q.
-    The distance to an empty set is +inf, giving mass 0.
+    At thickness lam * l(Q), inner: atoms of Q within lam * l(Q) of the
+    complement of Q; outer: atoms of 4 B_Q outside Q within lam * l(Q) of
+    Q.  The distance to an empty set is +inf, giving mass 0.  The distances
+    do not depend on lam, so they are taken once for all thicknesses.
     """
-    lam = float(lam)
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"layer thickness must lie in (0, 1], got {lam}")
+    lambdas = [float(lam) for lam in lambdas]
+    for lam in lambdas:
+        if not 0.0 < lam <= 1.0:
+            raise ValueError(f"layer thickness must lie in (0, 1], got {lam}")
     measure = lattice.measure
-    width = lam * cell.side
     members = cell.point_indices
     outside_mask = np.ones(measure.size, dtype=bool)
     outside_mask[members] = False
     outside = np.flatnonzero(outside_mask)
-
-    if outside.size == 0:
-        inner = 0.0
-    else:
-        tree = cKDTree(measure.points[outside])
-        dist, _ = tree.query(measure.points[members], k=1)
-        inner = float(np.sum(measure.weights[members][dist <= width]))
-
     ring = measure.ball_indices(cell.center, 4.0 * COVER_FACTOR * cell.radius)
     ring = ring[~np.isin(ring, members, assume_unique=True)]
-    if ring.size == 0:
-        outer = 0.0
-    else:
-        tree_q = cKDTree(measure.points[members])
-        dist, _ = tree_q.query(measure.points[ring], k=1)
-        outer = float(np.sum(measure.weights[ring][dist <= width]))
-    return inner, outer
+
+    def layers(atoms, others):
+        """Mass of atoms within each thickness of the nearest of others."""
+        if others.size == 0:
+            return [0.0] * len(lambdas)
+        tree = cKDTree(measure.points[others])
+        dist, _ = tree.query(measure.points[atoms], k=1)
+        weights = measure.weights[atoms]
+        return [float(np.sum(weights[dist <= lam * cell.side]))
+                for lam in lambdas]
+
+    return list(zip(layers(members, outside), layers(ring, members)))
 
 
-def boundary_audit(lattice: Lattice, lambdas, cell_ids=None) -> dict:
+def boundary_audit(lattice: Lattice, lambdas) -> dict:
     """Max over cells of (inner+outer) / (sqrt(lam) * mu(3.5 B_Q)) per lam.
 
     A diagnostic for the thin-boundary property; values are recorded per
     input as regression constants rather than asserted universally.
     """
     measure = lattice.measure
-    if cell_ids is None:
-        cell_ids = [c.id for c in lattice.cells]
-    out = {}
-    for lam in lambdas:
-        worst = 0.0
-        for cid in cell_ids:
-            cell = lattice.cells[cid]
-            denom = measure.ball_mass(
-                cell.center, BOUNDARY_BALL_FACTOR * COVER_FACTOR * cell.radius
-            )
-            if denom == 0.0:
-                continue
-            inner, outer = boundary_layer_mass(lattice, cell, lam)
-            worst = max(worst, (inner + outer) / (math.sqrt(lam) * denom))
-        out[float(lam)] = worst
+    lambdas = [float(lam) for lam in lambdas]
+    out = dict.fromkeys(lambdas, 0.0)
+    for cell in lattice.cells:
+        denom = measure.ball_mass(
+            cell.center, BOUNDARY_BALL_FACTOR * COVER_FACTOR * cell.radius
+        )
+        if denom == 0.0:
+            continue
+        masses = boundary_layer_mass(lattice, cell, lambdas)
+        for lam, (inner, outer) in zip(lambdas, masses):
+            out[lam] = max(out[lam], (inner + outer) / (math.sqrt(lam) * denom))
     return out
 
 

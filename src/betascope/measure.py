@@ -234,38 +234,20 @@ class WeightedPointMeasure:
         idx = self.ball_indices(center, radius)
         return float(np.sum(self._weights[idx]))
 
-    def density(self, center, radius: float | None = None) -> float:
-        """n-density theta(x, r) = mu(B(x, r)) / r^n.
+    def sup_density(self, center, floor: float) -> float:
+        """Exact sup of mu(B(x, r)) / r^n over r >= floor.
 
-        Raises for r < r_min: below the resolution the atoms do not
-        represent the underlying measure.
-        """
-        if isinstance(center, Ball):
-            center, radius = center.center, center.radius
-        radius = float(radius)
-        if radius < self._r_min:
-            raise ValueError(
-                f"density query at r={radius:.3g} below resolution r_min={self._r_min:.3g}"
-            )
-        return self.ball_mass(center, radius) / radius**self._n
-
-    def sup_density(self, center, floor: float, f=None) -> float:
-        """Exact sup of mu_f(B(x, r)) / r^n over r >= floor.
-
-        ``f`` optionally reweights atoms (|f| is applied), giving the
-        maximal-function building block sup_r |f mu|(B(x, r)) / r^n.  The
-        supremum of a right-continuous piecewise mass function divided by
-        r^n is attained at a breakpoint radius or at the floor, so the scan
-        below is exact, not a grid approximation.
+        The supremum of a right-continuous piecewise mass function divided
+        by r^n is attained at a breakpoint radius or at the floor, so the
+        scan below is exact, not a grid approximation.
         """
         floor = float(floor)
         if floor <= 0 or not np.isfinite(floor):
             raise ValueError(f"floor must be positive and finite, got {floor}")
         if self.is_empty:
             return 0.0
-        w = self._weights if f is None else self._weights * np.abs(np.asarray(f, float))
         radial = RadialOrder(self, center)
-        masses = radial.prefix(w[radial.order])
+        masses = radial.prefix(self._weights[radial.order])
         breaks = np.unique(radial.dist[radial.dist > floor])
         radii = np.concatenate(([floor], breaks))
         return float(np.max(masses[radial.count(radii)] / radii**self._n))

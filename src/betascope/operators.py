@@ -8,8 +8,9 @@ outside the truncation.
 
 All truncated sums for one evaluation point flow through a single
 sorted-by-distance suffix accumulation, so a sweep over many cutoffs costs
-one sort, and every cutoff of the same point sums in the same order
-(deterministic results independent of sweep shape or thread count).
+one sort and one search, and every cutoff of the same point sums in the
+same order (deterministic results independent of sweep shape or thread
+count).
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ __all__ = [
     "t_phi_eps",
     "t_phi_star",
     "suppressed_kernel",
-    "suppression_factor",
     "m_tilde",
     "k_r_chain",
     "k_r_telescoped",
 ]
 
 GRAD_STEP_FACTOR = 1e-5
+VALIDATION_SAMPLES = 1000
+VALIDATION_SEED = 0
 VALIDATION_TOL = 1.1
 
 
@@ -104,34 +106,22 @@ def cauchy_kernel() -> CZKernel:
     return CZKernel("cauchy", 1, 2, 2, fn, riesz.constants)
 
 
-def make_kernel(kind: str, n: int | None = None, d: int | None = None,
-                fn=None, constants=None, validate: bool = True,
-                seed: int = 0) -> CZKernel:
-    """Kernel factory: 'riesz', 'cauchy', or 'custom' (validated)."""
+def make_kernel(kind: str, n: int | None = None,
+                d: int | None = None) -> CZKernel:
+    """Kernel factory: 'riesz' or 'cauchy', validated before it is returned."""
     if kind == "riesz":
         if n is None or d is None:
             raise ValueError("riesz kernel needs n and d")
         kernel = riesz_kernel(n, d)
     elif kind == "cauchy":
         kernel = cauchy_kernel()
-    elif kind == "custom":
-        if fn is None or n is None or d is None or constants is None:
-            raise ValueError("custom kernel needs fn, n, d and constants")
-        probe = np.atleast_2d(fn(np.ones((1, d))))
-        kernel = CZKernel("custom", n, d, probe.shape[1], fn,
-                          tuple(float(c) for c in constants))
-        if validate:
-            validate_kernel(kernel, seed=seed)
-        return kernel
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")
-    if validate:
-        validate_kernel(kernel, seed=seed)
+    validate_kernel(kernel)
     return kernel
 
 
-def validate_kernel(kernel: CZKernel, n_samples: int = 1000, seed: int = 0,
-                    tol: float = VALIDATION_TOL) -> dict:
+def validate_kernel(kernel: CZKernel) -> dict:
     """Sample the declared kernel bounds; raise listing the worst offender.
 
     Checks oddness (to a few ulp; exact for the built-ins), the size bound,
@@ -139,13 +129,14 @@ def validate_kernel(kernel: CZKernel, n_samples: int = 1000, seed: int = 0,
     and the smoothness of k(x, y) in x for |x - x'| <= |x - y|/2 against
     the mean-value constant 2^(n+1) c1.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     d = kernel.dim
     n = kernel.n
     c0, c1, c2 = kernel.constants
-    dirs = rng.normal(size=(n_samples, d))
+    dirs = rng.normal(size=(VALIDATION_SAMPLES, d))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    radii = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n_samples))
+    radii = np.exp(rng.uniform(math.log(1e-3), math.log(1e3),
+                               VALIDATION_SAMPLES))
     xs = dirs * radii[:, None]
 
     report = {}
@@ -156,8 +147,8 @@ def validate_kernel(kernel: CZKernel, n_samples: int = 1000, seed: int = 0,
     report["size"] = _worst(xs, np.linalg.norm(vals, axis=1) * radii**n / c0)
 
     h = GRAD_STEP_FACTOR * radii
-    grad_sq = np.zeros(n_samples)
-    hess_sq = np.zeros(n_samples)
+    grad_sq = np.zeros(VALIDATION_SAMPLES)
+    hess_sq = np.zeros(VALIDATION_SAMPLES)
     for j in range(d):
         e = np.zeros(d)
         e[j] = 1.0
@@ -182,8 +173,8 @@ def validate_kernel(kernel: CZKernel, n_samples: int = 1000, seed: int = 0,
 
     # smoothness in the first argument at fixed y
     ys = xs + dirs[::-1] * (3.0 * radii[:, None])
-    steps = rng.uniform(0.01, 0.5, n_samples)
-    moves = rng.normal(size=(n_samples, d))
+    steps = rng.uniform(0.01, 0.5, VALIDATION_SAMPLES)
+    moves = rng.normal(size=(VALIDATION_SAMPLES, d))
     moves /= np.linalg.norm(moves, axis=1)[:, None]
     sep = np.linalg.norm(xs - ys, axis=1)
     xps = xs + moves * (steps * sep / 2)[:, None]
@@ -193,7 +184,7 @@ def validate_kernel(kernel: CZKernel, n_samples: int = 1000, seed: int = 0,
     report["smoothness"] = _worst(xs, smooth / bound)
 
     for check, (ratio, x) in report.items():
-        if not ratio <= tol:
+        if not ratio <= VALIDATION_TOL:
             raise KernelValidationError(
                 f"kernel {kernel.name!r} fails {check}: ratio {ratio:.4g} "
                 f"at x={np.array2string(x, precision=6)}"
@@ -237,26 +228,6 @@ class BumpFamily:
         t = np.asarray(t, dtype=float)
         return self.psi_k(k, t) - self.psi_k(k + 1, t)
 
-    def support_k(self, k: int) -> tuple[float, float]:
-        """Open shell outside which phi_k vanishes."""
-        return (self.INNER * self.a0 ** (-k - 1),
-                self.OUTER * self.a0 ** (-k))
-
-
-def _f_values(measure: WeightedPointMeasure, f) -> np.ndarray:
-    if f is None:
-        return np.ones(measure.size)
-    if callable(f):
-        out = np.asarray(f(measure.points), dtype=float)
-    else:
-        out = np.asarray(f, dtype=float)
-    if out.shape != (measure.size,):
-        raise ValueError(
-            f"f must give one value per atom: got shape {out.shape}, "
-            f"need ({measure.size},)"
-        )
-    return out
-
 
 class _TruncationSums:
     """Distance-sorted suffix sums of kernel terms at one evaluation point.
@@ -265,31 +236,33 @@ class _TruncationSums:
     sorted distance position, accumulated farthest-first; lookups for any
     cutoff are O(log N) and share that one summation order.  Given the
     suppression values phi_atoms, each term is damped by the factor of
-    ``suppression_factor``, computed from the kernel values already taken.
+    ``suppressed_kernel``, computed from the kernel values already taken.
     """
 
-    def __init__(self, kernel, measure, x, f=None, phi_x=0.0, phi_atoms=None):
+    def __init__(self, kernel, measure, x, phi_x=0.0, phi_atoms=None):
         radial = RadialOrder(measure, x)
         # the evaluation point's own atoms lead the order at distance 0
         near = int(radial.count(0.0))
         self.dist = radial.dist[near:]
-        fz = _f_values(measure, f)
         if self.dist.size == 0:
             self.suffix = np.zeros((1, kernel.out_dim))
             return
         kept = radial.order[near:]
         # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
         vals = kernel(-radial.offsets[near:])
-        terms = vals * (measure.weights[kept] * fz[kept])[:, None]
+        terms = vals * measure.weights[kept][:, None]
         if phi_atoms is not None:
             phi_y = np.asarray(phi_atoms, dtype=float)[kept]
             terms = terms * _damping(kernel, vals, float(phi_x), phi_y)[:, None]
         self.suffix = radial.suffix(terms)
 
-    def beyond(self, eps: float) -> np.ndarray:
-        """Sum of terms with distance strictly greater than eps."""
-        j = int(np.searchsorted(self.dist, eps, side="right"))
-        return self.suffix[j]
+    def beyond(self, eps) -> np.ndarray:
+        """Sums of terms with distance strictly greater than each cutoff.
+
+        A scalar cutoff gives one (out_dim,) row, an array of cutoffs one
+        row per cutoff.
+        """
+        return self.suffix[np.searchsorted(self.dist, eps, side="right")]
 
     def sup_norm(self) -> tuple[float, float]:
         """Max over all cutoffs of |sum beyond cutoff|, with a witness eps."""
@@ -303,15 +276,13 @@ class _TruncationSums:
         return float(norms[i]), float(witnesses[i])
 
 
-def truncated_field(kernel, measure, centers, eps_values, f=None) -> np.ndarray:
+def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
     """T_eps at many centers and cutoffs: shape (centers, cutoffs, out_dim)."""
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     eps_values = np.asarray(eps_values, dtype=float)
     out = np.empty((centers.shape[0], eps_values.size, kernel.out_dim))
     for c, x in enumerate(centers):
-        sums = _TruncationSums(kernel, measure, x, f)
-        for e, eps in enumerate(eps_values):
-            out[c, e] = sums.beyond(eps)
+        out[c] = _TruncationSums(kernel, measure, x).beyond(eps_values)
     return out
 
 
@@ -320,11 +291,6 @@ def _damping(kernel, vals, phi_x: float, phi_y: np.ndarray) -> np.ndarray:
     ksq = np.sum(vals**2, axis=1)
     return 1.0 / (1.0 + ksq * (max(phi_x, 0.0) * np.maximum(phi_y, 0.0))
                   ** kernel.n)
-
-
-def suppression_factor(kernel, diffs, phi_x: float, phi_y: np.ndarray) -> np.ndarray:
-    """Damping 1/(1 + |K|^2 (Phi(x) Phi(y))^n) for the suppressed kernel."""
-    return _damping(kernel, kernel(diffs), phi_x, phi_y)
 
 
 def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
@@ -339,16 +305,16 @@ def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
     return vals[0] * factor[0]
 
 
-def t_phi_eps(kernel, measure, x, eps, phi_x, phi_atoms, f=None) -> np.ndarray:
+def t_phi_eps(kernel, measure, x, eps, phi_x, phi_atoms) -> np.ndarray:
     """Suppressed truncated sum: kernel damped by Phi, cutoff |x - y| > eps."""
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    return _TruncationSums(kernel, measure, x, f, phi_x, phi_atoms).beyond(eps)
+    return _TruncationSums(kernel, measure, x, phi_x, phi_atoms).beyond(eps)
 
 
-def t_phi_star(kernel, measure, x, phi_x, phi_atoms, f=None) -> tuple[float, float]:
+def t_phi_star(kernel, measure, x, phi_x, phi_atoms) -> tuple[float, float]:
     """sup over eps > 0 of the suppressed truncation, with witness cutoff."""
-    return _TruncationSums(kernel, measure, x, f, phi_x, phi_atoms).sup_norm()
+    return _TruncationSums(kernel, measure, x, phi_x, phi_atoms).sup_norm()
 
 
 def m_tilde(sigma: WeightedPointMeasure, f, x, variant: str = "plain") -> float:
@@ -363,7 +329,12 @@ def m_tilde(sigma: WeightedPointMeasure, f, x, variant: str = "plain") -> float:
         raise ValueError(f"unknown variant {variant!r}")
     if sigma.is_empty:
         return 0.0
-    fz = np.abs(_f_values(sigma, f))
+    fz = np.abs(np.asarray(f, dtype=float))
+    if fz.shape != (sigma.size,):
+        raise ValueError(
+            f"f must give one value per atom: got shape {fz.shape}, "
+            f"need ({sigma.size},)"
+        )
     if variant == "3/2":
         fz = fz**1.5
     radial = RadialOrder(sigma, x)

@@ -79,8 +79,8 @@ def _field_norms_sq(kernel, measure, eps_grid, threads: int) -> np.ndarray:
     return out
 
 
-def main_lemma_check(measure, kernel, eps_grid=None,
-                     scales_per_octave: int = 4, threads: int = 1) -> dict:
+def main_lemma_check(measure, kernel, scales_per_octave: int = 4,
+                     threads: int = 1) -> dict:
     """Square-function bound: worst truncation energy against mass + flatness.
 
     lhs is the max over cutoffs of sum_i w_i |T_eps(x_i)|^2; rhs is the
@@ -88,14 +88,12 @@ def main_lemma_check(measure, kernel, eps_grid=None,
     """
     if measure.is_empty:
         raise ValueError("measure is empty")
-    if eps_grid is None:
-        hi = max(measure.diameter, measure.r_min)
-        # the half-step offset keeps grid points away from dyadic multiples
-        # of the minimum gap, where the truncation jumps and a float-level
-        # perturbation of the input could flip an atom across the cutoff
-        lo = measure.r_min / 2 * 2.0 ** (1.0 / (2 * scales_per_octave))
-        eps_grid = geometric_grid(lo, hi, scales_per_octave)
-    eps_grid = np.asarray(eps_grid, dtype=float)
+    hi = max(measure.diameter, measure.r_min)
+    # the half-step offset keeps grid points away from dyadic multiples
+    # of the minimum gap, where the truncation jumps and a float-level
+    # perturbation of the input could flip an atom across the cutoff
+    lo = measure.r_min / 2 * 2.0 ** (1.0 / (2 * scales_per_octave))
+    eps_grid = geometric_grid(lo, hi, scales_per_octave)
     energies = _field_norms_sq(kernel, measure, eps_grid, threads)
     lhs = float(np.max(energies))
     jones = jones_field(measure, scales_per_octave=scales_per_octave,
@@ -145,29 +143,28 @@ def _strided(indices: np.ndarray, cap: int) -> np.ndarray:
     return indices[:: max(1, indices.size // cap)][:cap]
 
 
-def cotlar_check(measure, kernel, corona, top_id: int, s: float = 1.0,
-                 max_samples: int = 128, f=None, threads: int = 1) -> dict:
+def cotlar_check(measure, kernel, corona, top_id: int,
+                 max_samples: int = 128, threads: int = 1) -> dict:
     """Maximal suppressed operator against maximal functions of its output.
 
     With sigma the restriction to B0(R) and Phi_R the tree suppression:
-    lhs(x) = sup_eps |T_{Phi,eps}(f sigma)(x)| and
-    rhs(x) = Mtilde_sigma(|T_Phi(f sigma)|^s)(x)^(1/s) + Mtilde_{sigma,3/2}f(x),
-    sampled over atoms of sigma.  Samples with rhs = 0 < lhs are excluded
-    and counted in the record.
+    lhs(x) = sup_eps |T_{Phi,eps} sigma(x)| and
+    rhs(x) = Mtilde_sigma(|T_Phi sigma|)(x) + Mtilde_{sigma,3/2}1(x),
+    sampled over atoms of sigma: the Cotlar inequality with s = 1 applied
+    to sigma itself.  Samples with rhs = 0 < lhs are excluded and counted
+    in the record.
     """
-    if s not in (1.0, 0.5):
-        raise ValueError(f"s must be 1 or 0.5, got {s}")
     geometry = TreeGeometry(corona, top_id)
     b0 = geometry.b0
     sigma = measure.restrict_ball(b0)
     if sigma.is_empty:
         return {"name": "cotlar", "lhs": 0.0, "rhs": 0.0, "ratio": 0.0,
-                "samples": 0, "params": {"kernel": kernel.name, "s": s,
+                "samples": 0, "params": {"kernel": kernel.name, "s": 1.0,
                                          "flagged": 0, "top": top_id}}
     phi_sigma = geometry.phi(sigma.points)
-    f_sigma = np.ones(sigma.size) if f is None else np.asarray(f, dtype=float)
+    ones = np.ones(sigma.size)
 
-    # suppressed operator applied to f sigma, at every sigma atom
+    # suppressed operator applied to sigma, at every sigma atom
     def t_phi_at(j):
         dists = np.linalg.norm(sigma.points - sigma.points[j], axis=1)
         positive = dists[dists > 0]
@@ -175,7 +172,7 @@ def cotlar_check(measure, kernel, corona, top_id: int, s: float = 1.0,
             return 0.0
         eps = float(positive.min()) / 2.0
         val = t_phi_eps(kernel, sigma, sigma.points[j], eps,
-                        phi_sigma[j], phi_sigma, f_sigma)
+                        phi_sigma[j], phi_sigma)
         return float(np.linalg.norm(val))
 
     t_vals = np.array(parallel_map(t_phi_at, range(sigma.size), threads))
@@ -184,9 +181,9 @@ def cotlar_check(measure, kernel, corona, top_id: int, s: float = 1.0,
 
     def one(j):
         x = sigma.points[j]
-        lhs, _ = t_phi_star(kernel, sigma, x, phi_sigma[j], phi_sigma, f_sigma)
-        inner = m_tilde(sigma, t_vals**s, x, variant="plain")
-        rhs = inner ** (1.0 / s) + m_tilde(sigma, f_sigma, x, variant="3/2")
+        lhs, _ = t_phi_star(kernel, sigma, x, phi_sigma[j], phi_sigma)
+        rhs = (m_tilde(sigma, t_vals, x, variant="plain")
+               + m_tilde(sigma, ones, x, variant="3/2"))
         return lhs, rhs
 
     pairs = parallel_map(one, sample, threads)
@@ -206,7 +203,7 @@ def cotlar_check(measure, kernel, corona, top_id: int, s: float = 1.0,
         "rhs": worst_rhs,
         "ratio": best,
         "samples": int(sample.size),
-        "params": {"kernel": kernel.name, "s": s, "flagged": flagged,
+        "params": {"kernel": kernel.name, "s": 1.0, "flagged": flagged,
                    "top": top_id},
     }
 
@@ -288,10 +285,10 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8,
             res = _plane_residual_sq(mu.points - centroid, mu.weights, basis)
             tail = res * mu.total_mass / ((2 * n + 2) * diam ** (2 * n + 2))
 
-        def density_at(i):
+        def sup_density_at(i):
             return mu.sup_density(mu.points[i], floor)
 
-        dens = np.array(parallel_map(density_at, range(mu.size), threads))
+        dens = np.array(parallel_map(sup_density_at, range(mu.size), threads))
         energy = jones + tail
         t_vals = 2.0 / (dens + np.sqrt(dens**2 + 4.0 * energy))
         worst = int(np.argmin(t_vals))

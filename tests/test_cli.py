@@ -133,6 +133,17 @@ class TestCliRoundTrip:
         data = json.loads(rep.read_text())
         assert len(data["checks"]["capacity"]["params"]["candidates"]) == 2
 
+    def test_lattice_boundary_audit(self, tmp_path):
+        mfile = tmp_path / "m.csv"
+        rep = tmp_path / "rep.json"
+        run_cli("generate", "segment", "--count", "60", "--out", str(mfile))
+        r = run_cli("lattice", "--input", str(mfile), "--boundary-audit",
+                    "--out", str(rep))
+        assert r.returncode == 0, r.stderr
+        record = json.loads(rep.read_text())["checks"]["boundary_layers"]
+        assert set(record["params"]) == {"0.2", "0.1", "0.05", "0.02"}
+        assert record["ratio"] == max(record["params"].values())
+
 
 class TestCliExitCodes:
     def test_missing_input_is_one(self, tmp_path):
@@ -165,6 +176,9 @@ class TestCliExitCodes:
         ("corona", "--scales-per-octave"),
         ("verify", "--scales-per-octave"),
         ("capacity", "--scales-per-octave"),
+        ("analyze", "--threads"),
+        ("verify", "--threads"),
+        ("capacity", "--threads"),
     ])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_nonpositive_count_is_two(self, tmp_path, command, flag, value):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from betascope import (WeightedPointMeasure, boundary_audit,
                        boundary_layer_mass, build_lattice, cantor4,
@@ -154,17 +155,17 @@ class TestDoubling:
 class TestBoundary:
     def test_layer_mass_monotone_in_lambda(self, seg_lattice):
         cell = seg_lattice.level_cells(2)[0]
-        prev = -1.0
-        for lam in (0.02, 0.05, 0.1, 0.2, 1.0):
-            mass, _ = boundary_layer_mass(seg_lattice, cell, lam)
-            assert mass >= prev
-            prev = mass
+        masses = boundary_layer_mass(seg_lattice, cell,
+                                     (0.02, 0.05, 0.1, 0.2, 1.0))
+        assert len(masses) == 5
+        for (inner, outer), (inner2, outer2) in zip(masses, masses[1:]):
+            assert inner <= inner2 and outer <= outer2
 
     def test_layer_lambda_validation(self, seg_lattice):
         cell = seg_lattice.level_cells(1)[0]
         for bad in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                boundary_layer_mass(seg_lattice, cell, bad)
+                boundary_layer_mass(seg_lattice, cell, [0.1, bad])
 
     def test_audit_returns_requested_lambdas(self, seg_lattice):
         out = boundary_audit(seg_lattice, (0.1, 0.2))
@@ -474,3 +475,165 @@ def test_build_lattice_queries_two_balls_per_cell(monkeypatch):
     monkeypatch.setattr(WeightedPointMeasure, "ball_indices", counting)
     lat = build_lattice(lipschitz_graph(300, seed=2))
     assert len(calls) == 2 * len(lat.cells)
+
+
+# -- cell ids from level offsets -----------------------------------------------
+#
+# build_lattice used to number cells through per-level dictionaries and a
+# child-to-parent remap, and to collect each cell's atoms with one scan of
+# the level assignment per cell; that body is kept here as the oracle.
+
+def old_bookkeeping(measure, a0, max_depth):
+    """(levels, assignment, cells) from the old per-cell bookkeeping; cells
+    as (id, level, center_index, parent, children, point_indices)."""
+    points = measure.points
+    order = lattice_mod._lex_order(points)
+    nets, voronoi, seeds = [], [], []
+    for k in range(max_depth + 1):
+        net = lattice_mod._greedy_net(
+            points, order, lattice_mod.NET_FACTOR * a0 ** (-k), seeds)
+        nets.append(net)
+        voronoi.append(_nearest_center(points, points[net]))
+        seeds = net
+    cells = []
+    levels = [[] for _ in range(max_depth + 1)]
+    assignment = np.empty((max_depth + 1, measure.size), dtype=np.int64)
+    cell_ids_per_level = [dict() for _ in range(max_depth + 1)]
+    for k in range(max_depth + 1):
+        for local, center_idx in enumerate(nets[k]):
+            cid = len(cells)
+            cells.append({"id": cid, "level": k,
+                          "center_index": int(center_idx), "parent": None,
+                          "children": []})
+            levels[k].append(cid)
+            cell_ids_per_level[k][local] = cid
+    assignment[max_depth] = np.array(
+        [cell_ids_per_level[max_depth][int(v)] for v in voronoi[max_depth]])
+    for k in range(max_depth - 1, -1, -1):
+        child_to_parent = {}
+        for local, cid in cell_ids_per_level[k + 1].items():
+            parent_local = int(voronoi[k][cells[cid]["center_index"]])
+            parent_cid = cell_ids_per_level[k][parent_local]
+            child_to_parent[cid] = parent_cid
+            cells[cid]["parent"] = parent_cid
+            cells[parent_cid]["children"].append(cid)
+        remap = np.empty(len(cells), dtype=np.int64)
+        for cid, pcid in child_to_parent.items():
+            remap[cid] = pcid
+        assignment[k] = remap[assignment[k + 1]]
+    for k in range(max_depth + 1):
+        for cid in levels[k]:
+            cells[cid]["point_indices"] = np.flatnonzero(
+                assignment[k] == cid).astype(np.intp)
+    return levels, assignment, cells
+
+
+BOOKKEEPING_FAMILIES = {
+    "lipschitz_graph": lambda: lipschitz_graph(3000),
+    "cantor4": lambda: cantor4(5),
+    "segment": lambda: segment(1500),
+    "square_area": lambda: square_area(30),
+}
+
+
+@pytest.mark.parametrize("family", sorted(BOOKKEEPING_FAMILIES))
+def test_cell_bookkeeping_matches_old_body(family):
+    measure = BOOKKEEPING_FAMILIES[family]()
+    lat = build_lattice(measure)
+    levels, assignment, cells = old_bookkeeping(measure, lat.a0,
+                                                lat.max_depth)
+    assert lat.levels == levels
+    assert all(type(i) is int for ids in lat.levels for i in ids)
+    assert lat._assignment.dtype == assignment.dtype
+    assert np.array_equal(lat._assignment, assignment)
+    assert len(lat.cells) == len(cells)
+    for cell, old in zip(lat.cells, cells):
+        assert (cell.id, cell.level, cell.center_index, cell.parent,
+                cell.children) == (old["id"], old["level"],
+                                   old["center_index"], old["parent"],
+                                   old["children"])
+        assert type(cell.id) is int
+        assert cell.parent is None or type(cell.parent) is int
+        assert cell.point_indices.dtype == old["point_indices"].dtype
+        assert np.array_equal(cell.point_indices, old["point_indices"])
+
+
+# -- boundary audit: one pass per cell ------------------------------------------
+#
+# boundary_audit used to recompute mu(3.5 B_Q) and both nearest-atom trees
+# for every thickness; that body is kept here as the oracle.
+
+def old_boundary_layer_mass(lattice, cell, lam):
+    measure = lattice.measure
+    width = lam * cell.side
+    members = cell.point_indices
+    outside_mask = np.ones(measure.size, dtype=bool)
+    outside_mask[members] = False
+    outside = np.flatnonzero(outside_mask)
+    if outside.size == 0:
+        inner = 0.0
+    else:
+        tree = cKDTree(measure.points[outside])
+        dist, _ = tree.query(measure.points[members], k=1)
+        inner = float(np.sum(measure.weights[members][dist <= width]))
+    ring = measure.ball_indices(cell.center, 4.0 * COVER_FACTOR * cell.radius)
+    ring = ring[~np.isin(ring, members, assume_unique=True)]
+    if ring.size == 0:
+        outer = 0.0
+    else:
+        tree_q = cKDTree(measure.points[members])
+        dist, _ = tree_q.query(measure.points[ring], k=1)
+        outer = float(np.sum(measure.weights[ring][dist <= width]))
+    return inner, outer
+
+
+def old_boundary_audit(lattice, lambdas):
+    measure = lattice.measure
+    out = {}
+    for lam in lambdas:
+        worst = 0.0
+        for cell in lattice.cells:
+            denom = measure.ball_mass(
+                cell.center,
+                lattice_mod.BOUNDARY_BALL_FACTOR * COVER_FACTOR * cell.radius)
+            if denom == 0.0:
+                continue
+            inner, outer = old_boundary_layer_mass(lattice, cell, lam)
+            worst = max(worst, (inner + outer) / (math.sqrt(lam) * denom))
+        out[float(lam)] = worst
+    return out
+
+
+AUDIT_LAMBDAS = (0.2, 0.1, 0.05, 0.02)
+AUDIT_FAMILIES = {
+    "segment": lambda: build_lattice(segment(300)),
+    "cantor4": lambda: build_lattice(cantor4(4), a0=4.0, c0=400.0),
+    "lipschitz_graph": lambda: build_lattice(lipschitz_graph(300, seed=2)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(AUDIT_FAMILIES))
+def test_boundary_audit_matches_old_body(family):
+    lat = AUDIT_FAMILIES[family]()
+    new = boundary_audit(lat, AUDIT_LAMBDAS)
+    assert new == old_boundary_audit(lat, AUDIT_LAMBDAS)
+    assert list(new) == list(AUDIT_LAMBDAS)
+    assert any(v > 0.0 for v in new.values())
+    for cell in lat.cells[::7]:
+        masses = boundary_layer_mass(lat, cell, AUDIT_LAMBDAS)
+        assert masses == [old_boundary_layer_mass(lat, cell, lam)
+                          for lam in AUDIT_LAMBDAS]
+
+
+def test_boundary_audit_builds_two_trees_per_cell(monkeypatch):
+    lat = build_lattice(lipschitz_graph(300, seed=2))
+    builds = []
+    original = lattice_mod.cKDTree
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "cKDTree", counting)
+    boundary_audit(lat, AUDIT_LAMBDAS)
+    assert 0 < len(builds) <= 2 * len(lat.cells)

@@ -74,12 +74,6 @@ class TestBallMass:
             assert m.ball_mass(x, r) == pytest.approx(
                 float(m.weights[d <= r].sum()), abs=1e-15)
 
-    def test_density_normalization(self):
-        m = small_measure(1)
-        x = m.points[0]
-        assert m.density(x, 0.5) == pytest.approx(
-            m.ball_mass(x, 0.5) / 0.5, rel=1e-15)
-
     def test_ball_indices_sorted(self):
         m = small_measure(2)
         idx = m.ball_indices(m.points[4], 0.7)
@@ -99,12 +93,6 @@ class TestSupDensity:
             cands = np.concatenate([[floor], d[d >= floor]])
             brute = max(m.ball_mass(x, r) / r for r in cands)
             assert m.sup_density(x, floor) == pytest.approx(brute, rel=1e-13)
-
-    def test_reweighted_uses_absolute_values(self):
-        m = small_measure(6)
-        f = np.random.default_rng(0).normal(size=m.size)
-        x = m.points[2]
-        assert m.sup_density(x, 0.1, f=f) == m.sup_density(x, 0.1, f=np.abs(f))
 
     def test_floor_must_be_positive(self):
         m = small_measure(0)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betascope import (BumpFamily, KernelValidationError, build_corona,
-                       build_lattice, cantor4, cauchy_kernel, k_r_chain,
-                       k_r_telescoped, lipschitz_graph, m_tilde, make_kernel,
-                       riesz_kernel, segment, suppressed_kernel,
-                       suppression_factor, t_phi_eps, t_phi_star,
-                       truncated_field, validate_kernel)
+from betascope import (BumpFamily, CZKernel, KernelValidationError,
+                       build_corona, build_lattice, cantor4, cauchy_kernel,
+                       k_r_chain, k_r_telescoped, lipschitz_graph, m_tilde,
+                       make_kernel, riesz_kernel, segment, suppressed_kernel,
+                       t_phi_eps, t_phi_star, truncated_field,
+                       validate_kernel)
 
 
 class TestKernels:
@@ -47,12 +47,14 @@ class TestKernels:
     def test_bad_constants_caught(self):
         fn = riesz_kernel(1, 2).fn
         with pytest.raises(KernelValidationError):
-            make_kernel("custom", n=1, d=2, fn=fn,
-                        constants=(0.01, 0.01, 0.01))
+            validate_kernel(CZKernel("understated", 1, 2, 2, fn,
+                                     (0.01, 0.01, 0.01)))
 
     def test_make_kernel_named(self):
         k = make_kernel("riesz", n=2, d=3)
         assert k.n == 2 and k.dim == 3
+        with pytest.raises(ValueError):
+            make_kernel("custom", n=1, d=2)
 
 
 class TestBumpFamily:
@@ -76,7 +78,8 @@ class TestBumpFamily:
 
     def test_support_brackets(self):
         fam = BumpFamily(15.0)
-        lo, hi = fam.support_k(3)
+        # phi_3 vanishes outside the open shell INNER a0^-4 < t < OUTER a0^-3
+        lo, hi = fam.INNER * fam.a0 ** -4, fam.OUTER * fam.a0 ** -3
         t = np.geomspace(lo * 0.5, hi * 2.0, 1000)
         vals = fam.phi_k(3, t)
         assert vals[t < lo * (1.0 - 1e-9)].max(initial=0.0) == 0.0
@@ -140,13 +143,19 @@ class TestTruncation:
 
 class TestSuppression:
     def test_factor_range_and_identity(self):
+        # the damping factor |k_Phi| / |k| lies in (0, 1], and is exactly
+        # 1 when Phi(x) = 0
         k = riesz_kernel(1, 2)
         rng = np.random.default_rng(2)
-        diffs = rng.normal(size=(200, 2))
-        fac = suppression_factor(k, diffs, 0.3, rng.uniform(0.0, 0.5, 200))
-        assert ((fac > 0.0) & (fac <= 1.0)).all()
-        fac0 = suppression_factor(k, diffs, 0.0, np.zeros(200))
-        assert np.array_equal(fac0, np.ones(200))
+        origin = np.zeros(2)
+        for diff, phi_y in zip(rng.normal(size=(200, 2)),
+                               rng.uniform(0.0, 0.5, 200)):
+            plain = k(diff[None, :])[0]
+            damped = suppressed_kernel(k, diff, origin, 0.3, phi_y)
+            fac = np.linalg.norm(damped) / np.linalg.norm(plain)
+            assert 0.0 < fac <= 1.0 + 1e-15
+            assert np.array_equal(
+                suppressed_kernel(k, diff, origin, 0.0, phi_y), plain)
 
     def test_pairwise_wrapper(self):
         k = riesz_kernel(1, 2)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from betascope import (BetaProfile, WeightedPointMeasure, cantor4,
-                       cauchy_kernel, m_tilde, riesz_kernel, segment)
+                       cauchy_kernel, m_tilde, riesz_kernel, segment,
+                       truncated_field)
 from betascope.measure import RadialOrder
-from betascope.operators import _f_values, _TruncationSums
+from betascope.operators import _TruncationSums
 
 
 def tie_cloud():
@@ -43,10 +44,10 @@ def measure(request):
 
 # -- oracles: the bodies the primitive replaced --------------------------------
 
-def old_sup_density(measure, center, floor, f=None):
+def old_sup_density(measure, center, floor):
     center = np.asarray(center, dtype=float).reshape(-1)
     dist = np.linalg.norm(measure.points - center, axis=1)
-    w = measure.weights if f is None else measure.weights * np.abs(np.asarray(f, float))
+    w = measure.weights
     order = np.argsort(dist, kind="stable")
     dist_sorted = dist[order]
     cum = np.cumsum(w[order])
@@ -117,17 +118,16 @@ class OldBetaProfile:
 class OldTruncationSums(_TruncationSums):
     """The old constructor; ``beyond`` and ``sup_norm`` are inherited."""
 
-    def __init__(self, kernel, measure, x, f=None, damping=None):
+    def __init__(self, kernel, measure, x, damping=None):
         x = np.asarray(x, dtype=float)
         diffs = x[None, :] - measure.points
         dist = np.linalg.norm(diffs, axis=1)
         keep = dist > 0.0
         self.dist = np.sort(dist[keep], kind="stable")
-        fz = _f_values(measure, f)
         if self.dist.size == 0:
             self.suffix = np.zeros((1, kernel.out_dim))
             return
-        terms = kernel(diffs[keep]) * (measure.weights[keep] * fz[keep])[:, None]
+        terms = kernel(diffs[keep]) * measure.weights[keep][:, None]
         if damping is not None:
             terms = terms * damping[keep][:, None]
         order = np.argsort(dist[keep], kind="stable")
@@ -151,7 +151,7 @@ def old_damping(kernel, measure, x, phi_x, phi_atoms):
 
 
 def old_m_tilde(sigma, f, x, variant="plain"):
-    fz = np.abs(_f_values(sigma, f))
+    fz = np.abs(np.asarray(f, dtype=float))
     if variant == "3/2":
         fz = fz**1.5
     dist = np.linalg.norm(sigma.points - np.asarray(x, dtype=float), axis=1)
@@ -198,13 +198,10 @@ def test_radial_order_sums_match_direct_ball_sums(measure):
 # -- bit equality with the replaced bodies ------------------------------------
 
 def test_sup_density_bit_equal(measure):
-    f = np.random.default_rng(1).normal(size=measure.size)
     for x in centres(measure):
         for floor in (measure.r_min, 0.1, 10.0):
             assert measure.sup_density(x, floor) == \
                 old_sup_density(measure, x, floor)
-            assert measure.sup_density(x, floor, f=f) == \
-                old_sup_density(measure, x, floor, f=f)
 
 
 def test_growth_constant_grid_bit_equal(measure):
@@ -230,17 +227,13 @@ def test_beta_profile_bit_equal(measure):
                          ids=["riesz", "cauchy"])
 def test_truncation_sums_bit_equal(measure, kernel):
     rng = np.random.default_rng(2)
-    f = rng.normal(size=measure.size)
     # some negative values: the damping clips Phi at 0
     phi_atoms = rng.uniform(-0.05, 0.5, size=measure.size)
     phi = {"phi_x": 0.3, "phi_atoms": phi_atoms}
     for x in centres(measure):
         damping = old_damping(kernel, measure, x, 0.3, phi_atoms)
         assert (damping < 1.0).any() and (damping == 1.0).any()
-        for new_kw, old_kw in (({}, {}),
-                               ({"f": f}, {"f": f}),
-                               (phi, {"damping": damping}),
-                               ({"f": f, **phi}, {"f": f, "damping": damping})):
+        for new_kw, old_kw in (({}, {}), (phi, {"damping": damping})):
             new = _TruncationSums(kernel, measure, x, **new_kw)
             old = OldTruncationSums(kernel, measure, x, **old_kw)
             assert np.array_equal(new.dist, old.dist)
@@ -262,3 +255,42 @@ def test_m_tilde_all_atoms_at_centre_bit_equal():
     for variant in ("plain", "3/2"):
         assert m_tilde(m, f, (0.0, 0.0), variant) == \
             old_m_tilde(m, f, (0.0, 0.0), variant)
+
+
+# -- truncated_field: one lookup answers every cutoff of a centre -------------
+
+def old_truncated_field(kernel, measure, centers, eps_values):
+    """The per-cutoff loop: one suffix lookup per cutoff."""
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    eps_values = np.asarray(eps_values, dtype=float)
+    out = np.empty((centers.shape[0], eps_values.size, kernel.out_dim))
+    for c, x in enumerate(centers):
+        sums = _TruncationSums(kernel, measure, x)
+        for e, eps in enumerate(eps_values):
+            out[c, e] = sums.suffix[int(np.searchsorted(sums.dist, eps,
+                                                        side="right"))]
+    return out
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(1, 2), cauchy_kernel()],
+                         ids=["riesz", "cauchy"])
+def test_truncated_field_bit_equal_to_per_cutoff_loop(measure, kernel):
+    dist = np.linalg.norm(measure.points - measure.points[0], axis=1)
+    gaps = np.unique(dist[dist > 0.0])
+    # cutoffs exactly on atom distances, below the smallest gap, off the
+    # distances, at and beyond the diameter, in no particular order
+    eps = np.concatenate((gaps, [gaps[0] / 2, 1e-300], gaps[:-1] * 1.5,
+                          [measure.diameter, 2 * measure.diameter + 1.0]))
+    eps = np.random.default_rng(4).permutation(eps)
+    for x in (measure.points[0], measure.points[-1], centres(measure)):
+        new = truncated_field(kernel, measure, x, eps)
+        old = old_truncated_field(kernel, measure, x, eps)
+        assert np.array_equal(new, old)
+    at_atoms = truncated_field(kernel, measure, measure.points, eps)
+    assert (at_atoms[:, eps > measure.diameter] == 0.0).all()
+    # one cutoff per call agrees with the row of a many-cutoff sweep
+    x = measure.points[0]
+    sweep = truncated_field(kernel, measure, x, eps)[0]
+    for e, row in zip(eps, sweep):
+        assert np.array_equal(truncated_field(kernel, measure, x, [e])[0, 0],
+                              row)
