@@ -121,7 +121,6 @@ class BetaProfile:
         self.measure = measure
         self.center = center
         self.n = measure.target_dim
-        self.d = measure.dim
         self.radial = RadialOrder(measure, center)
         w = measure.weights[self.radial.order]
         zs = self.radial.offsets
@@ -139,17 +138,24 @@ class BetaProfile:
         nz = k > 0
         if nz.any():
             ki = k[nz]
-            W = self.cum_w[ki]
-            S1 = self.cum_first[ki]
-            S2 = self.cum_second[ki]
-            mean = S1 / W[:, None]
-            cov = S2 - W[:, None, None] * (mean[:, :, None] * mean[:, None, :])
-            eigvals = np.linalg.eigvalsh(cov)
-            resid = np.clip(eigvals[:, : self.d - self.n].sum(axis=1), 0.0, None)
-            r = radii[nz]
-            beta_sq[nz] = resid / r ** (self.n + 2)
-            theta[nz] = W / r**self.n
+            beta_sq[nz], theta[nz] = _moment_flatness(
+                self.cum_w[ki], self.cum_first[ki], self.cum_second[ki],
+                radii[nz], self.n)
         return beta_sq, theta
+
+
+def _moment_flatness(W, S1, S2, radii, n: int):
+    """(beta_2^2, theta) of closed balls from their moment sums.
+
+    W, S1 and S2 hold, per ball, the mass and the weighted first and
+    second moments about the centre; every ball must hold mass.  One
+    batched eigvalsh call fits all the planes.
+    """
+    mean = S1 / W[:, None]
+    cov = S2 - W[:, None, None] * (mean[:, :, None] * mean[:, None, :])
+    eigvals = np.linalg.eigvalsh(cov)
+    resid = np.clip(eigvals[:, : S1.shape[1] - n].sum(axis=1), 0.0, None)
+    return resid / radii ** (n + 2), W / radii**n
 
 
 def _jones_grid(r_lo: float, r_hi: float, scales_per_octave: int):

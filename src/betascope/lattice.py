@@ -312,8 +312,9 @@ def _classify_cells(lattice: Lattice) -> None:
     measure = lattice.measure
     for cell in lattice.cells:
         inside = measure.ball_indices(cell.center, cell.radius)
-        member = np.isin(inside, cell.point_indices, assume_unique=True)
-        containment_ok = bool(member.all())
+        # point_indices are exactly the atoms assigned to the cell
+        containment_ok = bool(
+            (lattice._assignment[cell.level, inside] == cell.id).all())
         span = np.linalg.norm(
             measure.points[cell.point_indices] - cell.center, axis=1
         )

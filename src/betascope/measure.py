@@ -350,24 +350,32 @@ class RadialOrder:
         """Number of atoms in the closed balls B(x, r) for the given radii."""
         return np.searchsorted(self.dist, radii, side="right")
 
-    def prefix(self, values) -> np.ndarray:
+    def prefix(self, values, axis: int = 0) -> np.ndarray:
         """Sums of per-atom ``values`` (in sorted order) over closed balls.
 
-        Entry k sums the k nearest atoms along axis 0, so entry 0 is zero
-        and ``prefix(values)[count(r)]`` is the sum over B(x, r).
+        Entry k along ``axis`` sums the k nearest atoms, so entry 0 is zero
+        and ``prefix(values)[count(r)]`` is the sum over B(x, r).  Every
+        other axis is a separate lane; each lane sums in radial order.
         """
         values = np.asarray(values, dtype=float)
-        head = np.zeros((1,) + values.shape[1:])
-        return np.concatenate((head, np.cumsum(values, axis=0)))
+        axis = axis % values.ndim
+        shape = list(values.shape)
+        shape[axis] += 1
+        sums = np.zeros(shape)
+        # accumulate straight into place: no copy behind the zero head
+        np.cumsum(values, axis=axis,
+                  out=sums[(slice(None),) * axis + (slice(1, None),)])
+        return sums
 
-    def suffix(self, values) -> np.ndarray:
+    def suffix(self, values, axis: int = 0) -> np.ndarray:
         """Sums of per-atom ``values`` (in sorted order) beyond each position.
 
-        Entry k sums every atom but the k nearest, accumulated
-        farthest-first, so ``suffix(values)[count(r)]`` is the sum over
-        |p - x| > r and the last entry is zero.
+        Entry k along ``axis`` sums every atom but the k nearest,
+        accumulated farthest-first, so ``suffix(values)[count(r)]`` is the
+        sum over |p - x| > r and the last entry is zero.
         """
-        return self.prefix(np.asarray(values, dtype=float)[::-1])[::-1]
+        values = np.asarray(values, dtype=float)
+        return np.flip(self.prefix(np.flip(values, axis), axis), axis)
 
 
 # -- serialization ----------------------------------------------------------

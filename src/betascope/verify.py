@@ -13,11 +13,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from ._util import geometric_grid, parallel_map
-from .beta import _plane_residual_sq, _weighted_plane, jones_integral
+from ._util import BLOCK_ELEMENTS, geometric_grid, parallel_map
+from .beta import (
+    _jones_grid,
+    _moment_flatness,
+    _plane_residual_sq,
+    _weighted_plane,
+    jones_integral,
+)
 from .corona import TreeGeometry
-from .measure import WeightedPointMeasure
+from .measure import RadialOrder, WeightedPointMeasure
 from .operators import (
     k_r_chain,
     m_tilde,
@@ -46,10 +53,7 @@ def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
     if measure.is_empty:
         return np.zeros(0)
     if r_lo is None:
-        # same half-step offset as the default truncation grid: scale radii
-        # must not land on exact inter-atom distances, or ball membership
-        # flips under float-level perturbations of the coordinates
-        r_lo = measure.r_min * 2.0 ** (1.0 / (2 * scales_per_octave))
+        r_lo = _flatness_floor(measure, scales_per_octave)
     else:
         r_lo = float(r_lo)
     r_hi = measure.diameter if r_hi is None else float(r_hi)
@@ -63,6 +67,24 @@ def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
         )
 
     return np.array(parallel_map(one, range(measure.size), threads))
+
+
+def _flatness_floor(measure, scales_per_octave: int) -> float:
+    """Default lower radius of the flatness energy."""
+    # same half-step offset as the default truncation grid: scale radii
+    # must not land on exact inter-atom distances, or ball membership
+    # flips under float-level perturbations of the coordinates
+    return measure.r_min * 2.0 ** (1.0 / (2 * scales_per_octave))
+
+
+def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
+    """Truncation cutoffs of the square-function bound, up to the diameter."""
+    hi = max(measure.diameter, measure.r_min)
+    # the half-step offset keeps grid points away from dyadic multiples
+    # of the minimum gap, where the truncation jumps and a float-level
+    # perturbation of the input could flip an atom across the cutoff
+    lo = measure.r_min / 2 * 2.0 ** (1.0 / (2 * scales_per_octave))
+    return geometric_grid(lo, hi, scales_per_octave)
 
 
 def _field_norms_sq(kernel, measure, eps_grid, threads: int) -> np.ndarray:
@@ -88,12 +110,7 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4,
     """
     if measure.is_empty:
         raise ValueError("measure is empty")
-    hi = max(measure.diameter, measure.r_min)
-    # the half-step offset keeps grid points away from dyadic multiples
-    # of the minimum gap, where the truncation jumps and a float-level
-    # perturbation of the input could flip an atom across the cutoff
-    lo = measure.r_min / 2 * 2.0 ** (1.0 / (2 * scales_per_octave))
-    eps_grid = geometric_grid(lo, hi, scales_per_octave)
+    eps_grid = _cutoff_grid(measure, scales_per_octave)
     energies = _field_norms_sq(kernel, measure, eps_grid, threads)
     lhs = float(np.max(energies))
     jones = jones_field(measure, scales_per_octave=scales_per_octave,
@@ -113,19 +130,187 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4,
     }
 
 
+class _Ragged:
+    """Rows of different lengths stored end to end in one flat array."""
+
+    def __init__(self, rows):
+        self.lengths = np.array([row.size for row in rows], dtype=np.intp)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.flat = np.concatenate(rows)
+
+    def positions(self, rows) -> np.ndarray:
+        """Flat positions of the given rows' entries, row after row."""
+        lengths = self.lengths[rows]
+        shift = self.starts[rows] - (np.cumsum(lengths) - lengths)
+        return np.repeat(shift, lengths) + np.arange(lengths.sum())
+
+
+class _T1Sample:
+    """The non-empty balls of a t1 sample and their restrictions' grids.
+
+    The grids are the ones main_lemma_check takes on each restriction.
+    ``members``, ``eps`` and ``radii`` hold, per ball, its atoms in index
+    order, its cutoff grid and its flatness radii (empty when the
+    restriction is too small to carry any flatness).
+    """
+
+    def __init__(self, measure, balls, scales_per_octave: int):
+        self.slots, self.masses = [], []
+        atoms, cutoffs, grids = [], [], []
+        self.log_rho = 0.0
+        for slot, ball in enumerate(balls):
+            idx = measure.ball_indices(ball.center, ball.radius)
+            if idx.size == 0:
+                continue
+            mask = np.zeros(measure.size, dtype=bool)
+            mask[idx] = True
+            part = measure.restrict_mask(mask)
+            self.slots.append(slot)
+            self.masses.append(part.total_mass)
+            atoms.append(idx)
+            cutoffs.append(_cutoff_grid(part, scales_per_octave))
+            r_lo = _flatness_floor(part, scales_per_octave)
+            grid = np.empty(0)
+            if part.diameter > r_lo:
+                grid, self.log_rho = _jones_grid(r_lo, part.diameter,
+                                                 scales_per_octave)
+            grids.append(grid)
+        if not self.slots:
+            return
+        self.members = _Ragged(atoms)
+        self.eps = _Ragged(cutoffs)
+        self.radii = _Ragged(grids)
+        # moment lanes: mass, first moments, then the upper triangle of
+        # the second moments; z_a z_b and z_b z_a round alike, so one lane
+        # serves both entries
+        dim = measure.dim
+        self.upper = np.triu_indices(dim)
+        self.lane = np.zeros((dim, dim), dtype=np.intp)
+        self.lane[self.upper] = self.lane[self.upper[::-1]] = (
+            1 + dim + np.arange(self.upper[0].size))
+        # balls per group: the masked moments are the largest temporary
+        width = (measure.size + 1) * (1 + dim + self.upper[0].size)
+        self.group = max(1, BLOCK_ELEMENTS // width)
+
+
+def _t1_atom(measure, kernel, atom: int, mine: np.ndarray,
+             sample: _T1Sample):
+    """Energy rows and flatness values of the balls ``mine`` at one atom.
+
+    Returns the energies at ``sample.eps.positions(mine)`` and one
+    flatness value per ball (0.0 for a ball without flatness radii).
+    Every sum is taken along the atom's full radial order, with the atoms
+    outside the ball set to +0.0: a partial sum plus +0.0 keeps its bits,
+    so each sum equals the one along the ball's own radial order.  Values
+    lie along the last axis, one lane per ball and kernel component or
+    moment; the balls go through in groups of at most ``sample.group``.
+    """
+    size, dim = measure.size, measure.dim
+    members, eps, radii = sample.members, sample.eps, sample.radii
+    radial = RadialOrder(measure, measure.points[atom])
+    near = int(radial.count(0.0))
+    # x - p is formed exactly as -(p - x), as in the truncated sums
+    vals = kernel(-radial.offsets[near:])
+    terms = (vals * measure.weights[radial.order[near:]][:, None]).T
+    # the BetaProfile moments about the atom, one lane each
+    w = measure.weights[radial.order]
+    zs = radial.offsets
+    a, b = sample.upper
+    moments = np.concatenate(
+        (w[None], (w[:, None] * zs).T, (w[:, None] * (zs[:, a] * zs[:, b])).T))
+    rank = np.empty(size, dtype=np.intp)
+    rank[radial.order] = np.arange(size)
+    energies, flatness = [], []
+    for lo in range(0, mine.size, sample.group):
+        part = mine[lo:lo + sample.group]
+        cols = np.arange(part.size)
+        inside = np.zeros((part.size, size), dtype=bool)
+        inside[np.repeat(cols, members.lengths[part]),
+               rank[members.flat[members.positions(part)]]] = True
+        fitted = cols[radii.lengths[part] > 0]
+        cutoffs = eps.flat[eps.positions(part)]
+        scales = radii.flat[radii.positions(part[fitted])]
+        counts = radial.count(np.concatenate((cutoffs, scales)))
+
+        beyond = radial.suffix(
+            np.where(inside[:, None, near:], terms, 0.0), axis=-1)
+        at = np.repeat(cols, eps.lengths[part])
+        energies.append(np.sum(
+            beyond[at, :, counts[:cutoffs.size] - near] ** 2, axis=1))
+
+        values = np.zeros(part.size)
+        if fitted.size:
+            within = radial.prefix(
+                np.where(inside[fitted][:, None, :], moments, 0.0), axis=-1)
+            lengths = radii.lengths[part[fitted]]
+            sums = within[np.repeat(cols[:fitted.size], lengths), :,
+                          counts[cutoffs.size:]]
+            beta_sq, theta = _moment_flatness(
+                sums[:, 0], sums[:, 1:1 + dim], sums[:, sample.lane], scales,
+                measure.target_dim)
+            integrand = beta_sq * theta
+            # each ball sums its own contiguous slice, as jones_integral
+            # sums its own array
+            ends = np.cumsum(lengths)
+            for col, start, end in zip(fitted, ends - lengths, ends):
+                values[col] = float(np.sum(integrand[start:end])
+                                    * sample.log_rho)
+        flatness.append(values)
+    return np.concatenate(energies), np.concatenate(flatness)
+
+
 def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4,
                   threads: int = 1) -> dict:
-    """main_lemma_check on ball restrictions; the worst ratio over the sample."""
-    ratios = []
-    for ball in balls:
-        part = measure.restrict_ball(ball)
-        if part.is_empty:
-            ratios.append(0.0)
-            continue
-        rec = main_lemma_check(part, kernel,
-                               scales_per_octave=scales_per_octave,
-                               threads=threads)
-        ratios.append(rec["ratio"])
+    """main_lemma_check on ball restrictions; the worst ratio over the sample.
+
+    One pass over the atoms the balls cover does the work of one
+    main_lemma_check per ball.  A restriction keeps the atoms' index order
+    and r_min, and the radial sort is stable, so a ball's radial order at
+    an atom is the atom's full radial order filtered by the ball.  Each
+    covered atom therefore gets one RadialOrder, one kernel evaluation and
+    one set of moments, shared by every ball that holds it.  The atoms are
+    reduced in index order, so each ball sums the same operands in the same
+    order as main_lemma_check on its restriction, and the ratios are equal
+    to its ratios bit for bit.  Temporaries stay within BLOCK_ELEMENTS per
+    array; besides them the pass keeps one entry per (atom, ball) pair.
+    """
+    sample = _T1Sample(measure, balls, scales_per_octave)
+    ratios = [0.0] * len(balls)
+    if sample.slots:
+        members, eps = sample.members, sample.eps
+        energies = np.zeros(eps.flat.size)
+        jones = np.zeros(members.flat.size)
+        # the balls holding each covered atom, in ball order, and the
+        # (atom, ball) pairs' positions in ball-major order
+        pairs = np.argsort(members.flat, kind="stable")
+        owners = np.repeat(np.arange(len(sample.slots)),
+                           members.lengths)[pairs]
+        covered, starts = np.unique(members.flat[pairs], return_index=True)
+        bounds = np.append(starts, pairs.size)
+
+        def one(k):
+            mine = owners[bounds[k]:bounds[k + 1]]
+            return _t1_atom(measure, kernel, int(covered[k]), mine, sample)
+
+        # atoms per block: their results, at most a grid row per ball
+        # each, stay within BLOCK_ELEMENTS
+        widest = int(eps.lengths.sum()) + len(sample.slots)
+        step = max(int(threads), BLOCK_ELEMENTS // widest, 1)
+        for lo in range(0, covered.size, step):
+            block = range(lo, min(lo + step, covered.size))
+            for k, (energy, flatness) in zip(block,
+                                             parallel_map(one, block, threads)):
+                mine = owners[bounds[k]:bounds[k + 1]]
+                energies[eps.positions(mine)] += (
+                    measure.weights[covered[k]] * energy)
+                jones[pairs[bounds[k]:bounds[k + 1]]] = flatness
+        for b, slot in enumerate(sample.slots):
+            lhs = float(np.max(energies[eps.positions([b])]))
+            rhs = sample.masses[b]
+            if sample.radii.lengths[b]:
+                rows = members.positions([b])
+                rhs += float(measure.weights[members.flat[rows]] @ jones[rows])
+            ratios[slot] = lhs / rhs
     worst = max(ratios) if ratios else 0.0
     return {
         "name": "t1_balls",
@@ -164,18 +349,22 @@ def cotlar_check(measure, kernel, corona, top_id: int,
     phi_sigma = geometry.phi(sigma.points)
     ones = np.ones(sigma.size)
 
-    # suppressed operator applied to sigma, at every sigma atom
-    def t_phi_at(j):
-        dists = np.linalg.norm(sigma.points - sigma.points[j], axis=1)
-        positive = dists[dists > 0]
-        if positive.size == 0:
-            return 0.0
-        eps = float(positive.min()) / 2.0
-        val = t_phi_eps(kernel, sigma, sigma.points[j], eps,
-                        phi_sigma[j], phi_sigma)
-        return float(np.linalg.norm(val))
+    # suppressed operator applied to sigma, at every sigma atom, with the
+    # cutoff half the atom's nearest positive distance: any cutoff below
+    # that distance selects the same suffix entry, so the KD-tree's
+    # rounding of the distance cannot change the sum
+    sites = np.unique(sigma.points, axis=0)
+    if sites.shape[0] < 2:
+        t_vals = np.zeros(sigma.size)
+    else:
+        gaps = cKDTree(sites).query(sigma.points, k=2)[0][:, 1]
 
-    t_vals = np.array(parallel_map(t_phi_at, range(sigma.size), threads))
+        def t_phi_at(j):
+            val = t_phi_eps(kernel, sigma, sigma.points[j],
+                            float(gaps[j]) / 2.0, phi_sigma[j], phi_sigma)
+            return float(np.linalg.norm(val))
+
+        t_vals = np.array(parallel_map(t_phi_at, range(sigma.size), threads))
 
     sample = _strided(np.arange(sigma.size), max_samples)
 

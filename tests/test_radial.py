@@ -195,6 +195,16 @@ def test_radial_order_sums_match_direct_ball_sums(measure):
                                           rel=1e-12, abs=0.0)
 
 
+def test_sums_along_any_axis_are_the_axis_0_sums(measure):
+    radial = RadialOrder(measure, measure.points[3])
+    vals = np.random.default_rng(1).normal(size=(measure.size, 2, 3))
+    lanes = np.moveaxis(vals, 0, -1)
+    assert np.array_equal(radial.prefix(lanes, axis=-1),
+                          np.moveaxis(radial.prefix(vals), 0, -1))
+    assert np.array_equal(radial.suffix(lanes, axis=2),
+                          np.moveaxis(radial.suffix(vals), 0, -1))
+
+
 # -- bit equality with the replaced bodies ------------------------------------
 
 def test_sup_density_bit_equal(measure):

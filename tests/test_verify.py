@@ -10,6 +10,7 @@ from betascope import (Ball, BumpFamily, REPORT_SCHEMA, WeightedPointMeasure,
                        jones_field, lipschitz_graph, main_lemma_check,
                        make_report, pointwise_domination_check, riesz_kernel,
                        segment, t1_ball_check)
+from betascope import verify
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,14 @@ def kernel():
 def graph_corona():
     lat = build_lattice(lipschitz_graph(300, seed=2))
     return build_corona(lat)
+
+
+def tie_cloud_measure():
+    """Grid-snapped atoms with repeated sites and equal distances."""
+    rng = np.random.default_rng(3)
+    pts = rng.integers(-6, 7, size=(80, 2)) * 0.0625
+    pts = np.vstack((pts, pts[:8]))
+    return WeightedPointMeasure(pts, rng.uniform(0.5, 2.0, len(pts)), 1)
 
 
 class TestMainLemma:
@@ -113,6 +122,34 @@ class TestCotlar:
             ratios.append(rec["ratio"])
         lo, hi = min(ratios), max(ratios)
         assert hi <= lo * 1.5 + 1e-12
+
+    def test_cutoffs_sum_like_half_the_nearest_gap(self, kernel, monkeypatch):
+        """The KD-tree cutoffs give the same sums, bit for bit, as half the
+        nearest positive distance from a full distance scan."""
+        cor = build_corona(build_lattice(tie_cloud_measure()))
+        calls = []
+        real = verify.t_phi_eps
+
+        def spy(kern, sigma, x, eps, phi_x, phi_atoms):
+            calls.append((sigma, x, eps, phi_x, phi_atoms))
+            return real(kern, sigma, x, eps, phi_x, phi_atoms)
+
+        monkeypatch.setattr(verify, "t_phi_eps", spy)
+        cotlar_check(cor.measure, kernel, cor, cor.root_id, max_samples=16)
+        assert calls
+        for sigma, x, eps, phi_x, phi_atoms in calls:
+            dists = np.linalg.norm(sigma.points - x, axis=1)
+            scan = float(dists[dists > 0].min()) / 2.0
+            assert np.array_equal(
+                real(kernel, sigma, x, eps, phi_x, phi_atoms),
+                real(kernel, sigma, x, scan, phi_x, phi_atoms))
+
+    def test_coincident_atoms_keep_a_zero_field(self, kernel):
+        m = WeightedPointMeasure(np.zeros((3, 2)), np.ones(3), 1)
+        cor = build_corona(build_lattice(m))
+        rec = cotlar_check(m, kernel, cor, cor.root_id)
+        assert rec["ratio"] == 0.0 and rec["samples"] == 3
+        assert rec["params"]["flagged"] == 0
 
 
 class TestPointwiseDomination:
