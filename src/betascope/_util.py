@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,16 +18,23 @@ __all__ = ["parallel_map", "dump_json", "geometric_grid",
 BLOCK_ELEMENTS = 1 << 18
 
 
+def workers(threads: int) -> int:
+    """Worker threads for a ``threads`` request: never more than the CPUs."""
+    return max(1, min(int(threads), os.cpu_count() or 1))
+
+
 def parallel_map(fn, items, threads: int = 1) -> list:
     """map() preserving input order, optionally on a thread pool.
 
-    Results are collected per index, so reductions done by the caller see
-    the same sequence no matter how many workers ran.
+    The pool has at most one worker per CPU (see ``workers``).  Results
+    are collected per index, so reductions done by the caller see the
+    same sequence no matter how many workers ran.
     """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    count = min(workers(threads), len(items))
+    if count <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+    with ThreadPoolExecutor(max_workers=count) as pool:
         return list(pool.map(fn, items))
 
 

@@ -16,18 +16,20 @@ counterpart of the integral dr / r against the same integrand.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Ball, RadialOrder, WeightedPointMeasure
+from .measure import Ball, RadialBlock, WeightedPointMeasure, radial_pass
 
 __all__ = [
     "BetaResult",
     "beta2",
     "BetaProfile",
     "jones_integral",
+    "jones_integrals",
     "condition_check",
     "beta_profile_rows",
 ]
@@ -114,34 +116,79 @@ class BetaProfile:
     revisiting the atoms.  The trailing eigenvalue route loses the last
     ~1e-8 of absolute accuracy on exactly flat data compared to beta2's
     direct residual; quantities integrated over scales tolerate that.
+
+    This is the one-centre case of the blocked pass behind
+    ``jones_integrals``; ``cum_w``, ``cum_first`` and ``cum_second`` are
+    views of its moment sums.
     """
 
     def __init__(self, measure: WeightedPointMeasure, center):
         center = np.asarray(center, dtype=float).reshape(-1)
-        self.measure = measure
-        self.center = center
         self.n = measure.target_dim
-        self.radial = RadialOrder(measure, center)
-        w = measure.weights[self.radial.order]
-        zs = self.radial.offsets
-        self.cum_w = self.radial.prefix(w)
-        self.cum_first = self.radial.prefix(w[:, None] * zs)
-        outer = zs[:, :, None] * zs[:, None, :]
-        self.cum_second = self.radial.prefix(w[:, None, None] * outer)
+        dim = measure.dim
+        self.block = RadialBlock(measure, 1, _lane_count(dim)).load(
+            center, _fill_moments)
+        sums = self.block.sums[:, 0]
+        self.cum_w = sums[0]
+        self.cum_first = sums[1:1 + dim].T
+        self.cum_second = np.moveaxis(sums[_moment_lanes(dim)[1]], -1, 0)
 
     def beta_sq_theta(self, radii):
         """Arrays (beta_2^2, theta) over the given radii."""
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        k = self.radial.count(radii)
-        beta_sq = np.zeros(radii.shape)
-        theta = np.zeros(radii.shape)
-        nz = k > 0
-        if nz.any():
-            ki = k[nz]
-            beta_sq[nz], theta[nz] = _moment_flatness(
-                self.cum_w[ki], self.cum_first[ki], self.cum_second[ki],
-                radii[nz], self.n)
-        return beta_sq, theta
+        beta_sq, theta = _block_flatness(self.block, radii, self.n)
+        return beta_sq[0], theta[0]
+
+
+@functools.cache
+def _moment_lanes(dim: int):
+    """The moment lanes' layout: mass, first moments, then second moments.
+
+    Only the upper triangle of the second moments gets a lane: z_a z_b
+    and z_b z_a round alike, so one lane serves both entries.  Returns
+    the upper triangle's index pairs and the (dim, dim) lane of each
+    second-moment entry; the arrays are shared, so they are read only.
+    """
+    upper = np.triu_indices(dim)
+    lane = np.zeros((dim, dim), dtype=np.intp)
+    lane[upper] = lane[upper[::-1]] = 1 + dim + np.arange(upper[0].size)
+    for index in (*upper, lane):
+        index.flags.writeable = False
+    return upper, lane
+
+
+def _lane_count(dim: int) -> int:
+    return 1 + dim + dim * (dim + 1) // 2
+
+
+def _fill_moments(block: RadialBlock) -> None:
+    """Write the moment lanes about each centre from the sorted offsets."""
+    w, z, lanes = block.lanes[0], block.offsets, block.lanes
+    dim = z.shape[0]
+    for a in range(dim):
+        np.multiply(w, z[a], out=lanes[1 + a])
+    for k, (a, b) in enumerate(zip(*_moment_lanes(dim)[0]), start=1 + dim):
+        np.multiply(z[a], z[b], out=lanes[k])
+        np.multiply(w, lanes[k], out=lanes[k])
+
+
+def _block_flatness(block: RadialBlock, radii, n: int):
+    """Arrays (beta_2^2, theta) over ``radii``, a row per centre.
+
+    ``block`` must be loaded with _fill_moments.  Balls holding no atom
+    keep 0; all the others' planes are fitted by one _moment_flatness call.
+    """
+    counts = block.count(radii)
+    beta_sq = np.zeros(counts.shape)
+    theta = np.zeros(counts.shape)
+    held = counts > 0
+    if held.any():
+        dim = block.offsets.shape[0]
+        sums = block.sums[:, np.nonzero(held)[0], counts[held]].T
+        beta_sq[held], theta[held] = _moment_flatness(
+            sums[:, 0], sums[:, 1:1 + dim], sums[:, _moment_lanes(dim)[1]],
+            np.broadcast_to(radii, counts.shape)[held], n)
+    return beta_sq, theta
 
 
 def _moment_flatness(W, S1, S2, radii, n: int):
@@ -171,6 +218,47 @@ def _jones_grid(r_lo: float, r_hi: float, scales_per_octave: int):
     return radii, math.log(rho)
 
 
+def jones_integrals(
+    measure: WeightedPointMeasure,
+    centers,
+    r_lo: float,
+    r_hi: float,
+    scales_per_octave: int = 4,
+    floor=None,
+    threads: int = 1,
+):
+    """``jones_integral`` at every row of ``centers``, in one blocked pass.
+
+    Each block of centres is sorted once (RadialBlock) and all its
+    m x R balls are fitted by one batched eigvalsh call; each centre's
+    integrand is summed over its own row, so every value equals
+    jones_integral at that centre bit for bit.  With a density ``floor``
+    the same orders also give each centre's sup_density(centre, floor),
+    and the result is the pair (integrals, sups).
+    """
+    r_lo, r_hi = float(r_lo), float(r_hi)
+    if not (measure.r_min <= r_lo < r_hi):
+        raise ValueError(
+            f"need r_min <= r_lo < r_hi, got r_min={measure.r_min:.3g} "
+            f"r_lo={r_lo:.3g} r_hi={r_hi:.3g}"
+        )
+    if int(scales_per_octave) < 1:
+        raise ValueError("scales_per_octave must be >= 1")
+    radii, log_rho = _jones_grid(r_lo, r_hi, scales_per_octave)
+    n = measure.target_dim
+
+    def visit(block):
+        beta_sq, theta = _block_flatness(block, radii, n)
+        values = np.sum(beta_sq * theta, axis=1) * log_rho
+        return values if floor is None else (values, block.sup_density(floor))
+
+    parts = radial_pass(measure, centers, visit, _lane_count(measure.dim),
+                        _fill_moments, threads)
+    if floor is None:
+        return np.concatenate(parts)
+    return tuple(np.concatenate(lane) for lane in zip(*parts))
+
+
 def jones_integral(
     measure: WeightedPointMeasure,
     center,
@@ -184,30 +272,22 @@ def jones_integral(
     geometric grid r_j = r_hi * rho^-j, rho = 2^(1/scales_per_octave).
     Requires r_min <= r_lo < r_hi.
     """
-    r_lo, r_hi = float(r_lo), float(r_hi)
-    if not (measure.r_min <= r_lo < r_hi):
-        raise ValueError(
-            f"need r_min <= r_lo < r_hi, got r_min={measure.r_min:.3g} "
-            f"r_lo={r_lo:.3g} r_hi={r_hi:.3g}"
-        )
-    if int(scales_per_octave) < 1:
-        raise ValueError("scales_per_octave must be >= 1")
-    if measure.is_empty:
-        return 0.0
-    radii, log_rho = _jones_grid(r_lo, r_hi, scales_per_octave)
-    beta_sq, theta = BetaProfile(measure, center).beta_sq_theta(radii)
-    return float(np.sum(beta_sq * theta) * log_rho)
+    center = np.asarray(center, dtype=float).reshape(1, -1)
+    return float(jones_integrals(measure, center, r_lo, r_hi,
+                                 scales_per_octave)[0])
 
 
 def condition_check(
     measure: WeightedPointMeasure,
     ball: Ball,
     scales_per_octave: int = 4,
+    threads: int = 1,
 ) -> dict:
     """Mass-normalised multiscale flatness of a ball.
 
     Returns sum over atoms x_i in B of w_i * jones(x_i, r_min, r(B)),
-    divided by mu(B).  A massless ball yields ratio 0.0 with a flag.
+    divided by mu(B), summed in atom index order.  A massless ball yields
+    ratio 0.0 with a flag.
     """
     idx = measure.ball_indices(ball.center, ball.radius)
     mass = float(np.sum(measure.weights[idx]))
@@ -222,27 +302,38 @@ def condition_check(
         record.update(total=0.0, ratio=0.0)
         record["degenerate"] = True
         return record
+    jones = jones_integrals(measure, measure.points[idx], measure.r_min,
+                            ball.radius, scales_per_octave, threads=threads)
     total = 0.0
-    for i in idx:
-        total += measure.weights[i] * jones_integral(
-            measure, measure.points[i], measure.r_min, ball.radius, scales_per_octave
-        )
+    for w, value in zip(measure.weights[idx], jones):
+        total += w * value
     record.update(total=float(total), ratio=float(total / mass))
     return record
 
 
 def beta_profile_rows(
     measure: WeightedPointMeasure,
-    center,
+    centers,
     r_lo: float,
     r_hi: float,
     scales_per_octave: int = 4,
+    threads: int = 1,
 ):
-    """(radius, beta2, theta) rows over the multiscale grid, coarse to fine."""
+    """(radius, beta2, theta) rows over the multiscale grid, coarse to fine.
+
+    ``centers`` is one centre, which gets its list of rows, or an (m, d)
+    array, which gets one list of rows per centre from one blocked pass.
+    """
+    centers = np.asarray(centers, dtype=float)
     radii, _ = _jones_grid(float(r_lo), float(r_hi), scales_per_octave)
-    profile = BetaProfile(measure, center)
-    beta_sq, theta = profile.beta_sq_theta(radii)
-    return [
-        (float(r), float(math.sqrt(b)), float(t))
-        for r, b, t in zip(radii, beta_sq, theta)
+    parts = radial_pass(
+        measure, centers,
+        lambda block: _block_flatness(block, radii, measure.target_dim),
+        _lane_count(measure.dim), _fill_moments, threads)
+    rows = [
+        [(float(r), float(math.sqrt(b)), float(t))
+         for r, b, t in zip(radii, beta_row, theta_row)]
+        for beta_sq, theta in parts
+        for beta_row, theta_row in zip(beta_sq, theta)
     ]
+    return rows[0] if centers.ndim == 1 else rows

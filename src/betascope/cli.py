@@ -19,7 +19,9 @@ import sys
 
 import numpy as np
 
-from ._util import dump_json, parallel_map
+from ._util import dump_json
+# perfbench/tracer.py patches parallel_map here by name
+from ._util import parallel_map  # noqa: F401
 from .beta import beta_profile_rows, condition_check
 from .corona import (
     build_corona,
@@ -132,7 +134,8 @@ def _cmd_analyze(args) -> int:
         measure.r_min,
     )
     cond = condition_check(measure, Ball(centroid, radius),
-                           scales_per_octave=args.scales_per_octave)
+                           scales_per_octave=args.scales_per_octave,
+                           threads=args.threads)
     checks = [
         {
             "name": "growth_constant",
@@ -158,14 +161,9 @@ def _cmd_analyze(args) -> int:
     if args.profile_csv:
         stride = max(1, measure.size // args.centers)
         centers = list(range(0, measure.size, stride))[: args.centers]
-        rows_per_center = parallel_map(
-            lambda i: beta_profile_rows(
-                measure, measure.points[i], measure.r_min, diam,
-                scales_per_octave=args.scales_per_octave,
-            ),
-            centers,
-            args.threads,
-        )
+        rows_per_center = beta_profile_rows(
+            measure, measure.points[centers], measure.r_min, diam,
+            scales_per_octave=args.scales_per_octave, threads=args.threads)
         with open(args.profile_csv, "w", encoding="ascii") as fh:
             fh.write("center_index,r,beta,theta,integrand\n")
             for center, rows in zip(centers, rows_per_center):
@@ -295,7 +293,8 @@ def _cmd_verify(args) -> int:
                                    max_samples=args.samples,
                                    threads=args.threads),
     ]
-    packing = packing_audit(corona, scales_per_octave=args.scales_per_octave)
+    packing = packing_audit(corona, scales_per_octave=args.scales_per_octave,
+                            threads=args.threads)
     checks.append({
         "name": "packing",
         "lhs": packing["lhs"],

@@ -15,16 +15,20 @@ and the fallback is 1.0, which callers can override.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from ._util import max_sq_pair_distance
+from ._util import (BLOCK_ELEMENTS, max_sq_pair_distance, parallel_map,
+                    workers)
 
 __all__ = [
     "Ball",
     "RadialOrder",
+    "RadialBlock",
+    "radial_pass",
     "WeightedPointMeasure",
     "load_csv",
     "save_csv",
@@ -239,18 +243,16 @@ class WeightedPointMeasure:
 
         The supremum of a right-continuous piecewise mass function divided
         by r^n is attained at a breakpoint radius or at the floor, so the
-        scan below is exact, not a grid approximation.
+        scan is exact, not a grid approximation.  This is the one-centre
+        case of ``RadialBlock.sup_density``.
         """
         floor = float(floor)
         if floor <= 0 or not np.isfinite(floor):
             raise ValueError(f"floor must be positive and finite, got {floor}")
         if self.is_empty:
             return 0.0
-        radial = RadialOrder(self, center)
-        masses = radial.prefix(self._weights[radial.order])
-        breaks = np.unique(radial.dist[radial.dist > floor])
-        radii = np.concatenate(([floor], breaks))
-        return float(np.max(masses[radial.count(radii)] / radii**self._n))
+        center = np.asarray(center, dtype=float).reshape(1, -1)
+        return float(RadialBlock(self, 1).load(center).sup_density(floor)[0])
 
     # -- growth and tails ---------------------------------------------------
 
@@ -261,12 +263,16 @@ class WeightedPointMeasure:
         atom from the distance breakpoints (no grid).  Otherwise a
         ``scale_grid`` of radii is required and the result is the maximum of
         the density over atoms x grid, a lower estimate of the true sup
-        restricted to r >= r_min.
+        restricted to r >= r_min.  Either way one blocked radial pass over
+        the atoms reads the mass lane.
         """
         if self.is_empty:
             return 0.0
         if exact:
-            return max(self.sup_density(c, self._r_min) for c in self._points)
+            floor = self._r_min
+            return max(radial_pass(
+                self, self._points,
+                lambda block: float(np.max(block.sup_density(floor)))))
         if scale_grid is None:
             raise ValueError("growth_constant needs a scale_grid unless exact=True")
         scale_grid = np.asarray(scale_grid, dtype=float).reshape(-1)
@@ -274,13 +280,14 @@ class WeightedPointMeasure:
             raise ValueError("scale_grid is empty")
         if (scale_grid < self._r_min).any():
             raise ValueError("scale_grid contains radii below r_min")
-        best = 0.0
-        for c in self._points:
-            radial = RadialOrder(self, c)
-            masses = radial.prefix(self._weights[radial.order])
-            val = np.max(masses[radial.count(scale_grid)] / scale_grid**self._n)
-            best = max(best, float(val))
-        return best
+        scale_pow = scale_grid**self._n
+
+        def densest(block):
+            rows = np.arange(block.rows)[:, None]
+            masses = block.sums[0][rows, block.count(scale_grid)]
+            return float(np.max(masses / scale_pow))
+
+        return max(radial_pass(self, self._points, densest))
 
     def annulus_tail(self, center, radius: float) -> float:
         """sum over |x_i - x| > r of w_i / |x_i - x|^(n+1).
@@ -376,6 +383,139 @@ class RadialOrder:
         """
         values = np.asarray(values, dtype=float)
         return np.flip(self.prefix(np.flip(values, axis), axis), axis)
+
+
+# Elements per lane array of a RadialBlock: lanes x centres x (atoms + 1)
+# stays within this, whatever the input size.
+RADIAL_BLOCK_ELEMENTS = BLOCK_ELEMENTS // 4
+
+
+def _head(store: np.ndarray, *shape) -> np.ndarray:
+    """The leading elements of a flat buffer, viewed with ``shape``."""
+    return store[:math.prod(shape)].reshape(shape)
+
+
+class RadialBlock:
+    """The radial orders of a block of centres at once, lane-major.
+
+    Row i of every array belongs to centre i of the block, as a
+    RadialOrder belongs to one centre: ``dist`` holds the sorted
+    distances, ``offsets`` (coordinate first) the sorted differences
+    p - x.  ``lanes`` holds per-atom values in each row's radial order,
+    lane 0 the weights; ``load`` accumulates every lane into ``sums``,
+    whose column 0 is zero, so ``sums[l, i, k]`` is lane l summed over
+    the k nearest atoms of centre i.
+
+    The buffers are allocated once, for ``width`` centres, and every
+    ``load`` writes into them; each array of a block is a view of its
+    buffer's head, so it stays contiguous when a block is narrower.
+    """
+
+    def __init__(self, measure: WeightedPointMeasure, width: int,
+                 lanes: int = 1):
+        size, dim = measure.size, measure.dim
+        self.target_dim = measure.target_dim
+        self._points = np.ascontiguousarray(measure.points.T)
+        self._weights = measure.weights
+        self._lanes = lanes
+        self._diff = np.empty(dim * width * size)
+        self._dist = np.empty(width * size)
+        self._scratch = np.empty(width * size)
+        self._offsets = np.empty(dim * width * size)
+        self._values = np.empty(lanes * width * size)
+        self._sums = np.empty(lanes * width * (size + 1))
+
+    @property
+    def rows(self) -> int:
+        return self.dist.shape[0]
+
+    def load(self, centers, fill=None) -> "RadialBlock":
+        """Sort the atoms about each of ``centers`` and sum the lanes.
+
+        ``fill(block)``, if given, writes lanes 1 and up from the sorted
+        ``offsets`` and weights before the sums are taken.
+        """
+        dim, size = self._points.shape
+        centers = np.asarray(centers, dtype=float).reshape(-1, dim)
+        rows = centers.shape[0]
+        diff = _head(self._diff, dim, rows, size)
+        raw = _head(self._scratch, rows, size)
+        self.dist = _head(self._dist, rows, size)
+        np.subtract(self._points[:, None, :], centers.T[:, :, None], out=diff)
+        # the squares summed left to right, then the root: the arithmetic
+        # of np.linalg.norm, so the distances are RadialOrder's bit for bit
+        np.multiply(diff[0], diff[0], out=raw)
+        for a in range(1, dim):
+            np.multiply(diff[a], diff[a], out=self.dist)
+            np.add(raw, self.dist, out=raw)
+        np.sqrt(raw, out=raw)
+        order = np.argsort(raw, axis=1, kind="stable")
+        self.lanes = _head(self._values, self._lanes, rows, size)
+        # mode="clip" lets take write straight into out; every index is
+        # in range, so nothing is clipped
+        np.take(self._weights, order, out=self.lanes[0], mode="clip")
+        order += np.arange(rows)[:, None] * size
+        np.take(raw, order, out=self.dist, mode="clip")
+        self.offsets = _head(self._offsets, dim, rows, size)
+        np.take(diff.reshape(dim, -1), order, axis=1, out=self.offsets,
+                mode="clip")
+        if fill is not None:
+            fill(self)
+        self.sums = _head(self._sums, self._lanes, rows, size + 1)
+        self.sums[..., 0] = 0.0
+        np.cumsum(self.lanes, axis=-1, out=self.sums[..., 1:])
+        return self
+
+    def count(self, radii) -> np.ndarray:
+        """Atoms in the closed balls B(x, r) over ``radii``, row by centre."""
+        return np.array([np.searchsorted(row, radii, side="right")
+                         for row in self.dist])
+
+    def sup_density(self, floor: float) -> np.ndarray:
+        """Per centre, the sup of mu(B(x, r)) / r^n over r >= floor.
+
+        Reads only the mass lane.  Position k of a row gives the
+        candidate (mass of the k + 1 nearest atoms) / max(dist_k, floor)^n.
+        At the last atom of each distance above the floor that is the
+        density at that breakpoint, and at the last atom within the floor
+        the density at the floor; every other candidate divides a mass no
+        larger by the same radius.  So the row maximum is the exact sup,
+        with the breakpoint scan's arithmetic, and no radius is 0.
+        """
+        ratio = _head(self._scratch, *self.dist.shape)
+        np.maximum(self.dist, floor, out=ratio)
+        ratio **= self.target_dim
+        np.divide(self.sums[0, :, 1:], ratio, out=ratio)
+        return ratio.max(axis=1)
+
+
+def radial_pass(measure: WeightedPointMeasure, centers, visit,
+                lanes: int = 1, fill=None, threads: int = 1) -> list:
+    """``visit(block)`` on a RadialBlock loaded with each block of centres.
+
+    Returns the visits' results in centre order.  A block holds as many
+    centres as keep lanes x centres x (atoms + 1) within
+    RADIAL_BLOCK_ELEMENTS, at least one.  With more than one worker the
+    centres are cut into contiguous chunks, about four per worker, and
+    each chunk allocates its own block once and reloads it block after
+    block.  Every result depends only on its own centres, so the results
+    are the same whatever the thread count.
+    """
+    centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
+    count = centers.shape[0]
+    width = max(1, RADIAL_BLOCK_ELEMENTS // (lanes * (measure.size + 1)))
+    blocks = -(-count // width)
+    pool = workers(threads)
+    step = width * max(1, blocks if pool <= 1 else -(-blocks // (4 * pool)))
+
+    def chunk(lo):
+        hi = min(lo + step, count)
+        block = RadialBlock(measure, min(width, hi - lo), lanes)
+        return [visit(block.load(centers[at:min(at + width, hi)], fill))
+                for at in range(lo, hi, width)]
+
+    parts = parallel_map(chunk, range(0, count, step), threads)
+    return [result for part in parts for result in part]
 
 
 # -- serialization ----------------------------------------------------------

@@ -19,12 +19,15 @@ from ._util import BLOCK_ELEMENTS, geometric_grid, parallel_map
 from .beta import (
     _jones_grid,
     _moment_flatness,
+    _moment_lanes,
     _plane_residual_sq,
     _weighted_plane,
-    jones_integral,
+    jones_integrals,
 )
+# perfbench/tracer.py patches jones_integral here by name
+from .beta import jones_integral  # noqa: F401
 from .corona import TreeGeometry
-from .measure import RadialOrder, WeightedPointMeasure
+from .measure import RadialOrder, WeightedPointMeasure, radial_pass
 from .operators import (
     k_r_chain,
     m_tilde,
@@ -49,7 +52,10 @@ REPORT_SCHEMA = "betascope-report/1"
 
 def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
                 scales_per_octave: int = 4, threads: int = 1) -> np.ndarray:
-    """Per-atom multiscale flatness energy over [r_lo, r_hi]."""
+    """Per-atom multiscale flatness energy over [r_lo, r_hi].
+
+    One blocked radial pass over the atoms (``jones_integrals``).
+    """
     if measure.is_empty:
         return np.zeros(0)
     if r_lo is None:
@@ -59,14 +65,8 @@ def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
     r_hi = measure.diameter if r_hi is None else float(r_hi)
     if r_hi <= r_lo:
         return np.zeros(measure.size)
-
-    def one(i):
-        return jones_integral(
-            measure, measure.points[i], r_lo, r_hi,
-            scales_per_octave=scales_per_octave,
-        )
-
-    return np.array(parallel_map(one, range(measure.size), threads))
+    return jones_integrals(measure, measure.points, r_lo, r_hi,
+                           scales_per_octave, threads=threads)
 
 
 def _flatness_floor(measure, scales_per_octave: int) -> float:
@@ -181,13 +181,9 @@ class _T1Sample:
         self.eps = _Ragged(cutoffs)
         self.radii = _Ragged(grids)
         # moment lanes: mass, first moments, then the upper triangle of
-        # the second moments; z_a z_b and z_b z_a round alike, so one lane
-        # serves both entries
+        # the second moments
         dim = measure.dim
-        self.upper = np.triu_indices(dim)
-        self.lane = np.zeros((dim, dim), dtype=np.intp)
-        self.lane[self.upper] = self.lane[self.upper[::-1]] = (
-            1 + dim + np.arange(self.upper[0].size))
+        self.upper, self.lane = _moment_lanes(dim)
         # balls per group: the masked moments are the largest temporary
         width = (measure.size + 1) * (1 + dim + self.upper[0].size)
         self.group = max(1, BLOCK_ELEMENTS // width)
@@ -465,19 +461,18 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8,
             floor = mu.r_min
             jones = np.zeros(mu.size)
             tail = 0.0
+            dens = np.concatenate(radial_pass(
+                mu, mu.points, lambda block: block.sup_density(floor),
+                threads=threads))
         else:
             floor = max(mu.r_min, diam / math.sqrt(mu.size))
-            jones = jones_field(mu, mu.r_min, diam,
-                                scales_per_octave=scales_per_octave,
-                                threads=threads)
+            # one radial order per atom serves its flatness and its density
+            jones, dens = jones_integrals(mu, mu.points, mu.r_min, diam,
+                                          scales_per_octave, floor=floor,
+                                          threads=threads)
             centroid, basis, _ = _weighted_plane(mu.points, mu.weights, n)
             res = _plane_residual_sq(mu.points - centroid, mu.weights, basis)
             tail = res * mu.total_mass / ((2 * n + 2) * diam ** (2 * n + 2))
-
-        def sup_density_at(i):
-            return mu.sup_density(mu.points[i], floor)
-
-        dens = np.array(parallel_map(sup_density_at, range(mu.size), threads))
         energy = jones + tail
         t_vals = 2.0 / (dens + np.sqrt(dens**2 + 4.0 * energy))
         worst = int(np.argmin(t_vals))
