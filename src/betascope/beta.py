@@ -126,8 +126,8 @@ class BetaProfile:
         center = np.asarray(center, dtype=float).reshape(-1)
         self.n = measure.target_dim
         dim = measure.dim
-        self.block = RadialBlock(measure, 1, _lane_count(dim)).load(
-            center, _fill_moments)
+        self.block = RadialBlock(measure, 1, _lane_count(dim),
+                                 offsets=True).load(center, _fill_moments)
         sums = self.block.sums[:, 0]
         self.cum_w = sums[0]
         self.cum_first = sums[1:1 + dim].T
@@ -158,13 +158,17 @@ def _moment_lanes(dim: int):
 
 
 def _lane_count(dim: int) -> int:
+    """Lanes of the moments: mass, first moments, upper second moments."""
     return 1 + dim + dim * (dim + 1) // 2
 
 
-def _fill_moments(block: RadialBlock) -> None:
-    """Write the moment lanes about each centre from the sorted offsets."""
-    w, z, lanes = block.lanes[0], block.offsets, block.lanes
-    dim = z.shape[0]
+def _fill_moments(lanes: np.ndarray, z: np.ndarray) -> None:
+    """Write the moment lanes 1 and up from lane 0's weights.
+
+    ``z`` holds the offsets p - x coordinate first, in the lanes' order:
+    (d, atoms) for one centre or (d, centres, atoms) for a block.
+    """
+    w, dim = lanes[0], z.shape[0]
     for a in range(dim):
         np.multiply(w, z[a], out=lanes[1 + a])
     for k, (a, b) in enumerate(zip(*_moment_lanes(dim)[0]), start=1 + dim):
@@ -321,19 +325,17 @@ def beta_profile_rows(
 ):
     """(radius, beta2, theta) rows over the multiscale grid, coarse to fine.
 
-    ``centers`` is one centre, which gets its list of rows, or an (m, d)
-    array, which gets one list of rows per centre from one blocked pass.
+    One list of rows per row of the (m, d) ``centers``, from one blocked
+    pass.
     """
-    centers = np.asarray(centers, dtype=float)
     radii, _ = _jones_grid(float(r_lo), float(r_hi), scales_per_octave)
     parts = radial_pass(
         measure, centers,
         lambda block: _block_flatness(block, radii, measure.target_dim),
         _lane_count(measure.dim), _fill_moments, threads)
-    rows = [
+    return [
         [(float(r), float(math.sqrt(b)), float(t))
          for r, b, t in zip(radii, beta_row, theta_row)]
         for beta_sq, theta in parts
         for beta_row, theta_row in zip(beta_sq, theta)
     ]
-    return rows[0] if centers.ndim == 1 else rows

@@ -293,8 +293,7 @@ def _cmd_verify(args) -> int:
                                    max_samples=args.samples,
                                    threads=args.threads),
     ]
-    packing = packing_audit(corona, scales_per_octave=args.scales_per_octave,
-                            threads=args.threads)
+    packing = packing_audit(corona, scales_per_octave=args.scales_per_octave)
     checks.append({
         "name": "packing",
         "lhs": packing["lhs"],

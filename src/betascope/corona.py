@@ -258,8 +258,7 @@ class TreeGeometry:
         return self._reg
 
 
-def packing_audit(corona: CoronaTree, scales_per_octave: int = 4,
-                  threads: int = 1) -> dict:
+def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
     """Compare the top-cell density sum with root term plus flatness energy.
 
     lhs sums theta(B_R)^2 mu(R) over all tree roots; rhs is the root cell's
@@ -275,7 +274,7 @@ def packing_audit(corona: CoronaTree, scales_per_octave: int = 4,
     r_lo = measure.r_min
     r_hi = corona.lattice.cells[corona.root_id].side
     jones = jones_integrals(measure, measure.points, r_lo, r_hi,
-                            scales_per_octave, threads=threads)
+                            scales_per_octave)
     energy = 0.0
     for w, value in zip(measure.weights, jones):
         energy += w * value

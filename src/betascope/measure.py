@@ -26,8 +26,8 @@ from ._util import (BLOCK_ELEMENTS, max_sq_pair_distance, parallel_map,
 
 __all__ = [
     "Ball",
-    "RadialOrder",
     "RadialBlock",
+    "RadialOrder",
     "radial_pass",
     "WeightedPointMeasure",
     "load_csv",
@@ -332,61 +332,8 @@ class WeightedPointMeasure:
         return self.restrict_mask(mask)
 
 
-class RadialOrder:
-    """The atoms of a measure in order of distance from a centre x.
-
-    Every closed ball B(x, r) is a prefix of this order and every region
-    |p - x| > r the complementary suffix, so any sum over balls or annuli
-    centred at x is a lookup in prefix or suffix sums taken along it.  The
-    sort is stable: atoms at equal distance keep their index order, which
-    fixes the summation order of every such sum.
-
-    Attributes: ``order`` maps sorted positions to atom indices, ``dist``
-    holds the sorted distances and ``offsets`` the sorted differences p - x.
-    """
-
-    def __init__(self, measure: WeightedPointMeasure, center):
-        center = np.asarray(center, dtype=float).reshape(-1)
-        offsets = measure.points - center
-        dist = np.linalg.norm(offsets, axis=1)
-        self.order = np.argsort(dist, kind="stable")
-        self.dist = dist[self.order]
-        self.offsets = np.take(offsets, self.order, axis=0)
-
-    def count(self, radii):
-        """Number of atoms in the closed balls B(x, r) for the given radii."""
-        return np.searchsorted(self.dist, radii, side="right")
-
-    def prefix(self, values, axis: int = 0) -> np.ndarray:
-        """Sums of per-atom ``values`` (in sorted order) over closed balls.
-
-        Entry k along ``axis`` sums the k nearest atoms, so entry 0 is zero
-        and ``prefix(values)[count(r)]`` is the sum over B(x, r).  Every
-        other axis is a separate lane; each lane sums in radial order.
-        """
-        values = np.asarray(values, dtype=float)
-        axis = axis % values.ndim
-        shape = list(values.shape)
-        shape[axis] += 1
-        sums = np.zeros(shape)
-        # accumulate straight into place: no copy behind the zero head
-        np.cumsum(values, axis=axis,
-                  out=sums[(slice(None),) * axis + (slice(1, None),)])
-        return sums
-
-    def suffix(self, values, axis: int = 0) -> np.ndarray:
-        """Sums of per-atom ``values`` (in sorted order) beyond each position.
-
-        Entry k along ``axis`` sums every atom but the k nearest,
-        accumulated farthest-first, so ``suffix(values)[count(r)]`` is the
-        sum over |p - x| > r and the last entry is zero.
-        """
-        values = np.asarray(values, dtype=float)
-        return np.flip(self.prefix(np.flip(values, axis), axis), axis)
-
-
-# Elements per lane array of a RadialBlock: lanes x centres x (atoms + 1)
-# stays within this, whatever the input size.
+# Elements per array of a RadialBlock: each holds at most
+# max(lanes, coordinates) x centres x (atoms + 1), whatever the input size.
 RADIAL_BLOCK_ELEMENTS = BLOCK_ELEMENTS // 4
 
 
@@ -395,33 +342,53 @@ def _head(store: np.ndarray, *shape) -> np.ndarray:
     return store[:math.prod(shape)].reshape(shape)
 
 
-class RadialBlock:
-    """The radial orders of a block of centres at once, lane-major.
+def _prefix(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` along ``axis`` over each leading run, into ``out``.
 
-    Row i of every array belongs to centre i of the block, as a
-    RadialOrder belongs to one centre: ``dist`` holds the sorted
-    distances, ``offsets`` (coordinate first) the sorted differences
-    p - x.  ``lanes`` holds per-atom values in each row's radial order,
-    lane 0 the weights; ``load`` accumulates every lane into ``sums``,
-    whose column 0 is zero, so ``sums[l, i, k]`` is lane l summed over
-    the k nearest atoms of centre i.
+    ``out`` is one longer along ``axis``: entry k sums the first k values,
+    so entry 0 is zero.  The sums accumulate straight into place.
+    """
+    lead = (slice(None),) * axis
+    out[lead + (0,)] = 0.0
+    np.cumsum(values, axis=axis, out=out[lead + (slice(1, None),)])
+    return out
+
+
+class RadialBlock:
+    """The atoms of a measure in order of distance from each of a block of
+    centres, lane-major.
+
+    Every closed ball B(x, r) is a prefix of a centre's order and every
+    region |p - x| > r the complementary suffix, so any sum over balls or
+    annuli centred at x is a lookup in prefix or suffix sums taken along
+    it.  The sort is stable: atoms at equal distance keep their index
+    order, which fixes the summation order of every such sum.
+
+    Row i of every array belongs to centre i of the block: ``order`` maps
+    its sorted positions to atom indices, ``dist`` holds the sorted
+    distances and, in a block built with ``offsets=True``, ``offsets``
+    (coordinate first) the sorted differences p - x.  ``lanes`` holds
+    per-atom values in each row's radial order, lane 0 the weights;
+    ``load`` accumulates every lane into ``sums``, whose column 0 is zero,
+    so ``sums[l, i, k]`` is lane l summed over the k nearest atoms of
+    centre i.
 
     The buffers are allocated once, for ``width`` centres, and every
-    ``load`` writes into them; each array of a block is a view of its
+    ``sort`` writes into them; each array of a block is a view of its
     buffer's head, so it stays contiguous when a block is narrower.
     """
 
     def __init__(self, measure: WeightedPointMeasure, width: int,
-                 lanes: int = 1):
+                 lanes: int = 1, offsets: bool = False):
         size, dim = measure.size, measure.dim
         self.target_dim = measure.target_dim
         self._points = np.ascontiguousarray(measure.points.T)
         self._weights = measure.weights
         self._lanes = lanes
-        self._diff = np.empty(dim * width * size)
+        self._flat = np.empty(width * size, dtype=np.intp)
         self._dist = np.empty(width * size)
         self._scratch = np.empty(width * size)
-        self._offsets = np.empty(dim * width * size)
+        self._offsets = np.empty(dim * width * size) if offsets else None
         self._values = np.empty(lanes * width * size)
         self._sums = np.empty(lanes * width * (size + 1))
 
@@ -429,41 +396,58 @@ class RadialBlock:
     def rows(self) -> int:
         return self.dist.shape[0]
 
-    def load(self, centers, fill=None) -> "RadialBlock":
-        """Sort the atoms about each of ``centers`` and sum the lanes.
+    def sort(self, centers) -> "RadialBlock":
+        """Order the atoms by distance from each of ``centers``.
 
-        ``fill(block)``, if given, writes lanes 1 and up from the sorted
-        ``offsets`` and weights before the sums are taken.
+        Fills ``order``, ``dist``, the weight lane and, if the block keeps
+        them, the ``offsets``; the other lanes and ``sums`` are left as
+        they were.
         """
         dim, size = self._points.shape
         centers = np.asarray(centers, dtype=float).reshape(-1, dim)
         rows = centers.shape[0]
-        diff = _head(self._diff, dim, rows, size)
         raw = _head(self._scratch, rows, size)
         self.dist = _head(self._dist, rows, size)
-        np.subtract(self._points[:, None, :], centers.T[:, :, None], out=diff)
         # the squares summed left to right, then the root: the arithmetic
-        # of np.linalg.norm, so the distances are RadialOrder's bit for bit
-        np.multiply(diff[0], diff[0], out=raw)
-        for a in range(1, dim):
-            np.multiply(diff[a], diff[a], out=self.dist)
-            np.add(raw, self.dist, out=raw)
+        # of np.linalg.norm, so every distance is norm(p - x) bit for bit
+        for a in range(dim):
+            square = self.dist if a else raw
+            np.subtract(self._points[a], centers[:, a, None], out=square)
+            np.multiply(square, square, out=square)
+            if a:
+                np.add(raw, square, out=raw)
         np.sqrt(raw, out=raw)
-        order = np.argsort(raw, axis=1, kind="stable")
+        self.order = np.argsort(raw, axis=1, kind="stable")
         self.lanes = _head(self._values, self._lanes, rows, size)
         # mode="clip" lets take write straight into out; every index is
         # in range, so nothing is clipped
-        np.take(self._weights, order, out=self.lanes[0], mode="clip")
-        order += np.arange(rows)[:, None] * size
-        np.take(raw, order, out=self.dist, mode="clip")
-        self.offsets = _head(self._offsets, dim, rows, size)
-        np.take(diff.reshape(dim, -1), order, axis=1, out=self.offsets,
-                mode="clip")
+        np.take(self._weights, self.order, out=self.lanes[0], mode="clip")
+        flat = _head(self._flat, rows, size)
+        np.add(self.order, (np.arange(rows) * size)[:, None], out=flat)
+        np.take(raw, flat, out=self.dist, mode="clip")
+        if self._offsets is not None:
+            # p - x of the sorted atoms: the differences the distances
+            # squared, taken after the gather
+            self.offsets = _head(self._offsets, dim, rows, size)
+            for a in range(dim):
+                np.take(self._points[a], self.order, out=self.offsets[a],
+                        mode="clip")
+                np.subtract(self.offsets[a], centers[:, a, None],
+                            out=self.offsets[a])
+        return self
+
+    def load(self, centers, fill=None) -> "RadialBlock":
+        """``sort`` about ``centers``, then sum every lane into ``sums``.
+
+        ``fill(lanes, offsets)``, if given, writes lanes 1 and up from the
+        weight lane and the sorted offsets before the sums are taken.
+        """
+        self.sort(centers)
         if fill is not None:
-            fill(self)
-        self.sums = _head(self._sums, self._lanes, rows, size + 1)
-        self.sums[..., 0] = 0.0
-        np.cumsum(self.lanes, axis=-1, out=self.sums[..., 1:])
+            fill(self.lanes, self.offsets)
+        rows, size = self.dist.shape
+        self.sums = _prefix(self.lanes, 2,
+                            _head(self._sums, self._lanes, rows, size + 1))
         return self
 
     def count(self, radii) -> np.ndarray:
@@ -489,13 +473,55 @@ class RadialBlock:
         return ratio.max(axis=1)
 
 
+class RadialOrder:
+    """The one-centre RadialBlock, with sums over any per-atom values.
+
+    Attributes: ``order`` maps sorted positions to atom indices, ``dist``
+    holds the sorted distances and ``offsets`` the sorted differences
+    p - x, as (atoms, d).
+    """
+
+    def __init__(self, measure: WeightedPointMeasure, center):
+        block = RadialBlock(measure, 1, offsets=True).sort(center)
+        self.order = block.order[0]
+        self.dist = block.dist[0]
+        self.offsets = np.ascontiguousarray(block.offsets[:, 0].T)
+
+    def count(self, radii):
+        """Number of atoms in the closed balls B(x, r) for the given radii."""
+        return np.searchsorted(self.dist, radii, side="right")
+
+    def prefix(self, values, axis: int = 0) -> np.ndarray:
+        """Sums of per-atom ``values`` (in sorted order) over closed balls.
+
+        Entry k along ``axis`` sums the k nearest atoms, so entry 0 is zero
+        and ``prefix(values)[count(r)]`` is the sum over B(x, r).  Every
+        other axis is a separate lane; each lane sums in radial order.
+        """
+        values = np.asarray(values, dtype=float)
+        axis = axis % values.ndim
+        shape = list(values.shape)
+        shape[axis] += 1
+        return _prefix(values, axis, np.empty(shape))
+
+    def suffix(self, values, axis: int = 0) -> np.ndarray:
+        """Sums of per-atom ``values`` (in sorted order) beyond each position.
+
+        Entry k along ``axis`` sums every atom but the k nearest,
+        accumulated farthest-first, so ``suffix(values)[count(r)]`` is the
+        sum over |p - x| > r and the last entry is zero.
+        """
+        values = np.asarray(values, dtype=float)
+        return np.flip(self.prefix(np.flip(values, axis), axis), axis)
+
+
 def radial_pass(measure: WeightedPointMeasure, centers, visit,
                 lanes: int = 1, fill=None, threads: int = 1) -> list:
     """``visit(block)`` on a RadialBlock loaded with each block of centres.
 
     Returns the visits' results in centre order.  A block holds as many
-    centres as keep lanes x centres x (atoms + 1) within
-    RADIAL_BLOCK_ELEMENTS, at least one.  With more than one worker the
+    centres as keep each of its arrays within RADIAL_BLOCK_ELEMENTS, at
+    least one: the lanes, and with a ``fill`` the offsets it reads.  With more than one worker the
     centres are cut into contiguous chunks, about four per worker, and
     each chunk allocates its own block once and reloads it block after
     block.  Every result depends only on its own centres, so the results
@@ -503,14 +529,17 @@ def radial_pass(measure: WeightedPointMeasure, centers, visit,
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
     count = centers.shape[0]
-    width = max(1, RADIAL_BLOCK_ELEMENTS // (lanes * (measure.size + 1)))
+    # a fill reads the offsets, which the block then keeps
+    planes = max(lanes, measure.dim) if fill is not None else lanes
+    width = max(1, RADIAL_BLOCK_ELEMENTS // (planes * (measure.size + 1)))
     blocks = -(-count // width)
     pool = workers(threads)
     step = width * max(1, blocks if pool <= 1 else -(-blocks // (4 * pool)))
 
     def chunk(lo):
         hi = min(lo + step, count)
-        block = RadialBlock(measure, min(width, hi - lo), lanes)
+        block = RadialBlock(measure, min(width, hi - lo), lanes,
+                            offsets=fill is not None)
         return [visit(block.load(centers[at:min(at + width, hi)], fill))
                 for at in range(lo, hi, width)]
 

@@ -17,7 +17,9 @@ from scipy.spatial import cKDTree
 
 from ._util import BLOCK_ELEMENTS, geometric_grid, parallel_map
 from .beta import (
+    _fill_moments,
     _jones_grid,
+    _lane_count,
     _moment_flatness,
     _moment_lanes,
     _plane_residual_sq,
@@ -183,9 +185,9 @@ class _T1Sample:
         # moment lanes: mass, first moments, then the upper triangle of
         # the second moments
         dim = measure.dim
-        self.upper, self.lane = _moment_lanes(dim)
+        self.lane = _moment_lanes(dim)[1]
         # balls per group: the masked moments are the largest temporary
-        width = (measure.size + 1) * (1 + dim + self.upper[0].size)
+        width = (measure.size + 1) * _lane_count(dim)
         self.group = max(1, BLOCK_ELEMENTS // width)
 
 
@@ -209,11 +211,9 @@ def _t1_atom(measure, kernel, atom: int, mine: np.ndarray,
     vals = kernel(-radial.offsets[near:])
     terms = (vals * measure.weights[radial.order[near:]][:, None]).T
     # the BetaProfile moments about the atom, one lane each
-    w = measure.weights[radial.order]
-    zs = radial.offsets
-    a, b = sample.upper
-    moments = np.concatenate(
-        (w[None], (w[:, None] * zs).T, (w[:, None] * (zs[:, a] * zs[:, b])).T))
+    moments = np.empty((_lane_count(dim), size))
+    moments[0] = measure.weights[radial.order]
+    _fill_moments(moments, radial.offsets.T)
     rank = np.empty(size, dtype=np.intp)
     rank[radial.order] = np.arange(size)
     energies, flatness = [], []

@@ -140,7 +140,7 @@ def test_condition_check_keys():
 
 def test_beta_profile_rows_columns():
     m = segment(30)
-    rows = beta_profile_rows(m, m.points[3], m.r_min, m.diameter)
+    rows = beta_profile_rows(m, m.points[3:4], m.r_min, m.diameter)[0]
     assert len(rows) >= 4
     for r, beta, theta in rows:
         assert r > 0 and beta >= 0 and theta >= 0

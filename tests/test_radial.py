@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from betascope import (BetaProfile, WeightedPointMeasure, cantor4,
-                       cauchy_kernel, m_tilde, riesz_kernel, segment,
-                       truncated_field)
+                       cauchy_kernel, lipschitz_graph, m_tilde, riesz_kernel,
+                       segment, truncated_field)
 from betascope.measure import RadialOrder
 from betascope.operators import _TruncationSums
 
@@ -24,22 +24,68 @@ def tie_cloud():
     return WeightedPointMeasure(pts, rng.uniform(0.5, 2.0, len(pts)), 1)
 
 
+def surface():
+    """d = 3, n = 2: a curved sheet with uneven weights."""
+    rng = np.random.default_rng(5)
+    uv = rng.uniform(0.0, 1.0, size=(120, 2))
+    pts = np.column_stack((uv, 0.3 * np.sin(3 * uv[:, 0]) * uv[:, 1]))
+    return WeightedPointMeasure(pts, rng.uniform(0.5, 1.5, len(pts)), 2)
+
+
+def helix():
+    """d = 3, n = 1."""
+    t = np.linspace(0.0, 3.0, 90)
+    pts = np.column_stack((np.cos(2 * t), np.sin(2 * t), 0.4 * t))
+    return WeightedPointMeasure(pts, np.full(len(t), 1.0 / len(t)), 1)
+
+
+def single_atom():
+    return WeightedPointMeasure([[0.25, -0.5]], [2.0], 1)
+
+
 MEASURES = {
     "segment": lambda: segment(40),
     "cantor4": lambda: cantor4(3),
     "ties": tie_cloud,
 }
 
+# the density and flatness oracles also run on a graph, d = 3 and one atom
+ALL_MEASURES = {
+    **MEASURES,
+    "graph": lambda: lipschitz_graph(150, seed=2),
+    "surface": surface,
+    "helix": helix,
+    "single": single_atom,
+}
+
 
 def centres(measure):
-    """Every atom (distance-0 ties included) plus a few off-atom points."""
-    off = np.array([[0.0, 0.0], [0.3, -0.2], [0.0625, 0.1875]])
-    return np.vstack((measure.points, off))
+    """Every atom (distance-0 ties included), then off-atom points.
+
+    The last lies beyond the support by more than the resolution, so the
+    smallest balls about it hold no atom.
+    """
+    pts = measure.points
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    reach = max(measure.diameter, measure.r_min)
+    fixed = [[0.0, 0.0], [0.3, -0.2], [0.0625, 0.1875]]
+    off = [0.5 * (lo + hi) + 0.013 * reach,
+           hi + 0.3 * reach,
+           lo - np.linspace(0.1, 0.2, measure.dim) * reach
+           - 4.0 * measure.r_min]
+    if measure.dim == 2:
+        off = fixed + off
+    return np.vstack((pts, off))
 
 
 @pytest.fixture(params=sorted(MEASURES))
 def measure(request):
     return MEASURES[request.param]()
+
+
+@pytest.fixture(params=sorted(ALL_MEASURES))
+def any_measure(request):
+    return ALL_MEASURES[request.param]()
 
 
 # -- oracles: the bodies the primitive replaced --------------------------------
@@ -207,19 +253,28 @@ def test_sums_along_any_axis_are_the_axis_0_sums(measure):
 
 # -- bit equality with the replaced bodies ------------------------------------
 
-def test_sup_density_bit_equal(measure):
+def test_sup_density_bit_equal(any_measure):
+    measure = any_measure
+    # the last is capacity's floor
+    floors = (measure.r_min, 0.1, 10.0,
+              max(measure.r_min, measure.diameter / np.sqrt(measure.size)))
     for x in centres(measure):
-        for floor in (measure.r_min, 0.1, 10.0):
+        for floor in floors:
             assert measure.sup_density(x, floor) == \
                 old_sup_density(measure, x, floor)
+    exact = max(old_sup_density(measure, x, measure.r_min)
+                for x in measure.points)
+    assert measure.growth_constant(exact=True) == exact
 
 
-def test_growth_constant_grid_bit_equal(measure):
+def test_growth_constant_grid_bit_equal(any_measure):
+    measure = any_measure
     grid = measure.r_min * 2.0 ** np.arange(0.0, 6.0, 0.5)
     assert measure.growth_constant(grid) == old_growth_grid(measure, grid)
 
 
-def test_beta_profile_bit_equal(measure):
+def test_beta_profile_bit_equal(any_measure):
+    measure = any_measure
     dist = np.linalg.norm(measure.points - measure.points[0], axis=1)
     radii = np.concatenate((np.geomspace(measure.r_min, 2.0, 17),
                             np.unique(dist[dist > 0.0])))

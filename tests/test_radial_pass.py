@@ -1,11 +1,11 @@
-"""The blocked radial pass against the per-atom bodies it replaced.
+"""The blocked radial pass against the per-atom loops it replaced.
 
-The oracles are the former per-atom code verbatim: ``BetaProfile`` and
-``jones_integral`` on one RadialOrder per centre, the loops of
-``jones_field`` and ``packing_audit`` over them, and the breakpoint scan of
-``sup_density``.  The pass sorts blocks of centres at once, lane-major,
-and must reproduce every value bit for bit, so every comparison here is
-exact equality.
+The oracles are the former per-atom code verbatim: ``jones_integral`` on
+one profile per centre and the loops of ``jones_field`` and
+``packing_audit`` over it.  The one-centre profile and density oracles,
+the measures and the centres are ``test_radial``'s.  The pass sorts
+blocks of centres at once, lane-major, and must reproduce every value bit
+for bit, so every comparison here is exact equality.
 """
 
 import math
@@ -16,46 +16,18 @@ import numpy as np
 import pytest
 
 from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
-                       build_lattice, cantor4, capacity_lower_bound,
-                       condition_check, jones_field, lipschitz_graph,
-                       packing_audit, segment)
+                       build_lattice, capacity_lower_bound, condition_check,
+                       jones_field, lipschitz_graph, packing_audit)
 from betascope import _util
-from betascope.beta import _jones_grid, _moment_flatness, jones_integrals
+from betascope.beta import _jones_grid, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
-                               RadialOrder, radial_pass)
+                               radial_pass)
 from betascope.verify import _flatness_floor
+from test_radial import (ALL_MEASURES, OldBetaProfile, centres, old_sup_density,
+                         surface)
 
 
-# -- oracles: the per-atom bodies the pass replaced ----------------------------
-
-class OldBetaProfile:
-    def __init__(self, measure, center):
-        center = np.asarray(center, dtype=float).reshape(-1)
-        self.measure = measure
-        self.center = center
-        self.n = measure.target_dim
-        self.radial = RadialOrder(measure, center)
-        w = measure.weights[self.radial.order]
-        zs = self.radial.offsets
-        self.cum_w = self.radial.prefix(w)
-        self.cum_first = self.radial.prefix(w[:, None] * zs)
-        outer = zs[:, :, None] * zs[:, None, :]
-        self.cum_second = self.radial.prefix(w[:, None, None] * outer)
-
-    def beta_sq_theta(self, radii):
-        """Arrays (beta_2^2, theta) over the given radii."""
-        radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        k = self.radial.count(radii)
-        beta_sq = np.zeros(radii.shape)
-        theta = np.zeros(radii.shape)
-        nz = k > 0
-        if nz.any():
-            ki = k[nz]
-            beta_sq[nz], theta[nz] = _moment_flatness(
-                self.cum_w[ki], self.cum_first[ki], self.cum_second[ki],
-                radii[nz], self.n)
-        return beta_sq, theta
-
+# -- oracles: the per-atom loops the pass replaced -----------------------------
 
 def old_jones_integral(measure, center, r_lo, r_hi, scales_per_octave=4):
     r_lo, r_hi = float(r_lo), float(r_hi)
@@ -106,73 +78,11 @@ def old_packing_energy(corona, scales_per_octave=4):
     return energy
 
 
-def old_sup_density(measure, center, floor):
-    floor = float(floor)
-    if measure.is_empty:
-        return 0.0
-    radial = RadialOrder(measure, center)
-    masses = radial.prefix(measure.weights[radial.order])
-    breaks = np.unique(radial.dist[radial.dist > floor])
-    radii = np.concatenate(([floor], breaks))
-    return float(np.max(masses[radial.count(radii)]
-                        / radii**measure.target_dim))
-
-
 # -- inputs ---------------------------------------------------------------
 
-def tie_cloud():
-    """Grid-snapped atoms: repeated sites and many equal distances."""
-    rng = np.random.default_rng(7)
-    pts = rng.integers(-3, 4, size=(60, 2)) * 0.125
-    pts = np.vstack((pts, pts[:5]))
-    return WeightedPointMeasure(pts, rng.uniform(0.5, 2.0, len(pts)), 1)
-
-
-def surface():
-    """d = 3, n = 2: a curved sheet with uneven weights."""
-    rng = np.random.default_rng(5)
-    uv = rng.uniform(0.0, 1.0, size=(120, 2))
-    pts = np.column_stack((uv, 0.3 * np.sin(3 * uv[:, 0]) * uv[:, 1]))
-    return WeightedPointMeasure(pts, rng.uniform(0.5, 1.5, len(pts)), 2)
-
-
-def helix():
-    """d = 3, n = 1."""
-    t = np.linspace(0.0, 3.0, 90)
-    pts = np.column_stack((np.cos(2 * t), np.sin(2 * t), 0.4 * t))
-    return WeightedPointMeasure(pts, np.full(len(t), 1.0 / len(t)), 1)
-
-
-def single_atom():
-    return WeightedPointMeasure([[0.25, -0.5]], [2.0], 1)
-
-
-MEASURES = {
-    "segment": lambda: segment(60),
-    "cantor4": lambda: cantor4(3),
-    "graph": lambda: lipschitz_graph(150, seed=2),
-    "ties": tie_cloud,
-    "surface": surface,
-    "helix": helix,
-    "single": single_atom,
-}
-
-
-@pytest.fixture(params=sorted(MEASURES))
+@pytest.fixture(params=sorted(ALL_MEASURES))
 def measure(request):
-    return MEASURES[request.param]()
-
-
-def centres(measure):
-    """Every atom, then off-atom points whose smallest balls hold no atom."""
-    pts = measure.points
-    lo, hi = pts.min(axis=0), pts.max(axis=0)
-    reach = max(measure.diameter, measure.r_min)
-    off = [0.5 * (lo + hi) + 0.013 * reach,
-           hi + 0.3 * reach,
-           lo - np.linspace(0.1, 0.2, measure.dim) * reach
-           - 4.0 * measure.r_min]
-    return np.vstack((pts, off))
+    return ALL_MEASURES[request.param]()
 
 
 def ranges(measure):
@@ -214,11 +124,9 @@ def test_jones_field_equals_the_per_atom_loop(measure):
 @pytest.mark.parametrize("name", ["segment", "cantor4", "graph", "ties",
                                   "surface"])
 def test_packing_energy_equals_the_per_atom_loop(name):
-    measure = MEASURES[name]()
+    measure = ALL_MEASURES[name]()
     corona = build_corona(build_lattice(measure))
-    for threads in (1, 2):
-        audit = packing_audit(corona, threads=threads)
-        assert audit["jones_energy"] == old_packing_energy(corona)
+    assert packing_audit(corona)["jones_energy"] == old_packing_energy(corona)
     old = old_packing_energy(corona, scales_per_octave=2)
     assert packing_audit(corona, scales_per_octave=2)["jones_energy"] == old
 
@@ -245,12 +153,11 @@ def test_profile_rows_equal_the_one_centre_profiles(measure):
         want = [(float(r), float(math.sqrt(b)), float(t))
                 for r, b, t in zip(radii, beta_sq, theta)]
         assert got == want
-        assert beta_profile_rows(measure, x, r_lo, r_hi) == want
 
 
 # -- density sups ---------------------------------------------------------------
 
-def test_sup_density_pass_equals_the_breakpoint_scan(measure):
+def test_density_pass_equals_the_breakpoint_scan(measure):
     xs = centres(measure)
     floors = (measure.r_min, 0.1, 10.0,
               max(measure.r_min, measure.diameter / math.sqrt(measure.size)))
@@ -259,10 +166,6 @@ def test_sup_density_pass_equals_the_breakpoint_scan(measure):
         new = np.concatenate(radial_pass(
             measure, xs, lambda block: block.sup_density(floor), threads=2))
         assert np.array_equal(new, old)
-        assert [measure.sup_density(x, floor) for x in xs] == old
-    exact = max(old_sup_density(measure, x, measure.r_min)
-                for x in measure.points)
-    assert measure.growth_constant(exact=True) == exact
 
 
 def test_flatness_and_density_share_one_pass(measure):
@@ -306,7 +209,7 @@ def test_lane_distances_are_the_norms(dim):
     pts = rng.normal(size=(2000, dim)) * scale
     measure = WeightedPointMeasure(pts, np.ones(2000), 1, r_min=1e-6)
     xs = rng.normal(size=(5, dim))
-    block = RadialBlock(measure, len(xs)).load(xs)
+    block = RadialBlock(measure, len(xs), offsets=True).sort(xs)
     for x, dist, offsets in zip(xs, block.dist, np.moveaxis(block.offsets,
                                                             0, -1)):
         norms = np.linalg.norm(pts - x, axis=1)
@@ -315,28 +218,45 @@ def test_lane_distances_are_the_norms(dim):
         assert np.array_equal(offsets, (pts - x)[order])
 
 
-def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch):
-    measure = lipschitz_graph(300, seed=4)
-    made, widths = [], []
+@pytest.mark.parametrize("build", [lambda: lipschitz_graph(300, seed=4),
+                                   surface])
+def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch,
+                                                               build):
+    measure = build()
+    made = []
     init = RadialBlock.__init__
 
-    def counting(self, measure, width, lanes=1):
-        made.append(width)
-        init(self, measure, width, lanes)
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
 
     monkeypatch.setattr(RadialBlock, "__init__", counting)
 
-    def visit(block):
-        widths.append(block.rows)
-        assert block.sums.size <= RADIAL_BLOCK_ELEMENTS
-        return block.sup_density(measure.r_min)
+    def arrays(block):
+        """Every array the block holds, but the measure's own data."""
+        return [value for name, value in vars(block).items()
+                if isinstance(value, np.ndarray)
+                and name not in ("_points", "_weights")]
 
-    radial_pass(measure, measure.points, visit, lanes=6)
-    assert len(made) == 1 and len(widths) > 4
-    assert sum(widths) == measure.size
+    for lanes in (1, 6):
+        made.clear()
+        widths = []
+
+        def visit(block):
+            widths.append(block.rows)
+            assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(block))
+            return block.sup_density(measure.r_min)
+
+        radial_pass(measure, measure.points, visit, lanes=lanes)
+        assert len(made) == 1 and sum(widths) == measure.size
+        # a density-only pass neither keeps nor gathers the offsets
+        assert made[0]._offsets is None and "offsets" not in vars(made[0])
+    # the flatness pass, which reads them
     made.clear()
     jones_field(measure)
     assert len(made) == 1
+    assert made[0].offsets.size > 0
+    assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(made[0]))
 
 
 def test_pass_memory_is_a_few_blocks_not_atoms_squared():
