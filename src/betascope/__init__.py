@@ -8,7 +8,7 @@ suppressed convolution operators (``operators``), and the inequality
 checks plus report plumbing that tie them together (``verify``).
 """
 
-from ._util import dump_json, geometric_grid, parallel_map
+from ._util import dump_json, geometric_grid
 from .beta import (
     BetaProfile,
     BetaResult,
@@ -117,7 +117,6 @@ __all__ = [
     "make_kernel",
     "make_report",
     "packing_audit",
-    "parallel_map",
     "pointwise_domination_check",
     "riesz_kernel",
     "save_csv",

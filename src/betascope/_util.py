@@ -1,12 +1,10 @@
-"""Shared plumbing: deterministic JSON output, ordered parallel map, grids,
-and the blocked all-pairs scan."""
+"""Shared plumbing: deterministic JSON output, the ordered map, grids, and
+the blocked all-pairs scan."""
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,24 +16,13 @@ __all__ = ["parallel_map", "dump_json", "geometric_grid",
 BLOCK_ELEMENTS = 1 << 18
 
 
-def workers(threads: int) -> int:
-    """Worker threads for a ``threads`` request: never more than the CPUs."""
-    return max(1, min(int(threads), os.cpu_count() or 1))
-
-
 def parallel_map(fn, items, threads: int = 1) -> list:
-    """map() preserving input order, optionally on a thread pool.
+    """``[fn(item) for item in items]``; ``threads`` is accepted and ignored.
 
-    The pool has at most one worker per CPU (see ``workers``).  Results
-    are collected per index, so reductions done by the caller see the
-    same sequence no matter how many workers ran.
+    No command calls it.  It keeps the name and the three-argument call
+    that ``perfbench/tracer.py`` patches and makes.
     """
-    items = list(items)
-    count = min(workers(threads), len(items))
-    if count <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def dump_json(payload, path=None) -> str:

@@ -229,7 +229,6 @@ def jones_integrals(
     r_hi: float,
     scales_per_octave: int = 4,
     floor=None,
-    threads: int = 1,
 ):
     """``jones_integral`` at every row of ``centers``, in one blocked pass.
 
@@ -257,7 +256,7 @@ def jones_integrals(
         return values if floor is None else (values, block.sup_density(floor))
 
     parts = radial_pass(measure, centers, visit, _lane_count(measure.dim),
-                        _fill_moments, threads)
+                        _fill_moments)
     if floor is None:
         return np.concatenate(parts)
     return tuple(np.concatenate(lane) for lane in zip(*parts))
@@ -285,7 +284,6 @@ def condition_check(
     measure: WeightedPointMeasure,
     ball: Ball,
     scales_per_octave: int = 4,
-    threads: int = 1,
 ) -> dict:
     """Mass-normalised multiscale flatness of a ball.
 
@@ -307,7 +305,7 @@ def condition_check(
         record["degenerate"] = True
         return record
     jones = jones_integrals(measure, measure.points[idx], measure.r_min,
-                            ball.radius, scales_per_octave, threads=threads)
+                            ball.radius, scales_per_octave)
     total = 0.0
     for w, value in zip(measure.weights[idx], jones):
         total += w * value
@@ -321,7 +319,6 @@ def beta_profile_rows(
     r_lo: float,
     r_hi: float,
     scales_per_octave: int = 4,
-    threads: int = 1,
 ):
     """(radius, beta2, theta) rows over the multiscale grid, coarse to fine.
 
@@ -332,7 +329,7 @@ def beta_profile_rows(
     parts = radial_pass(
         measure, centers,
         lambda block: _block_flatness(block, radii, measure.target_dim),
-        _lane_count(measure.dim), _fill_moments, threads)
+        _lane_count(measure.dim), _fill_moments)
     return [
         [(float(r), float(math.sqrt(b)), float(t))
          for r, b, t in zip(radii, beta_row, theta_row)]

@@ -6,8 +6,8 @@ write JSON reports.  Exit codes: 0 success, 1 invalid input, 2 baseline
 mismatch (argparse keeps its own code 2 for malformed command lines).
 
 Reports are canonical JSON with no wall-clock content by default, so a
-repeated run with the same flags produces the same bytes regardless of
-thread count; pass --stamp to embed the current time.
+repeated run with the same flags produces the same bytes; pass --stamp to
+embed the current time.
 """
 
 from __future__ import annotations
@@ -134,8 +134,7 @@ def _cmd_analyze(args) -> int:
         measure.r_min,
     )
     cond = condition_check(measure, Ball(centroid, radius),
-                           scales_per_octave=args.scales_per_octave,
-                           threads=args.threads)
+                           scales_per_octave=args.scales_per_octave)
     checks = [
         {
             "name": "growth_constant",
@@ -163,7 +162,7 @@ def _cmd_analyze(args) -> int:
         centers = list(range(0, measure.size, stride))[: args.centers]
         rows_per_center = beta_profile_rows(
             measure, measure.points[centers], measure.r_min, diam,
-            scales_per_octave=args.scales_per_octave, threads=args.threads)
+            scales_per_octave=args.scales_per_octave)
         with open(args.profile_csv, "w", encoding="ascii") as fh:
             fh.write("center_index,r,beta,theta,integrand\n")
             for center, rows in zip(centers, rows_per_center):
@@ -282,16 +281,12 @@ def _cmd_verify(args) -> int:
 
     checks = [
         main_lemma_check(measure, kernel,
-                         scales_per_octave=args.scales_per_octave,
-                         threads=args.threads),
+                         scales_per_octave=args.scales_per_octave),
         t1_ball_check(measure, kernel, balls,
-                      scales_per_octave=args.scales_per_octave,
-                      threads=args.threads),
-        cotlar_check(measure, kernel, corona, root,
-                     max_samples=args.samples, threads=args.threads),
+                      scales_per_octave=args.scales_per_octave),
+        cotlar_check(measure, kernel, corona, root, max_samples=args.samples),
         pointwise_domination_check(measure, kernel, corona, bump, root,
-                                   max_samples=args.samples,
-                                   threads=args.threads),
+                                   max_samples=args.samples),
     ]
     packing = packing_audit(corona, scales_per_octave=args.scales_per_octave)
     checks.append({
@@ -347,8 +342,7 @@ def _cmd_verify(args) -> int:
 def _cmd_capacity(args) -> int:
     measures = [_load_measure(path, args.r_min) for path in args.input]
     record = capacity_lower_bound(measures,
-                                  scales_per_octave=args.scales_per_octave,
-                                  threads=args.threads)
+                                  scales_per_octave=args.scales_per_octave)
     config = {
         "command": "capacity",
         "scales_per_octave": args.scales_per_octave,
@@ -448,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cap)
 
     for sp in (analyze, ver, cap):
-        sp.add_argument("--threads", type=_positive_int, default=1)
+        sp.add_argument("--threads", type=_positive_int, default=1,
+                        help="accepted for compatibility; every command "
+                             "runs serially, so it changes nothing")
     for sp in (analyze, cor, ver, cap):
         sp.add_argument("--scales-per-octave", type=_positive_int, default=4)
     return parser

@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from ._util import (BLOCK_ELEMENTS, max_sq_pair_distance, parallel_map,
-                    workers)
+from ._util import BLOCK_ELEMENTS, max_sq_pair_distance
 
 __all__ = [
     "Ball",
@@ -302,6 +301,8 @@ class WeightedPointMeasure:
         if self.is_empty:
             return 0.0
         center = np.asarray(center, dtype=float).reshape(-1)
+        if center.shape[0] != self._dim:
+            raise ValueError(f"center has dim {center.shape[0]}, expected {self._dim}")
         dist = np.linalg.norm(self._points - center, axis=1)
         mask = dist > radius
         return float(np.sum(self._weights[mask] / dist[mask] ** (self._n + 1)))
@@ -516,35 +517,23 @@ class RadialOrder:
 
 
 def radial_pass(measure: WeightedPointMeasure, centers, visit,
-                lanes: int = 1, fill=None, threads: int = 1) -> list:
+                lanes: int = 1, fill=None) -> list:
     """``visit(block)`` on a RadialBlock loaded with each block of centres.
 
     Returns the visits' results in centre order.  A block holds as many
     centres as keep each of its arrays within RADIAL_BLOCK_ELEMENTS, at
-    least one: the lanes, and with a ``fill`` the offsets it reads.  With more than one worker the
-    centres are cut into contiguous chunks, about four per worker, and
-    each chunk allocates its own block once and reloads it block after
-    block.  Every result depends only on its own centres, so the results
-    are the same whatever the thread count.
+    least one: the lanes, and with a ``fill`` the offsets it reads.  One
+    block is allocated and reloaded block after block.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
     count = centers.shape[0]
     # a fill reads the offsets, which the block then keeps
     planes = max(lanes, measure.dim) if fill is not None else lanes
     width = max(1, RADIAL_BLOCK_ELEMENTS // (planes * (measure.size + 1)))
-    blocks = -(-count // width)
-    pool = workers(threads)
-    step = width * max(1, blocks if pool <= 1 else -(-blocks // (4 * pool)))
-
-    def chunk(lo):
-        hi = min(lo + step, count)
-        block = RadialBlock(measure, min(width, hi - lo), lanes,
-                            offsets=fill is not None)
-        return [visit(block.load(centers[at:min(at + width, hi)], fill))
-                for at in range(lo, hi, width)]
-
-    parts = parallel_map(chunk, range(0, count, step), threads)
-    return [result for part in parts for result in part]
+    block = RadialBlock(measure, min(width, count), lanes,
+                        offsets=fill is not None)
+    return [visit(block.load(centers[at:at + width], fill))
+            for at in range(0, count, width)]
 
 
 # -- serialization ----------------------------------------------------------
@@ -623,12 +612,22 @@ def save_json(measure: WeightedPointMeasure, path) -> None:
 def load_json(path) -> WeightedPointMeasure:
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: top level must be an object")
     for key in ("dim", "n", "points", "weights"):
         if key not in payload:
             raise ValueError(f"{path}: missing key {key!r}")
-    points = np.asarray(payload["points"], dtype=float)
-    weights = np.asarray(payload["weights"], dtype=float)
-    if points.ndim != 2 or points.shape[1] != int(payload["dim"]):
+    for key in ("dim", "n"):
+        # bool is an int subclass; JSON true must not pass for 1
+        if type(payload[key]) is not int:
+            raise ValueError(f"{path}: {key!r} must be an integer, "
+                             f"got {payload[key]!r}")
+    try:
+        points = np.asarray(payload["points"], dtype=float)
+        weights = np.asarray(payload["weights"], dtype=float)
+    except TypeError as exc:
+        raise ValueError(f"{path}: points and weights must be numbers") from exc
+    if points.ndim != 2 or points.shape[1] != payload["dim"]:
         raise ValueError(f"{path}: points do not match declared dim")
     if weights.size and ((~np.isfinite(weights)).any() or (weights <= 0).any()):
         bad = int(np.argmax(~np.isfinite(weights) | (weights <= 0)))
@@ -636,4 +635,4 @@ def load_json(path) -> WeightedPointMeasure:
     if points.size and (~np.isfinite(points)).any():
         bad = int(np.argmax((~np.isfinite(points)).any(axis=1)))
         raise ValueError(f"{path}: atom {bad}: coordinates must be finite")
-    return WeightedPointMeasure(points, weights, int(payload["n"]))
+    return WeightedPointMeasure(points, weights, payload["n"])

@@ -9,8 +9,7 @@ outside the truncation.
 All truncated sums for one evaluation point flow through a single
 sorted-by-distance suffix accumulation, so a sweep over many cutoffs costs
 one sort and one search, and every cutoff of the same point sums in the
-same order (deterministic results independent of sweep shape or thread
-count).
+same order (deterministic results independent of sweep shape).
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import BLOCK_ELEMENTS, geometric_grid, parallel_map
+from ._util import BLOCK_ELEMENTS, geometric_grid
+# perfbench/tracer.py patches parallel_map here by name
+from ._util import parallel_map  # noqa: F401
 from .beta import (
     _fill_moments,
     _jones_grid,
@@ -53,7 +55,7 @@ REPORT_SCHEMA = "betascope-report/1"
 
 
 def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
-                scales_per_octave: int = 4, threads: int = 1) -> np.ndarray:
+                scales_per_octave: int = 4) -> np.ndarray:
     """Per-atom multiscale flatness energy over [r_lo, r_hi].
 
     One blocked radial pass over the atoms (``jones_integrals``).
@@ -68,7 +70,7 @@ def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
     if r_hi <= r_lo:
         return np.zeros(measure.size)
     return jones_integrals(measure, measure.points, r_lo, r_hi,
-                           scales_per_octave, threads=threads)
+                           scales_per_octave)
 
 
 def _flatness_floor(measure, scales_per_octave: int) -> float:
@@ -89,22 +91,16 @@ def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
     return geometric_grid(lo, hi, scales_per_octave)
 
 
-def _field_norms_sq(kernel, measure, eps_grid, threads: int) -> np.ndarray:
+def _field_norms_sq(kernel, measure, eps_grid) -> np.ndarray:
     """For each cutoff, the weighted square sum of |T_eps| over the atoms."""
-
-    def one(i):
-        row = truncated_field(kernel, measure, measure.points[i], eps_grid)[0]
-        return np.sum(row**2, axis=1)
-
-    rows = parallel_map(one, range(measure.size), threads)
     out = np.zeros(len(eps_grid))
-    for w, row in zip(measure.weights, rows):
-        out += w * row
+    for w, x in zip(measure.weights, measure.points):
+        row = truncated_field(kernel, measure, x, eps_grid)[0]
+        out += w * np.sum(row**2, axis=1)
     return out
 
 
-def main_lemma_check(measure, kernel, scales_per_octave: int = 4,
-                     threads: int = 1) -> dict:
+def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
     """Square-function bound: worst truncation energy against mass + flatness.
 
     lhs is the max over cutoffs of sum_i w_i |T_eps(x_i)|^2; rhs is the
@@ -113,10 +109,9 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4,
     if measure.is_empty:
         raise ValueError("measure is empty")
     eps_grid = _cutoff_grid(measure, scales_per_octave)
-    energies = _field_norms_sq(kernel, measure, eps_grid, threads)
+    energies = _field_norms_sq(kernel, measure, eps_grid)
     lhs = float(np.max(energies))
-    jones = jones_field(measure, scales_per_octave=scales_per_octave,
-                        threads=threads)
+    jones = jones_field(measure, scales_per_octave=scales_per_octave)
     rhs = measure.total_mass + float(measure.weights @ jones)
     return {
         "name": "main_lemma",
@@ -255,8 +250,7 @@ def _t1_atom(measure, kernel, atom: int, mine: np.ndarray,
     return np.concatenate(energies), np.concatenate(flatness)
 
 
-def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4,
-                  threads: int = 1) -> dict:
+def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4) -> dict:
     """main_lemma_check on ball restrictions; the worst ratio over the sample.
 
     One pass over the atoms the balls cover does the work of one
@@ -283,23 +277,12 @@ def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4,
                            members.lengths)[pairs]
         covered, starts = np.unique(members.flat[pairs], return_index=True)
         bounds = np.append(starts, pairs.size)
-
-        def one(k):
+        for k, atom in enumerate(covered):
             mine = owners[bounds[k]:bounds[k + 1]]
-            return _t1_atom(measure, kernel, int(covered[k]), mine, sample)
-
-        # atoms per block: their results, at most a grid row per ball
-        # each, stay within BLOCK_ELEMENTS
-        widest = int(eps.lengths.sum()) + len(sample.slots)
-        step = max(int(threads), BLOCK_ELEMENTS // widest, 1)
-        for lo in range(0, covered.size, step):
-            block = range(lo, min(lo + step, covered.size))
-            for k, (energy, flatness) in zip(block,
-                                             parallel_map(one, block, threads)):
-                mine = owners[bounds[k]:bounds[k + 1]]
-                energies[eps.positions(mine)] += (
-                    measure.weights[covered[k]] * energy)
-                jones[pairs[bounds[k]:bounds[k + 1]]] = flatness
+            energy, flatness = _t1_atom(measure, kernel, int(atom), mine,
+                                        sample)
+            energies[eps.positions(mine)] += measure.weights[atom] * energy
+            jones[pairs[bounds[k]:bounds[k + 1]]] = flatness
         for b, slot in enumerate(sample.slots):
             lhs = float(np.max(energies[eps.positions([b])]))
             rhs = sample.masses[b]
@@ -325,7 +308,7 @@ def _strided(indices: np.ndarray, cap: int) -> np.ndarray:
 
 
 def cotlar_check(measure, kernel, corona, top_id: int,
-                 max_samples: int = 128, threads: int = 1) -> dict:
+                 max_samples: int = 128) -> dict:
     """Maximal suppressed operator against maximal functions of its output.
 
     With sigma the restriction to B0(R) and Phi_R the tree suppression:
@@ -354,28 +337,20 @@ def cotlar_check(measure, kernel, corona, top_id: int,
         t_vals = np.zeros(sigma.size)
     else:
         gaps = cKDTree(sites).query(sigma.points, k=2)[0][:, 1]
-
-        def t_phi_at(j):
-            val = t_phi_eps(kernel, sigma, sigma.points[j],
-                            float(gaps[j]) / 2.0, phi_sigma[j], phi_sigma)
-            return float(np.linalg.norm(val))
-
-        t_vals = np.array(parallel_map(t_phi_at, range(sigma.size), threads))
+        t_vals = np.array([
+            float(np.linalg.norm(t_phi_eps(kernel, sigma, x, float(gap) / 2.0,
+                                           phi, phi_sigma)))
+            for x, gap, phi in zip(sigma.points, gaps, phi_sigma)])
 
     sample = _strided(np.arange(sigma.size), max_samples)
-
-    def one(j):
+    flagged = 0
+    best = 0.0
+    worst_lhs = worst_rhs = 0.0
+    for j in sample:
         x = sigma.points[j]
         lhs, _ = t_phi_star(kernel, sigma, x, phi_sigma[j], phi_sigma)
         rhs = (m_tilde(sigma, t_vals, x, variant="plain")
                + m_tilde(sigma, ones, x, variant="3/2"))
-        return lhs, rhs
-
-    pairs = parallel_map(one, sample, threads)
-    flagged = 0
-    best = 0.0
-    worst_lhs = worst_rhs = 0.0
-    for lhs, rhs in pairs:
         if rhs == 0.0:
             if lhs > 0.0:
                 flagged += 1
@@ -394,8 +369,7 @@ def cotlar_check(measure, kernel, corona, top_id: int,
 
 
 def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
-                               max_samples: int = 128,
-                               threads: int = 1) -> dict:
+                               max_samples: int = 128) -> dict:
     """Excess of the tree operator over the suppressed maximal operator.
 
     Per sampled atom x of the tree root R:
@@ -417,7 +391,7 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
         star, _ = t_phi_star(kernel, sigma, x, phi_x, phi_sigma)
         return max(0.0, k_r - star) / theta_ref
 
-    excesses = parallel_map(one, sample, threads)
+    excesses = [one(atom) for atom in sample]
     worst = max(excesses) if excesses else 0.0
     return {
         "name": "pointwise_domination",
@@ -430,8 +404,7 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
     }
 
 
-def capacity_lower_bound(candidates, scales_per_octave: int = 8,
-                         threads: int = 1) -> dict:
+def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:
     """Largest admissible multiple of each candidate measure, and its mass.
 
     Per support atom x of a candidate: A(x) is the sup over radii of the
@@ -462,14 +435,12 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8,
             jones = np.zeros(mu.size)
             tail = 0.0
             dens = np.concatenate(radial_pass(
-                mu, mu.points, lambda block: block.sup_density(floor),
-                threads=threads))
+                mu, mu.points, lambda block: block.sup_density(floor)))
         else:
             floor = max(mu.r_min, diam / math.sqrt(mu.size))
             # one radial order per atom serves its flatness and its density
             jones, dens = jones_integrals(mu, mu.points, mu.r_min, diam,
-                                          scales_per_octave, floor=floor,
-                                          threads=threads)
+                                          scales_per_octave, floor=floor)
             centroid, basis, _ = _weighted_plane(mu.points, mu.weights, n)
             res = _plane_residual_sq(mu.points - centroid, mu.weights, basis)
             tail = res * mu.total_mass / ((2 * n + 2) * diam ** (2 * n + 2))

@@ -116,12 +116,6 @@ class TestJones:
         got = jones_integral(m, x, lo, hi, scales_per_octave=4)
         assert got == pytest.approx(direct, rel=1e-10)
 
-    def test_field_threads_equal(self):
-        m = segment(60)
-        f1 = jones_field(m, threads=1)
-        f8 = jones_field(m, threads=8)
-        assert np.array_equal(f1, f8)
-
     def test_flat_set_has_tiny_energy(self):
         m = segment(80)
         field = jones_field(m)

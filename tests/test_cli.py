@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from betascope import cantor4, lipschitz_graph, load_csv, segment, square_area
+from betascope import (cantor4, cli, lipschitz_graph, load_csv, save_csv,
+                       segment, square_area)
 
 
 def run_cli(*args, cwd=None):
@@ -153,11 +156,26 @@ class TestCliExitCodes:
         assert "error" in r.stderr.lower()
 
     def test_corrupt_input_is_one(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("dim=2,n=1\n0.0,oops,1.0\n")
-        r = run_cli("analyze", "--input", str(bad),
-                    "--out", str(tmp_path / "rep.json"))
-        assert r.returncode == 1
+        atom = '"points": [[0.0, 0.0]], "weights": [1.0]'
+        cases = [
+            ("bad.csv", "dim=2,n=1\n0.0,oops,1.0\n"),
+            ("scalar.json", "5"),
+            ("null_dim.json", '{"dim": null, "n": 1, %s}' % atom),
+            ("null_n.json", '{"dim": 2, "n": null, %s}' % atom),
+            ("real_dim.json", '{"dim": 2.5, "n": 1, %s}' % atom),
+            ("bool_n.json", '{"dim": 2, "n": true, %s}' % atom),
+            ("dict_weights.json",
+             '{"dim": 2, "n": 1, "points": [[0.0, 0.0]], "weights": {}}'),
+        ]
+        for name, text in cases:
+            bad = tmp_path / name
+            bad.write_text(text)
+            r = run_cli("analyze", "--input", str(bad),
+                        "--out", str(tmp_path / "rep.json"))
+            assert r.returncode == 1, name
+            # an uncaught exception also exits 1, with a traceback
+            assert r.stderr.startswith("error:"), (name, r.stderr)
+            assert "Traceback" not in r.stderr, name
 
     def test_empty_file_is_one(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -271,6 +289,38 @@ class TestCliDeterminism:
             r = run_cli("verify", "--input", str(mfile), "--out", str(out))
             assert r.returncode == 0, r.stderr
         assert r1.read_bytes() == r2.read_bytes()
+
+    def test_threads_flag_starts_no_thread(self, tmp_path, monkeypatch):
+        """--threads is accepted and changes nothing: with CPUs to spare,
+        --threads 8 starts no thread and writes the --threads 1 bytes."""
+        mfile = tmp_path / "c3.csv"
+        save_csv(cantor4(3), mfile)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+
+        def outputs(threads):
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
+            for command, extra in (
+                    ("analyze", ["--profile-csv", str(out / "profile.csv")]),
+                    ("verify", []), ("capacity", [])):
+                assert cli.main([command, "--input", str(mfile),
+                                 "--threads", str(threads),
+                                 "--out", str(out / f"{command}.json"),
+                                 *extra]) == 0
+            return {p.name: p.read_bytes() for p in out.iterdir()}
+
+        one = outputs(1)
+        assert len(one) == 4
+        assert outputs(8) == one
+        assert started == []
 
     def test_stamp_opt_in(self, tmp_path):
         mfile = tmp_path / "m.csv"

@@ -134,6 +134,13 @@ class TestGrowthAndTail:
                                   np.array([1.0, 1.0]), 1)
         assert m2.annulus_tail((0.0, 0.0), 1.0) == 0.0
 
+    def test_annulus_tail_rejects_a_centre_of_the_wrong_dim(self):
+        m = segment(10)
+        # the same check as every ball query, not a silent broadcast
+        for query in (m.ball_mass, m.annulus_tail):
+            with pytest.raises(ValueError, match="center has dim 1, expected 2"):
+                query([0.5], 0.1)
+
     def test_tail_bound_constant(self):
         assert small_measure(0).tail_bound_constant() == 4.0
         m3 = WeightedPointMeasure(np.zeros((1, 3)), np.ones(1), 2)

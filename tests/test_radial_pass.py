@@ -10,15 +10,13 @@ for bit, so every comparison here is exact equality.
 
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
-                       build_lattice, capacity_lower_bound, condition_check,
-                       jones_field, lipschitz_graph, packing_audit)
-from betascope import _util
+                       build_lattice, condition_check, jones_field,
+                       lipschitz_graph, packing_audit)
 from betascope.beta import _jones_grid, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
                                radial_pass)
@@ -109,16 +107,11 @@ def test_jones_integrals_equal_the_per_atom_loop(measure, scales_per_octave):
 
 
 def test_jones_field_equals_the_per_atom_loop(measure):
-    for threads in (1, 2):
-        assert np.array_equal(jones_field(measure, threads=threads),
-                              old_jones_field(measure))
-        assert np.array_equal(
-            jones_field(measure, measure.r_min,
-                        max(measure.diameter, 2 * measure.r_min),
-                        scales_per_octave=3, threads=threads),
-            old_jones_field(measure, measure.r_min,
-                            max(measure.diameter, 2 * measure.r_min),
-                            scales_per_octave=3))
+    assert np.array_equal(jones_field(measure), old_jones_field(measure))
+    r_hi = max(measure.diameter, 2 * measure.r_min)
+    assert np.array_equal(
+        jones_field(measure, measure.r_min, r_hi, scales_per_octave=3),
+        old_jones_field(measure, measure.r_min, r_hi, scales_per_octave=3))
 
 
 @pytest.mark.parametrize("name", ["segment", "cantor4", "graph", "ties",
@@ -133,7 +126,7 @@ def test_packing_energy_equals_the_per_atom_loop(name):
 
 def test_condition_total_sums_the_old_integrals_in_index_order(measure):
     ball = Ball(measure.points[0], max(measure.diameter, 2 * measure.r_min))
-    rec = condition_check(measure, ball, threads=2)
+    rec = condition_check(measure, ball)
     idx = measure.ball_indices(ball.center, ball.radius)
     total = 0.0
     for i in idx:
@@ -146,7 +139,7 @@ def test_profile_rows_equal_the_one_centre_profiles(measure):
     xs = centres(measure)
     r_lo, r_hi = ranges(measure)[0]
     radii, _ = _jones_grid(r_lo, r_hi, 4)
-    rows = beta_profile_rows(measure, xs, r_lo, r_hi, threads=2)
+    rows = beta_profile_rows(measure, xs, r_lo, r_hi)
     assert len(rows) == len(xs)
     for x, got in zip(xs, rows):
         beta_sq, theta = OldBetaProfile(measure, x).beta_sq_theta(radii)
@@ -164,7 +157,7 @@ def test_density_pass_equals_the_breakpoint_scan(measure):
     for floor in floors:
         old = [old_sup_density(measure, x, floor) for x in xs]
         new = np.concatenate(radial_pass(
-            measure, xs, lambda block: block.sup_density(floor), threads=2))
+            measure, xs, lambda block: block.sup_density(floor)))
         assert np.array_equal(new, old)
 
 
@@ -173,34 +166,14 @@ def test_flatness_and_density_share_one_pass(measure):
     xs = centres(measure)
     r_lo, r_hi = ranges(measure)[0]
     floor = max(measure.r_min, measure.diameter / math.sqrt(measure.size))
-    jones, sups = jones_integrals(measure, xs, r_lo, r_hi, floor=floor,
-                                  threads=2)
+    jones, sups = jones_integrals(measure, xs, r_lo, r_hi, floor=floor)
     assert np.array_equal(jones, [old_jones_integral(measure, x, r_lo, r_hi)
                                   for x in xs])
     assert np.array_equal(sups, [old_sup_density(measure, x, floor)
                                  for x in xs])
 
 
-def test_capacity_is_unchanged_by_threads(measure):
-    one = capacity_lower_bound(measure, threads=1)
-    two = capacity_lower_bound(measure, threads=2)
-    assert one == two
-
-
 # -- the pass itself --------------------------------------------------------
-
-def test_thread_counts_give_equal_arrays(measure, monkeypatch):
-    # four CPUs as far as the pool can tell, so two workers really run
-    monkeypatch.setattr(_util.os, "cpu_count", lambda: 4)
-    xs = centres(measure)
-    r_lo, r_hi = ranges(measure)[0]
-    base = jones_integrals(measure, xs, r_lo, r_hi, floor=measure.r_min)
-    for threads in (2, 3):
-        got = jones_integrals(measure, xs, r_lo, r_hi, floor=measure.r_min,
-                              threads=threads)
-        for a, b in zip(base, got):
-            assert np.array_equal(a, b)
-
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_lane_distances_are_the_norms(dim):
@@ -277,25 +250,3 @@ def test_pass_memory_is_a_few_blocks_not_atoms_squared():
     assert every < 16 * one
     assert every < 4e6
 
-
-# -- the pool -------------------------------------------------------------------
-
-class CountingPool(ThreadPoolExecutor):
-    started = []
-
-    def __init__(self, max_workers=None, **kwargs):
-        CountingPool.started.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
-
-
-@pytest.mark.parametrize("cpus, threads, pool", [
-    (2, 8, [2]), (4, 3, [3]), (1, 8, []), (None, 4, [])])
-def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, threads, pool):
-    monkeypatch.setattr(_util.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_util, "ThreadPoolExecutor", CountingPool)
-    CountingPool.started = []
-    items = list(range(20))
-    assert _util.parallel_map(lambda i: i * i, items, threads) == \
-        [i * i for i in items]
-    assert CountingPool.started == pool
-    assert _util.workers(threads) == max(1, min(threads, cpus or 1))

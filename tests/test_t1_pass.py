@@ -111,13 +111,6 @@ def test_edge_balls_score_as_before(case):
     assert first == 0.0 and last == 0.0
 
 
-def test_threads_give_equal_records(case):
-    measure, kernel, balls = case
-    one = t1_ball_check(measure, kernel, balls, threads=1)
-    two = t1_ball_check(measure, kernel, balls, threads=2)
-    assert one == two
-
-
 def test_scales_per_octave_follow_the_oracle():
     measure, kernel = cantor4(3), riesz_kernel(1, 2)
     balls = ball_sample(measure, count=12, seed=4)
@@ -128,14 +121,13 @@ def test_scales_per_octave_follow_the_oracle():
 
 
 def test_small_blocks_change_no_bit(monkeypatch):
-    """One ball per group and one atom per block still give the same
-    ratios: grouping only bounds the temporaries."""
+    """One ball per group still gives the same ratios: grouping only
+    bounds the temporaries."""
     measure, kernel = tie_cloud(), cauchy_kernel()
     balls = ball_sample(measure, count=20, seed=2)
     want = t1_ball_check(measure, kernel, balls)
     monkeypatch.setattr(verify, "BLOCK_ELEMENTS", 1)
     assert t1_ball_check(measure, kernel, balls) == want
-    assert t1_ball_check(measure, kernel, balls, threads=2) == want
 
 
 def test_no_balls_and_all_empty():

@@ -60,11 +60,6 @@ class TestMainLemma:
         b = main_lemma_check(moved, kernel)["ratio"]
         assert b == pytest.approx(a, rel=1e-8)
 
-    def test_threads_identical(self, seg, kernel):
-        a = main_lemma_check(seg, kernel, threads=1)
-        b = main_lemma_check(seg, kernel, threads=8)
-        assert a == b
-
     def test_single_atom_never_crashes(self, kernel):
         m = WeightedPointMeasure(np.zeros((1, 2)), np.ones(1), 1)
         rec = main_lemma_check(m, kernel)
