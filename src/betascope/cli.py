@@ -68,8 +68,14 @@ def _load_measure(path: str, r_min=None) -> WeightedPointMeasure:
             measure = load_json(path)
         else:
             measure = load_csv(path)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        # the loaders' own messages start with the path already
+        message = str(exc)
+        if not message.startswith(f"{path}:"):
+            message = f"{path}: {message}"
+        raise InputError(message) from exc
     if r_min is not None:
         measure = WeightedPointMeasure(
             measure.points, measure.weights, measure.target_dim, r_min=r_min

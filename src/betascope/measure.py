@@ -475,63 +475,47 @@ class RadialBlock:
 
 
 class RadialOrder:
-    """The one-centre RadialBlock, with sums over any per-atom values.
+    """The one-centre RadialBlock, with prefix sums over any per-atom values.
 
-    Attributes: ``order`` maps sorted positions to atom indices, ``dist``
-    holds the sorted distances and ``offsets`` the sorted differences
-    p - x, as (atoms, d).
+    Attributes: ``order`` maps sorted positions to atom indices and
+    ``dist`` holds the sorted distances.
     """
 
     def __init__(self, measure: WeightedPointMeasure, center):
-        block = RadialBlock(measure, 1, offsets=True).sort(center)
+        block = RadialBlock(measure, 1).sort(center)
         self.order = block.order[0]
         self.dist = block.dist[0]
-        self.offsets = np.ascontiguousarray(block.offsets[:, 0].T)
 
     def count(self, radii):
         """Number of atoms in the closed balls B(x, r) for the given radii."""
         return np.searchsorted(self.dist, radii, side="right")
 
-    def prefix(self, values, axis: int = 0) -> np.ndarray:
+    def prefix(self, values) -> np.ndarray:
         """Sums of per-atom ``values`` (in sorted order) over closed balls.
 
-        Entry k along ``axis`` sums the k nearest atoms, so entry 0 is zero
-        and ``prefix(values)[count(r)]`` is the sum over B(x, r).  Every
-        other axis is a separate lane; each lane sums in radial order.
+        Entry k sums the k nearest atoms, so entry 0 is zero and
+        ``prefix(values)[count(r)]`` is the sum over B(x, r).
         """
         values = np.asarray(values, dtype=float)
-        axis = axis % values.ndim
-        shape = list(values.shape)
-        shape[axis] += 1
-        return _prefix(values, axis, np.empty(shape))
-
-    def suffix(self, values, axis: int = 0) -> np.ndarray:
-        """Sums of per-atom ``values`` (in sorted order) beyond each position.
-
-        Entry k along ``axis`` sums every atom but the k nearest,
-        accumulated farthest-first, so ``suffix(values)[count(r)]`` is the
-        sum over |p - x| > r and the last entry is zero.
-        """
-        values = np.asarray(values, dtype=float)
-        return np.flip(self.prefix(np.flip(values, axis), axis), axis)
+        return _prefix(values, 0, np.empty(values.size + 1))
 
 
 def radial_pass(measure: WeightedPointMeasure, centers, visit,
-                lanes: int = 1, fill=None) -> list:
+                lanes: int = 1, fill=None, offsets: bool = False) -> list:
     """``visit(block)`` on a RadialBlock loaded with each block of centres.
 
-    Returns the visits' results in centre order.  A block holds as many
-    centres as keep each of its arrays within RADIAL_BLOCK_ELEMENTS, at
-    least one: the lanes, and with a ``fill`` the offsets it reads.  One
-    block is allocated and reloaded block after block.
+    Returns the visits' results in centre order.  The block keeps the
+    sorted offsets when ``offsets`` is set or a ``fill`` reads them.  A
+    block holds as many centres as keep each of its arrays within
+    RADIAL_BLOCK_ELEMENTS, at least one: the lanes, and the offsets if it
+    keeps them.  One block is allocated and reloaded block after block.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
     count = centers.shape[0]
-    # a fill reads the offsets, which the block then keeps
-    planes = max(lanes, measure.dim) if fill is not None else lanes
+    offsets = offsets or fill is not None
+    planes = max(lanes, measure.dim) if offsets else lanes
     width = max(1, RADIAL_BLOCK_ELEMENTS // (planes * (measure.size + 1)))
-    block = RadialBlock(measure, min(width, count), lanes,
-                        offsets=fill is not None)
+    block = RadialBlock(measure, min(width, count), lanes, offsets=offsets)
     return [visit(block.load(centers[at:at + width], fill))
             for at in range(0, count, width)]
 

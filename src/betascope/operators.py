@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import RadialOrder, WeightedPointMeasure
+from .measure import (RadialBlock, RadialOrder, WeightedPointMeasure, _prefix,
+                      radial_pass)
 
 __all__ = [
     "CZKernel",
@@ -228,32 +229,48 @@ class BumpFamily:
         return self.psi_k(k, t) - self.psi_k(k + 1, t)
 
 
+def _kernel_suffix(kernel, block, phi_x: float = 0.0,
+                   phi_atoms=None) -> np.ndarray:
+    """Farthest-first suffix sums of the kernel terms along each block row.
+
+    ``block`` is a RadialBlock sorted with offsets.  Entry [i, k] sums the
+    terms of row i from sorted position k on, accumulated farthest-first,
+    so entry [i, count(r)] is the sum over |p - x| > r and the last entry
+    is zero.  Given the suppression values phi_atoms, each term is damped
+    by the factor of ``suppressed_kernel``, computed from the kernel values
+    already taken.  The atoms at a row's centre lead it at distance 0; the
+    kernel sees a finite stand-in offset there, so the entries before the
+    row's count(0.0) are no sums and must not be looked up.
+    """
+    dim, rows, size = block.offsets.shape
+    # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
+    diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
+    diffs[block.dist == 0.0] = 1.0
+    vals = kernel(diffs.reshape(-1, dim))
+    terms = vals * block.lanes[0].reshape(-1, 1)
+    if phi_atoms is not None:
+        phi_y = np.asarray(phi_atoms, dtype=float)[block.order].reshape(-1)
+        terms = terms * _damping(kernel, vals, float(phi_x), phi_y)[:, None]
+    terms = terms.reshape(rows, size, -1)
+    out = np.empty((rows, size + 1, terms.shape[2]))
+    return np.flip(_prefix(np.flip(terms, 1), 1, out), 1)
+
+
 class _TruncationSums:
     """Distance-sorted suffix sums of kernel terms at one evaluation point.
 
     suffix[j] holds the sum of all terms strictly farther than the j-th
     sorted distance position, accumulated farthest-first; lookups for any
-    cutoff are O(log N) and share that one summation order.  Given the
-    suppression values phi_atoms, each term is damped by the factor of
-    ``suppressed_kernel``, computed from the kernel values already taken.
+    cutoff are O(log N) and share that one summation order.  The one-centre
+    case of ``truncated_field``'s sums, with optional damping.
     """
 
     def __init__(self, kernel, measure, x, phi_x=0.0, phi_atoms=None):
-        radial = RadialOrder(measure, x)
+        block = RadialBlock(measure, 1, offsets=True).sort(x)
         # the evaluation point's own atoms lead the order at distance 0
-        near = int(radial.count(0.0))
-        self.dist = radial.dist[near:]
-        if self.dist.size == 0:
-            self.suffix = np.zeros((1, kernel.out_dim))
-            return
-        kept = radial.order[near:]
-        # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
-        vals = kernel(-radial.offsets[near:])
-        terms = vals * measure.weights[kept][:, None]
-        if phi_atoms is not None:
-            phi_y = np.asarray(phi_atoms, dtype=float)[kept]
-            terms = terms * _damping(kernel, vals, float(phi_x), phi_y)[:, None]
-        self.suffix = radial.suffix(terms)
+        near = int(block.count(0.0)[0])
+        self.dist = block.dist[0, near:]
+        self.suffix = _kernel_suffix(kernel, block, phi_x, phi_atoms)[0, near:]
 
     def beyond(self, eps) -> np.ndarray:
         """Sums of terms with distance strictly greater than each cutoff.
@@ -276,12 +293,26 @@ class _TruncationSums:
 
 
 def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
-    """T_eps at many centers and cutoffs: shape (centers, cutoffs, out_dim)."""
+    """T_eps at many centers and cutoffs: shape (centers, cutoffs, out_dim).
+
+    One blocked radial pass over the centres: each row's cutoffs are
+    lookups in its suffix sums, clamped past the atoms at the centre,
+    which no truncation holds.
+    """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    eps_values = np.asarray(eps_values, dtype=float)
+    eps_values = np.asarray(eps_values, dtype=float).reshape(-1)
     out = np.empty((centers.shape[0], eps_values.size, kernel.out_dim))
-    for c, x in enumerate(centers):
-        out[c] = _TruncationSums(kernel, measure, x).beyond(eps_values)
+    at = 0
+
+    def visit(block):
+        nonlocal at
+        counts = np.maximum(block.count(eps_values),
+                            block.count(0.0)[:, None])
+        out[at:at + block.rows] = _kernel_suffix(kernel, block)[
+            np.arange(block.rows)[:, None], counts]
+        at += block.rows
+
+    radial_pass(measure, centers, visit, offsets=True)
     return out
 
 

@@ -15,23 +15,14 @@ import math
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import BLOCK_ELEMENTS, geometric_grid
+from ._util import geometric_grid
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
-from .beta import (
-    _fill_moments,
-    _jones_grid,
-    _lane_count,
-    _moment_flatness,
-    _moment_lanes,
-    _plane_residual_sq,
-    _weighted_plane,
-    jones_integrals,
-)
+from .beta import _plane_residual_sq, _weighted_plane, jones_integrals
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
 from .corona import TreeGeometry
-from .measure import RadialOrder, WeightedPointMeasure, radial_pass
+from .measure import WeightedPointMeasure, radial_pass
 from .operators import (
     k_r_chain,
     m_tilde,
@@ -91,15 +82,6 @@ def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
     return geometric_grid(lo, hi, scales_per_octave)
 
 
-def _field_norms_sq(kernel, measure, eps_grid) -> np.ndarray:
-    """For each cutoff, the weighted square sum of |T_eps| over the atoms."""
-    out = np.zeros(len(eps_grid))
-    for w, x in zip(measure.weights, measure.points):
-        row = truncated_field(kernel, measure, x, eps_grid)[0]
-        out += w * np.sum(row**2, axis=1)
-    return out
-
-
 def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
     """Square-function bound: worst truncation energy against mass + flatness.
 
@@ -109,7 +91,11 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
     if measure.is_empty:
         raise ValueError("measure is empty")
     eps_grid = _cutoff_grid(measure, scales_per_octave)
-    energies = _field_norms_sq(kernel, measure, eps_grid)
+    # atom by atom in index order, which fixes the summation order
+    field = truncated_field(kernel, measure, measure.points, eps_grid)
+    energies = np.zeros(eps_grid.size)
+    for w, rows in zip(measure.weights, field):
+        energies += w * np.sum(rows**2, axis=1)
     lhs = float(np.max(energies))
     jones = jones_field(measure, scales_per_octave=scales_per_octave)
     rhs = measure.total_mass + float(measure.weights @ jones)
@@ -127,169 +113,17 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
     }
 
 
-class _Ragged:
-    """Rows of different lengths stored end to end in one flat array."""
-
-    def __init__(self, rows):
-        self.lengths = np.array([row.size for row in rows], dtype=np.intp)
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.flat = np.concatenate(rows)
-
-    def positions(self, rows) -> np.ndarray:
-        """Flat positions of the given rows' entries, row after row."""
-        lengths = self.lengths[rows]
-        shift = self.starts[rows] - (np.cumsum(lengths) - lengths)
-        return np.repeat(shift, lengths) + np.arange(lengths.sum())
-
-
-class _T1Sample:
-    """The non-empty balls of a t1 sample and their restrictions' grids.
-
-    The grids are the ones main_lemma_check takes on each restriction.
-    ``members``, ``eps`` and ``radii`` hold, per ball, its atoms in index
-    order, its cutoff grid and its flatness radii (empty when the
-    restriction is too small to carry any flatness).
-    """
-
-    def __init__(self, measure, balls, scales_per_octave: int):
-        self.slots, self.masses = [], []
-        atoms, cutoffs, grids = [], [], []
-        self.log_rho = 0.0
-        for slot, ball in enumerate(balls):
-            idx = measure.ball_indices(ball.center, ball.radius)
-            if idx.size == 0:
-                continue
-            mask = np.zeros(measure.size, dtype=bool)
-            mask[idx] = True
-            part = measure.restrict_mask(mask)
-            self.slots.append(slot)
-            self.masses.append(part.total_mass)
-            atoms.append(idx)
-            cutoffs.append(_cutoff_grid(part, scales_per_octave))
-            r_lo = _flatness_floor(part, scales_per_octave)
-            grid = np.empty(0)
-            if part.diameter > r_lo:
-                grid, self.log_rho = _jones_grid(r_lo, part.diameter,
-                                                 scales_per_octave)
-            grids.append(grid)
-        if not self.slots:
-            return
-        self.members = _Ragged(atoms)
-        self.eps = _Ragged(cutoffs)
-        self.radii = _Ragged(grids)
-        # moment lanes: mass, first moments, then the upper triangle of
-        # the second moments
-        dim = measure.dim
-        self.lane = _moment_lanes(dim)[1]
-        # balls per group: the masked moments are the largest temporary
-        width = (measure.size + 1) * _lane_count(dim)
-        self.group = max(1, BLOCK_ELEMENTS // width)
-
-
-def _t1_atom(measure, kernel, atom: int, mine: np.ndarray,
-             sample: _T1Sample):
-    """Energy rows and flatness values of the balls ``mine`` at one atom.
-
-    Returns the energies at ``sample.eps.positions(mine)`` and one
-    flatness value per ball (0.0 for a ball without flatness radii).
-    Every sum is taken along the atom's full radial order, with the atoms
-    outside the ball set to +0.0: a partial sum plus +0.0 keeps its bits,
-    so each sum equals the one along the ball's own radial order.  Values
-    lie along the last axis, one lane per ball and kernel component or
-    moment; the balls go through in groups of at most ``sample.group``.
-    """
-    size, dim = measure.size, measure.dim
-    members, eps, radii = sample.members, sample.eps, sample.radii
-    radial = RadialOrder(measure, measure.points[atom])
-    near = int(radial.count(0.0))
-    # x - p is formed exactly as -(p - x), as in the truncated sums
-    vals = kernel(-radial.offsets[near:])
-    terms = (vals * measure.weights[radial.order[near:]][:, None]).T
-    # the BetaProfile moments about the atom, one lane each
-    moments = np.empty((_lane_count(dim), size))
-    moments[0] = measure.weights[radial.order]
-    _fill_moments(moments, radial.offsets.T)
-    rank = np.empty(size, dtype=np.intp)
-    rank[radial.order] = np.arange(size)
-    energies, flatness = [], []
-    for lo in range(0, mine.size, sample.group):
-        part = mine[lo:lo + sample.group]
-        cols = np.arange(part.size)
-        inside = np.zeros((part.size, size), dtype=bool)
-        inside[np.repeat(cols, members.lengths[part]),
-               rank[members.flat[members.positions(part)]]] = True
-        fitted = cols[radii.lengths[part] > 0]
-        cutoffs = eps.flat[eps.positions(part)]
-        scales = radii.flat[radii.positions(part[fitted])]
-        counts = radial.count(np.concatenate((cutoffs, scales)))
-
-        beyond = radial.suffix(
-            np.where(inside[:, None, near:], terms, 0.0), axis=-1)
-        at = np.repeat(cols, eps.lengths[part])
-        energies.append(np.sum(
-            beyond[at, :, counts[:cutoffs.size] - near] ** 2, axis=1))
-
-        values = np.zeros(part.size)
-        if fitted.size:
-            within = radial.prefix(
-                np.where(inside[fitted][:, None, :], moments, 0.0), axis=-1)
-            lengths = radii.lengths[part[fitted]]
-            sums = within[np.repeat(cols[:fitted.size], lengths), :,
-                          counts[cutoffs.size:]]
-            beta_sq, theta = _moment_flatness(
-                sums[:, 0], sums[:, 1:1 + dim], sums[:, sample.lane], scales,
-                measure.target_dim)
-            integrand = beta_sq * theta
-            # each ball sums its own contiguous slice, as jones_integral
-            # sums its own array
-            ends = np.cumsum(lengths)
-            for col, start, end in zip(fitted, ends - lengths, ends):
-                values[col] = float(np.sum(integrand[start:end])
-                                    * sample.log_rho)
-        flatness.append(values)
-    return np.concatenate(energies), np.concatenate(flatness)
-
-
 def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4) -> dict:
     """main_lemma_check on ball restrictions; the worst ratio over the sample.
 
-    One pass over the atoms the balls cover does the work of one
-    main_lemma_check per ball.  A restriction keeps the atoms' index order
-    and r_min, and the radial sort is stable, so a ball's radial order at
-    an atom is the atom's full radial order filtered by the ball.  Each
-    covered atom therefore gets one RadialOrder, one kernel evaluation and
-    one set of moments, shared by every ball that holds it.  The atoms are
-    reduced in index order, so each ball sums the same operands in the same
-    order as main_lemma_check on its restriction, and the ratios are equal
-    to its ratios bit for bit.  Temporaries stay within BLOCK_ELEMENTS per
-    array; besides them the pass keeps one entry per (atom, ball) pair.
+    A restriction keeps the atoms' index order and r_min; an empty ball
+    scores 0.0.
     """
-    sample = _T1Sample(measure, balls, scales_per_octave)
-    ratios = [0.0] * len(balls)
-    if sample.slots:
-        members, eps = sample.members, sample.eps
-        energies = np.zeros(eps.flat.size)
-        jones = np.zeros(members.flat.size)
-        # the balls holding each covered atom, in ball order, and the
-        # (atom, ball) pairs' positions in ball-major order
-        pairs = np.argsort(members.flat, kind="stable")
-        owners = np.repeat(np.arange(len(sample.slots)),
-                           members.lengths)[pairs]
-        covered, starts = np.unique(members.flat[pairs], return_index=True)
-        bounds = np.append(starts, pairs.size)
-        for k, atom in enumerate(covered):
-            mine = owners[bounds[k]:bounds[k + 1]]
-            energy, flatness = _t1_atom(measure, kernel, int(atom), mine,
-                                        sample)
-            energies[eps.positions(mine)] += measure.weights[atom] * energy
-            jones[pairs[bounds[k]:bounds[k + 1]]] = flatness
-        for b, slot in enumerate(sample.slots):
-            lhs = float(np.max(energies[eps.positions([b])]))
-            rhs = sample.masses[b]
-            if sample.radii.lengths[b]:
-                rows = members.positions([b])
-                rhs += float(measure.weights[members.flat[rows]] @ jones[rows])
-            ratios[slot] = lhs / rhs
+    ratios = []
+    for ball in balls:
+        part = measure.restrict_ball(ball)
+        ratios.append(0.0 if part.is_empty else main_lemma_check(
+            part, kernel, scales_per_octave)["ratio"])
     worst = max(ratios) if ratios else 0.0
     return {
         "name": "t1_balls",

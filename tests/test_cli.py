@@ -166,16 +166,20 @@ class TestCliExitCodes:
             ("bool_n.json", '{"dim": 2, "n": true, %s}' % atom),
             ("dict_weights.json",
              '{"dim": 2, "n": 1, "points": [[0.0, 0.0]], "weights": {}}'),
+            ("syntax.json", '{"dim": 2, "n": 1,'),
+            ("missing.csv", None),
         ]
         for name, text in cases:
             bad = tmp_path / name
-            bad.write_text(text)
+            if text is not None:
+                bad.write_text(text)
             r = run_cli("analyze", "--input", str(bad),
                         "--out", str(tmp_path / "rep.json"))
             assert r.returncode == 1, name
             # an uncaught exception also exits 1, with a traceback
             assert r.stderr.startswith("error:"), (name, r.stderr)
             assert "Traceback" not in r.stderr, name
+            assert r.stderr.count(str(bad)) == 1, (name, r.stderr)
 
     def test_empty_file_is_one(self, tmp_path):
         empty = tmp_path / "empty.csv"

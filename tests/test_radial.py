@@ -12,6 +12,7 @@ import pytest
 from betascope import (BetaProfile, WeightedPointMeasure, cantor4,
                        cauchy_kernel, lipschitz_graph, m_tilde, riesz_kernel,
                        segment, truncated_field)
+from betascope import measure as measure_module
 from betascope.measure import RadialOrder
 from betascope.operators import _TruncationSums
 
@@ -161,8 +162,9 @@ class OldBetaProfile:
         return beta_sq, theta
 
 
-class OldTruncationSums(_TruncationSums):
-    """The old constructor; ``beyond`` and ``sup_norm`` are inherited."""
+class OldTruncationSums:
+    """The old per-point truncation sums: sort the positive distances, then
+    cumsum the kernel terms farthest-first."""
 
     def __init__(self, kernel, measure, x, damping=None):
         x = np.asarray(x, dtype=float)
@@ -180,6 +182,19 @@ class OldTruncationSums(_TruncationSums):
         rev = terms[order][::-1]
         acc = np.vstack((np.zeros((1, terms.shape[1])), np.cumsum(rev, axis=0)))
         self.suffix = acc[::-1]
+
+    def beyond(self, eps):
+        return self.suffix[np.searchsorted(self.dist, eps, side="right")]
+
+    def sup_norm(self):
+        if self.dist.size == 0:
+            return 0.0, 0.0
+        uniq, first = np.unique(self.dist, return_index=True)
+        positions = np.concatenate(([0], first[1:], [self.dist.size]))
+        witnesses = np.concatenate(([self.dist[0] / 2], uniq[:-1], [uniq[-1]]))
+        norms = np.linalg.norm(self.suffix[positions], axis=1)
+        i = int(np.argmax(norms))
+        return float(norms[i]), float(witnesses[i])
 
 
 def old_damping(kernel, measure, x, phi_x, phi_atoms):
@@ -228,27 +243,13 @@ def test_radial_order_sums_match_direct_ball_sums(measure):
     radial = RadialOrder(measure, x)
     dist = np.linalg.norm(measure.points - x, axis=1)
     assert np.array_equal(radial.dist, np.sort(dist))
-    assert np.array_equal(radial.offsets, measure.points[radial.order] - x)
-    w = measure.weights[radial.order]
-    inside, beyond = radial.prefix(w), radial.suffix(w)
-    assert inside[0] == 0.0 and beyond[-1] == 0.0
+    inside = radial.prefix(measure.weights[radial.order])
+    assert inside[0] == 0.0
     for r in np.concatenate(([0.0], np.unique(dist), [0.05, 0.4])):
         k = radial.count(r)
         assert k == np.count_nonzero(dist <= r)
         assert inside[k] == pytest.approx(measure.weights[dist <= r].sum(),
                                           rel=1e-12, abs=0.0)
-        assert beyond[k] == pytest.approx(measure.weights[dist > r].sum(),
-                                          rel=1e-12, abs=0.0)
-
-
-def test_sums_along_any_axis_are_the_axis_0_sums(measure):
-    radial = RadialOrder(measure, measure.points[3])
-    vals = np.random.default_rng(1).normal(size=(measure.size, 2, 3))
-    lanes = np.moveaxis(vals, 0, -1)
-    assert np.array_equal(radial.prefix(lanes, axis=-1),
-                          np.moveaxis(radial.prefix(vals), 0, -1))
-    assert np.array_equal(radial.suffix(lanes, axis=2),
-                          np.moveaxis(radial.suffix(vals), 0, -1))
 
 
 # -- bit equality with the replaced bodies ------------------------------------
@@ -330,7 +331,7 @@ def old_truncated_field(kernel, measure, centers, eps_values):
     eps_values = np.asarray(eps_values, dtype=float)
     out = np.empty((centers.shape[0], eps_values.size, kernel.out_dim))
     for c, x in enumerate(centers):
-        sums = _TruncationSums(kernel, measure, x)
+        sums = OldTruncationSums(kernel, measure, x)
         for e, eps in enumerate(eps_values):
             out[c, e] = sums.suffix[int(np.searchsorted(sums.dist, eps,
                                                         side="right"))]
@@ -339,18 +340,25 @@ def old_truncated_field(kernel, measure, centers, eps_values):
 
 @pytest.mark.parametrize("kernel", [riesz_kernel(1, 2), cauchy_kernel()],
                          ids=["riesz", "cauchy"])
-def test_truncated_field_bit_equal_to_per_cutoff_loop(measure, kernel):
+def test_truncated_field_bit_equal_to_per_cutoff_loop(monkeypatch, measure,
+                                                      kernel):
     dist = np.linalg.norm(measure.points - measure.points[0], axis=1)
     gaps = np.unique(dist[dist > 0.0])
     # cutoffs exactly on atom distances, below the smallest gap, off the
-    # distances, at and beyond the diameter, in no particular order
+    # distances, at and beyond the diameter, at and below 0 (which must
+    # not reach the atoms at the centre), in no particular order
     eps = np.concatenate((gaps, [gaps[0] / 2, 1e-300], gaps[:-1] * 1.5,
-                          [measure.diameter, 2 * measure.diameter + 1.0]))
+                          [measure.diameter, 2 * measure.diameter + 1.0],
+                          [0.0, -1.0]))
     eps = np.random.default_rng(4).permutation(eps)
-    for x in (measure.points[0], measure.points[-1], centres(measure)):
-        new = truncated_field(kernel, measure, x, eps)
-        old = old_truncated_field(kernel, measure, x, eps)
-        assert np.array_equal(new, old)
+    # every atom (and the off-atom points) in one call, at the default
+    # block budget and at one centre per block
+    for budget in (measure_module.RADIAL_BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", budget)
+        for x in (measure.points[0], measure.points[-1], centres(measure)):
+            new = truncated_field(kernel, measure, x, eps)
+            old = old_truncated_field(kernel, measure, x, eps)
+            assert np.array_equal(new, old)
     at_atoms = truncated_field(kernel, measure, measure.points, eps)
     assert (at_atoms[:, eps > measure.diameter] == 0.0).all()
     # one cutoff per call agrees with the row of a many-cutoff sweep

@@ -16,7 +16,8 @@ import pytest
 
 from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
                        build_lattice, condition_check, jones_field,
-                       lipschitz_graph, packing_audit)
+                       lipschitz_graph, main_lemma_check, packing_audit,
+                       riesz_kernel, truncated_field)
 from betascope.beta import _jones_grid, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
                                radial_pass)
@@ -224,12 +225,15 @@ def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch,
         assert len(made) == 1 and sum(widths) == measure.size
         # a density-only pass neither keeps nor gathers the offsets
         assert made[0]._offsets is None and "offsets" not in vars(made[0])
-    # the flatness pass, which reads them
-    made.clear()
-    jones_field(measure)
-    assert len(made) == 1
-    assert made[0].offsets.size > 0
-    assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(made[0]))
+    # the flatness and truncation passes, which read them
+    for run in (lambda: jones_field(measure),
+                lambda: truncated_field(riesz_kernel(1, measure.dim), measure,
+                                        measure.points, [measure.r_min])):
+        made.clear()
+        run()
+        assert len(made) == 1
+        assert made[0].offsets.size > 0
+        assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(made[0]))
 
 
 def test_pass_memory_is_a_few_blocks_not_atoms_squared():
@@ -249,4 +253,11 @@ def test_pass_memory_is_a_few_blocks_not_atoms_squared():
     # a dense atoms x atoms float64 array alone would be 32 MB
     assert every < 16 * one
     assert every < 4e6
+    # the truncation pass: its (atoms, cutoffs, 2) field plus one block
+    tracemalloc.start()
+    try:
+        main_lemma_check(measure, riesz_kernel(1, 2))
+        assert tracemalloc.get_traced_memory()[1] < 8e6
+    finally:
+        tracemalloc.stop()
 

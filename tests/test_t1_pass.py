@@ -1,9 +1,11 @@
-"""The one-pass t1 ball check against the check it replaced.
+"""The t1 ball check against the per-atom main lemma it is made of.
 
-The oracle is the former body of t1_ball_check: restrict the measure to
-each ball, then run main_lemma_check on the restriction.  The pass takes
-every ball's sums from one radial order per atom and must reproduce those
-ratios bit for bit, so every comparison here is exact equality.
+t1_ball_check runs main_lemma_check on each ball's restriction, whose
+truncation energies come from one blocked pass over the atoms.  The oracle
+is the former per-atom body: on each restriction, one old truncation-sum
+object per atom, its rows added in atom order, plus the flatness energy.
+The two must give the same ratios bit for bit, so every comparison here is
+exact equality.
 """
 
 import math
@@ -13,10 +15,22 @@ import numpy as np
 import pytest
 
 from betascope import (Ball, CZKernel, WeightedPointMeasure, cantor4,
-                       cauchy_kernel, lipschitz_graph, main_lemma_check,
+                       cauchy_kernel, jones_field, lipschitz_graph,
                        riesz_kernel, segment, t1_ball_check)
 from betascope import measure as measure_module
-from betascope import verify
+from betascope.verify import _cutoff_grid
+from test_radial import OldTruncationSums
+
+
+def old_main_lemma_ratio(measure, kernel, scales_per_octave):
+    eps_grid = _cutoff_grid(measure, scales_per_octave)
+    out = np.zeros(len(eps_grid))
+    for w, x in zip(measure.weights, measure.points):
+        row = OldTruncationSums(kernel, measure, x).beyond(eps_grid)
+        out += w * np.sum(row**2, axis=1)
+    jones = jones_field(measure, scales_per_octave=scales_per_octave)
+    return float(np.max(out)) / (measure.total_mass
+                                 + float(measure.weights @ jones))
 
 
 def old_t1_ratios(measure, kernel, balls, scales_per_octave=4):
@@ -26,9 +40,7 @@ def old_t1_ratios(measure, kernel, balls, scales_per_octave=4):
         if part.is_empty:
             ratios.append(0.0)
             continue
-        rec = main_lemma_check(part, kernel,
-                               scales_per_octave=scales_per_octave)
-        ratios.append(rec["ratio"])
+        ratios.append(old_main_lemma_ratio(part, kernel, scales_per_octave))
     return ratios
 
 
@@ -121,12 +133,12 @@ def test_scales_per_octave_follow_the_oracle():
 
 
 def test_small_blocks_change_no_bit(monkeypatch):
-    """One ball per group still gives the same ratios: grouping only
-    bounds the temporaries."""
+    """One centre per radial block still gives the same ratios: blocking
+    only bounds the temporaries."""
     measure, kernel = tie_cloud(), cauchy_kernel()
     balls = ball_sample(measure, count=20, seed=2)
     want = t1_ball_check(measure, kernel, balls)
-    monkeypatch.setattr(verify, "BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", 1)
     assert t1_ball_check(measure, kernel, balls) == want
 
 
@@ -160,27 +172,10 @@ def test_outside_terms_never_reach_a_ball():
     assert per_ball == old_t1_ratios(measure, kernel, balls)
 
 
-def test_one_radial_order_per_covered_atom(monkeypatch):
-    measure, kernel = lipschitz_graph(150, seed=1), riesz_kernel(1, 2)
-    balls = ball_sample(measure, count=30, seed=6)
-    covered = set()
-    for ball in balls:
-        covered.update(measure.ball_indices(ball.center, ball.radius).tolist())
-    built = []
-    original = measure_module.RadialOrder.__init__
-
-    def counting(self, m, center):
-        built.append(tuple(np.asarray(center, dtype=float).reshape(-1)))
-        original(self, m, center)
-
-    monkeypatch.setattr(measure_module.RadialOrder, "__init__", counting)
-    t1_ball_check(measure, kernel, balls)
-    assert len(built) == len(set(built)) == len(covered)
-
-
 def test_memory_stays_below_a_dense_atoms_by_balls_array():
-    """As many small balls as atoms: the pass holds block temporaries and
-    the ball memberships, never a dense atoms x balls float64 array."""
+    """As many small balls as atoms: the check holds one restriction and
+    its block temporaries at a time, never a dense atoms x balls float64
+    array."""
     measure, kernel = lipschitz_graph(1000, seed=2), riesz_kernel(1, 2)
     rng = np.random.default_rng(3)
     radii = rng.uniform(1.0, 12.0, measure.size) * measure.r_min
