@@ -32,6 +32,7 @@ diameter to be below the level-0 separation (rescale otherwise).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -130,71 +131,43 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
     return np.lexsort(tuple(keys))
 
 
-def _greedy_net(points, order, separation, seeds):
-    """Greedy maximal net: accept a site iff all accepted so far are >= s away.
+def _level(measure, order, separation, seeds):
+    """One lattice level: a greedy maximal net and each atom's nearest site.
 
-    ``seeds`` (atom indices, already pairwise >= s apart) are accepted first
-    in their given order, then the remaining sites in ``order``.  Uses a
-    uniform grid hash of bucket size s, so only the 3^d neighbouring buckets
-    are scanned per candidate.
+    Atoms are walked ``seeds`` first (already pairwise at least the previous,
+    larger separation apart), then ``order``; an atom is accepted unless an
+    accepted site lies closer than s.  Each accepted site closes its open
+    s-ball with one query on the measure's KD-tree and records (atom, site
+    position, d^2) for every atom in it.  Every atom lies within s of some
+    site, so its nearest site is among its records: least d^2, ties to the
+    earlier site.
     """
+    points = measure.points
+    tree = measure._ensure_tree()
     sep_sq = separation * separation
-    d = points.shape[1]
-    buckets: dict[tuple, list[int]] = {}
-    accepted: list[int] = []
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"), axis=-1
-    ).reshape(-1, d)
-
-    def try_accept(i, force):
-        p = points[i]
-        key = tuple(np.floor(p / separation).astype(np.int64))
-        if not force:
-            for off in offsets:
-                neigh = tuple(key + off)
-                for j in buckets.get(neigh, ()):
-                    diff = points[j] - p
-                    if float(diff @ diff) < sep_sq:
-                        return False
-        buckets.setdefault(key, []).append(i)
-        accepted.append(i)
-        return True
-
-    for i in seeds:
-        try_accept(int(i), force=True)
-    seed_set = set(int(i) for i in seeds)
-    for i in order:
-        i = int(i)
-        if i not in seed_set:
-            try_accept(i, force=False)
-    return accepted
-
-
-def _nearest_center(points, centers):
-    """Index of the nearest centre per point; ties to the earlier centre.
-
-    A KD-tree finds the two nearest centres.  Where they are within
-    _TREE_SLACK of each other, every centre that close is re-scored with
-    the einsum arithmetic of a dense points x centres scan and the first
-    minimum wins, so the result equals that scan's argmin.
-    """
-    if centers.shape[0] == 1:
-        return np.zeros(points.shape[0], dtype=np.int64)
-    tree = cKDTree(centers)
-    dist, idx = tree.query(points, k=2)
-    out = idx[:, 0].astype(np.int64)
-    reach = dist[:, 0] * (1.0 + _TREE_SLACK)
-    tied = np.flatnonzero(dist[:, 1] <= reach)
-    if tied.size:
-        found = tree.query_ball_point(points[tied], reach[tied],
-                                      return_sorted=True)
-        width = max(len(c) for c in found)
-        # pad with each row's lowest index, which leaves its argmin unchanged
-        cand = np.array([c + c[:1] * (width - len(c)) for c in found])
-        diff = points[tied, None, :] - centers[cand]
-        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
-        out[tied] = cand[np.arange(tied.size), np.argmin(dist_sq, axis=1)]
-    return out
+    closed = np.zeros(measure.size, dtype=bool)
+    net: list[int] = []
+    atoms, sites, dist_sq = [], [], []
+    for i in itertools.chain(seeds, order):
+        if closed[i]:
+            continue
+        near = np.asarray(
+            tree.query_ball_point(points[i], separation * (1.0 + _TREE_SLACK)),
+            dtype=np.intp)
+        diff = points[near] - points[i]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        inside = d2 < sep_sq
+        near, d2 = near[inside], d2[inside]
+        closed[near] = True
+        atoms.append(near)
+        sites.append(np.full(near.size, len(net), dtype=np.int64))
+        dist_sq.append(d2)
+        net.append(int(i))
+    atoms, sites = np.concatenate(atoms), np.concatenate(sites)
+    ranked = np.lexsort((sites, np.concatenate(dist_sq), atoms))
+    # every atom has a record, and its best one leads its run in ranked order
+    head = np.searchsorted(atoms[ranked], np.arange(measure.size))
+    return net, sites[ranked[head]]
 
 
 def build_lattice(
@@ -249,13 +222,13 @@ def build_lattice(
     voronoi: list[np.ndarray] = []
     seeds: list[int] = []
     for k in range(max_depth + 1):
-        net = _greedy_net(points, order, NET_FACTOR * a0 ** (-k), seeds)
+        net, nearest = _level(measure, order, NET_FACTOR * a0 ** (-k), seeds)
         if k == 0 and len(net) != 1:
             raise ValueError(
                 "support is not contained in a single root cell; rescale input"
             )
         nets.append(net)
-        voronoi.append(_nearest_center(points, points[net]))
+        voronoi.append(nearest)
         seeds = net
 
     # Cells are numbered level by level in net order: the j-th centre of

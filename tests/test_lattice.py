@@ -12,7 +12,8 @@ from betascope import (WeightedPointMeasure, boundary_audit,
                        lattice_to_json, lipschitz_graph, segment, square_area)
 from betascope import lattice as lattice_mod
 from betascope.lattice import (COVER_FACTOR, DOUBLING_FACTOR, FIVE_B,
-                               _nearest_center)
+                               NET_FACTOR)
+from betascope.measure import _TREE_SLACK
 from conftest import two_cluster
 
 
@@ -279,39 +280,19 @@ def _doubled(measure):
     return np.concatenate([measure.points, measure.points[::-1]])
 
 
-@pytest.mark.parametrize("points", [
-    square_area(9).points,          # dyadic grid: exact two- and four-way ties
-    cantor4(3).points,              # dyadic corners: exact ties
-    _doubled(cantor4(2)),
-    lipschitz_graph(300, seed=1).points,
-], ids=["square_area", "cantor4", "duplicated", "lipschitz_graph"])
-def test_nearest_center_matches_dense_oracle(points):
-    rng = np.random.default_rng(0)
-    picks = [np.arange(0, len(points), step) for step in (2, 3, 7)]
-    picks += [rng.permutation(len(points))[:k] for k in (1, 2, 10, 40)]
-    picks.append(np.concatenate([picks[-1], picks[-1][:5]]))  # repeated centres
-    for idx in picks:
-        centers = points[idx]
-        got = _nearest_center(points, centers)
-        assert got.dtype == np.int64
-        np.testing.assert_array_equal(got, dense_nearest_center(points, centers))
-
-
-def test_nearest_center_ties_go_to_earlier_center():
-    centers = np.array([[0.0, 0.0], [0.25, 0.0], [0.0, 0.25], [0.25, 0.25]])
-    points = np.array([[0.125, 0.0], [0.125, 0.125], [0.0, 0.125]])
-    np.testing.assert_array_equal(_nearest_center(points, centers), [0, 0, 0])
-    np.testing.assert_array_equal(_nearest_center(points, centers[::-1]),
-                                  [2, 0, 1])
-
-
 def test_nearest_center_on_lattice_nets():
     m = lipschitz_graph(800, seed=2)
     lat = build_lattice(m)
+    order = lattice_mod._lex_order(m.points)
+    seeds = []
     for k in range(lat.max_depth + 1):
-        centers = m.points[[c.center_index for c in lat.level_cells(k)]]
-        np.testing.assert_array_equal(_nearest_center(m.points, centers),
-                                      dense_nearest_center(m.points, centers))
+        net, nearest = lattice_mod._level(m, order,
+                                          NET_FACTOR * lat.a0 ** (-k), seeds)
+        assert net == [c.center_index for c in lat.level_cells(k)]
+        np.testing.assert_array_equal(nearest,
+                                      dense_nearest_center(m.points,
+                                                           m.points[net]))
+        seeds = net
 
 
 @pytest.fixture(scope="module",
@@ -477,6 +458,143 @@ def test_build_lattice_queries_two_balls_per_cell(monkeypatch):
     assert len(calls) == 2 * len(lat.cells)
 
 
+# -- one exclusion query per net site -----------------------------------------
+#
+# Each level's net used to come from a grid hash with a per-atom accept test,
+# and each atom's nearest site from a second KD-tree per level; those bodies
+# are kept here as the oracle.
+
+def old_greedy_net(points, order, separation, seeds):
+    """Greedy maximal net: accept a site iff all accepted so far are >= s away.
+
+    ``seeds`` (atom indices, already pairwise >= s apart) are accepted first
+    in their given order, then the remaining sites in ``order``.  Uses a
+    uniform grid hash of bucket size s, so only the 3^d neighbouring buckets
+    are scanned per candidate.
+    """
+    sep_sq = separation * separation
+    d = points.shape[1]
+    buckets: dict[tuple, list[int]] = {}
+    accepted: list[int] = []
+    offsets = np.stack(
+        np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"), axis=-1
+    ).reshape(-1, d)
+
+    def try_accept(i, force):
+        p = points[i]
+        key = tuple(np.floor(p / separation).astype(np.int64))
+        if not force:
+            for off in offsets:
+                neigh = tuple(key + off)
+                for j in buckets.get(neigh, ()):
+                    diff = points[j] - p
+                    if float(diff @ diff) < sep_sq:
+                        return False
+        buckets.setdefault(key, []).append(i)
+        accepted.append(i)
+        return True
+
+    for i in seeds:
+        try_accept(int(i), force=True)
+    seed_set = set(int(i) for i in seeds)
+    for i in order:
+        i = int(i)
+        if i not in seed_set:
+            try_accept(i, force=False)
+    return accepted
+
+
+def old_nearest_center(points, centers):
+    """Index of the nearest centre per point; ties to the earlier centre.
+
+    A KD-tree finds the two nearest centres.  Where they are within
+    _TREE_SLACK of each other, every centre that close is re-scored with
+    the einsum arithmetic of a dense points x centres scan and the first
+    minimum wins, so the result equals that scan's argmin.
+    """
+    if centers.shape[0] == 1:
+        return np.zeros(points.shape[0], dtype=np.int64)
+    tree = cKDTree(centers)
+    dist, idx = tree.query(points, k=2)
+    out = idx[:, 0].astype(np.int64)
+    reach = dist[:, 0] * (1.0 + _TREE_SLACK)
+    tied = np.flatnonzero(dist[:, 1] <= reach)
+    if tied.size:
+        found = tree.query_ball_point(points[tied], reach[tied],
+                                      return_sorted=True)
+        width = max(len(c) for c in found)
+        # pad with each row's lowest index, which leaves its argmin unchanged
+        cand = np.array([c + c[:1] * (width - len(c)) for c in found])
+        diff = points[tied, None, :] - centers[cand]
+        dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+        out[tied] = cand[np.arange(tied.size), np.argmin(dist_sq, axis=1)]
+    return out
+
+
+def _uniform(points, n=1):
+    return WeightedPointMeasure(points, np.full(len(points), 1 / len(points)),
+                                n)
+
+
+LEVEL_FAMILIES = {
+    "square_area": lambda: square_area(9),      # dyadic grid: exact ties
+    "cantor4": lambda: cantor4(3),
+    "duplicated": lambda: _uniform(_doubled(cantor4(2))),
+    "lipschitz_graph": lambda: lipschitz_graph(300, seed=1),
+    "cloud_3d": lambda: _uniform(
+        np.random.default_rng(0).uniform(size=(300, 3)), 2),
+}
+
+
+def test_level_matches_old_bodies():
+    least_tied = False
+    for make in LEVEL_FAMILIES.values():
+        measure = make()
+        points = measure.points
+        order = lattice_mod._lex_order(points)
+        for a0 in (4.0, 20.0, 50.0):
+            seeds = []
+            separation = NET_FACTOR
+            # down to the first level at which every distinct atom is a site
+            while separation * a0 >= measure.r_min:
+                net, nearest = lattice_mod._level(measure, order, separation,
+                                                  seeds)
+                assert net == old_greedy_net(points, order, separation, seeds)
+                assert nearest.dtype == np.int64
+                np.testing.assert_array_equal(
+                    nearest, dense_nearest_center(points, points[net]))
+                diff = points[:, None, :] - points[net][None, :, :]
+                dist_sq = np.einsum("ijk,ijk->ij", diff, diff)
+                least = (dist_sq == dist_sq.min(axis=1, keepdims=True))
+                least_tied |= bool((least.sum(axis=1) > 1).any())
+                seeds = net
+                separation /= a0
+    # the tie rule (earlier site wins) is only tested if a tie occurs
+    assert least_tied
+
+
+def test_deep_max_depth_builds_without_warnings():
+    # separations down to 10 * 20^-20 overflowed the old grid hash's int64
+    # bucket keys, a RuntimeWarning under the suite's filter
+    lat = build_lattice(lipschitz_graph(200), max_depth=20)
+    assert lat.max_depth == 20
+    report = check_lattice(lat)
+    assert report["partition_ok"] and report["nesting_ok"]
+
+
+def test_build_lattice_builds_no_tree_of_its_own(monkeypatch):
+    builds = []
+    original = lattice_mod.cKDTree
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_mod, "cKDTree", counting)
+    build_lattice(lipschitz_graph(300))
+    assert builds == []
+
+
 # -- cell ids from level offsets -----------------------------------------------
 #
 # build_lattice used to number cells through per-level dictionaries and a
@@ -490,10 +608,9 @@ def old_bookkeeping(measure, a0, max_depth):
     order = lattice_mod._lex_order(points)
     nets, voronoi, seeds = [], [], []
     for k in range(max_depth + 1):
-        net = lattice_mod._greedy_net(
-            points, order, lattice_mod.NET_FACTOR * a0 ** (-k), seeds)
+        net = old_greedy_net(points, order, NET_FACTOR * a0 ** (-k), seeds)
         nets.append(net)
-        voronoi.append(_nearest_center(points, points[net]))
+        voronoi.append(old_nearest_center(points, points[net]))
         seeds = net
     cells = []
     levels = [[] for _ in range(max_depth + 1)]
