@@ -117,10 +117,10 @@ def build_corona(
     a triggered cell become new tree roots; whatever lies below a triggered
     cell without reaching a new root stays in the current tree untested.
     """
-    if a_stop <= 1.0:
-        raise ValueError(f"a_stop must exceed 1, got {a_stop}")
-    if tau <= 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 1.0 < a_stop < np.inf:
+        raise ValueError(f"a_stop must be finite and exceed 1, got {a_stop}")
+    if not 0.0 < tau < np.inf:
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     measure = lattice.measure
     n = measure.target_dim
     n_cells = len(lattice.cells)

@@ -186,8 +186,10 @@ def build_lattice(
     if measure.is_empty:
         raise ValueError("cannot build a lattice over an empty measure")
     a0, c0 = float(a0), float(c0)
-    if c0 <= 1.0:
-        raise ValueError(f"C0 must exceed 1, got {c0}")
+    if not math.isfinite(a0):
+        raise ValueError(f"A0 must be finite, got {a0}")
+    if not 1.0 < c0 < math.inf:
+        raise ValueError(f"C0 must be finite and exceed 1, got {c0}")
     if strict:
         if not a0 > 5000.0 * c0:
             raise ValueError(

@@ -26,7 +26,6 @@ from ._util import BLOCK_ELEMENTS, max_sq_pair_distance
 __all__ = [
     "Ball",
     "RadialBlock",
-    "RadialOrder",
     "radial_pass",
     "WeightedPointMeasure",
     "load_csv",
@@ -188,15 +187,13 @@ class WeightedPointMeasure:
             if self.size < 2:
                 self._diameter = 0.0
             else:
-                # The diameter is attained at hull vertices, so a large input
-                # scans those; flat or 1-d inputs, where the hull fails, scan
-                # every atom.  The scan is blocked, so memory stays O(N).
-                pts = self._points
-                if self.size > 2000:
-                    try:
-                        pts = pts[ConvexHull(pts).vertices]
-                    except (QhullError, ValueError):
-                        pts = self._points
+                # The diameter is attained at hull vertices, so the scan
+                # reads those; flat or 1-d inputs, where the hull fails,
+                # scan every atom.  The scan is blocked, so memory stays O(N).
+                try:
+                    pts = self._points[ConvexHull(self._points).vertices]
+                except (QhullError, ValueError):
+                    pts = self._points
                 self._diameter = float(np.sqrt(max_sq_pair_distance(pts)))
         return self._diameter
 
@@ -369,10 +366,11 @@ class RadialBlock:
     its sorted positions to atom indices, ``dist`` holds the sorted
     distances and, in a block built with ``offsets=True``, ``offsets``
     (coordinate first) the sorted differences p - x.  ``lanes`` holds
-    per-atom values in each row's radial order, lane 0 the weights;
-    ``load`` accumulates every lane into ``sums``, whose column 0 is zero,
-    so ``sums[l, i, k]`` is lane l summed over the k nearest atoms of
-    centre i.
+    per-atom values in each row's radial order, lane 0 the weights.
+    ``sums`` accumulates every lane, its column 0 zero, so
+    ``sums[l, i, k]`` is lane l summed over the k nearest atoms of centre
+    i; it is taken on first access after each ``sort``, so a pass that
+    reads no sums takes none.
 
     The buffers are allocated once, for ``width`` centres, and every
     ``sort`` writes into them; each array of a block is a view of its
@@ -401,8 +399,7 @@ class RadialBlock:
         """Order the atoms by distance from each of ``centers``.
 
         Fills ``order``, ``dist``, the weight lane and, if the block keeps
-        them, the ``offsets``; the other lanes and ``sums`` are left as
-        they were.
+        them, the ``offsets``; the other lanes are left as they were.
         """
         dim, size = self._points.shape
         centers = np.asarray(centers, dtype=float).reshape(-1, dim)
@@ -420,6 +417,7 @@ class RadialBlock:
         np.sqrt(raw, out=raw)
         self.order = np.argsort(raw, axis=1, kind="stable")
         self.lanes = _head(self._values, self._lanes, rows, size)
+        self._summed = None
         # mode="clip" lets take write straight into out; every index is
         # in range, so nothing is clipped
         np.take(self._weights, self.order, out=self.lanes[0], mode="clip")
@@ -438,18 +436,24 @@ class RadialBlock:
         return self
 
     def load(self, centers, fill=None) -> "RadialBlock":
-        """``sort`` about ``centers``, then sum every lane into ``sums``.
+        """``sort`` about ``centers``, then fill the lanes.
 
         ``fill(lanes, offsets)``, if given, writes lanes 1 and up from the
-        weight lane and the sorted offsets before the sums are taken.
+        weight lane and the sorted offsets before any sums are taken.
         """
         self.sort(centers)
         if fill is not None:
             fill(self.lanes, self.offsets)
-        rows, size = self.dist.shape
-        self.sums = _prefix(self.lanes, 2,
-                            _head(self._sums, self._lanes, rows, size + 1))
         return self
+
+    @property
+    def sums(self) -> np.ndarray:
+        """Prefix sums of every lane along each row, taken once per sort."""
+        if self._summed is None:
+            rows, size = self.dist.shape
+            self._summed = _prefix(
+                self.lanes, 2, _head(self._sums, self._lanes, rows, size + 1))
+        return self._summed
 
     def count(self, radii) -> np.ndarray:
         """Atoms in the closed balls B(x, r) over ``radii``, row by centre."""
@@ -472,32 +476,6 @@ class RadialBlock:
         ratio **= self.target_dim
         np.divide(self.sums[0, :, 1:], ratio, out=ratio)
         return ratio.max(axis=1)
-
-
-class RadialOrder:
-    """The one-centre RadialBlock, with prefix sums over any per-atom values.
-
-    Attributes: ``order`` maps sorted positions to atom indices and
-    ``dist`` holds the sorted distances.
-    """
-
-    def __init__(self, measure: WeightedPointMeasure, center):
-        block = RadialBlock(measure, 1).sort(center)
-        self.order = block.order[0]
-        self.dist = block.dist[0]
-
-    def count(self, radii):
-        """Number of atoms in the closed balls B(x, r) for the given radii."""
-        return np.searchsorted(self.dist, radii, side="right")
-
-    def prefix(self, values) -> np.ndarray:
-        """Sums of per-atom ``values`` (in sorted order) over closed balls.
-
-        Entry k sums the k nearest atoms, so entry 0 is zero and
-        ``prefix(values)[count(r)]`` is the sum over B(x, r).
-        """
-        values = np.asarray(values, dtype=float)
-        return _prefix(values, 0, np.empty(values.size + 1))
 
 
 def radial_pass(measure: WeightedPointMeasure, centers, visit,

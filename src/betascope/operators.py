@@ -6,10 +6,12 @@ every operator here is a finite sum; the truncation |x - y| > eps (strict)
 is the only regularization, and the evaluation point's own atom is always
 outside the truncation.
 
-All truncated sums for one evaluation point flow through a single
-sorted-by-distance suffix accumulation, so a sweep over many cutoffs costs
-one sort and one search, and every cutoff of the same point sums in the
-same order (deterministic results independent of sweep shape).
+The truncated, suppressed and maximal sums over a block of evaluation
+points come from one blocked radial pass (``measure.radial_pass``): each
+point's atoms are sorted by distance once, and its kernel terms are summed
+farthest-first into suffix sums.  Any cutoff of that point is then one
+search in its sorted distances, and every cutoff of the same point sums
+in the same order, whatever the block or the sweep.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import (RadialBlock, RadialOrder, WeightedPointMeasure, _prefix,
-                      radial_pass)
+from .measure import WeightedPointMeasure, _prefix, radial_pass
 
 __all__ = [
     "CZKernel",
@@ -212,8 +213,8 @@ class BumpFamily:
     OUTER = 0.01
 
     def __init__(self, a0: float):
-        if a0 <= 1.0:
-            raise ValueError(f"a0 must exceed 1, got {a0}")
+        if not 1.0 < a0 < math.inf:
+            raise ValueError(f"a0 must be finite and exceed 1, got {a0}")
         self.a0 = float(a0)
 
     def psi(self, t):
@@ -229,98 +230,67 @@ class BumpFamily:
         return self.psi_k(k, t) - self.psi_k(k + 1, t)
 
 
-def _kernel_suffix(kernel, block, phi_x: float = 0.0,
-                   phi_atoms=None) -> np.ndarray:
-    """Farthest-first suffix sums of the kernel terms along each block row.
+def _suffix_pass(kernel, measure, centers, read, phi_centers=None,
+                 phi_atoms=None) -> None:
+    """``read(block, suffix, rows)`` on each block of one radial pass.
 
-    ``block`` is a RadialBlock sorted with offsets.  Entry [i, k] sums the
+    ``rows`` slices the block's centres.  ``suffix[i, k]`` sums the kernel
     terms of row i from sorted position k on, accumulated farthest-first,
     so entry [i, count(r)] is the sum over |p - x| > r and the last entry
-    is zero.  Given the suppression values phi_atoms, each term is damped
-    by the factor of ``suppressed_kernel``, computed from the kernel values
-    already taken.  The atoms at a row's centre lead it at distance 0; the
-    kernel sees a finite stand-in offset there, so the entries before the
-    row's count(0.0) are no sums and must not be looked up.
+    is zero.  Given Phi at the centres and at the atoms, each term is
+    damped by the factor of ``suppressed_kernel``, computed from the
+    kernel values already taken.  The atoms at a row's centre lead it at
+    distance 0; the kernel sees a finite stand-in offset there, so the
+    entries before the row's count(0.0) are no sums and must not be
+    looked up.
     """
-    dim, rows, size = block.offsets.shape
-    # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
-    diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
-    diffs[block.dist == 0.0] = 1.0
-    vals = kernel(diffs.reshape(-1, dim))
-    terms = vals * block.lanes[0].reshape(-1, 1)
-    if phi_atoms is not None:
-        phi_y = np.asarray(phi_atoms, dtype=float)[block.order].reshape(-1)
-        terms = terms * _damping(kernel, vals, float(phi_x), phi_y)[:, None]
-    terms = terms.reshape(rows, size, -1)
-    out = np.empty((rows, size + 1, terms.shape[2]))
-    return np.flip(_prefix(np.flip(terms, 1), 1, out), 1)
+    at = 0
 
+    def visit(block):
+        nonlocal at
+        rows, at = slice(at, at + block.rows), at + block.rows
+        dim, _, size = block.offsets.shape
+        # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
+        diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
+        diffs[block.dist == 0.0] = 1.0
+        vals = kernel(diffs.reshape(-1, dim))
+        terms = vals * block.lanes[0].reshape(-1, 1)
+        if phi_atoms is not None:
+            phi_x = np.asarray(phi_centers, dtype=float).reshape(-1)[rows]
+            phi_y = np.asarray(phi_atoms, dtype=float)[block.order]
+            terms *= _damping(kernel, vals, np.repeat(phi_x, size),
+                              phi_y.reshape(-1))[:, None]
+        terms = terms.reshape(block.rows, size, -1)
+        out = np.empty((block.rows, size + 1, terms.shape[2]))
+        read(block, np.flip(_prefix(np.flip(terms, 1), 1, out), 1), rows)
 
-class _TruncationSums:
-    """Distance-sorted suffix sums of kernel terms at one evaluation point.
-
-    suffix[j] holds the sum of all terms strictly farther than the j-th
-    sorted distance position, accumulated farthest-first; lookups for any
-    cutoff are O(log N) and share that one summation order.  The one-centre
-    case of ``truncated_field``'s sums, with optional damping.
-    """
-
-    def __init__(self, kernel, measure, x, phi_x=0.0, phi_atoms=None):
-        block = RadialBlock(measure, 1, offsets=True).sort(x)
-        # the evaluation point's own atoms lead the order at distance 0
-        near = int(block.count(0.0)[0])
-        self.dist = block.dist[0, near:]
-        self.suffix = _kernel_suffix(kernel, block, phi_x, phi_atoms)[0, near:]
-
-    def beyond(self, eps) -> np.ndarray:
-        """Sums of terms with distance strictly greater than each cutoff.
-
-        A scalar cutoff gives one (out_dim,) row, an array of cutoffs one
-        row per cutoff.
-        """
-        return self.suffix[np.searchsorted(self.dist, eps, side="right")]
-
-    def sup_norm(self) -> tuple[float, float]:
-        """Max over all cutoffs of |sum beyond cutoff|, with a witness eps."""
-        if self.dist.size == 0:
-            return 0.0, 0.0
-        uniq, first = np.unique(self.dist, return_index=True)
-        positions = np.concatenate(([0], first[1:], [self.dist.size]))
-        witnesses = np.concatenate(([self.dist[0] / 2], uniq[:-1], [uniq[-1]]))
-        norms = np.linalg.norm(self.suffix[positions], axis=1)
-        i = int(np.argmax(norms))
-        return float(norms[i]), float(witnesses[i])
+    radial_pass(measure, centers, visit, offsets=True)
 
 
 def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
     """T_eps at many centers and cutoffs: shape (centers, cutoffs, out_dim).
 
-    One blocked radial pass over the centres: each row's cutoffs are
-    lookups in its suffix sums, clamped past the atoms at the centre,
-    which no truncation holds.
+    Each row's cutoffs are lookups in its suffix sums, clamped past the
+    atoms at the centre, which no truncation holds.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     eps_values = np.asarray(eps_values, dtype=float).reshape(-1)
     out = np.empty((centers.shape[0], eps_values.size, kernel.out_dim))
-    at = 0
 
-    def visit(block):
-        nonlocal at
+    def read(block, suffix, rows):
         counts = np.maximum(block.count(eps_values),
                             block.count(0.0)[:, None])
-        out[at:at + block.rows] = _kernel_suffix(kernel, block)[
-            np.arange(block.rows)[:, None], counts]
-        at += block.rows
+        out[rows] = suffix[np.arange(block.rows)[:, None], counts]
 
-    radial_pass(measure, centers, visit, offsets=True)
+    _suffix_pass(kernel, measure, centers, read)
     return out
 
 
-def _damping(kernel, vals, phi_x: float, phi_y: np.ndarray) -> np.ndarray:
+def _damping(kernel, vals, phi_x, phi_y: np.ndarray) -> np.ndarray:
     """1/(1 + |K|^2 (Phi(x) Phi(y))^n) from the kernel values K per row."""
     ksq = np.sum(vals**2, axis=1)
-    return 1.0 / (1.0 + ksq * (max(phi_x, 0.0) * np.maximum(phi_y, 0.0))
-                  ** kernel.n)
+    return 1.0 / (1.0 + ksq * (np.maximum(phi_x, 0.0)
+                               * np.maximum(phi_y, 0.0)) ** kernel.n)
 
 
 def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
@@ -335,30 +305,75 @@ def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
     return vals[0] * factor[0]
 
 
-def t_phi_eps(kernel, measure, x, eps, phi_x, phi_atoms) -> np.ndarray:
-    """Suppressed truncated sum: kernel damped by Phi, cutoff |x - y| > eps."""
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    return _TruncationSums(kernel, measure, x, phi_x, phi_atoms).beyond(eps)
+def t_phi_eps(kernel, measure, centers, eps, phi_centers,
+              phi_atoms) -> np.ndarray:
+    """Suppressed truncated sums, (centers, out_dim): row i sums the kernel
+    damped by Phi over |x_i - y| > eps_i.
+
+    ``eps`` and ``phi_centers`` (Phi at the centres) hold one value per
+    centre, ``phi_atoms`` one per atom.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    eps = np.asarray(eps, dtype=float).reshape(-1)
+    if not (eps > 0).all():
+        raise ValueError(f"eps must be positive, got {eps.min()}")
+    out = np.empty((centers.shape[0], kernel.out_dim))
+
+    def read(block, suffix, rows):
+        counts = [np.searchsorted(dist, e, side="right")
+                  for dist, e in zip(block.dist, eps[rows])]
+        out[rows] = suffix[np.arange(block.rows), counts]
+
+    _suffix_pass(kernel, measure, centers, read, phi_centers, phi_atoms)
+    return out
 
 
-def t_phi_star(kernel, measure, x, phi_x, phi_atoms) -> tuple[float, float]:
-    """sup over eps > 0 of the suppressed truncation, with witness cutoff."""
-    return _TruncationSums(kernel, measure, x, phi_x, phi_atoms).sup_norm()
+def t_phi_star(kernel, measure, centers, phi_centers,
+               phi_atoms) -> tuple[np.ndarray, np.ndarray]:
+    """sup over eps > 0 of the suppressed truncation, per centre, with
+    witness cutoffs; arguments as in ``t_phi_eps``.
+
+    The sum beyond eps changes only where eps crosses an atom distance, so
+    the sup is a max over the suffix entries that start a run of equal
+    positive distances, and the final zero.  The witness is the distance
+    before the entry, or half the first positive one.  A centre with no
+    atom at a positive distance gets (0.0, 0.0).
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    sups, witnesses = out = np.zeros((2, centers.shape[0]))
+
+    def read(block, suffix, rows):
+        dist, at = block.dist, np.arange(block.rows)
+        near, size = block.count(0.0), dist.shape[1]
+        starts = np.ones((block.rows, size + 1), dtype=bool)
+        starts[:, 1:size] = dist[:, 1:] != dist[:, :-1]
+        starts &= np.arange(size + 1) >= near[:, None]
+        norms = np.where(starts, np.linalg.norm(suffix, axis=2), -np.inf)
+        best = np.argmax(norms, axis=1)
+        witness = np.where(best == near,
+                           dist[at, np.minimum(near, size - 1)] / 2,
+                           dist[at, np.maximum(best - 1, 0)])
+        out[:, rows] = np.where(near < size, (norms[at, best], witness), 0.0)
+
+    if not measure.is_empty:
+        _suffix_pass(kernel, measure, centers, read, phi_centers, phi_atoms)
+    return sups, witnesses
 
 
-def m_tilde(sigma: WeightedPointMeasure, f, x, variant: str = "plain") -> float:
+def m_tilde(sigma: WeightedPointMeasure, f, centers,
+            variant: str = "plain") -> np.ndarray:
     """sup over r of mean |f| on B(x, r) against sigma's mass on B(x, 3r).
 
-    The ratio is piecewise constant between breakpoints (atom distances for
-    the numerator, one third of them for the denominator), so the sup is a
-    max over those radii.  variant '3/2' averages |f|^{3/2} and takes the
-    2/3 power of the ratio.
+    One value per row of ``centers``.  The ratio is piecewise constant
+    between breakpoints (atom distances for the numerator, one third of
+    them for the denominator), so the sup is a max over those radii.
+    variant '3/2' averages |f|^{3/2} and takes the 2/3 power of the ratio.
     """
     if variant not in ("plain", "3/2"):
         raise ValueError(f"unknown variant {variant!r}")
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if sigma.is_empty:
-        return 0.0
+        return np.zeros(centers.shape[0])
     fz = np.abs(np.asarray(f, dtype=float))
     if fz.shape != (sigma.size,):
         raise ValueError(
@@ -367,21 +382,32 @@ def m_tilde(sigma: WeightedPointMeasure, f, x, variant: str = "plain") -> float:
         )
     if variant == "3/2":
         fz = fz**1.5
-    radial = RadialOrder(sigma, x)
-    num_cum = radial.prefix((fz * sigma.weights)[radial.order])
-    den_cum = radial.prefix(sigma.weights[radial.order])
-    positive = np.unique(radial.dist[radial.dist > 0.0])
+    values = fz * sigma.weights
+
+    def visit(block):
+        # the mass lane's sums are the denominators
+        nums = _prefix(values[block.order], 1, np.empty(block.sums[0].shape))
+        return [_sup_ratio(*row) for row in zip(block.dist, nums,
+                                                 block.sums[0])]
+
+    bests = [b for part in radial_pass(sigma, centers, visit) for b in part]
+    if variant == "3/2":
+        bests = [b ** (2.0 / 3.0) for b in bests]
+    return np.array(bests)
+
+
+def _sup_ratio(dist, num_cum, den_cum) -> float:
+    """max over breakpoint radii r of num(B(x, r)) / den(B(x, 3r)) at x."""
+    positive = np.unique(dist[dist > 0.0])
     radii = [positive[0] / 2] if positive.size else []
     radii = np.unique(np.concatenate((radii, positive, positive / 3.0)))
     if radii.size == 0:
         # every atom sits exactly at x
-        best = num_cum[-1] / den_cum[-1]
-        return best ** (2.0 / 3.0) if variant == "3/2" else best
-    den = den_cum[radial.count(3.0 * radii)]
-    num = num_cum[radial.count(radii)]
+        return float(num_cum[-1] / den_cum[-1])
+    den = den_cum[np.searchsorted(dist, 3.0 * radii, side="right")]
+    num = num_cum[np.searchsorted(dist, radii, side="right")]
     valid = den != 0.0
-    best = float(np.max(num[valid] / den[valid], initial=0.0))
-    return best ** (2.0 / 3.0) if variant == "3/2" else best
+    return float(np.max(num[valid] / den[valid], initial=0.0))
 
 
 def _chain_levels(corona, top_id: int, atom: int) -> list[int]:

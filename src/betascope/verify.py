@@ -153,12 +153,7 @@ def cotlar_check(measure, kernel, corona, top_id: int,
     in the record.
     """
     geometry = TreeGeometry(corona, top_id)
-    b0 = geometry.b0
-    sigma = measure.restrict_ball(b0)
-    if sigma.is_empty:
-        return {"name": "cotlar", "lhs": 0.0, "rhs": 0.0, "ratio": 0.0,
-                "samples": 0, "params": {"kernel": kernel.name, "s": 1.0,
-                                         "flagged": 0, "top": top_id}}
+    sigma = measure.restrict_ball(geometry.b0)
     phi_sigma = geometry.phi(sigma.points)
     ones = np.ones(sigma.size)
 
@@ -171,20 +166,21 @@ def cotlar_check(measure, kernel, corona, top_id: int,
         t_vals = np.zeros(sigma.size)
     else:
         gaps = cKDTree(sites).query(sigma.points, k=2)[0][:, 1]
-        t_vals = np.array([
-            float(np.linalg.norm(t_phi_eps(kernel, sigma, x, float(gap) / 2.0,
-                                           phi, phi_sigma)))
-            for x, gap, phi in zip(sigma.points, gaps, phi_sigma)])
+        field = t_phi_eps(kernel, sigma, sigma.points, gaps / 2.0,
+                          phi_sigma, phi_sigma)
+        # row by row: the norm of one vector is a dot product, which
+        # rounds unlike norm(axis=1)
+        t_vals = np.array([float(np.linalg.norm(row)) for row in field])
 
     sample = _strided(np.arange(sigma.size), max_samples)
+    points = sigma.points[sample]
+    stars, _ = t_phi_star(kernel, sigma, points, phi_sigma[sample], phi_sigma)
+    rhss = (m_tilde(sigma, t_vals, points, variant="plain")
+            + m_tilde(sigma, ones, points, variant="3/2"))
     flagged = 0
     best = 0.0
     worst_lhs = worst_rhs = 0.0
-    for j in sample:
-        x = sigma.points[j]
-        lhs, _ = t_phi_star(kernel, sigma, x, phi_sigma[j], phi_sigma)
-        rhs = (m_tilde(sigma, t_vals, x, variant="plain")
-               + m_tilde(sigma, ones, x, variant="3/2"))
+    for lhs, rhs in zip(stars.tolist(), rhss.tolist()):
         if rhs == 0.0:
             if lhs > 0.0:
                 flagged += 1
@@ -211,21 +207,17 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
     the record's ratio is the largest c_x.
     """
     geometry = TreeGeometry(corona, top_id)
-    top_cell = corona.lattice.cells[top_id]
     sigma = measure.restrict_ball(geometry.b0)
     phi_sigma = geometry.phi(sigma.points)
     theta_ref = corona.theta_ref[top_id]
-    sample = _strided(top_cell.point_indices, max_samples)
-
-    def one(atom):
-        x = measure.points[atom]
-        k_r = float(np.linalg.norm(k_r_chain(corona, kernel, bump, top_id,
-                                             int(atom))))
-        phi_x = float(geometry.phi(x[None, :])[0])
-        star, _ = t_phi_star(kernel, sigma, x, phi_x, phi_sigma)
-        return max(0.0, k_r - star) / theta_ref
-
-    excesses = [one(atom) for atom in sample]
+    sample = _strided(corona.lattice.cells[top_id].point_indices, max_samples)
+    points = measure.points[sample]
+    stars, _ = t_phi_star(kernel, sigma, points, geometry.phi(points),
+                          phi_sigma)
+    excesses = [
+        max(0.0, float(np.linalg.norm(k_r_chain(
+            corona, kernel, bump, top_id, int(atom)))) - star) / theta_ref
+        for atom, star in zip(sample, stars.tolist())]
     worst = max(excesses) if excesses else 0.0
     return {
         "name": "pointwise_domination",

@@ -181,6 +181,32 @@ class TestCliExitCodes:
             assert "Traceback" not in r.stderr, name
             assert r.stderr.count(str(bad)) == 1, (name, r.stderr)
 
+    def test_non_finite_constant_is_one(self, tmp_path):
+        mfile = tmp_path / "m.csv"
+        run_cli("generate", "segment", "--count", "20", "--out", str(mfile))
+        cases = [
+            ("corona", "--a0", "inf", "A0"),
+            ("corona", "--a0", "nan", "A0"),
+            ("lattice", "--a0", "inf", "A0", "--strict"),
+            ("corona", "--c0", "nan", "C0"),
+            ("lattice", "--c0", "inf", "C0"),
+            ("corona", "--a-stop", "nan", "a_stop"),
+            ("verify", "--a-stop", "inf", "a_stop"),
+            ("corona", "--tau", "nan", "tau"),
+            ("verify", "--tau", "inf", "tau"),
+        ]
+        for command, flag, value, name, *extra in cases:
+            case = (command, flag, value)
+            rep = tmp_path / "rep.json"
+            r = run_cli(command, "--input", str(mfile), "--out", str(rep),
+                        flag, value, *extra)
+            assert r.returncode == 1, (case, r.stderr)
+            # an uncaught exception also exits 1, with a traceback
+            assert r.stderr.startswith(f"error: {name} must be finite"), \
+                (case, r.stderr)
+            assert "Traceback" not in r.stderr, case
+            assert not rep.exists(), case
+
     def test_empty_file_is_one(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

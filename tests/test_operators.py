@@ -58,6 +58,11 @@ class TestKernels:
 
 
 class TestBumpFamily:
+    @pytest.mark.parametrize("a0", [1.0, 0.5, np.inf, np.nan])
+    def test_a0_must_be_finite_and_exceed_one(self, a0):
+        with pytest.raises(ValueError, match="a0 must be finite"):
+            BumpFamily(a0)
+
     def test_partition_of_unity_exact(self):
         fam = BumpFamily(20.0)
         # partial sums of phi_k telescope to psi differences; on the
@@ -116,7 +121,7 @@ class TestTruncation:
         m = segment(80)
         k = riesz_kernel(1, 2)
         x = np.array([0.51, 0.0])
-        sup, arg = t_phi_star(k, m, x, 0.0, np.zeros(m.size))
+        (sup,), (arg,) = t_phi_star(k, m, x, 0.0, np.zeros(m.size))
         d = np.unique(np.linalg.norm(m.points - x, axis=1))
         grid = np.concatenate([d[d > 0] * 0.999, d[d > 0] * 1.001,
                                [1e-9, m.diameter * 2]])
@@ -200,7 +205,7 @@ class TestSuppressedTruncation:
         k = riesz_kernel(1, 2)
         x = np.array([0.4, 0.01])
         phi_atoms = np.zeros(m.size)
-        a = t_phi_eps(k, m, x, 0.08, 0.0, phi_atoms)
+        a = t_phi_eps(k, m, x, 0.08, 0.0, phi_atoms)[0]
         b = truncated_field(k, m, x, [0.08])[0, 0]
         assert np.array_equal(a, b)
 
@@ -209,7 +214,7 @@ class TestSuppressedTruncation:
         k = riesz_kernel(1, 2)
         x = np.array([0.4, 0.01])
         phi_atoms = np.full(m.size, 0.05)
-        sup, _ = t_phi_star(k, m, x, 0.05, phi_atoms)
+        (sup,), _ = t_phi_star(k, m, x, 0.05, phi_atoms)
         assert np.isfinite(sup) and sup >= 0.0
 
 
@@ -218,8 +223,8 @@ class TestMaximalFunctions:
         m = segment(30)
         f = np.ones(30)
         x = m.points[4]
-        plain = m_tilde(m, f, x)
-        three_half = m_tilde(m, f, x, variant="3/2")
+        (plain,) = m_tilde(m, f, x)
+        (three_half,) = m_tilde(m, f, x, variant="3/2")
         assert plain > 0.0 and three_half > 0.0
         with pytest.raises(ValueError):
             m_tilde(m, f, x, variant="bogus")
@@ -229,8 +234,7 @@ class TestMaximalFunctions:
         # near 1; the denominator at 3r only shrinks it
         m = segment(50)
         f = np.ones(50)
-        for i in (0, 12, 49):
-            assert m_tilde(m, f, m.points[i]) <= 1.0 + 1e-12
+        assert (m_tilde(m, f, m.points[[0, 12, 49]]) <= 1.0 + 1e-12).all()
 
 
 @pytest.fixture(scope="module")
@@ -298,7 +302,7 @@ class TestLemma22Analogues:
                 continue
             eps = phi_x * float(rng.uniform(1.0, 4.0))
             diff = np.linalg.norm(
-                t_phi_eps(k, m, x, eps, phi_x, phi_atoms)
+                t_phi_eps(k, m, x, eps, phi_x, phi_atoms)[0]
                 - truncated_field(k, m, x, [eps])[0, 0])
             denom = m.sup_density(x, max(phi_x, m.r_min))
             if denom > 0:
@@ -317,8 +321,8 @@ class TestLemma22Analogues:
                 continue
             eps = phi_x * float(rng.uniform(0.05, 1.0))
             diff = np.linalg.norm(
-                t_phi_eps(k, m, x, eps, phi_x, phi_atoms)
-                - t_phi_eps(k, m, x, phi_x, phi_x, phi_atoms))
+                t_phi_eps(k, m, x, eps, phi_x, phi_atoms)[0]
+                - t_phi_eps(k, m, x, phi_x, phi_x, phi_atoms)[0])
             denom = m.sup_density(x, max(phi_x, m.r_min))
             if denom > 0:
                 worst = max(worst, diff / denom)

@@ -1,4 +1,4 @@
-"""RadialOrder and the radial sums built on it, against the per-function
+"""The radial pass and the sums built on it, against the per-function
 sort-then-cumsum bodies they replaced.
 
 The oracles below are those bodies verbatim (sort the distances from x,
@@ -11,10 +11,9 @@ import pytest
 
 from betascope import (BetaProfile, WeightedPointMeasure, cantor4,
                        cauchy_kernel, lipschitz_graph, m_tilde, riesz_kernel,
-                       segment, truncated_field)
+                       segment, t_phi_eps, t_phi_star, truncated_field)
 from betascope import measure as measure_module
-from betascope.measure import RadialOrder
-from betascope.operators import _TruncationSums
+from betascope.measure import RadialBlock
 
 
 def tie_cloud():
@@ -240,13 +239,14 @@ def old_m_tilde(sigma, f, x, variant="plain"):
 
 def test_radial_order_sums_match_direct_ball_sums(measure):
     x = measure.points[3]
-    radial = RadialOrder(measure, x)
+    block = RadialBlock(measure, 1).load(x)
     dist = np.linalg.norm(measure.points - x, axis=1)
-    assert np.array_equal(radial.dist, np.sort(dist))
-    inside = radial.prefix(measure.weights[radial.order])
+    assert np.array_equal(block.dist[0], np.sort(dist))
+    assert np.array_equal(block.lanes[0, 0], measure.weights[block.order[0]])
+    inside = block.sums[0, 0]
     assert inside[0] == 0.0
     for r in np.concatenate(([0.0], np.unique(dist), [0.05, 0.4])):
-        k = radial.count(r)
+        k = block.count(r)[0]
         assert k == np.count_nonzero(dist <= r)
         assert inside[k] == pytest.approx(measure.weights[dist <= r].sum(),
                                           rel=1e-12, abs=0.0)
@@ -289,38 +289,78 @@ def test_beta_profile_bit_equal(any_measure):
             assert np.array_equal(a, b)
 
 
+def per_centre_cutoffs(measure, xs, rng):
+    """Per centre: a cutoff on one of its atom distances, one off them,
+    one beyond the diameter and one below every positive distance."""
+    sweeps = []
+    for pick in (lambda d: rng.choice(d), lambda d: rng.uniform(0.0, d[-1]),
+                 lambda d: 2 * measure.diameter + 1.0, lambda d: 1e-300):
+        eps = []
+        for x in xs:
+            dist = np.linalg.norm(measure.points - x, axis=1)
+            eps.append(pick(np.sort(dist[dist > 0.0])))
+        sweeps.append(np.array(eps))
+    return sweeps
+
+
 @pytest.mark.parametrize("kernel", [riesz_kernel(1, 2), cauchy_kernel()],
                          ids=["riesz", "cauchy"])
-def test_truncation_sums_bit_equal(measure, kernel):
+def test_truncation_sums_bit_equal(monkeypatch, measure, kernel):
+    """The blocked t_phi_eps and t_phi_star, at every centre in one call,
+    against the one-centre oracle: atoms at a centre, negative Phi and a
+    cutoff of its own per centre."""
     rng = np.random.default_rng(2)
+    xs = centres(measure)
     # some negative values: the damping clips Phi at 0
     phi_atoms = rng.uniform(-0.05, 0.5, size=measure.size)
-    phi = {"phi_x": 0.3, "phi_atoms": phi_atoms}
-    for x in centres(measure):
-        damping = old_damping(kernel, measure, x, 0.3, phi_atoms)
-        assert (damping < 1.0).any() and (damping == 1.0).any()
-        for new_kw, old_kw in (({}, {}), (phi, {"damping": damping})):
-            new = _TruncationSums(kernel, measure, x, **new_kw)
-            old = OldTruncationSums(kernel, measure, x, **old_kw)
-            assert np.array_equal(new.dist, old.dist)
-            assert np.array_equal(new.suffix, old.suffix)
-            assert new.sup_norm() == old.sup_norm()
+    phi_xs = rng.uniform(-0.05, 0.5, size=len(xs))
+    plain = [OldTruncationSums(kernel, measure, x) for x in xs]
+    damped = []
+    for x, phi_x in zip(xs, phi_xs):
+        damping = old_damping(kernel, measure, x, phi_x, phi_atoms)
+        if phi_x > 0.0:
+            assert (damping < 1.0).any() and (damping == 1.0).any()
+        damped.append(OldTruncationSums(kernel, measure, x, damping))
+    sweeps = per_centre_cutoffs(measure, xs, rng)
+    # at the default block budget and at one centre per block
+    for budget in (measure_module.RADIAL_BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", budget)
+        for phi, old in ((phi_xs, damped), (np.zeros(len(xs)), plain)):
+            for eps in sweeps:
+                new = t_phi_eps(kernel, measure, xs, eps, phi, phi_atoms)
+                assert np.array_equal(new, [o.beyond(e)
+                                            for o, e in zip(old, eps)])
+            sups, witnesses = t_phi_star(kernel, measure, xs, phi, phi_atoms)
+            assert list(zip(sups, witnesses)) == [o.sup_norm() for o in old]
 
 
 @pytest.mark.parametrize("variant", ["plain", "3/2"])
-def test_m_tilde_bit_equal(measure, variant):
+def test_m_tilde_bit_equal(monkeypatch, measure, variant):
     f = np.random.default_rng(3).normal(size=measure.size)
-    for x in centres(measure):
-        assert m_tilde(measure, f, x, variant) == \
-            old_m_tilde(measure, f, x, variant)
+    xs = centres(measure)
+    old = [old_m_tilde(measure, f, x, variant) for x in xs]
+    for budget in (measure_module.RADIAL_BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", budget)
+        assert np.array_equal(m_tilde(measure, f, xs, variant), old)
 
 
 def test_m_tilde_all_atoms_at_centre_bit_equal():
     m = WeightedPointMeasure(np.zeros((4, 2)), np.array([1.0, 2.0, 0.5, 1.5]), 1)
     f = np.array([0.3, -1.0, 2.0, 0.7])
     for variant in ("plain", "3/2"):
-        assert m_tilde(m, f, (0.0, 0.0), variant) == \
+        assert m_tilde(m, f, [(0.0, 0.0)], variant)[0] == \
             old_m_tilde(m, f, (0.0, 0.0), variant)
+
+
+def test_suppressed_sums_with_every_atom_at_the_centre():
+    m = WeightedPointMeasure(np.zeros((3, 2)), np.ones(3), 1)
+    k = riesz_kernel(1, 2)
+    phi = np.full(3, 0.2)
+    assert np.array_equal(t_phi_eps(k, m, m.points, 0.1, phi, phi),
+                          np.zeros((3, 2)))
+    sups, witnesses = t_phi_star(k, m, m.points, phi, phi)
+    assert np.array_equal(sups, np.zeros(3))
+    assert np.array_equal(witnesses, np.zeros(3))
 
 
 # -- truncated_field: one lookup answers every cutoff of a centre -------------

@@ -236,6 +236,31 @@ def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch,
         assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(made[0]))
 
 
+def test_prefix_sums_are_taken_only_when_read(monkeypatch):
+    measure = lipschitz_graph(120, seed=3)
+    made = []
+    init = RadialBlock.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(RadialBlock, "__init__", counting)
+    # the truncation pass reads no sums, so it takes none
+    truncated_field(riesz_kernel(1, 2), measure, measure.points,
+                    [measure.r_min])
+    assert made[-1]._summed is None
+    # a density pass takes them once per sort, before reading them
+    block = RadialBlock(measure, 2).load(measure.points[:2])
+    assert block._summed is None
+    assert block.sums is block.sums
+    block.sort(measure.points[2:4])
+    assert block._summed is None
+    assert np.array_equal(block.sup_density(measure.r_min),
+                          [old_sup_density(measure, x, measure.r_min)
+                           for x in measure.points[2:4]])
+
+
 def test_pass_memory_is_a_few_blocks_not_atoms_squared():
     measure = lipschitz_graph(2000, seed=1)
     r_lo, r_hi = measure.r_min, measure.diameter

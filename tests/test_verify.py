@@ -125,19 +125,47 @@ class TestCotlar:
         calls = []
         real = verify.t_phi_eps
 
-        def spy(kern, sigma, x, eps, phi_x, phi_atoms):
-            calls.append((sigma, x, eps, phi_x, phi_atoms))
-            return real(kern, sigma, x, eps, phi_x, phi_atoms)
+        def spy(kern, sigma, centers, eps, phi_centers, phi_atoms):
+            calls.append((sigma, centers, eps, phi_centers, phi_atoms))
+            return real(kern, sigma, centers, eps, phi_centers, phi_atoms)
 
         monkeypatch.setattr(verify, "t_phi_eps", spy)
         cotlar_check(cor.measure, kernel, cor, cor.root_id, max_samples=16)
-        assert calls
-        for sigma, x, eps, phi_x, phi_atoms in calls:
+        assert len(calls) == 1
+        sigma, centers, eps, phi_centers, phi_atoms = calls[0]
+        assert len(centers) == len(eps) == sigma.size
+        for x, e, phi_x in zip(centers, eps, phi_centers):
             dists = np.linalg.norm(sigma.points - x, axis=1)
             scan = float(dists[dists > 0].min()) / 2.0
             assert np.array_equal(
-                real(kernel, sigma, x, eps, phi_x, phi_atoms),
+                real(kernel, sigma, x, e, phi_x, phi_atoms),
                 real(kernel, sigma, x, scan, phi_x, phi_atoms))
+
+    def test_one_blocked_call_per_operator(self, graph_corona, kernel,
+                                           monkeypatch):
+        """Cotlar takes its field, its sups and each maximal function from
+        one call over all its centres; the pointwise check its sups."""
+        calls = []
+        for name in ("t_phi_eps", "t_phi_star", "m_tilde"):
+            real = getattr(verify, name)
+
+            def spy(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, spy)
+        cor = graph_corona
+        rec = cotlar_check(cor.measure, kernel, cor, cor.root_id,
+                           max_samples=48)
+        assert rec["samples"] > 1
+        assert sorted(calls) == ["m_tilde", "m_tilde", "t_phi_eps",
+                                 "t_phi_star"]
+        calls.clear()
+        rec = pointwise_domination_check(
+            cor.measure, kernel, cor, BumpFamily(cor.lattice.a0),
+            cor.root_id, max_samples=48)
+        assert rec["samples"] > 1
+        assert calls == ["t_phi_star"]
 
     def test_coincident_atoms_keep_a_zero_field(self, kernel):
         m = WeightedPointMeasure(np.zeros((3, 2)), np.ones(3), 1)
