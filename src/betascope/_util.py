@@ -1,5 +1,5 @@
-"""Shared plumbing: deterministic JSON output, the ordered map, grids, and
-the blocked all-pairs scan."""
+"""Shared plumbing: deterministic JSON output, the ordered map, grids, hull
+vertices and the blocked all-pairs scan."""
 
 from __future__ import annotations
 
@@ -7,9 +7,10 @@ import json
 import math
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError
 
 __all__ = ["parallel_map", "dump_json", "geometric_grid",
-           "max_sq_pair_distance"]
+           "hull_vertices", "max_sq_pair_distance"]
 
 # Elements per temporary array in the blocked pairwise scans (2 MB of
 # float64), so their memory stays O(N) whatever the input size.
@@ -50,6 +51,18 @@ def geometric_grid(lo: float, hi: float, per_octave: int = 4) -> np.ndarray:
     count = int(math.floor(math.log2(hi / lo) * per_octave + 1e-9)) + 1
     grid = lo * 2.0 ** (np.arange(count) / per_octave)
     return grid[grid <= hi * (1 + 1e-12)]
+
+
+def hull_vertices(points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` at their convex hull's vertices.
+
+    The largest pair distance is attained there.  Where qhull finds no hull
+    (too few atoms, a flat or collinear set, 1-d input) every row is kept.
+    """
+    try:
+        return points[ConvexHull(points).vertices]
+    except (QhullError, ValueError):
+        return points
 
 
 def max_sq_pair_distance(points: np.ndarray) -> float:

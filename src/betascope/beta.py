@@ -79,18 +79,21 @@ def _weighted_plane(z: np.ndarray, w: np.ndarray, n: int):
     return mean, basis, eigvals
 
 
-def beta2(measure: WeightedPointMeasure, ball: Ball) -> BetaResult:
+def beta2(measure: WeightedPointMeasure, ball: Ball,
+          indices=None) -> BetaResult:
     """Exact 2-flatness of ``measure`` on the closed ball ``ball``.
 
     Raises for radii below the measure resolution.  An empty ball yields
-    value 0 with a degenerate (None) plane.
+    value 0 with a degenerate (None) plane.  ``indices``, if given, are the
+    ball's atoms as ``measure.ball_indices`` returns them, and the ball is
+    not queried again.
     """
     r = float(ball.radius)
     if r < measure.r_min:
         raise ValueError(
             f"beta query at r={r:.3g} below resolution r_min={measure.r_min:.3g}"
         )
-    idx = measure.ball_indices(ball.center, r)
+    idx = measure.ball_indices(ball.center, r) if indices is None else indices
     if idx.size == 0:
         return BetaResult(0.0, ball, 0.0, None, None)
     n = measure.target_dim

@@ -116,25 +116,25 @@ def build_corona(
     to and including Q exceeds tau.  The maximal doubling cells at or below
     a triggered cell become new tree roots; whatever lies below a triggered
     cell without reaching a new root stays in the current tree untested.
+
+    The ball statistics come one level at a time: one batched query per
+    level (``ball_batches``) finds every cell's 1.1 B_Q, and each cell's
+    beta2 takes its atoms from there.  theta(B_Q), the reference density
+    of a cell that becomes a tree root, reads the same atoms within
+    28 r(Q).  Owners are then set level by level.
     """
     if not 1.0 < a_stop < np.inf:
         raise ValueError(f"a_stop must be finite and exceed 1, got {a_stop}")
     if not 0.0 < tau < np.inf:
         raise ValueError(f"tau must be finite and positive, got {tau}")
     measure = lattice.measure
-    n = measure.target_dim
     n_cells = len(lattice.cells)
-
-    # Flatness term per cell, computed once: the ball radius never drops
-    # below the measure resolution (the deepest cells sit near it).
     beta_terms = np.empty(n_cells)
     theta_big = np.empty(n_cells)
-    for cell in lattice.cells:
-        radius = max(DENSITY_BALL_FACTOR * COVER_FACTOR * cell.radius,
-                     measure.r_min)
-        res = beta2(measure, Ball(cell.center, radius))
-        theta_big[cell.id] = res.mass / radius**n
-        beta_terms[cell.id] = res.value**2 * theta_big[cell.id]
+    theta_own = np.empty(n_cells)
+    for ids in lattice.levels:
+        _ball_statistics(measure, [lattice.cells[cid] for cid in ids],
+                         beta_terms, theta_big, theta_own)
 
     root = lattice.root.id
     tops: list[int] = [root]
@@ -143,12 +143,9 @@ def build_corona(
     queue = deque([root])
     while queue:
         top = queue.popleft()
-        top_cell = lattice.cells[top]
         # positive: the centre atom lies in its own ball
-        radius = COVER_FACTOR * top_cell.radius
-        ref = measure.ball_mass(top_cell.center, radius) / radius**n
-        theta_ref[top] = ref
-        walk = deque((child, 0.0) for child in top_cell.children)
+        ref = theta_ref[top] = float(theta_own[top])
+        walk = deque((child, 0.0) for child in lattice.cells[top].children)
         while walk:
             cid, chain = walk.popleft()
             chain = chain + float(beta_terms[cid])
@@ -166,15 +163,38 @@ def build_corona(
                 tops.append(new_top)
                 queue.append(new_top)
 
-    top_set = set(tops)
-    owner = np.empty(n_cells, dtype=np.int64)
-    for cell in lattice.cells:          # ids are sorted by level already
-        if cell.id in top_set:
-            owner[cell.id] = cell.id
-        else:
-            owner[cell.id] = owner[cell.parent]
+    is_top = np.zeros(n_cells, dtype=bool)
+    is_top[tops] = True
+    owner = np.arange(n_cells)
+    for ids in lattice.levels[1:]:
+        ids = np.asarray(ids)
+        parents = np.array([lattice.cells[cid].parent for cid in ids])
+        owner[ids] = np.where(is_top[ids], ids, owner[parents])
     return CoronaTree(lattice, a_stop, tau, tops, owner, triggered,
                       beta_terms, theta_big, theta_ref)
+
+
+def _ball_statistics(measure, cells, beta_terms, theta_big, theta_own):
+    """beta2(1.1 B_Q)^2 theta(1.1 B_Q), theta(1.1 B_Q) and theta(B_Q) for
+    the cells of one level, written at their ids.
+
+    The 1.1 B_Q radius never drops below the measure resolution (the
+    deepest cells sit near it), so it always holds B_Q.
+    """
+    n = measure.target_dim
+    centers = np.array([cell.center for cell in cells])
+    radii = [max(DENSITY_BALL_FACTOR * COVER_FACTOR * cell.radius,
+                 measure.r_min) for cell in cells]
+    for at, atoms, dist, bounds in measure.ball_batches(centers, radii):
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]),
+                                     start=at):
+            cell, radius = cells[j], radii[j]
+            res = beta2(measure, Ball(cell.center, radius), atoms[lo:hi])
+            theta_big[cell.id] = res.mass / radius**n
+            beta_terms[cell.id] = res.value**2 * theta_big[cell.id]
+            own = COVER_FACTOR * cell.radius
+            inside = atoms[lo:hi][dist[lo:hi] <= own]
+            theta_own[cell.id] = np.sum(measure.weights[inside]) / own**n
 
 
 class TreeGeometry:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import max_sq_pair_distance
+from ._util import hull_vertices, max_sq_pair_distance
 from .measure import _TREE_SLACK, Ball, WeightedPointMeasure
 
 __all__ = [
@@ -276,28 +276,79 @@ def build_lattice(
 
 
 def _classify_cells(lattice: Lattice) -> None:
-    """Set each cell's conforming and doubling flags from one B(Q) query.
+    """Set the conforming and doubling flags of every cell, level by level.
 
     r(Q) is the lower clamp A0^-k (ball containment only shrinks with the
     radius, so the smallest admissible radius in the bracket is its lower
     edge).  A cell is conforming when support inter B(z_Q, r(Q)) stays
     inside Q and Q stays inside 28 B(Q), and doubling when
     mu(100 B(Q)) <= C0 * mu(B(Q)).
+
+    Each level makes one batched query at r(Q) and one at 100 r(Q) over
+    all its centres (``ball_batches``, ``ball_indices``' arithmetic).
+    Containment reads the level's assignment of every atom in B(Q), and
+    covering the largest span |x - z_Q| of each cell's atoms.  The masses
+    are first taken as sequential segment sums; only a cell whose two sides
+    of the doubling test lie within that rounding error of each other
+    takes them again as ``ball_mass`` does, np.sum over the ball's atoms.
     """
     measure = lattice.measure
-    for cell in lattice.cells:
-        inside = measure.ball_indices(cell.center, cell.radius)
-        # point_indices are exactly the atoms assigned to the cell
-        containment_ok = bool(
-            (lattice._assignment[cell.level, inside] == cell.id).all())
-        span = np.linalg.norm(
-            measure.points[cell.point_indices] - cell.center, axis=1
-        )
-        covering_ok = bool((span <= COVER_FACTOR * cell.radius).all())
-        cell.conforming = containment_ok and covering_ok
-        small = float(np.sum(measure.weights[inside]))
-        big = measure.ball_mass(cell.center, DOUBLING_FACTOR * cell.radius)
-        cell.doubling = bool(big <= lattice.c0 * small)
+    points = measure.points
+    c0 = lattice.c0
+    for k, ids in enumerate(lattice.levels):
+        # build_lattice numbers a level's cells consecutively
+        cells = lattice.cells[ids[0]:ids[-1] + 1]
+        centers = points[[cell.center_index for cell in cells]]
+        radii = np.array([cell.radius for cell in cells])
+        local = lattice._assignment[k] - ids[0]
+        reach = np.zeros(len(cells))
+        np.maximum.at(reach, local,
+                      np.linalg.norm(points - centers[local], axis=1))
+        small, contained = _rough_masses(measure, centers, radii, local)
+        big, _ = _rough_masses(measure, centers, DOUBLING_FACTOR * radii)
+        conforming = contained & (reach <= COVER_FACTOR * radii)
+        # np.sum and a sequential sum of n <= N positive terms both land
+        # within n ulps of the exact sum, so a wider gap decides the test
+        # as np.sum's masses would
+        gap = big - c0 * small
+        doubling = gap < 0.0
+        unsure = np.flatnonzero(np.abs(gap) <= 2.0**-50 * (
+            measure.size + 1) * (big + c0 * small))
+        if unsure.size:
+            small = _exact_masses(measure, centers[unsure], radii[unsure])
+            big = _exact_masses(measure, centers[unsure],
+                                DOUBLING_FACTOR * radii[unsure])
+            doubling[unsure] = big <= c0 * small
+        for cell, conf, dbl in zip(cells, conforming.tolist(),
+                                   doubling.tolist()):
+            cell.conforming, cell.doubling = conf, dbl
+
+
+def _rough_masses(measure, centers, radii, local=None):
+    """Per centre, the mass of its closed ball as a sequential segment sum
+    and, given each atom's row ``local``, whether the ball holds atoms of
+    its own row only.
+
+    Every ball holds its own centre atom, so no segment is empty.
+    """
+    masses = np.empty(len(centers))
+    own_only = np.ones(len(centers), dtype=bool)
+    for at, atoms, _, bounds in measure.ball_batches(centers, radii):
+        end = at + bounds.size - 1
+        masses[at:end] = np.add.reduceat(measure.weights[atoms], bounds[:-1])
+        if local is not None:
+            rows = np.repeat(np.arange(at, end), np.diff(bounds))
+            own_only[rows[local[atoms] != rows]] = False
+    return masses, own_only
+
+
+def _exact_masses(measure, centers, radii) -> np.ndarray:
+    """Per centre, mu(B(c, r)) as ``ball_mass`` takes it."""
+    masses = []
+    for _, atoms, _, bounds in measure.ball_batches(centers, radii):
+        masses.extend(np.sum(measure.weights[atoms[lo:hi]])
+                      for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return np.array(masses)
 
 
 def boundary_layer_mass(
@@ -383,34 +434,6 @@ def cover_by_doubling(lattice: Lattice, cell_id: int):
     return emitted, uncovered_idx
 
 
-def _sorted_contains(sorted_values: np.ndarray, queries) -> np.ndarray:
-    """Per query, whether it occurs in the ascending array sorted_values."""
-    queries = np.asarray(queries)
-    pos = np.searchsorted(sorted_values, queries)
-    hit = pos < sorted_values.size
-    hit[hit] = sorted_values[pos[hit]] == queries[hit]
-    return hit
-
-
-def _decisive_diameter(pts: np.ndarray, thresholds) -> float:
-    """The diameter of pts, or a stand-in on the same side of each threshold.
-
-    A realised pair distance (the atom farthest from the first, then the
-    atom farthest from that one) bounds the diameter from below, and twice
-    the largest distance rho from the first atom bounds it from above.  When
-    no threshold lies in that bracket, either end of it compares with every
-    threshold as the diameter would; otherwise the exact blocked scan runs.
-    Only O(len(pts)) memory is used either way.
-    """
-    from_first = np.sqrt(((pts - pts[0]) ** 2).sum(-1))
-    far = pts[int(np.argmax(from_first))]
-    pair = float(np.sqrt(((pts - far) ** 2).sum(-1).max()))
-    upper = 2.0 * float(from_first.max()) * (1.0 + 1e-9)
-    if any(pair <= t <= upper for t in thresholds):
-        return float(np.sqrt(max_sq_pair_distance(pts)))
-    return pair
-
-
 def check_lattice(lattice: Lattice) -> dict:
     """Exact invariant audit; the reference oracle for the lattice tests.
 
@@ -418,8 +441,20 @@ def check_lattice(lattice: Lattice) -> dict:
     enlarged-ball disjointness uses the open-ball criterion
     |z - z'| >= 5 (r + r'), and the cell-diameter window is reported for
     cells with at least two atoms.
+
+    The audit reads the ``Cell`` objects as they stand, one level at a time
+    over arrays.  Partition counts each atom's (cell, atom) pairs; nesting
+    and centre membership look (parent, atom) and (cell, centre) pairs up
+    among all of them.  The diameter window is decided from a bracket per
+    cell: a realised pair distance below (the atom farthest from the
+    cell's first atom, then the atom farthest from that one) and twice the
+    largest distance rho from the first atom above.  Only a cell with a
+    threshold inside its bracket is scanned exactly, over its convex
+    hull's vertices, or every atom when it has no hull.  Memory stays
+    O(atoms) throughout.
     """
     measure = lattice.measure
+    points = measure.points
     n_pts = measure.size
     report = {
         "partition_ok": True,
@@ -432,52 +467,104 @@ def check_lattice(lattice: Lattice) -> dict:
         "diam_upper_ok": True,
         "diam_lower_violations": 0,
     }
+    keys, parent_keys, center_keys = [], [], []
     for k, ids in enumerate(lattice.levels):
-        seen = np.zeros(n_pts, dtype=np.int64)
-        for cid in ids:
-            cell = lattice.cells[cid]
-            seen[cell.point_indices] += 1
-            if not (
-                lattice.a0 ** (-k) - 1e-15
-                <= cell.radius
-                <= lattice.c0 * lattice.a0 ** (-k) + 1e-15
-            ):
-                report["radius_bracket_ok"] = False
-            if not _sorted_contains(
-                cell.point_indices, [cell.center_index]
-            ).all():
-                report["center_membership_ok"] = False
-            if cell.parent is not None:
-                parent = lattice.cells[cell.parent]
-                if not _sorted_contains(
-                    parent.point_indices, cell.point_indices
-                ).all():
-                    report["nesting_ok"] = False
-            pts = measure.points[cell.point_indices]
-            if pts.shape[0] >= 2:
-                max_diam = cell.side * (1 + 1e-12)
-                min_diam = cell.side / (COVER_FACTOR * lattice.c0)
-                diam = _decisive_diameter(pts, (max_diam, min_diam))
-                if diam > max_diam:
-                    report["diam_upper_ok"] = False
-                if diam < min_diam:
-                    report["diam_lower_violations"] += 1
-        if not (seen == 1).all():
+        cells = [lattice.cells[cid] for cid in ids]
+        members = [cell.point_indices for cell in cells]
+        sizes = np.array([m.size for m in members], dtype=np.intp)
+        atoms = np.concatenate(members).astype(np.int64)
+        row = np.repeat(np.arange(len(cells)), sizes)
+        ids = np.asarray(ids, dtype=np.int64)
+        # (cell, atom) pairs as cell * N + atom: a cell lists each atom once
+        level_keys = np.unique(ids[row] * n_pts + atoms)
+        keys.append(level_keys)
+        if not np.array_equal(np.bincount(level_keys % n_pts,
+                                          minlength=n_pts),
+                              np.ones(n_pts, dtype=np.intp)):
             report["partition_ok"] = False
-        centers = np.array([lattice.cells[c].center for c in ids])
-        radii = np.array([lattice.cells[c].radius for c in ids])
-        if len(ids) > 1:
-            tree = cKDTree(centers)
-            pairs = tree.query_pairs(float(2 * FIVE_B * radii.max()), output_type="ndarray")
-            for i, j in pairs:
-                gap = float(np.linalg.norm(centers[i] - centers[j]))
-                if gap < FIVE_B * (radii[i] + radii[j]):
-                    report["five_b_violations"] += 1
+        center_keys.append(ids * n_pts + [cell.center_index for cell in cells])
+        parents = np.array([-1 if cell.parent is None else cell.parent
+                            for cell in cells], dtype=np.int64)
+        linked = parents[row] >= 0
+        parent_keys.append(parents[row][linked] * n_pts + atoms[linked])
+
+        radii = np.array([cell.radius for cell in cells])
+        scale = lattice.a0 ** (-k)
+        if not ((scale - 1e-15 <= radii)
+                & (radii <= lattice.c0 * scale + 1e-15)).all():
+            report["radius_bracket_ok"] = False
+
+        sides = np.array([cell.side for cell in cells])
+        multi = np.flatnonzero(sizes >= 2)
+        if multi.size:
+            diam, max_diam, min_diam = _cell_diameters(
+                points, members, multi, sides[multi], lattice.c0)
+            if (diam > max_diam).any():
+                report["diam_upper_ok"] = False
+            report["diam_lower_violations"] += int(
+                np.count_nonzero(diam < min_diam))
+
+        if len(cells) > 1:
+            centers = np.array([cell.center for cell in cells])
+            report["five_b_violations"] += _five_b_violations(centers, radii)
+    keys = np.concatenate(keys)
+    if not np.isin(np.concatenate(center_keys), keys).all():
+        report["center_membership_ok"] = False
+    if not np.isin(np.concatenate(parent_keys), keys).all():
+        report["nesting_ok"] = False
     report["nonconforming"] = sum(1 for c in lattice.cells if not c.conforming)
     report["nonconforming_fraction"] = report["nonconforming"] / max(
         1, len(lattice.cells)
     )
     return report
+
+
+def _cell_diameters(points, members, multi, sides, c0):
+    """Diameter stand-ins for the cells ``multi`` (two atoms or more) and
+    the window (max_diam, min_diam) each is compared with.
+
+    Per cell the stand-in is a realised pair distance, or the exact
+    diameter when a threshold lies in the bracket [pair, 2 rho]; either
+    compares with both thresholds as the diameter does.
+    """
+    chosen = [members[i] for i in multi]
+    sizes = np.array([m.size for m in chosen])
+    starts = np.cumsum(sizes) - sizes
+    row = np.repeat(np.arange(len(chosen)), sizes)
+    pts = points[np.concatenate(chosen)]
+    from_first = np.sqrt(((pts - pts[starts][row]) ** 2).sum(-1))
+    rho = np.maximum.reduceat(from_first, starts)
+    # the first atom of each cell at distance rho
+    hits = np.flatnonzero(from_first == rho[row])
+    far = pts[hits[np.searchsorted(hits, starts)]]
+    pair = np.sqrt(np.maximum.reduceat(((pts - far[row]) ** 2).sum(-1),
+                                       starts))
+    upper = 2.0 * rho * (1.0 + 1e-9)
+    max_diam = sides * (1 + 1e-12)
+    min_diam = sides / (COVER_FACTOR * c0)
+    unsure = (((pair <= max_diam) & (max_diam <= upper))
+              | ((pair <= min_diam) & (min_diam <= upper)))
+    diam = pair
+    for i in np.flatnonzero(unsure):
+        cell_pts = pts[starts[i]:starts[i] + sizes[i]]
+        diam[i] = np.sqrt(max_sq_pair_distance(hull_vertices(cell_pts)))
+    return diam, max_diam, min_diam
+
+
+def _five_b_violations(centers, radii) -> int:
+    """Same-level centre pairs with |z - z'| < 5 (r + r')."""
+    tree = cKDTree(centers)
+    i, j = tree.query_pairs(float(2 * FIVE_B * radii.max()),
+                            output_type="ndarray").T
+    limit = FIVE_B * (radii[i] + radii[j])
+    gap = np.sqrt(((centers[i] - centers[j]) ** 2).sum(-1))
+    # np.linalg.norm of one vector is a BLAS dot, which may round the last
+    # bits otherwise; pairs within that error of the limit take it
+    unsure = np.flatnonzero(
+        np.abs(gap - limit) <= 2.0**-50 * centers.shape[1] * limit)
+    gap[unsure] = [np.linalg.norm(centers[a] - centers[b])
+                   for a, b in zip(i[unsure], j[unsure])]
+    return int(np.count_nonzero(gap < limit))
 
 
 def lattice_to_json(lattice: Lattice, path=None):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from betascope import (TreeGeometry, WeightedPointMeasure, build_corona,
-                       build_lattice, cantor4, corona_to_json, lipschitz_graph,
-                       packing_audit, segment, tree_density_audit)
+from betascope import (Ball, TreeGeometry, WeightedPointMeasure, beta2,
+                       build_corona, build_lattice, cantor4, check_lattice,
+                       corona_to_json, lipschitz_graph, packing_audit,
+                       segment, tree_density_audit)
 from betascope.corona import DENSITY_BALL_FACTOR
 from betascope.lattice import COVER_FACTOR
 from conftest import two_cluster
+from test_lattice import dense_check_lattice, old_cell_flags
 
 
 @pytest.fixture(scope="module")
@@ -305,3 +309,90 @@ def test_audits_query_no_balls(monkeypatch, cluster_corona, audit):
     monkeypatch.setattr(WeightedPointMeasure, "ball_indices", counting)
     audit(cluster_corona)
     assert calls == []
+
+
+# -- ball statistics from one batched query per level ---------------------------
+#
+# build_corona used to query 1.1 B_Q once per cell for beta2 and B_R once per
+# top for theta(B_R); that body is kept here as the oracle.
+
+def old_ball_statistics(lattice):
+    """(beta_terms, theta_big) per cell, one beta2 ball query each."""
+    measure = lattice.measure
+    n = measure.target_dim
+    beta_terms = np.empty(len(lattice.cells))
+    theta_big = np.empty(len(lattice.cells))
+    for cell in lattice.cells:
+        radius = max(DENSITY_BALL_FACTOR * COVER_FACTOR * cell.radius,
+                     measure.r_min)
+        res = beta2(measure, Ball(cell.center, radius))
+        theta_big[cell.id] = res.mass / radius**n
+        beta_terms[cell.id] = res.value**2 * theta_big[cell.id]
+    return beta_terms, theta_big
+
+
+def old_theta_refs(corona):
+    """theta(B_R) per top, one ball_mass query each."""
+    measure = corona.measure
+    refs = []
+    for top in corona.tops:
+        cell = corona.lattice.cells[top]
+        radius = COVER_FACTOR * cell.radius
+        refs.append(measure.ball_mass(cell.center, radius)
+                    / radius**measure.target_dim)
+    return refs
+
+
+@st.composite
+def small_measures(draw):
+    """1-200 atoms in the unit cube of R^d, d <= 3, some of them repeated."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, count))
+    points = rng.uniform(size=(distinct, dim))
+    if draw(st.booleans()):
+        # coarse coordinates: exact distance ties between distinct atoms
+        points = np.round(points * 8) / 8
+    points = points[np.concatenate([np.arange(distinct),
+                                    rng.integers(distinct,
+                                                 size=count - distinct)])]
+    if draw(st.booleans()):
+        weights = np.full(count, 1.0 / count)
+    else:
+        weights = rng.uniform(0.5, 2.0, size=count)
+    return WeightedPointMeasure(points, weights,
+                                draw(st.integers(1, dim)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(measure=small_measures(),
+       a0=st.sampled_from([4.0, 20.0]),
+       c0=st.sampled_from([4.0, 400.0]),
+       tau=st.sampled_from([0.005, 0.12]))
+def test_level_batches_match_per_cell_bodies(measure, a0, c0, tau):
+    lat = build_lattice(measure, a0=a0, c0=c0)
+    conforming, doubling = old_cell_flags(lat)
+    assert [c.conforming for c in lat.cells] == conforming
+    assert [c.doubling for c in lat.cells] == doubling
+    assert check_lattice(lat) == dense_check_lattice(lat)
+    corona = build_corona(lat, a_stop=30.0, tau=tau)
+    beta_terms, theta_big = old_ball_statistics(lat)
+    assert np.array_equal(corona.beta_terms, beta_terms)
+    assert np.array_equal(corona.theta_big, theta_big)
+    assert np.array_equal([corona.theta_ref[t] for t in corona.tops],
+                          old_theta_refs(corona))
+
+
+def test_build_corona_queries_no_single_balls(monkeypatch, cluster_corona):
+    calls = []
+    original = WeightedPointMeasure.ball_indices
+
+    def counting(self, center, radius):
+        calls.append(radius)
+        return original(self, center, radius)
+
+    monkeypatch.setattr(WeightedPointMeasure, "ball_indices", counting)
+    corona = build_corona(cluster_corona.lattice, a_stop=30.0, tau=0.12)
+    assert calls == []
+    assert corona.tops == cluster_corona.tops

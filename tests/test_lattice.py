@@ -379,6 +379,81 @@ def test_check_lattice_flags_membership_like_dense_oracle():
     assert not report["nesting_ok"]
 
 
+def _straddle_sides(lat):
+    """Put every multi-atom cell's l(Q) at its diameter, inside the audit's
+    bracket, so each takes the exact scan."""
+    for cell in lat.cells:
+        pts = lat.measure.points[cell.point_indices]
+        if pts.shape[0] >= 2:
+            cell.side = _diam_and_rho(pts)[0]
+
+
+def _spy_scans(monkeypatch):
+    scans = []
+    exact = lattice_mod.max_sq_pair_distance
+    monkeypatch.setattr(lattice_mod, "max_sq_pair_distance",
+                        lambda pts: scans.append(len(pts)) or exact(pts))
+    return scans
+
+
+def test_audit_scans_collinear_cell_over_all_atoms(monkeypatch):
+    # qhull finds no hull of a collinear set: the segment's root is
+    # scanned over every atom
+    lat = build_lattice(segment(200))
+    root = lat.root
+    root.side = _diam_and_rho(lat.measure.points[root.point_indices])[0]
+    scans = _spy_scans(monkeypatch)
+    report = check_lattice(lat)
+    assert report == dense_check_lattice(lat)
+    assert scans == [root.point_indices.size]
+
+
+def test_audit_scans_two_atom_cell(monkeypatch):
+    measure = WeightedPointMeasure([[0.1, 0.2], [0.4, 0.6]], [1.0, 2.0], 1)
+    lat = build_lattice(measure)
+    _straddle_sides(lat)
+    scans = _spy_scans(monkeypatch)
+    report = check_lattice(lat)
+    assert report == dense_check_lattice(lat)
+    assert scans and set(scans) == {2}
+
+
+def test_audit_of_unsorted_cells_matches_dense_oracle(monkeypatch):
+    # the bracket starts from each cell's first listed atom and the exact
+    # scan reads the hull of the cell as listed; neither may depend on
+    # the atoms being sorted
+    pts = np.random.default_rng(5).uniform(size=(300, 2))
+    lat = build_lattice(_uniform(pts))
+    rng = np.random.default_rng(6)
+    sizes = []
+    for cell in lat.cells:
+        cell.point_indices = rng.permutation(cell.point_indices)
+        sizes.append(cell.point_indices.size)
+    assert check_lattice(lat) == dense_check_lattice(lat)
+    _straddle_sides(lat)
+    scans = _spy_scans(monkeypatch)
+    report = check_lattice(lat)
+    assert report == dense_check_lattice(lat)
+    assert len(scans) == sum(size >= 2 for size in sizes)
+    # the 2-d cloud's larger cells are scanned over their hull vertices
+    assert sum(scans) < sum(size for size in sizes if size >= 2)
+
+
+@pytest.mark.parametrize("make", [lambda: lipschitz_graph(400, seed=3),
+                                  lambda: square_area(9)],
+                         ids=["lipschitz_graph", "square_area"])
+def test_five_b_count_matches_dense_oracle_at_widened_radii(make):
+    # at the top of the radius bracket, 5 B(Q) of neighbouring cells
+    # overlap; the grid puts some centre gaps exactly at the limit
+    lat = build_lattice(make())
+    for cell in lat.cells:
+        cell.radius = lat.c0 * lat.a0 ** (-cell.level)
+    report = check_lattice(lat)
+    assert report == dense_check_lattice(lat)
+    assert report["radius_bracket_ok"]
+    assert report["five_b_violations"] > 0
+
+
 def test_large_lattice_build_and_audit_memory():
     measure = lipschitz_graph(4096, seed=0)
     tracemalloc.start()
@@ -393,10 +468,10 @@ def test_large_lattice_build_and_audit_memory():
     assert peak < 32 * 2**20
 
 
-# -- cell flags from one B(Q) query per cell ----------------------------------
+# -- cell flags from batched ball queries per level ---------------------------
 #
-# The flags used to come from two passes, each querying B(Q) on its own; the
-# old bodies are kept here as the oracle.
+# The flags used to come from two passes, each querying B(Q) on its own for
+# every cell; the old bodies are kept here as the oracle.
 
 def old_cell_flags(lattice):
     """(conforming, doubling) per cell, computed by the two old passes."""
@@ -418,10 +493,21 @@ def old_cell_flags(lattice):
     return conforming, doubling
 
 
+def _duplicated_graph():
+    graph = lipschitz_graph(150, seed=4)
+    return _uniform(np.concatenate([graph.points, graph.points[::3]]))
+
+
 FLAG_FAMILIES = {
     "cantor4": lambda: build_lattice(cantor4(4), a0=4.0, c0=400.0),
     "two_cluster": lambda: build_lattice(two_cluster(), a0=50.0, c0=4.0),
     "lipschitz_graph": lambda: build_lattice(lipschitz_graph(500, seed=1)),
+    "cloud_3d": lambda: build_lattice(_uniform(
+        np.random.default_rng(0).uniform(size=(300, 3)), 2)),
+    "single_atom": lambda: build_lattice(
+        WeightedPointMeasure([[0.3, 0.7]], [1.0], 1)),
+    "duplicated": lambda: build_lattice(_duplicated_graph()),
+    "segment": lambda: build_lattice(segment(500)),
 }
 
 
@@ -445,7 +531,25 @@ def test_cell_flags_oracle_sees_both_values():
     assert True in conforming
 
 
-def test_build_lattice_queries_two_balls_per_cell(monkeypatch):
+def test_close_doubling_tests_take_exact_masses(monkeypatch):
+    # a cell whose mu(100 B(Q)) and C0 mu(B(Q)) lie within rounding of each
+    # other takes both masses as ball_mass does; the flag families must
+    # reach that path, or the oracle above never sees it
+    unsure = []
+    exact = lattice_mod._exact_masses
+
+    def spy(measure, centers, radii):
+        unsure.append(len(centers))
+        return exact(measure, centers, radii)
+
+    monkeypatch.setattr(lattice_mod, "_exact_masses", spy)
+    for make in FLAG_FAMILIES.values():
+        make()
+    assert unsure
+
+
+def test_build_lattice_makes_no_ball_indices_call(monkeypatch):
+    # the flags come from batched queries per level, not one query per ball
     calls = []
     original = WeightedPointMeasure.ball_indices
 
@@ -455,7 +559,7 @@ def test_build_lattice_queries_two_balls_per_cell(monkeypatch):
 
     monkeypatch.setattr(WeightedPointMeasure, "ball_indices", counting)
     lat = build_lattice(lipschitz_graph(300, seed=2))
-    assert len(calls) == 2 * len(lat.cells)
+    assert lat.cells and calls == []
 
 
 # -- one exclusion query per net site -----------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from betascope import (Ball, WeightedPointMeasure, load_csv, load_json,
                        save_csv, save_json, segment)
+from betascope import measure as measure_mod
 
 
 def small_measure(seed=0, m=30, d=2):
@@ -80,6 +81,36 @@ class TestBallMass:
         assert list(idx) == sorted(idx)
         d = np.linalg.norm(m.points - m.points[4], axis=1)
         assert set(idx) == set(np.nonzero(d <= 0.7)[0])
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 10])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_ball_batches_equal_ball_indices(self, monkeypatch, chunk, d):
+        # chunk = 1 puts every centre in a chunk of its own; duplicates
+        # and atoms exactly at a radius make the norm test decide
+        monkeypatch.setattr(measure_mod, "BALL_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.0, 1.0, size=(40, d))
+        pts = np.concatenate([pts, pts[:10]])
+        m = WeightedPointMeasure(pts, np.ones(len(pts)), 1)
+        centers = np.concatenate([pts[::3], rng.uniform(-1, 1, (20, d))])
+        radii = rng.uniform(0.0, 1.5, len(centers))
+        radii[::4] = np.linalg.norm(pts[0] - centers[::4], axis=1)
+        radii[1] = 0.0
+        seen = 0
+        for at, atoms, dist, bounds in m.ball_batches(centers, radii):
+            assert bounds[0] == 0 and bounds[-1] == atoms.size == dist.size
+            for j in range(bounds.size - 1):
+                c, r = centers[at + j], radii[at + j]
+                ball = atoms[bounds[j]:bounds[j + 1]]
+                assert np.array_equal(ball, m.ball_indices(c, r))
+                assert np.array_equal(dist[bounds[j]:bounds[j + 1]],
+                                      np.linalg.norm(pts[ball] - c, axis=1))
+            seen += bounds.size - 1
+        assert seen == len(centers)
+        # one radius for every centre
+        one = [a for _, a, _, _ in m.ball_batches(centers, 0.4)]
+        assert np.array_equal(np.concatenate(one), np.concatenate(
+            [m.ball_indices(c, 0.4) for c in centers]))
 
 
 class TestSupDensity:
