@@ -24,6 +24,8 @@ from ._util import dump_json
 from ._util import parallel_map  # noqa: F401
 from .beta import beta_profile_rows, condition_check
 from .corona import (
+    DEFAULT_A_STOP,
+    DEFAULT_TAU,
     build_corona,
     corona_to_json,
     packing_audit,
@@ -31,6 +33,8 @@ from .corona import (
 )
 from .generators import cantor4, lipschitz_graph, segment, square_area
 from .lattice import (
+    DEFAULT_A0,
+    DEFAULT_C0,
     boundary_audit,
     build_lattice,
     check_lattice,
@@ -323,11 +327,6 @@ def _cmd_verify(args) -> int:
                 baseline = json.load(fh)
         except (OSError, ValueError) as exc:
             raise InputError(f"{args.baseline}: {exc}") from exc
-        if not isinstance(baseline, dict) or \
-                not isinstance(baseline.get("checks"), dict):
-            raise InputError(
-                f"{args.baseline}: not a baseline file "
-                '(expected {"checks": {name: {"value": ..., ...}}})')
         report = make_report(_describe(args.input, measure), checks, config)
         try:
             failures = compare_baseline(report, baseline)
@@ -336,6 +335,8 @@ def _cmd_verify(args) -> int:
                 f"{args.baseline}: not a baseline file "
                 '(expected {"checks": {name: {"value": ..., ...}}})'
             ) from exc
+        except ValueError as exc:
+            raise InputError(f"{args.baseline}: {exc}") from exc
     _write_report(args, _describe(args.input, measure), checks, config,
                   failures)
     if failures:
@@ -379,9 +380,14 @@ def _add_common(parser, out_required=True):
 
 
 def _add_lattice_params(parser):
-    parser.add_argument("--a0", type=float, default=20.0)
-    parser.add_argument("--c0", type=float, default=4.0)
+    parser.add_argument("--a0", type=float, default=DEFAULT_A0)
+    parser.add_argument("--c0", type=float, default=DEFAULT_C0)
     parser.add_argument("--max-depth", type=int, default=None)
+
+
+def _add_corona_params(parser):
+    parser.add_argument("--a-stop", type=float, default=DEFAULT_A_STOP)
+    parser.add_argument("--tau", type=float, default=DEFAULT_TAU)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,8 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cor = sub.add_parser("corona", help="stopping-time decomposition")
     cor.add_argument("--input", required=True)
-    cor.add_argument("--a-stop", type=float, default=30.0)
-    cor.add_argument("--tau", type=float, default=0.12)
+    _add_corona_params(cor)
     cor.add_argument("--dump", default=None, help="decomposition JSON path")
     _add_lattice_params(cor)
     _add_common(cor)
@@ -433,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the inequality checks")
     ver.add_argument("--input", required=True)
     ver.add_argument("--kernel", choices=("riesz", "cauchy"), default="riesz")
-    ver.add_argument("--a-stop", type=float, default=30.0)
-    ver.add_argument("--tau", type=float, default=0.12)
+    _add_corona_params(ver)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--samples", type=_positive_int, default=32)
     ver.add_argument("--baseline", default=None,

@@ -20,12 +20,11 @@ multiscale flatness energy.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 
 import numpy as np
 
-from ._util import BLOCK_ELEMENTS
+from ._util import BLOCK_ELEMENTS, dump_json
 from .beta import beta2, jones_integrals
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
@@ -345,7 +344,5 @@ def corona_to_json(corona: CoronaTree, path=None):
         "trees": per_tree,
     }
     if path is not None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        dump_json(payload, path)
     return payload

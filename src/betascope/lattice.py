@@ -33,14 +33,13 @@ diameter to be below the level-0 separation (rescale otherwise).
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._util import hull_vertices, max_sq_pair_distance
+from ._util import dump_json, hull_vertices, max_sq_pair_distance
 from .measure import _TREE_SLACK, Ball, WeightedPointMeasure
 
 __all__ = [
@@ -593,7 +592,5 @@ def lattice_to_json(lattice: Lattice, path=None):
         ],
     }
     if path is not None:
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        dump_json(payload, path)
     return payload

@@ -209,9 +209,7 @@ class WeightedPointMeasure:
     def ball_indices(self, center, radius: float) -> np.ndarray:
         """Sorted atom indices inside the closed ball B(center, radius).
 
-        The KD-tree is only a prefilter; membership is decided with the same
-        norm arithmetic as a naive scan, so the result is bit-identical to
-        one.
+        The one-centre case of ``ball_batches``.
         """
         if self.is_empty:
             return np.empty(0, dtype=np.intp)
@@ -221,13 +219,7 @@ class WeightedPointMeasure:
         radius = float(radius)
         if radius < 0:
             return np.empty(0, dtype=np.intp)
-        tree = self._ensure_tree()
-        pre = radius * (1.0 + _TREE_SLACK) + 1e-300
-        cand = np.asarray(sorted(tree.query_ball_point(center, pre)), dtype=np.intp)
-        if cand.size == 0:
-            return cand
-        dist = np.linalg.norm(self._points[cand] - center, axis=1)
-        return cand[dist <= radius]
+        return next(self.ball_batches(center, radius))[1]
 
     def ball_batches(self, centers, radius):
         """The closed balls B(c, r) about the rows c of ``centers``, in chunks.
@@ -235,11 +227,12 @@ class WeightedPointMeasure:
         ``radius`` is one radius or one per centre.  Yields ``(start, atoms,
         dist, bounds)`` per chunk of consecutive centres: the ball of centre
         ``start + j`` holds ``atoms[bounds[j]:bounds[j + 1]]``, at distances
-        ``dist[bounds[j]:bounds[j + 1]]``.  Each ball is ``ball_indices``'
-        result bit for bit: the same prefilter, sorted, and the same norm
-        test.  One tree query serves a chunk; chunks are cut so that the
-        tree's lists hold about BALL_CHUNK_ENTRIES entries, at least one
-        centre each, after a counting query sizes them.
+        ``dist[bounds[j]:bounds[j + 1]]``.  The KD-tree is only a
+        prefilter: membership is decided by the norm arithmetic of a naive
+        scan, so each ball is a naive scan's sorted result bit for bit.
+        One tree query serves a chunk; chunks are cut so that the tree's
+        lists hold about BALL_CHUNK_ENTRIES entries, at least one centre
+        each, after a counting query sizes them.
         """
         centers = np.asarray(centers, dtype=float).reshape(-1, self._dim)
         count = centers.shape[0]
@@ -365,9 +358,8 @@ class WeightedPointMeasure:
     def restrict_ball(self, ball: Ball) -> "WeightedPointMeasure":
         """Restriction to a closed ball."""
         idx = self.ball_indices(ball.center, ball.radius)
-        mask = np.zeros(self.size, dtype=bool)
-        mask[idx] = True
-        return self.restrict_mask(mask)
+        return WeightedPointMeasure(self._points[idx], self._weights[idx],
+                                    self._n, r_min=self._r_min)
 
 
 # Elements per array of a RadialBlock: each holds at most

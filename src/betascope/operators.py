@@ -311,12 +311,14 @@ def t_phi_eps(kernel, measure, centers, eps, phi_centers,
     damped by Phi over |x_i - y| > eps_i.
 
     ``eps`` and ``phi_centers`` (Phi at the centres) hold one value per
-    centre, ``phi_atoms`` one per atom.
+    centre, ``phi_atoms`` one per atom.  Every eps_i is >= 0; at eps_i = 0
+    the strict inequality leaves out exactly the atoms sitting at x_i, so
+    the row sums over every atom at a positive distance.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     eps = np.asarray(eps, dtype=float).reshape(-1)
-    if not (eps > 0).all():
-        raise ValueError(f"eps must be positive, got {eps.min()}")
+    if not (eps >= 0).all():
+        raise ValueError(f"eps must be >= 0, got {eps.min()}")
     out = np.empty((centers.shape[0], kernel.out_dim))
 
     def read(block, suffix, rows):
@@ -398,9 +400,9 @@ def m_tilde(sigma: WeightedPointMeasure, f, centers,
 
 def _sup_ratio(dist, num_cum, den_cum) -> float:
     """max over breakpoint radii r of num(B(x, r)) / den(B(x, 3r)) at x."""
-    positive = np.unique(dist[dist > 0.0])
+    positive = dist[dist > 0.0]
     radii = [positive[0] / 2] if positive.size else []
-    radii = np.unique(np.concatenate((radii, positive, positive / 3.0)))
+    radii = np.concatenate((radii, positive, positive / 3.0))
     if radii.size == 0:
         # every atom sits exactly at x
         return float(num_cum[-1] / den_cum[-1])
@@ -424,24 +426,26 @@ def _chain_levels(corona, top_id: int, atom: int) -> list[int]:
     return levels
 
 
+def _shell_terms(measure, kernel, atom: int):
+    """Distances and weighted kernel terms K(x - x_i) w_i from a support
+    atom x to every atom at a positive distance (each shell vanishes at 0)."""
+    diffs = measure.points[atom][None, :] - measure.points
+    dist = np.linalg.norm(diffs, axis=1)
+    keep = dist > 0.0
+    return dist[keep], kernel(diffs[keep]) * measure.weights[keep][:, None]
+
+
 def k_r_chain(corona, kernel, bump: BumpFamily, top_id: int,
               atom: int) -> np.ndarray:
     """Tree-restricted operator at a support atom, level by level.
 
     Sums, over the tree cells containing the atom, the shell contribution
-    sum_i phi_{J(Q)}(|x - x_i|) K(x - x_i) w_i.  The atom's own location is
-    excluded (every shell vanishes at 0 anyway).
+    sum_i phi_{J(Q)}(|x - x_i|) K(x - x_i) w_i.
     """
-    measure = corona.measure
-    x = measure.points[atom]
-    diffs = x[None, :] - measure.points
-    dist = np.linalg.norm(diffs, axis=1)
-    keep = dist > 0.0
-    terms = kernel(diffs[keep]) * measure.weights[keep][:, None]
+    dist, terms = _shell_terms(corona.measure, kernel, atom)
     out = np.zeros(kernel.out_dim)
     for level in _chain_levels(corona, top_id, atom):
-        shell = bump.phi_k(level, dist[keep])
-        out += shell @ terms
+        out += bump.phi_k(level, dist) @ terms
     return out
 
 
@@ -453,12 +457,6 @@ def k_r_telescoped(corona, kernel, bump: BumpFamily, top_id: int,
     the shell sum telescopes to that difference of cutoffs.
     """
     levels = _chain_levels(corona, top_id, atom)
-    a, b = levels[0], levels[-1]
-    measure = corona.measure
-    x = measure.points[atom]
-    diffs = x[None, :] - measure.points
-    dist = np.linalg.norm(diffs, axis=1)
-    keep = dist > 0.0
-    weights = bump.psi_k(a, dist[keep]) - bump.psi_k(b + 1, dist[keep])
-    terms = kernel(diffs[keep]) * measure.weights[keep][:, None]
+    dist, terms = _shell_terms(corona.measure, kernel, atom)
+    weights = bump.psi_k(levels[0], dist) - bump.psi_k(levels[-1] + 1, dist)
     return weights @ terms

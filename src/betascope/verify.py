@@ -11,9 +11,9 @@ comparison below.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._util import geometric_grid
 # perfbench/tracer.py patches parallel_map here by name
@@ -141,6 +141,14 @@ def _strided(indices: np.ndarray, cap: int) -> np.ndarray:
     return indices[:: max(1, indices.size // cap)][:cap]
 
 
+def _tree_sigma(measure, corona, top_id: int):
+    """The geometry of the tree rooted at ``top_id``, sigma = measure
+    restricted to B0(R), and Phi_R at sigma's atoms."""
+    geometry = TreeGeometry(corona, top_id)
+    sigma = measure.restrict_ball(geometry.b0)
+    return geometry, sigma, geometry.phi(sigma.points)
+
+
 def cotlar_check(measure, kernel, corona, top_id: int,
                  max_samples: int = 128) -> dict:
     """Maximal suppressed operator against maximal functions of its output.
@@ -152,25 +160,16 @@ def cotlar_check(measure, kernel, corona, top_id: int,
     to sigma itself.  Samples with rhs = 0 < lhs are excluded and counted
     in the record.
     """
-    geometry = TreeGeometry(corona, top_id)
-    sigma = measure.restrict_ball(geometry.b0)
-    phi_sigma = geometry.phi(sigma.points)
+    _, sigma, phi_sigma = _tree_sigma(measure, corona, top_id)
     ones = np.ones(sigma.size)
 
-    # suppressed operator applied to sigma, at every sigma atom, with the
-    # cutoff half the atom's nearest positive distance: any cutoff below
-    # that distance selects the same suffix entry, so the KD-tree's
-    # rounding of the distance cannot change the sum
-    sites = np.unique(sigma.points, axis=0)
-    if sites.shape[0] < 2:
-        t_vals = np.zeros(sigma.size)
-    else:
-        gaps = cKDTree(sites).query(sigma.points, k=2)[0][:, 1]
-        field = t_phi_eps(kernel, sigma, sigma.points, gaps / 2.0,
-                          phi_sigma, phi_sigma)
-        # row by row: the norm of one vector is a dot product, which
-        # rounds unlike norm(axis=1)
-        t_vals = np.array([float(np.linalg.norm(row)) for row in field])
+    # suppressed operator applied to sigma, at every sigma atom: eps = 0
+    # leaves out only the atoms at the atom's own location
+    field = t_phi_eps(kernel, sigma, sigma.points, np.zeros(sigma.size),
+                      phi_sigma, phi_sigma)
+    # row by row: the norm of one vector is a dot product, which rounds
+    # unlike norm(axis=1)
+    t_vals = np.array([float(np.linalg.norm(row)) for row in field])
 
     sample = _strided(np.arange(sigma.size), max_samples)
     points = sigma.points[sample]
@@ -206,9 +205,7 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
     c_x = max(0, |K_R(x)| - T_{Phi_R,*}(chi_{B0} mu)(x)) / theta(B_R);
     the record's ratio is the largest c_x.
     """
-    geometry = TreeGeometry(corona, top_id)
-    sigma = measure.restrict_ball(geometry.b0)
-    phi_sigma = geometry.phi(sigma.points)
+    geometry, sigma, phi_sigma = _tree_sigma(measure, corona, top_id)
     theta_ref = corona.theta_ref[top_id]
     sample = _strided(corona.lattice.cells[top_id].point_indices, max_samples)
     points = measure.points[sample]
@@ -309,22 +306,35 @@ def make_report(input_desc: dict, checks: list, config: dict,
     }
 
 
+def _finite_number(label: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite JSON number."""
+    # exact comparison: NaN, infinities and ints beyond any float all fail
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{label} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def compare_baseline(report: dict, baseline: dict) -> list:
     """Mismatches of report check fields against stored baseline entries.
 
     Baseline format: {"checks": {name: {"value": v, "rel_tol": t,
-    "field": "ratio"}}}; field defaults to "ratio".
+    "field": "ratio"}}}; field defaults to "ratio" and rel_tol to 0.2.
+    A baseline of any other shape raises KeyError, TypeError or
+    AttributeError; a value or rel_tol that is not a finite number, or a
+    negative rel_tol, raises ValueError.
     """
     failures = []
-    for name, entry in baseline.get("checks", {}).items():
+    for name, entry in baseline["checks"].items():
+        target = _finite_number(f"{name}.value", entry["value"])
+        rel_tol = _finite_number(f"{name}.rel_tol", entry.get("rel_tol", 0.2))
+        if rel_tol < 0:
+            raise ValueError(f"{name}.rel_tol must be >= 0, got {rel_tol}")
         record = report["checks"].get(name)
         field = entry.get("field", "ratio")
         if record is None or field not in record:
             failures.append(f"{name}: missing from report")
             continue
         actual = float(record[field])
-        target = float(entry["value"])
-        rel_tol = float(entry.get("rel_tol", 0.2))
         if not abs(actual - target) <= rel_tol * abs(target):
             failures.append(
                 f"{name}.{field}: got {actual:.6g}, baseline {target:.6g} "

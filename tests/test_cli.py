@@ -299,6 +299,49 @@ class TestCliExitCodes:
                     str(tmp_path / "rep.json"), "--baseline", str(bfile))
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("text,detail", [
+        ('{"checks": {"main_lemma": {"value": 1e400}}}', "main_lemma.value"),
+        ('{"checks": {"main_lemma": {"value": -1e400, "rel_tol": 0.5}}}',
+         "main_lemma.value"),
+        ('{"checks": {"main_lemma": {"value": NaN}}}', "main_lemma.value"),
+        ('{"checks": {"main_lemma": {"value": "abc"}}}', "main_lemma.value"),
+        ('{"checks": {"main_lemma": {"value": true}}}', "main_lemma.value"),
+        ('{"checks": {"main_lemma": {"value": 0.5, "rel_tol": "x"}}}',
+         "main_lemma.rel_tol"),
+        ('{"checks": {"main_lemma": {"value": 0.5, "rel_tol": Infinity}}}',
+         "main_lemma.rel_tol"),
+        ('{"checks": {"main_lemma": {"value": 0.5, "rel_tol": -0.1}}}',
+         "main_lemma.rel_tol"),
+        ("[]", "not a baseline file"),
+        ('{"checks": []}', "not a baseline file"),
+        ('{"checks": {"main_lemma": 1}}', "not a baseline file"),
+        ('{"checks": {"main_lemma": {"rel_tol": 0.1}}}',
+         "not a baseline file"),
+    ])
+    def test_bad_baseline_is_one(self, tmp_path, capsys, text, detail):
+        """A baseline of the wrong shape, a value or rel_tol that is no
+        finite number, or a negative rel_tol: exit 1, naming the file."""
+        mfile = tmp_path / "m.csv"
+        save_csv(segment(20), mfile)
+        bfile = tmp_path / "base.json"
+        bfile.write_text(text)
+        code = cli.main(["verify", "--input", str(mfile), "--out",
+                         str(tmp_path / "rep.json"), "--baseline", str(bfile)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error: {bfile}: {detail}"), err
+
+    def test_defaults_are_the_library_constants(self):
+        from betascope import corona, lattice
+        parser = cli.build_parser()
+        for command in ("lattice", "corona", "verify"):
+            args = parser.parse_args([command, "--input", "m", "--out", "r"])
+            assert (args.a0, args.c0) == (lattice.DEFAULT_A0,
+                                          lattice.DEFAULT_C0)
+            if command != "lattice":
+                assert (args.a_stop, args.tau) == (corona.DEFAULT_A_STOP,
+                                                   corona.DEFAULT_TAU)
+
     def test_strict_lattice_rejected_at_defaults(self, tmp_path):
         mfile = tmp_path / "m.csv"
         run_cli("generate", "segment", "--count", "20", "--out", str(mfile))

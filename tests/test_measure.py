@@ -11,6 +11,28 @@ from betascope import (Ball, WeightedPointMeasure, load_csv, load_json,
 from betascope import measure as measure_mod
 
 
+def old_ball_indices(measure, center, radius):
+    """The per-centre ball query that ``ball_indices`` made before it became
+    the one-centre case of ``ball_batches``, kept as the oracle."""
+    if measure.is_empty:
+        return np.empty(0, dtype=np.intp)
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if center.shape[0] != measure.dim:
+        raise ValueError(f"center has dim {center.shape[0]}, "
+                         f"expected {measure.dim}")
+    radius = float(radius)
+    if radius < 0:
+        return np.empty(0, dtype=np.intp)
+    tree = measure._ensure_tree()
+    pre = radius * (1.0 + measure_mod._TREE_SLACK) + 1e-300
+    cand = np.asarray(sorted(tree.query_ball_point(center, pre)),
+                      dtype=np.intp)
+    if cand.size == 0:
+        return cand
+    dist = np.linalg.norm(measure.points[cand] - center, axis=1)
+    return cand[dist <= radius]
+
+
 def small_measure(seed=0, m=30, d=2):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, size=(m, d))
@@ -86,7 +108,8 @@ class TestBallMass:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_ball_batches_equal_ball_indices(self, monkeypatch, chunk, d):
         # chunk = 1 puts every centre in a chunk of its own; duplicates
-        # and atoms exactly at a radius make the norm test decide
+        # and atoms exactly at a radius make the norm test decide; both
+        # the batches and ball_indices must give the old per-centre body
         monkeypatch.setattr(measure_mod, "BALL_CHUNK_ENTRIES", chunk)
         rng = np.random.default_rng(11)
         pts = rng.uniform(-1.0, 1.0, size=(40, d))
@@ -102,7 +125,8 @@ class TestBallMass:
             for j in range(bounds.size - 1):
                 c, r = centers[at + j], radii[at + j]
                 ball = atoms[bounds[j]:bounds[j + 1]]
-                assert np.array_equal(ball, m.ball_indices(c, r))
+                assert np.array_equal(ball, old_ball_indices(m, c, r))
+                assert np.array_equal(m.ball_indices(c, r), ball)
                 assert np.array_equal(dist[bounds[j]:bounds[j + 1]],
                                       np.linalg.norm(pts[ball] - c, axis=1))
             seen += bounds.size - 1
@@ -110,7 +134,26 @@ class TestBallMass:
         # one radius for every centre
         one = [a for _, a, _, _ in m.ball_batches(centers, 0.4)]
         assert np.array_equal(np.concatenate(one), np.concatenate(
-            [m.ball_indices(c, 0.4) for c in centers]))
+            [old_ball_indices(m, c, 0.4) for c in centers]))
+
+    def test_ball_indices_guards_match_old_body(self):
+        m = small_measure(5)
+        for radius in (-1e-300, -0.5):
+            got = m.ball_indices(m.points[0], radius)
+            assert got.dtype == np.intp and got.size == 0
+            assert np.array_equal(got, old_ball_indices(m, m.points[0],
+                                                        radius))
+        empty = m.restrict_mask(np.zeros(m.size, dtype=bool))
+        for radius in (0.0, 1.0, -1.0):
+            got = empty.ball_indices((0.0, 0.0), radius)
+            assert got.dtype == np.intp and got.size == 0
+            assert np.array_equal(got, old_ball_indices(empty, (0.0, 0.0),
+                                                        radius))
+        for center in ((0.0,), (0.0, 0.0, 0.0)):
+            for query in (m.ball_indices,
+                          lambda c, r: old_ball_indices(m, c, r)):
+                with pytest.raises(ValueError, match="center has dim"):
+                    query(center, 1.0)
 
 
 class TestSupDensity:

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betascope import (BumpFamily, CZKernel, KernelValidationError,
-                       build_corona, build_lattice, cantor4, cauchy_kernel,
-                       k_r_chain, k_r_telescoped, lipschitz_graph, m_tilde,
-                       make_kernel, riesz_kernel, segment, suppressed_kernel,
-                       t_phi_eps, t_phi_star, truncated_field,
-                       validate_kernel)
+                       WeightedPointMeasure, build_corona, build_lattice,
+                       cantor4, cauchy_kernel, k_r_chain, k_r_telescoped,
+                       lipschitz_graph, m_tilde, make_kernel, riesz_kernel,
+                       segment, suppressed_kernel, t_phi_eps, t_phi_star,
+                       truncated_field, validate_kernel)
 
 
 class TestKernels:
@@ -208,6 +208,44 @@ class TestSuppressedTruncation:
         a = t_phi_eps(k, m, x, 0.08, 0.0, phi_atoms)[0]
         b = truncated_field(k, m, x, [0.08])[0, 0]
         assert np.array_equal(a, b)
+
+    def test_t_phi_eps_at_zero_sums_atoms_at_positive_distance(self):
+        # centres 0 and 1 carry coincident atoms, centre 35 is no atom
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1.0, 1.0, size=(30, 2))
+        pts = np.concatenate([pts, pts[:4], pts[:1], [[0.05, -0.3]]])
+        weights = np.exp(rng.uniform(-1.0, 1.0, len(pts)))
+        m = WeightedPointMeasure(pts[:-1], weights[:-1], 1)
+        k = riesz_kernel(1, 2)
+        phi = np.abs(pts[:, 0] - 0.1)
+        at = [0, 1, 4, 35]
+        got = t_phi_eps(k, m, pts[at], np.zeros(len(at)), phi[at], phi[:-1])
+        for row, i in zip(got, at):
+            dist = np.linalg.norm(m.points - pts[i], axis=1)
+            assert (dist == 0.0).sum() == {0: 3, 1: 2, 4: 1, 35: 0}[i]
+            brute = sum(w * suppressed_kernel(k, pts[i], y, phi[i], py)
+                        for y, w, py, r in zip(m.points, m.weights,
+                                               phi[:-1], dist) if r > 0.0)
+            np.testing.assert_allclose(row, brute, rtol=1e-12,
+                                       atol=1e-12 * np.abs(brute).max())
+
+    def test_t_phi_eps_at_zero_vanishes_on_coincident_atoms(self):
+        m = WeightedPointMeasure(np.tile([0.2, -0.7], (4, 1)),
+                                 [0.5, 1.0, 2.0, 0.25], 1)
+        k = riesz_kernel(1, 2)
+        phi = np.full(m.size, 0.3)
+        got = t_phi_eps(k, m, m.points, np.zeros(m.size), phi, phi)
+        assert np.array_equal(got, np.zeros((m.size, 2)))
+
+    @pytest.mark.parametrize("eps", [-1e-300, -0.5, math.nan,
+                                     [0.0, -1.0], [math.nan, 0.1]])
+    def test_t_phi_eps_rejects_negative_or_nan_eps(self, eps):
+        m = segment(10)
+        k = riesz_kernel(1, 2)
+        centers = m.points[:np.size(eps)]
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            t_phi_eps(k, m, centers, eps, np.zeros(len(centers)),
+                      np.zeros(m.size))
 
     def test_t_phi_star_bounded_by_unsuppressed_lowtrunc(self):
         m = segment(50)

@@ -119,8 +119,9 @@ class TestCotlar:
         assert hi <= lo * 1.5 + 1e-12
 
     def test_cutoffs_sum_like_half_the_nearest_gap(self, kernel, monkeypatch):
-        """The KD-tree cutoffs give the same sums, bit for bit, as half the
-        nearest positive distance from a full distance scan."""
+        """The cutoff eps = 0, which leaves out only the atoms at each
+        centre, gives the same sums, bit for bit, as half the nearest
+        positive distance from a full distance scan."""
         cor = build_corona(build_lattice(tie_cloud_measure()))
         calls = []
         real = verify.t_phi_eps
