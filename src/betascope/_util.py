@@ -1,5 +1,5 @@
-"""Shared plumbing: deterministic JSON output, the ordered map, grids, hull
-vertices and the blocked all-pairs scan."""
+"""Shared plumbing: deterministic JSON output, the ordered map, grids, the
+candidate ends of a longest pair and the blocked all-pairs scan."""
 
 from __future__ import annotations
 
@@ -7,10 +7,9 @@ import json
 import math
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 __all__ = ["parallel_map", "dump_json", "geometric_grid",
-           "hull_vertices", "max_sq_pair_distance"]
+           "diameter_candidates", "max_sq_pair_distance"]
 
 # Elements per temporary array in the blocked pairwise scans (2 MB of
 # float64), so their memory stays O(N) whatever the input size.
@@ -53,16 +52,27 @@ def geometric_grid(lo: float, hi: float, per_octave: int = 4) -> np.ndarray:
     return grid[grid <= hi * (1 + 1e-12)]
 
 
-def hull_vertices(points: np.ndarray) -> np.ndarray:
-    """The rows of ``points`` at their convex hull's vertices.
+def diameter_candidates(points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` that can end a pair as long as the diameter.
 
-    The largest pair distance is attained there.  Where qhull finds no hull
-    (too few atoms, a flat or collinear set, 1-d input) every row is kept.
+    With c the bounding box's centre and R the largest |p - c|, a pair
+    (p, q) at least L long has |p - c| >= L - |q - c| >= L - R.  L is a
+    realised pair distance, from the row farthest from c to the row
+    farthest from that one, so every longest pair lies among the rows kept.
+    Every distance is rounded relative to its own size, which a slack of
+    1e-9 (L + R) covers, so the largest pair distance over the rows kept
+    is the all-pairs one bit for bit.
     """
-    try:
-        return points[ConvexHull(points).vertices]
-    except (QhullError, ValueError):
+    center = (points.min(axis=0) + points.max(axis=0)) / 2
+    from_center = np.sqrt(((points - center) ** 2).sum(-1))
+    far = points[np.argmax(from_center)]
+    longest = math.sqrt(float(((points - far) ** 2).sum(-1).max()))
+    reach = float(from_center.max())
+    bound = longest - reach - 1e-9 * (longest + reach)
+    if not math.isfinite(bound):
+        # a squared distance overflowed: the all-pairs scan decides
         return points
+    return points[from_center >= bound]
 
 
 def max_sq_pair_distance(points: np.ndarray) -> float:

@@ -292,7 +292,9 @@ def condition_check(
 
     Returns sum over atoms x_i in B of w_i * jones(x_i, r_min, r(B)),
     divided by mu(B), summed in atom index order.  A massless ball yields
-    ratio 0.0 with a flag.
+    ratio 0.0 with a flag.  Otherwise the same radial orders give
+    ``sup_density``, the largest sup_density(x_i, r_min) over the ball's
+    atoms: c0 itself for a ball that holds every atom.
     """
     idx = measure.ball_indices(ball.center, ball.radius)
     mass = float(np.sum(measure.weights[idx]))
@@ -307,12 +309,14 @@ def condition_check(
         record.update(total=0.0, ratio=0.0)
         record["degenerate"] = True
         return record
-    jones = jones_integrals(measure, measure.points[idx], measure.r_min,
-                            ball.radius, scales_per_octave)
+    jones, sups = jones_integrals(measure, measure.points[idx],
+                                  measure.r_min, ball.radius,
+                                  scales_per_octave, floor=measure.r_min)
     total = 0.0
     for w, value in zip(measure.weights[idx], jones):
         total += w * value
-    record.update(total=float(total), ratio=float(total / mass))
+    record.update(total=float(total), ratio=float(total / mass),
+                  sup_density=float(np.max(sups)))
     return record
 
 

@@ -37,10 +37,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from ._util import dump_json, hull_vertices, max_sq_pair_distance
-from .measure import _TREE_SLACK, Ball, WeightedPointMeasure
+from ._util import diameter_candidates, dump_json, max_sq_pair_distance
+from .measure import _TREE_SLACK, Ball, WeightedPointMeasure, _kd_tree
 
 __all__ = [
     "Cell",
@@ -376,7 +375,7 @@ def boundary_layer_mass(
         """Mass of atoms within each thickness of the nearest of others."""
         if others.size == 0:
             return [0.0] * len(lambdas)
-        tree = cKDTree(measure.points[others])
+        tree = _kd_tree(measure.points[others])
         dist, _ = tree.query(measure.points[atoms], k=1)
         weights = measure.weights[atoms]
         return [float(np.sum(weights[dist <= lam * cell.side]))
@@ -448,8 +447,8 @@ def check_lattice(lattice: Lattice) -> dict:
     cell: a realised pair distance below (the atom farthest from the
     cell's first atom, then the atom farthest from that one) and twice the
     largest distance rho from the first atom above.  Only a cell with a
-    threshold inside its bracket is scanned exactly, over its convex
-    hull's vertices, or every atom when it has no hull.  Memory stays
+    threshold inside its bracket is scanned exactly, over the atoms that
+    can end a longest pair (``diameter_candidates``).  Memory stays
     O(atoms) throughout.
     """
     measure = lattice.measure
@@ -546,15 +545,14 @@ def _cell_diameters(points, members, multi, sides, c0):
     diam = pair
     for i in np.flatnonzero(unsure):
         cell_pts = pts[starts[i]:starts[i] + sizes[i]]
-        diam[i] = np.sqrt(max_sq_pair_distance(hull_vertices(cell_pts)))
+        diam[i] = np.sqrt(max_sq_pair_distance(diameter_candidates(cell_pts)))
     return diam, max_diam, min_diam
 
 
 def _five_b_violations(centers, radii) -> int:
     """Same-level centre pairs with |z - z'| < 5 (r + r')."""
-    tree = cKDTree(centers)
-    i, j = tree.query_pairs(float(2 * FIVE_B * radii.max()),
-                            output_type="ndarray").T
+    i, j = _kd_tree(centers).query_pairs(float(2 * FIVE_B * radii.max()),
+                                         output_type="ndarray").T
     limit = FIVE_B * (radii[i] + radii[j])
     gap = np.sqrt(((centers[i] - centers[j]) ** 2).sum(-1))
     # np.linalg.norm of one vector is a BLAS dot, which may round the last

@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from ._util import BLOCK_ELEMENTS, hull_vertices, max_sq_pair_distance
+from ._util import BLOCK_ELEMENTS, diameter_candidates, max_sq_pair_distance
 
 __all__ = [
     "Ball",
@@ -48,6 +47,42 @@ _TREE_SLACK = 1e-9
 # a chunk stays near 130 kB; at 1 << 14 the chunks raised the peak RSS of
 # a 600-atom verify by 0.25 MB.
 BALL_CHUNK_ENTRIES = 1 << 10
+
+
+def _kd_tree(points):
+    """A KD-tree over ``points``; scipy.spatial loads on the first call."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
+def _least_sq_gap(sites: np.ndarray) -> float:
+    """Least squared distance between two rows of ``sites``.
+
+    The rows are swept in order along the bounding box's widest axis, and
+    each is compared with the row k places on, for k = 1, 2, ...  A pair
+    more than k places apart is at least as far apart along that axis as
+    some pair exactly k apart, so the sweep stops once the least squared
+    gap along the axis at offset k reaches the least squared distance
+    found.  Rounding keeps a squared distance at least its axis term, so
+    the stop is exact, and each pair is scored with a dense scan's
+    arithmetic.  Memory stays O(N).
+    """
+    axis = int(np.argmax(sites.max(axis=0) - sites.min(axis=0)))
+    # one contiguous row per coordinate, sites in sweep order
+    coords = np.ascontiguousarray(
+        sites[np.argsort(sites[:, axis], kind="stable")].T)
+    best = math.inf
+    for k in range(1, coords.shape[1]):
+        diff = coords[:, k:] - coords[:, :-k]
+        gap = float(diff[axis].min())
+        if gap * gap >= best:
+            break
+        # a square that overflows is +inf, a gap that cannot be the least
+        with np.errstate(over="ignore"):
+            diff *= diff
+            # summed over coordinates in order, as (diff**2).sum(-1) does
+            best = min(best, float(diff.sum(axis=0).min()))
+    return best
 
 
 @dataclass(frozen=True)
@@ -175,17 +210,16 @@ class WeightedPointMeasure:
     def _default_r_min(self) -> float:
         if self.size < 2:
             return DEFAULT_SINGLETON_RMIN
-        # Nearest-neighbour pass over de-duplicated sites; duplicates carry
-        # no positive distance and must not collapse the resolution to zero.
+        # Closest pair of distinct sites; duplicates carry no positive
+        # distance and must not collapse the resolution to zero.
         unique = np.unique(self._points, axis=0)
         if unique.shape[0] < 2:
             return DEFAULT_SINGLETON_RMIN
-        tree = cKDTree(unique)
-        dist, _ = tree.query(unique, k=2)
-        dmin = float(np.min(dist[:, 1]))
-        if dmin <= 0:
+        least = _least_sq_gap(unique)
+        if least <= 0:
+            # the sites lie so close that their squared gap underflows
             return DEFAULT_SINGLETON_RMIN
-        return 0.5 * dmin
+        return 0.5 * math.sqrt(least)
 
     @property
     def diameter(self) -> float:
@@ -195,7 +229,7 @@ class WeightedPointMeasure:
                 self._diameter = 0.0
             else:
                 # The scan is blocked, so memory stays O(N).
-                pts = hull_vertices(self._points)
+                pts = diameter_candidates(self._points)
                 self._diameter = float(np.sqrt(max_sq_pair_distance(pts)))
         return self._diameter
 
@@ -203,7 +237,7 @@ class WeightedPointMeasure:
 
     def _ensure_tree(self):
         if self._tree is None and self.size:
-            self._tree = cKDTree(self._points)
+            self._tree = _kd_tree(self._points)
         return self._tree
 
     def ball_indices(self, center, radius: float) -> np.ndarray:
@@ -237,21 +271,15 @@ class WeightedPointMeasure:
         centers = np.asarray(centers, dtype=float).reshape(-1, self._dim)
         count = centers.shape[0]
         radius = np.broadcast_to(np.asarray(radius, dtype=float), (count,))
-        tree = self._ensure_tree()
-        if tree is None or count == 0:
+        if self.is_empty or count == 0:
             return
-        pre = radius * (1.0 + _TREE_SLACK) + 1e-300
-        lengths = tree.query_ball_point(centers, pre, return_length=True)
-        window = (np.cumsum(lengths) - lengths) // BALL_CHUNK_ENTRIES
-        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1), count]
-        for lo, hi in zip(cuts, cuts[1:]):
-            found = tree.query_ball_point(centers[lo:hi], pre[lo:hi],
-                                          return_sorted=True)
-            sizes = np.fromiter(map(len, found), dtype=np.intp,
-                                count=hi - lo)
-            cand = np.fromiter(itertools.chain.from_iterable(found),
-                               dtype=np.intp, count=int(sizes.sum()))
-            rows = np.repeat(np.arange(hi - lo), sizes)
+        if count == 1 and self._tree is None:
+            # one scan of every atom costs less than building a tree
+            chunks = [(0, 1, np.arange(self.size),
+                       np.zeros(self.size, dtype=np.intp))]
+        else:
+            chunks = self._tree_candidates(centers, radius)
+        for lo, hi, cand, rows in chunks:
             dist = np.linalg.norm(self._points[cand] - centers[lo:hi][rows],
                                   axis=1)
             keep = dist <= radius[lo:hi][rows]
@@ -259,6 +287,23 @@ class WeightedPointMeasure:
             np.cumsum(np.bincount(rows[keep], minlength=hi - lo),
                       out=bounds[1:])
             yield lo, cand[keep], dist[keep], bounds
+
+    def _tree_candidates(self, centers, radius):
+        """``(lo, hi, candidates, rows)`` per chunk of centres lo..hi - 1,
+        from the KD-tree: candidate j belongs to centre ``lo + rows[j]``."""
+        tree = self._ensure_tree()
+        pre = radius * (1.0 + _TREE_SLACK) + 1e-300
+        lengths = tree.query_ball_point(centers, pre, return_length=True)
+        window = (np.cumsum(lengths) - lengths) // BALL_CHUNK_ENTRIES
+        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1), centers.shape[0]]
+        for lo, hi in zip(cuts, cuts[1:]):
+            found = tree.query_ball_point(centers[lo:hi], pre[lo:hi],
+                                          return_sorted=True)
+            sizes = np.fromiter(map(len, found), dtype=np.intp,
+                                count=hi - lo)
+            cand = np.fromiter(itertools.chain.from_iterable(found),
+                               dtype=np.intp, count=int(sizes.sum()))
+            yield lo, hi, cand, np.repeat(np.arange(hi - lo), sizes)
 
     def ball_mass(self, center, radius: float | None = None) -> float:
         """mu(B(x, r)) for the closed ball; accepts a Ball or (center, radius)."""
@@ -342,18 +387,6 @@ class WeightedPointMeasure:
         return 2.0 ** (self._n + 1)
 
     # -- restriction --------------------------------------------------------
-
-    def restrict_mask(self, mask) -> "WeightedPointMeasure":
-        """Restriction mu|_A by a boolean mask over atoms (may be empty)."""
-        mask = np.asarray(mask, dtype=bool).reshape(-1)
-        if mask.shape[0] != self.size:
-            raise ValueError("mask length does not match atom count")
-        return WeightedPointMeasure(
-            self._points[mask].reshape(-1, self._dim),
-            self._weights[mask],
-            self._n,
-            r_min=self._r_min,
-        )
 
     def restrict_ball(self, ball: Ball) -> "WeightedPointMeasure":
         """Restriction to a closed ball."""

@@ -396,16 +396,16 @@ def _spy_scans(monkeypatch):
     return scans
 
 
-def test_audit_scans_collinear_cell_over_all_atoms(monkeypatch):
-    # qhull finds no hull of a collinear set: the segment's root is
-    # scanned over every atom
+def test_audit_scans_collinear_cell_over_its_two_ends(monkeypatch):
+    # only the segment's two end atoms can end a longest pair, so the
+    # root's exact scan reads two atoms, not all 200
     lat = build_lattice(segment(200))
     root = lat.root
     root.side = _diam_and_rho(lat.measure.points[root.point_indices])[0]
     scans = _spy_scans(monkeypatch)
     report = check_lattice(lat)
     assert report == dense_check_lattice(lat)
-    assert scans == [root.point_indices.size]
+    assert scans == [2]
 
 
 def test_audit_scans_two_atom_cell(monkeypatch):
@@ -688,13 +688,13 @@ def test_deep_max_depth_builds_without_warnings():
 
 def test_build_lattice_builds_no_tree_of_its_own(monkeypatch):
     builds = []
-    original = lattice_mod.cKDTree
+    original = lattice_mod._kd_tree
 
     def counting(*args, **kwargs):
         builds.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lattice_mod, "cKDTree", counting)
+    monkeypatch.setattr(lattice_mod, "_kd_tree", counting)
     build_lattice(lipschitz_graph(300))
     assert builds == []
 
@@ -849,12 +849,12 @@ def test_boundary_audit_matches_old_body(family):
 def test_boundary_audit_builds_two_trees_per_cell(monkeypatch):
     lat = build_lattice(lipschitz_graph(300, seed=2))
     builds = []
-    original = lattice_mod.cKDTree
+    original = lattice_mod._kd_tree
 
     def counting(*args, **kwargs):
         builds.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(lattice_mod, "cKDTree", counting)
+    monkeypatch.setattr(lattice_mod, "_kd_tree", counting)
     boundary_audit(lat, AUDIT_LAMBDAS)
     assert 0 < len(builds) <= 2 * len(lat.cells)

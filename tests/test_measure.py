@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betascope import (Ball, WeightedPointMeasure, load_csv, load_json,
-                       save_csv, save_json, segment)
+from betascope import (Ball, WeightedPointMeasure, cantor4, lipschitz_graph,
+                       load_csv, load_json, save_csv, save_json, segment,
+                       square_area)
 from betascope import measure as measure_mod
+from betascope._util import diameter_candidates
 
 
 def old_ball_indices(measure, center, radius):
@@ -143,7 +145,7 @@ class TestBallMass:
             assert got.dtype == np.intp and got.size == 0
             assert np.array_equal(got, old_ball_indices(m, m.points[0],
                                                         radius))
-        empty = m.restrict_mask(np.zeros(m.size, dtype=bool))
+        empty = m.restrict_ball(Ball((5.0, 5.0), 0.1))
         for radius in (0.0, 1.0, -1.0):
             got = empty.ball_indices((0.0, 0.0), radius)
             assert got.dtype == np.intp and got.size == 0
@@ -230,14 +232,17 @@ class TestRestriction:
 
     def test_restrict_predicate(self):
         m = small_measure(4)
-        sub = m.restrict_mask(m.points[:, 0] > 0.0)
+        # the atoms within 0.9 of (1, 0) all have x > 0.1
+        sub = m.restrict_ball(Ball((1.0, 0.0), 0.9))
+        assert 0 < sub.size < m.size
         assert (sub.points[:, 0] > 0.0).all()
         assert sub.total_mass <= m.total_mass
 
-    def test_restrict_mask_empty_ok(self):
+    def test_restrict_ball_empty_ok(self):
         m = small_measure(4)
-        sub = m.restrict_mask(np.zeros(m.size, dtype=bool))
+        sub = m.restrict_ball(Ball((5.0, 5.0), 0.1))
         assert sub.is_empty
+        assert sub.r_min == m.r_min
 
 
 class TestSerialization:
@@ -304,8 +309,8 @@ def test_ball_scaled():
 
 
 def test_diameter_matches_brute_force():
-    # segment(2500) is collinear: the hull fails and every atom is scanned,
-    # which must not take O(N^2) memory
+    # segment(2500) is collinear, and neither the filter nor the scan of
+    # its candidates may take O(N^2) memory
     for m in (small_measure(21, m=25), segment(2500)):
         pts = m.points
         brute = max(np.linalg.norm(pts - p, axis=1).max() for p in pts)
@@ -317,3 +322,92 @@ def test_diameter_matches_brute_force():
             tracemalloc.stop()
         assert diameter == pytest.approx(brute, rel=1e-14)
         assert peak < 32 * 2**20
+
+
+# -- resolution and diameter without scipy -----------------------------------
+#
+# r_min came from a KD-tree's nearest neighbours and the diameter from the
+# convex hull's vertices; both are now numpy scans, checked bit for bit
+# against a KD-tree query and a dense all-pairs scan.
+
+def _rotated(measure, angle=0.3):
+    c, s = math.cos(angle), math.sin(angle)
+    return WeightedPointMeasure(measure.points @ np.array([[c, s], [-s, c]]),
+                                measure.weights, measure.target_dim)
+
+
+def _line(count, dim, axis):
+    pts = np.zeros((count, dim))
+    pts[:, axis] = np.linspace(0.0, 1.0, count)
+    return WeightedPointMeasure(pts, np.full(count, 1.0 / count), 1)
+
+
+def _sweep_inputs():
+    rng = np.random.default_rng(7)
+    dup = rng.uniform(size=(300, 2))
+    dup = np.concatenate([dup, dup[::3], dup[:1]])
+    angles = np.linspace(0.0, 2.0 * math.pi, 400, endpoint=False)
+    circle = np.column_stack([np.cos(angles), np.sin(angles)])
+    return {
+        "lipschitz": lipschitz_graph(1500, seed=2),
+        "cantor_rotated": _rotated(cantor4(5)),
+        "segment_horizontal": _line(1500, 2, 0),
+        "segment_vertical": _line(1500, 2, 1),
+        "square": square_area(30),
+        "duplicates": WeightedPointMeasure(dup, np.ones(len(dup)), 1),
+        "d1": WeightedPointMeasure(rng.uniform(size=(500, 1)),
+                                   np.ones(500), 1),
+        "d3": WeightedPointMeasure(rng.normal(size=(800, 3)),
+                                   np.ones(800), 2),
+        "two_atoms": WeightedPointMeasure([[0.1, 0.2], [0.4, 0.6]],
+                                          [1.0, 2.0], 1),
+        "circle": WeightedPointMeasure(circle, np.ones(400), 1),
+    }
+
+
+SWEEP_INPUTS = _sweep_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
+def test_r_min_equals_the_kd_tree_nearest_pair(name):
+    from scipy.spatial import cKDTree
+    measure = SWEEP_INPUTS[name]
+    unique = np.unique(measure.points, axis=0)
+    dist, _ = cKDTree(unique).query(unique, k=2)
+    assert measure.r_min == 0.5 * float(np.min(dist[:, 1]))
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_INPUTS))
+def test_diameter_equals_the_dense_scan(name):
+    pts = SWEEP_INPUTS[name].points
+    # one row against all rows at a time: a dense scan's arithmetic
+    dense = max(float(((pts - p) ** 2).sum(-1).max()) for p in pts)
+    assert SWEEP_INPUTS[name].diameter == math.sqrt(dense)
+
+
+def test_r_min_falls_back_when_the_squared_gap_underflows():
+    m = WeightedPointMeasure([[0.0, 0.0], [0.0, 1.5e-258]], [1.0, 1.0], 1)
+    assert m.r_min == 1.0
+
+
+@pytest.mark.parametrize("far", [1.5e154, 1e160])
+def test_diameter_overflows_to_inf_like_the_dense_scan(far):
+    # at 1.5e154 only the pair's squared distance overflows, at 1e160
+    # the distances to the box centre too
+    m = WeightedPointMeasure([[0.0, 0.0], [far, 0.0]], [1.0, 1.0], 1,
+                             r_min=1.0)
+    with np.errstate(over="ignore"):
+        assert m.diameter == math.inf
+
+
+def test_r_min_ignores_a_far_site_whose_square_overflows():
+    # the KD-tree gave 0.5 without a warning; the suite fails on one
+    m = WeightedPointMeasure([[0.0, 0.0], [1.0, 0.0], [1e160, 0.0]],
+                             [1.0, 1.0, 1.0], 1)
+    assert m.r_min == 0.5
+
+
+def test_diameter_candidates_of_a_segment_are_its_ends():
+    m = segment(500)
+    ends = diameter_candidates(m.points)
+    assert sorted(ends[:, 0].tolist()) == [0.0, 1.0]

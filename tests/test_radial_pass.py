@@ -136,6 +136,18 @@ def test_condition_total_sums_the_old_integrals_in_index_order(measure):
     assert rec["total"] == float(total)
 
 
+def test_condition_sup_density_is_c0_when_the_ball_holds_every_atom(measure):
+    # analyze reads c0 from the pass over its centroid ball
+    centroid = measure.weights @ measure.points / measure.total_mass
+    reach = float(np.max(np.linalg.norm(measure.points - centroid, axis=1)))
+    rec = condition_check(measure, Ball(centroid, max(reach,
+                                                      2 * measure.r_min)))
+    assert rec["atoms"] == measure.size
+    assert rec["sup_density"] == measure.growth_constant(exact=True)
+    assert rec["sup_density"] == max(
+        old_sup_density(measure, p, measure.r_min) for p in measure.points)
+
+
 def test_profile_rows_equal_the_one_centre_profiles(measure):
     xs = centres(measure)
     r_lo, r_hi = ranges(measure)[0]
