@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import diameter_candidates, dump_json, max_sq_pair_distance
-from .measure import _TREE_SLACK, Ball, WeightedPointMeasure, _kd_tree
+from .measure import Ball, WeightedPointMeasure, _Sweep
 
 __all__ = [
     "Cell",
@@ -135,13 +135,15 @@ def _level(measure, order, separation, seeds):
     Atoms are walked ``seeds`` first (already pairwise at least the previous,
     larger separation apart), then ``order``; an atom is accepted unless an
     accepted site lies closer than s.  Each accepted site closes its open
-    s-ball with one query on the measure's KD-tree and records (atom, site
-    position, d^2) for every atom in it.  Every atom lies within s of some
-    site, so its nearest site is among its records: least d^2, ties to the
-    earlier site.
+    s-ball: the atoms of its slab of the measure's sweep order
+    (``_Sweep.slabs``, which holds every atom with d^2 < s^2) are scored
+    with d^2, and each atom closer than s gets a record (atom, site
+    position, d^2).  Every atom lies within s of some site, so its nearest
+    site is among its records: least d^2, ties to the earlier site.
     """
     points = measure.points
-    tree = measure._ensure_tree()
+    sweep = measure._sweep_index()
+    lo, hi = sweep.slabs(points, separation)
     sep_sq = separation * separation
     closed = np.zeros(measure.size, dtype=bool)
     net: list[int] = []
@@ -149,9 +151,7 @@ def _level(measure, order, separation, seeds):
     for i in itertools.chain(seeds, order):
         if closed[i]:
             continue
-        near = np.asarray(
-            tree.query_ball_point(points[i], separation * (1.0 + _TREE_SLACK)),
-            dtype=np.intp)
+        near = sweep.order[lo[i]:hi[i]]
         diff = points[near] - points[i]
         d2 = np.einsum("ij,ij->i", diff, diff)
         inside = d2 < sep_sq
@@ -349,6 +349,14 @@ def _exact_masses(measure, centers, radii) -> np.ndarray:
     return np.array(masses)
 
 
+def _thicknesses(lambdas) -> list[float]:
+    lambdas = [float(lam) for lam in lambdas]
+    for lam in lambdas:
+        if not 0.0 < lam <= 1.0:
+            raise ValueError(f"layer thickness must lie in (0, 1], got {lam}")
+    return lambdas
+
+
 def boundary_layer_mass(
     lattice: Lattice, cell: Cell, lambdas
 ) -> list[tuple[float, float]]:
@@ -359,17 +367,25 @@ def boundary_layer_mass(
     Q.  The distance to an empty set is +inf, giving mass 0.  The distances
     do not depend on lam, so they are taken once for all thicknesses.
     """
-    lambdas = [float(lam) for lam in lambdas]
-    for lam in lambdas:
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"layer thickness must lie in (0, 1], got {lam}")
+    ball = lattice.measure.ball_indices(cell.center,
+                                        4.0 * COVER_FACTOR * cell.radius)
+    return _layer_masses(lattice, cell, _thicknesses(lambdas), ball)
+
+
+def _kd_tree(points):
+    """A KD-tree over ``points``; scipy.spatial loads on the first call."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
+def _layer_masses(lattice, cell, lambdas, ball):
+    """``boundary_layer_mass`` given the atoms ``ball`` of 4 B_Q."""
     measure = lattice.measure
     members = cell.point_indices
     outside_mask = np.ones(measure.size, dtype=bool)
     outside_mask[members] = False
     outside = np.flatnonzero(outside_mask)
-    ring = measure.ball_indices(cell.center, 4.0 * COVER_FACTOR * cell.radius)
-    ring = ring[~np.isin(ring, members, assume_unique=True)]
+    ring = ball[~np.isin(ball, members, assume_unique=True)]
 
     def layers(atoms, others):
         """Mass of atoms within each thickness of the nearest of others."""
@@ -388,20 +404,32 @@ def boundary_audit(lattice: Lattice, lambdas) -> dict:
     """Max over cells of (inner+outer) / (sqrt(lam) * mu(3.5 B_Q)) per lam.
 
     A diagnostic for the thin-boundary property; values are recorded per
-    input as regression constants rather than asserted universally.
+    input as regression constants rather than asserted universally.  Each
+    level takes its cells' 3.5 B_Q masses (as ``ball_mass`` does) and
+    their 4 B_Q balls from one batched query per radius.
     """
     measure = lattice.measure
-    lambdas = [float(lam) for lam in lambdas]
+    lambdas = _thicknesses(lambdas)
     out = dict.fromkeys(lambdas, 0.0)
-    for cell in lattice.cells:
-        denom = measure.ball_mass(
-            cell.center, BOUNDARY_BALL_FACTOR * COVER_FACTOR * cell.radius
-        )
-        if denom == 0.0:
-            continue
-        masses = boundary_layer_mass(lattice, cell, lambdas)
-        for lam, (inner, outer) in zip(lambdas, masses):
-            out[lam] = max(out[lam], (inner + outer) / (math.sqrt(lam) * denom))
+    for ids in lattice.levels:
+        # build_lattice numbers a level's cells consecutively
+        cells = lattice.cells[ids[0]:ids[-1] + 1]
+        centers = np.array([cell.center for cell in cells])
+        radii = np.array([cell.radius for cell in cells])
+        denoms = _exact_masses(
+            measure, centers, BOUNDARY_BALL_FACTOR * COVER_FACTOR * radii
+        ).tolist()
+        for at, atoms, _, bounds in measure.ball_batches(
+                centers, 4.0 * COVER_FACTOR * radii):
+            for j in range(bounds.size - 1):
+                denom = denoms[at + j]
+                if denom == 0.0:
+                    continue
+                masses = _layer_masses(lattice, cells[at + j], lambdas,
+                                       atoms[bounds[j]:bounds[j + 1]])
+                for lam, (inner, outer) in zip(lambdas, masses):
+                    out[lam] = max(out[lam],
+                                   (inner + outer) / (math.sqrt(lam) * denom))
     return out
 
 
@@ -550,9 +578,25 @@ def _cell_diameters(points, members, multi, sides, c0):
 
 
 def _five_b_violations(centers, radii) -> int:
-    """Same-level centre pairs with |z - z'| < 5 (r + r')."""
-    i, j = _kd_tree(centers).query_pairs(float(2 * FIVE_B * radii.max()),
-                                         output_type="ndarray").T
+    """Same-level centre pairs with |z - z'| < 5 (r + r').
+
+    Only pairs within reach = 10 max r along the centres' sweep axis can
+    count: the rounded norm of a difference is at least the rounded
+    difference along any axis (``_Sweep.slabs``).  In sweep order the
+    centre k places on is at least as far along that axis as any closer
+    one, so the pairs go offset by offset, k = 1, 2, ..., until none at
+    offset k lies within reach.
+    """
+    sweep = _Sweep(centers)
+    reach = 2 * FIVE_B * radii.max() + 2.0**-500
+    first, second = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for k in range(1, sweep.order.size):
+        near = np.flatnonzero(sweep.keys[k:] - sweep.keys[:-k] <= reach)
+        if near.size == 0:
+            break
+        first.append(sweep.order[near])
+        second.append(sweep.order[near + k])
+    i, j = np.concatenate(first), np.concatenate(second)
     limit = FIVE_B * (radii[i] + radii[j])
     gap = np.sqrt(((centers[i] - centers[j]) ** 2).sum(-1))
     # np.linalg.norm of one vector is a BLAS dot, which may round the last

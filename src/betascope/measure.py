@@ -14,7 +14,6 @@ and the fallback is 1.0, which callers can override.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -37,22 +36,61 @@ __all__ = [
 # Fallback resolution when the support carries no positive pairwise distance.
 DEFAULT_SINGLETON_RMIN = 1.0
 
-# Relative slack applied to KD-tree prefilter radii.  Candidate atoms are
-# re-tested with the same arithmetic as the naive scan, so the slack only
-# guards against the tree using a differently rounded metric at the boundary.
+# Relative slack on the half-width of a ball's sweep slab, above the
+# rounding the slab must cover (``_Sweep.slabs``).  Candidate atoms are
+# re-tested with the arithmetic of a naive scan, so a wider slab changes
+# only how many atoms are tested.
 _TREE_SLACK = 1e-9
 
-# Entries per chunk of a batched ball query.  The tree answers with Python
-# lists, and a chunk's lists and arrays take about 130 bytes an entry, so
-# a chunk stays near 130 kB; at 1 << 14 the chunks raised the peak RSS of
-# a 600-atom verify by 0.25 MB.
+# Candidates per chunk of a batched ball query.  A chunk's arrays take
+# about 100 bytes a candidate in the plane, so a chunk stays near 100 kB.
 BALL_CHUNK_ENTRIES = 1 << 10
 
 
-def _kd_tree(points):
-    """A KD-tree over ``points``; scipy.spatial loads on the first call."""
-    from scipy.spatial import cKDTree
-    return cKDTree(points)
+def _sweep_order(points: np.ndarray):
+    """The widest axis of the bounding box of ``points``, and the rows in
+    stable order along it."""
+    axis = int(np.argmax(points.max(axis=0) - points.min(axis=0)))
+    return axis, np.argsort(points[:, axis], kind="stable")
+
+
+class _Sweep:
+    """The atoms of a measure in stable order along one axis, the bounding
+    box's widest, with their coordinates on it (``keys``).
+
+    The atoms a closed ball can hold lie in one slab of this order, so a
+    ball query tests only that slab.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.axis, self.order = _sweep_order(points)
+        self.keys = points[self.order, self.axis]
+
+    def slabs(self, centers: np.ndarray, radius):
+        """Per centre c and radius r, the positions ``lo:hi`` in sweep order
+        of the atoms p with c_a - pre <= p_a <= c_a + pre, where
+
+            pre = r (1 + _TREE_SLACK) + 2^-500.
+
+        The slab holds every atom p that a naive scan keeps in B(c, r),
+        fl(norm(p - c)) <= r, or in the open ball, fl(|p - c|^2) < fl(r^2)
+        as a sum of rounded squares.  Take x = fl(p_a - c_a).  Rounding is
+        monotone and the terms are not negative, so the rounded sum of
+        squares is at least fl(x^2).  For a squared distance below fl(r^2)
+        that gives |x| < r directly.  For the norm, the rounded root of the
+        sum is at least fl(sqrt(fl(x^2))), which equals |x| in binary
+        floating point while x^2 is a normal number.  Then |x| <= r, so
+        the exact |p_a - c_a| <= r (1 + 2^-52), which the slack covers
+        with the rounding of pre.  A subnormal x^2 means |x| < 2^-511,
+        which the last term covers; an overflowed one makes the norm inf,
+        which no finite r keeps.  The bounds c_a -+ pre are rounded too,
+        but p_a is a float, so monotone rounding keeps it inside them.
+        """
+        at = centers[:, self.axis]
+        pre = radius * (1.0 + _TREE_SLACK) + 2.0**-500
+        lo = np.searchsorted(self.keys, at - pre, side="left")
+        hi = np.searchsorted(self.keys, at + pre, side="right")
+        return lo, np.maximum(hi, lo)
 
 
 def _least_sq_gap(sites: np.ndarray) -> float:
@@ -67,10 +105,9 @@ def _least_sq_gap(sites: np.ndarray) -> float:
     the stop is exact, and each pair is scored with a dense scan's
     arithmetic.  Memory stays O(N).
     """
-    axis = int(np.argmax(sites.max(axis=0) - sites.min(axis=0)))
+    axis, order = _sweep_order(sites)
     # one contiguous row per coordinate, sites in sweep order
-    coords = np.ascontiguousarray(
-        sites[np.argsort(sites[:, axis], kind="stable")].T)
+    coords = np.ascontiguousarray(sites[order].T)
     best = math.inf
     for k in range(1, coords.shape[1]):
         diff = coords[:, k:] - coords[:, :-k]
@@ -155,7 +192,7 @@ class WeightedPointMeasure:
         self._weights = weights
         self._dim = dim
         self._n = target_dim
-        self._tree = None
+        self._sweep = None
         self._diameter = None
         if r_min is None:
             r_min = self._default_r_min()
@@ -235,10 +272,10 @@ class WeightedPointMeasure:
 
     # -- ball queries -------------------------------------------------------
 
-    def _ensure_tree(self):
-        if self._tree is None and self.size:
-            self._tree = _kd_tree(self._points)
-        return self._tree
+    def _sweep_index(self) -> _Sweep:
+        if self._sweep is None:
+            self._sweep = _Sweep(self._points)
+        return self._sweep
 
     def ball_indices(self, center, radius: float) -> np.ndarray:
         """Sorted atom indices inside the closed ball B(center, radius).
@@ -260,50 +297,40 @@ class WeightedPointMeasure:
 
         ``radius`` is one radius or one per centre.  Yields ``(start, atoms,
         dist, bounds)`` per chunk of consecutive centres: the ball of centre
-        ``start + j`` holds ``atoms[bounds[j]:bounds[j + 1]]``, at distances
-        ``dist[bounds[j]:bounds[j + 1]]``.  The KD-tree is only a
-        prefilter: membership is decided by the norm arithmetic of a naive
-        scan, so each ball is a naive scan's sorted result bit for bit.
-        One tree query serves a chunk; chunks are cut so that the tree's
-        lists hold about BALL_CHUNK_ENTRIES entries, at least one centre
-        each, after a counting query sizes them.
+        ``start + j`` holds ``atoms[bounds[j]:bounds[j + 1]]``, in index
+        order, at distances ``dist[bounds[j]:bounds[j + 1]]``.  The
+        candidates of a ball are its slab of the sweep order
+        (``_Sweep.slabs``); membership is decided by the norm arithmetic of
+        a naive scan, so each ball is a naive scan's result bit for bit.
+        Chunks are cut so that their slabs hold about BALL_CHUNK_ENTRIES
+        candidates, at least one centre each.
         """
         centers = np.asarray(centers, dtype=float).reshape(-1, self._dim)
         count = centers.shape[0]
         radius = np.broadcast_to(np.asarray(radius, dtype=float), (count,))
         if self.is_empty or count == 0:
             return
-        if count == 1 and self._tree is None:
-            # one scan of every atom costs less than building a tree
-            chunks = [(0, 1, np.arange(self.size),
-                       np.zeros(self.size, dtype=np.intp))]
-        else:
-            chunks = self._tree_candidates(centers, radius)
-        for lo, hi, cand, rows in chunks:
-            dist = np.linalg.norm(self._points[cand] - centers[lo:hi][rows],
-                                  axis=1)
-            keep = dist <= radius[lo:hi][rows]
-            bounds = np.zeros(hi - lo + 1, dtype=np.intp)
-            np.cumsum(np.bincount(rows[keep], minlength=hi - lo),
-                      out=bounds[1:])
-            yield lo, cand[keep], dist[keep], bounds
-
-    def _tree_candidates(self, centers, radius):
-        """``(lo, hi, candidates, rows)`` per chunk of centres lo..hi - 1,
-        from the KD-tree: candidate j belongs to centre ``lo + rows[j]``."""
-        tree = self._ensure_tree()
-        pre = radius * (1.0 + _TREE_SLACK) + 1e-300
-        lengths = tree.query_ball_point(centers, pre, return_length=True)
+        sweep = self._sweep_index()
+        lo, hi = sweep.slabs(centers, radius)
+        lengths = hi - lo
         window = (np.cumsum(lengths) - lengths) // BALL_CHUNK_ENTRIES
-        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1), centers.shape[0]]
-        for lo, hi in zip(cuts, cuts[1:]):
-            found = tree.query_ball_point(centers[lo:hi], pre[lo:hi],
-                                          return_sorted=True)
-            sizes = np.fromiter(map(len, found), dtype=np.intp,
-                                count=hi - lo)
-            cand = np.fromiter(itertools.chain.from_iterable(found),
-                               dtype=np.intp, count=int(sizes.sum()))
-            yield lo, hi, cand, np.repeat(np.arange(hi - lo), sizes)
+        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1), count]
+        for start, end in zip(cuts, cuts[1:]):
+            sizes = lengths[start:end]
+            rows = np.repeat(np.arange(end - start), sizes)
+            # each slab's positions in sweep order, slab after slab
+            skip = lo[start:end] - (np.cumsum(sizes) - sizes)
+            cand = sweep.order[np.arange(rows.size) + skip[rows]]
+            dist = np.linalg.norm(
+                self._points[cand] - centers[start:end][rows], axis=1)
+            keep = np.flatnonzero(dist <= radius[start:end][rows])
+            rows, cand = rows[keep], cand[keep]
+            # index order within each ball; the keys are distinct
+            by_atom = np.argsort(rows * self.size + cand)
+            bounds = np.zeros(end - start + 1, dtype=np.intp)
+            np.cumsum(np.bincount(rows, minlength=end - start),
+                      out=bounds[1:])
+            yield start, cand[by_atom], dist[keep][by_atom], bounds
 
     def ball_mass(self, center, radius: float | None = None) -> float:
         """mu(B(x, r)) for the closed ball; accepts a Ball or (center, radius)."""

@@ -439,12 +439,17 @@ def test_audit_of_unsorted_cells_matches_dense_oracle(monkeypatch):
     assert sum(scans) < sum(size for size in sizes if size >= 2)
 
 
-@pytest.mark.parametrize("make", [lambda: lipschitz_graph(400, seed=3),
-                                  lambda: square_area(9)],
-                         ids=["lipschitz_graph", "square_area"])
+@pytest.mark.parametrize("make", [
+    lambda: lipschitz_graph(400, seed=3),
+    lambda: square_area(9),
+    lambda: segment(400),
+    lambda: _uniform(np.random.default_rng(4).uniform(size=(400, 3)), 2),
+], ids=["lipschitz_graph", "square_area", "collinear", "cloud_3d"])
 def test_five_b_count_matches_dense_oracle_at_widened_radii(make):
     # at the top of the radius bracket, 5 B(Q) of neighbouring cells
-    # overlap; the grid puts some centre gaps exactly at the limit
+    # overlap; the grid puts some centre gaps exactly at the limit, the
+    # segment's centres lie on its sweep axis, so every pair's gap is its
+    # gap along that axis
     lat = build_lattice(make())
     for cell in lat.cells:
         cell.radius = lat.c0 * lat.a0 ** (-cell.level)

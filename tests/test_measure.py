@@ -14,8 +14,8 @@ from betascope._util import diameter_candidates
 
 
 def old_ball_indices(measure, center, radius):
-    """The per-centre ball query that ``ball_indices`` made before it became
-    the one-centre case of ``ball_batches``, kept as the oracle."""
+    """Sorted atom indices of the closed ball B(center, radius) from a naive
+    norm scan of every atom, the arithmetic every ball query stands for."""
     if measure.is_empty:
         return np.empty(0, dtype=np.intp)
     center = np.asarray(center, dtype=float).reshape(-1)
@@ -25,14 +25,8 @@ def old_ball_indices(measure, center, radius):
     radius = float(radius)
     if radius < 0:
         return np.empty(0, dtype=np.intp)
-    tree = measure._ensure_tree()
-    pre = radius * (1.0 + measure_mod._TREE_SLACK) + 1e-300
-    cand = np.asarray(sorted(tree.query_ball_point(center, pre)),
-                      dtype=np.intp)
-    if cand.size == 0:
-        return cand
-    dist = np.linalg.norm(measure.points[cand] - center, axis=1)
-    return cand[dist <= radius]
+    dist = np.linalg.norm(measure.points - center, axis=1)
+    return np.flatnonzero(dist <= radius)
 
 
 def small_measure(seed=0, m=30, d=2):
@@ -40,6 +34,55 @@ def small_measure(seed=0, m=30, d=2):
     pts = rng.uniform(-1.0, 1.0, size=(m, d))
     w = np.exp(rng.uniform(-2.0, 1.0, size=m))
     return WeightedPointMeasure(pts, w, d - 1)
+
+
+def _far(offset):
+    """Atoms within about 20 ulps of (offset, ..., offset), and balls of
+    radius about 1e-7, a few ulps of a coordinate near 1e8."""
+    def make(rng, d):
+        pts = offset + rng.uniform(-3e-7, 3e-7, size=(60, d))
+        centers = np.concatenate(
+            [pts[::2], offset + rng.uniform(-3e-7, 3e-7, size=(20, d))])
+        return pts, centers, rng.uniform(0.5e-7, 2e-7, len(centers))
+    return make
+
+
+def _duplicates(rng, d):
+    pts = rng.uniform(-1.0, 1.0, size=(40, d))
+    pts = np.concatenate([pts, pts[:15], pts[:5]])
+    centers = np.concatenate([pts[::2], rng.uniform(-1, 1, size=(10, d))])
+    return pts, centers, rng.uniform(0.0, 0.8, len(centers))
+
+
+def _one_site(rng, d):
+    """Every atom at one site: all share the sweep coordinate."""
+    pts = np.tile(rng.uniform(-1.0, 1.0, size=d), (30, 1))
+    centers = np.concatenate([pts[:1], pts[:1] + rng.normal(
+        scale=1e-3, size=(8, d))])
+    return pts, centers, rng.uniform(0.0, 2e-3, len(centers))
+
+
+def _columns(rng, d):
+    """A grid: whole columns share the sweep coordinate."""
+    axes = [np.linspace(0.0, 1.0, 9)] + [np.linspace(0.0, 0.5, 5)] * (d - 1)
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, d)
+    centers = np.concatenate([pts[::4], rng.uniform(0, 1, size=(10, d))])
+    return pts, centers, rng.uniform(0.0, 0.4, len(centers))
+
+
+def _underflow(rng, d):
+    """Atoms about 1e-160 apart, whose squared gaps are subnormal."""
+    pts = rng.uniform(-1e-160, 1e-160, size=(30, d))
+    centers = np.concatenate([pts[::2], rng.uniform(-1e-160, 1e-160,
+                                                    size=(10, d))])
+    radii = rng.uniform(0.0, 1e-160, len(centers))
+    radii[1::4] = 0.0
+    return pts, centers, radii
+
+
+MARGIN_CASES = {"offset+1e8": _far(1e8), "offset-1e8": _far(-1e8),
+                "duplicates": _duplicates, "one_site": _one_site,
+                "columns": _columns, "underflow": _underflow}
 
 
 class TestConstruction:
@@ -137,6 +180,35 @@ class TestBallMass:
         one = [a for _, a, _, _ in m.ball_batches(centers, 0.4)]
         assert np.array_equal(np.concatenate(one), np.concatenate(
             [old_ball_indices(m, c, 0.4) for c in centers]))
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 10])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(MARGIN_CASES))
+    def test_ball_batches_equal_naive_scan_at_the_margins(self, monkeypatch,
+                                                          case, d, chunk):
+        # each ball's sweep slab must hold every atom the norm test keeps,
+        # including where the coordinates' rounding is wider than a ball
+        monkeypatch.setattr(measure_mod, "BALL_CHUNK_ENTRIES", chunk)
+        rng = np.random.default_rng(d)
+        pts, centers, radii = MARGIN_CASES[case](rng, d)
+        # radii exactly at an atom's distance
+        radii[::3] = np.linalg.norm(
+            pts[rng.integers(len(pts), size=radii[::3].size)] - centers[::3],
+            axis=1)
+        m = WeightedPointMeasure(pts, np.ones(len(pts)), 1)
+        seen = at_radius = 0
+        for at, atoms, dist, bounds in m.ball_batches(centers, radii):
+            for j in range(bounds.size - 1):
+                c, r = centers[at + j], radii[at + j]
+                ball = atoms[bounds[j]:bounds[j + 1]]
+                assert np.array_equal(ball, old_ball_indices(m, c, r))
+                assert np.array_equal(dist[bounds[j]:bounds[j + 1]],
+                                      np.linalg.norm(pts[ball] - c, axis=1))
+                at_radius += int(np.count_nonzero(
+                    dist[bounds[j]:bounds[j + 1]] == r))
+            seen += bounds.size - 1
+        assert seen == len(centers)
+        assert at_radius > 0
 
     def test_ball_indices_guards_match_old_body(self):
         m = small_measure(5)

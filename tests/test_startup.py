@@ -1,9 +1,11 @@
-"""Only the commands that query a KD-tree load scipy.
+"""Only the boundary audit loads scipy.
 
 ``analyze`` and ``capacity`` read r_min, the diameter and radial passes,
-all numpy; ``lattice``, ``corona`` and ``verify`` make batched ball queries
-and import ``scipy.spatial`` on the first one.  Each case runs in a fresh
-interpreter, so the modules it lists are the ones its commands loaded.
+and ``lattice``, ``corona`` and ``verify`` answer their ball queries from
+a sorted numpy sweep, so all five run on numpy alone.  Only ``lattice
+--boundary-audit`` imports ``scipy.spatial``, for its nearest-atom
+KD-tree.  Each case runs in a fresh interpreter, so the modules it lists
+are the ones its commands loaded.
 """
 
 import json
@@ -27,6 +29,8 @@ ANALYZE = ["analyze", "--input", "DIR/m.csv", "--out", "DIR/a.json",
            "--profile-csv", "DIR/p.csv"]
 CAPACITY = ["capacity", "--input", "DIR/m.csv", "--out", "DIR/c.json"]
 LATTICE = ["lattice", "--input", "DIR/m.csv", "--out", "DIR/l.json"]
+CORONA = ["corona", "--input", "DIR/m.csv", "--out", "DIR/k.json"]
+VERIFY = ["verify", "--input", "DIR/m.csv", "--out", "DIR/v.json"]
 
 
 def scipy_modules(tmp_path, commands) -> list:
@@ -37,11 +41,14 @@ def scipy_modules(tmp_path, commands) -> list:
     return json.loads(done.stdout)
 
 
-@pytest.mark.parametrize("commands", [[], [ANALYZE, CAPACITY]],
-                         ids=["import", "analyze-capacity"])
+@pytest.mark.parametrize("commands", [[], [ANALYZE, CAPACITY],
+                                      [LATTICE, CORONA, VERIFY]],
+                         ids=["import", "analyze-capacity",
+                              "lattice-corona-verify"])
 def test_start_up_loads_no_scipy(tmp_path, commands):
     assert scipy_modules(tmp_path, commands) == []
 
 
-def test_lattice_loads_the_kd_tree(tmp_path):
-    assert "scipy.spatial" in scipy_modules(tmp_path, [LATTICE])
+def test_boundary_audit_loads_the_kd_tree(tmp_path):
+    audit = LATTICE + ["--boundary-audit"]
+    assert "scipy.spatial" in scipy_modules(tmp_path, [audit])
