@@ -8,6 +8,8 @@ suppressed convolution operators (``operators``), and the inequality
 checks plus report plumbing that tie them together (``verify``).
 """
 
+from types import ModuleType as _Module
+
 from ._util import dump_json, geometric_grid
 from .beta import (
     BetaProfile,
@@ -30,7 +32,6 @@ from .lattice import (
     Cell,
     Lattice,
     boundary_audit,
-    boundary_layer_mass,
     build_lattice,
     check_lattice,
     cover_by_doubling,
@@ -74,60 +75,6 @@ from .verify import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Ball",
-    "BetaProfile",
-    "BetaResult",
-    "BumpFamily",
-    "CZKernel",
-    "Cell",
-    "CoronaTree",
-    "KernelValidationError",
-    "Lattice",
-    "REPORT_SCHEMA",
-    "TreeGeometry",
-    "WeightedPointMeasure",
-    "beta2",
-    "beta_profile_rows",
-    "boundary_audit",
-    "boundary_layer_mass",
-    "build_corona",
-    "build_lattice",
-    "cantor4",
-    "capacity_lower_bound",
-    "cauchy_kernel",
-    "check_lattice",
-    "compare_baseline",
-    "condition_check",
-    "corona_to_json",
-    "cotlar_check",
-    "cover_by_doubling",
-    "dump_json",
-    "geometric_grid",
-    "jones_field",
-    "jones_integral",
-    "k_r_chain",
-    "k_r_telescoped",
-    "lattice_to_json",
-    "lipschitz_graph",
-    "load_csv",
-    "load_json",
-    "m_tilde",
-    "main_lemma_check",
-    "make_kernel",
-    "make_report",
-    "packing_audit",
-    "pointwise_domination_check",
-    "riesz_kernel",
-    "save_csv",
-    "save_json",
-    "segment",
-    "square_area",
-    "suppressed_kernel",
-    "t1_ball_check",
-    "t_phi_eps",
-    "t_phi_star",
-    "tree_density_audit",
-    "truncated_field",
-    "validate_kernel",
-]
+# the names imported above, listed once
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _Module)))

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-__all__ = ["parallel_map", "dump_json", "geometric_grid",
+__all__ = ["parallel_map", "chunks", "ragged", "dump_json", "geometric_grid",
            "diameter_candidates", "max_sq_pair_distance"]
 
 # Elements per temporary array in the blocked pairwise scans (2 MB of
@@ -23,6 +23,22 @@ def parallel_map(fn, items, threads: int = 1) -> list:
     that ``perfbench/tracer.py`` patches and makes.
     """
     return [fn(item) for item in items]
+
+
+def chunks(lengths: np.ndarray, size: int) -> list[tuple[int, int]]:
+    """Runs ``lo:hi`` of consecutive items whose lengths add to about
+    ``size`` (a new run starts each multiple of ``size``), one at least."""
+    window = (np.cumsum(lengths) - lengths) // size
+    cuts = [0, *(np.flatnonzero(np.diff(window)) + 1).tolist(), lengths.size]
+    return list(zip(cuts, cuts[1:]))
+
+
+def ragged(starts: np.ndarray, sizes: np.ndarray):
+    """The row and the position of every entry of the segments
+    ``starts[i]:starts[i] + sizes[i]``, segment after segment."""
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    skip = starts - (np.cumsum(sizes) - sizes)
+    return rows, np.arange(rows.size) + skip[rows]
 
 
 def dump_json(payload, path=None) -> str:

@@ -38,14 +38,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import diameter_candidates, dump_json, max_sq_pair_distance
+from ._util import (BLOCK_ELEMENTS, chunks, diameter_candidates, dump_json,
+                    max_sq_pair_distance, ragged)
 from .measure import Ball, WeightedPointMeasure, _Sweep
 
 __all__ = [
     "Cell",
     "Lattice",
     "build_lattice",
-    "boundary_layer_mass",
     "boundary_audit",
     "cover_by_doubling",
     "check_lattice",
@@ -206,6 +206,10 @@ def build_lattice(
     max_depth = int(max_depth)
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
+    deepest = NET_FACTOR * a0 ** (-max_depth)
+    if deepest * deepest == 0.0:    # no net site would close its own atom
+        raise ValueError(f"max_depth {max_depth} is too deep for A0={a0}: "
+                         f"the net separation {deepest:.3g} squares to 0")
 
     if measure.diameter >= NET_FACTOR:
         raise ValueError(
@@ -282,155 +286,185 @@ def _classify_cells(lattice: Lattice) -> None:
     inside Q and Q stays inside 28 B(Q), and doubling when
     mu(100 B(Q)) <= C0 * mu(B(Q)).
 
-    Each level makes one batched query at r(Q) and one at 100 r(Q) over
-    all its centres (``ball_batches``, ``ball_indices``' arithmetic).
-    Containment reads the level's assignment of every atom in B(Q), and
-    covering the largest span |x - z_Q| of each cell's atoms.  The masses
-    are first taken as sequential segment sums; only a cell whose two sides
-    of the doubling test lie within that rounding error of each other
-    takes them again as ``ball_mass`` does, np.sum over the ball's atoms.
+    Each level makes one batched query at r(Q) and one at 100 r(Q)
+    (``_ball_masses``); containment reads the level's assignment of every
+    atom in B(Q), and covering the span of each cell's atoms.
     """
-    measure = lattice.measure
-    points = measure.points
-    c0 = lattice.c0
-    for k, ids in enumerate(lattice.levels):
-        # build_lattice numbers a level's cells consecutively
-        cells = lattice.cells[ids[0]:ids[-1] + 1]
-        centers = points[[cell.center_index for cell in cells]]
-        radii = np.array([cell.radius for cell in cells])
-        local = lattice._assignment[k] - ids[0]
-        reach = np.zeros(len(cells))
-        np.maximum.at(reach, local,
-                      np.linalg.norm(points - centers[local], axis=1))
-        small, contained = _rough_masses(measure, centers, radii, local)
-        big, _ = _rough_masses(measure, centers, DOUBLING_FACTOR * radii)
-        conforming = contained & (reach <= COVER_FACTOR * radii)
-        # np.sum and a sequential sum of n <= N positive terms both land
-        # within n ulps of the exact sum, so a wider gap decides the test
-        # as np.sum's masses would
-        gap = big - c0 * small
-        doubling = gap < 0.0
-        unsure = np.flatnonzero(np.abs(gap) <= 2.0**-50 * (
-            measure.size + 1) * (big + c0 * small))
-        if unsure.size:
-            small = _exact_masses(measure, centers[unsure], radii[unsure])
-            big = _exact_masses(measure, centers[unsure],
-                                DOUBLING_FACTOR * radii[unsure])
-            doubling[unsure] = big <= c0 * small
+    for k in range(len(lattice.levels)):
+        cells, centers, radii, local, spans = _level_arrays(lattice, k)
+        small, contained = _ball_masses(lattice.measure, centers, radii, local)
+        big, _ = _ball_masses(lattice.measure, centers, DOUBLING_FACTOR * radii)
+        conforming = contained & (spans <= COVER_FACTOR * radii)
+        doubling = big <= lattice.c0 * small
         for cell, conf, dbl in zip(cells, conforming.tolist(),
                                    doubling.tolist()):
             cell.conforming, cell.doubling = conf, dbl
 
 
-def _rough_masses(measure, centers, radii, local=None):
-    """Per centre, the mass of its closed ball as a sequential segment sum
-    and, given each atom's row ``local``, whether the ball holds atoms of
-    its own row only.
+def _level_arrays(lattice, k):
+    """The level-k cells, their centres and radii, each atom's row among
+    them, and per cell the largest span |x - z_Q| of its atoms."""
+    ids = lattice.levels[k]
+    # build_lattice numbers a level's cells consecutively
+    cells = lattice.cells[ids[0]:ids[-1] + 1]
+    centers = np.array([cell.center for cell in cells])
+    local = lattice._assignment[k] - ids[0]
+    spans = np.zeros(len(cells))
+    np.maximum.at(spans, local, np.linalg.norm(
+        lattice.measure.points - centers[local], axis=1))
+    return (cells, centers, np.array([cell.radius for cell in cells]), local,
+            spans)
 
-    Every ball holds its own centre atom, so no segment is empty.
-    """
+
+def _ball_masses(measure, centers, radii, local=None):
+    """Per centre, mu(B(c, r)) as ``ball_mass`` takes it and, given each
+    atom's row ``local``, whether the ball holds atoms of its own row only."""
     masses = np.empty(len(centers))
     own_only = np.ones(len(centers), dtype=bool)
     for at, atoms, _, bounds in measure.ball_batches(centers, radii):
-        end = at + bounds.size - 1
-        masses[at:end] = np.add.reduceat(measure.weights[atoms], bounds[:-1])
+        rows = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
+        masses[at:at + bounds.size - 1] = _segment_sums(
+            measure.weights[atoms], rows, bounds.size - 1)
         if local is not None:
-            rows = np.repeat(np.arange(at, end), np.diff(bounds))
-            own_only[rows[local[atoms] != rows]] = False
+            own_only[at + rows[local[atoms] != at + rows]] = False
     return masses, own_only
 
 
-def _exact_masses(measure, centers, radii) -> np.ndarray:
-    """Per centre, mu(B(c, r)) as ``ball_mass`` takes it."""
-    masses = []
-    for _, atoms, _, bounds in measure.ball_batches(centers, radii):
-        masses.extend(np.sum(measure.weights[atoms[lo:hi]])
-                      for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return np.array(masses)
+def _segment_sums(values, row, rows) -> np.ndarray:
+    """Per j < rows, np.sum(values[row == j]); ``row`` is nondecreasing.
 
-
-def _thicknesses(lambdas) -> list[float]:
-    lambdas = [float(lam) for lam in lambdas]
-    for lam in lambdas:
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"layer thickness must lie in (0, 1], got {lam}")
-    return lambdas
-
-
-def boundary_layer_mass(
-    lattice: Lattice, cell: Cell, lambdas
-) -> list[tuple[float, float]]:
-    """Inner and outer boundary-layer masses of a cell, one pair per lam.
-
-    At thickness lam * l(Q), inner: atoms of Q within lam * l(Q) of the
-    complement of Q; outer: atoms of 4 B_Q outside Q within lam * l(Q) of
-    Q.  The distance to an empty set is +inf, giving mass 0.  The distances
-    do not depend on lam, so they are taken once for all thicknesses.
+    A C-contiguous (m, n) array summed along axis 1 takes each row as
+    np.sum takes it alone, so the segments go in blocks of equal length.
     """
-    ball = lattice.measure.ball_indices(cell.center,
-                                        4.0 * COVER_FACTOR * cell.radius)
-    return _layer_masses(lattice, cell, _thicknesses(lambdas), ball)
+    counts = np.bincount(row, minlength=rows)
+    values = values[np.argsort(counts[row], kind="stable")]
+    by_length = np.argsort(counts, kind="stable")
+    sums = np.empty(rows)
+    start = done = 0
+    for n, m in zip(*np.unique(counts, return_counts=True)):
+        block = values[start:start + n * m].reshape(m, n)
+        sums[by_length[done:done + m]] = block.sum(axis=1)
+        start, done = start + n * m, done + m
+    return sums
 
 
-def _kd_tree(points):
-    """A KD-tree over ``points``; scipy.spatial loads on the first call."""
-    from scipy.spatial import cKDTree
-    return cKDTree(points)
+def _distances(points, first, second) -> np.ndarray:
+    """|p - q| per pair of rows, squares summed in coordinate order."""
+    return np.sqrt(((points[first] - points[second]) ** 2).sum(-1))
 
 
-def _layer_masses(lattice, cell, lambdas, ball):
-    """``boundary_layer_mass`` given the atoms ``ball`` of 4 B_Q."""
+def _foreign_distances(measure, local, cap) -> np.ndarray:
+    """Per atom, its distance to the nearest atom of another cell (cells
+    given by ``local``) where that is at most ``cap``; more beyond.
+
+    The sweep walk visits the pairs whose axis gap is within min(cap, best
+    so far) + 2^-500 of either end; a distance is at least its rounded
+    axis term (``_Sweep.slabs``), so no pair left out comes closer.
+    """
+    best = np.full(measure.size, math.inf)
+    if not local.any():
+        return best
+    sweep = measure._sweep_index()
+    points, cells = measure.points[sweep.order], local[sweep.order]
+    reach = np.full(measure.size, cap + 2.0**-500)
+    for first, second in sweep.offset_pairs(reach):
+        cross = cells[first] != cells[second]
+        first, second = first[cross], second[cross]
+        dist = _distances(points, first, second)
+        for ends in (first, second):
+            best[ends] = np.minimum(best[ends], dist)
+            reach[ends] = np.minimum(best[ends], cap) + 2.0**-500
+    return best[sweep.rank]
+
+
+def _ring_distances(measure, grouped, ring, ring_cell, cap) -> np.ndarray:
+    """Per ring entry, the distance from its atom to its cell where that
+    is at most ``cap``; more beyond.
+
+    ``grouped`` holds the level's atoms as cell * N + sweep position, in
+    order.  The cell's atom next to the entry's in sweep order is u away,
+    so only the cell's atoms in the slab of half-width min(u, cap) can be
+    closer; their tables go in blocks of about BLOCK_ELEMENTS coordinates.
+    """
+    points, size, sweep = measure.points, measure.size, measure._sweep_index()
+    base = ring_cell * size
+    at = np.minimum(np.searchsorted(grouped, base + sweep.rank[ring]),
+                    np.searchsorted(grouped, base + size) - 1)
+    near = _distances(points, ring, sweep.order[grouped[at] % size])
+    lo, hi = sweep.slabs(points[ring], np.minimum(near, cap))
+    lo = np.searchsorted(grouped, base + lo)
+    columns = np.searchsorted(grouped, base + hi) - lo
+    dist = np.full(ring.size, math.inf)
+    for start, end in chunks(columns, BLOCK_ELEMENTS // points.shape[1]):
+        row, col = ragged(lo[start:end], columns[start:end])
+        table = _distances(points, ring[start:end][row],
+                           sweep.order[grouped[col] % size])
+        filled = np.flatnonzero(columns[start:end])
+        heads = np.cumsum(columns[start:end]) - columns[start:end]
+        dist[start + filled] = np.minimum.reduceat(table, heads[filled])
+    return dist
+
+
+def _layer_masses(lattice, k, lambdas):
+    """Inner and outer boundary-layer masses of the level-k cells, two
+    (cells, thicknesses) arrays.
+
+    At thickness lam * l(Q) the inner layer of Q holds the atoms of Q
+    within lam * l(Q) of an atom outside Q (``_foreign_distances``), and
+    the outer layer the atoms of 4 B_Q outside Q within lam * l(Q) of Q
+    (``_ring_distances``).  An atom counts when ``dist <= lam * l(Q)``,
+    summed as np.sum over the kept weights in index order.  The rings are
+    queried at min(4 B_Q, cap + span) with a 1e-9 relative margin: atoms
+    farther from z_Q lie beyond every thickness from Q, rounding included.
+    """
     measure = lattice.measure
-    members = cell.point_indices
-    outside_mask = np.ones(measure.size, dtype=bool)
-    outside_mask[members] = False
-    outside = np.flatnonzero(outside_mask)
-    ring = ball[~np.isin(ball, members, assume_unique=True)]
+    cells, centers, radii, local, spans = _level_arrays(lattice, k)
+    # a level's cells share l(Q)
+    widths = [lam * cells[0].side for lam in lambdas]
+    cap = max(widths)
 
-    def layers(atoms, others):
-        """Mass of atoms within each thickness of the nearest of others."""
-        if others.size == 0:
-            return [0.0] * len(lambdas)
-        tree = _kd_tree(measure.points[others])
-        dist, _ = tree.query(measure.points[atoms], k=1)
-        weights = measure.weights[atoms]
-        return [float(np.sum(weights[dist <= lam * cell.side]))
-                for lam in lambdas]
+    def layers(atoms, dist, row, rows):
+        return np.stack([_segment_sums(measure.weights[atoms][dist <= w],
+                                       row[dist <= w], rows)
+                         for w in widths], axis=1)
 
-    return list(zip(layers(members, outside), layers(ring, members)))
+    members = np.concatenate([cell.point_indices for cell in cells])
+    inner = layers(members, _foreign_distances(measure, local, cap)[members],
+                   local[members], len(cells))
+    grouped = np.sort(local[measure._sweep_index().order] * measure.size
+                      + np.arange(measure.size))
+    radii = np.minimum(4.0 * COVER_FACTOR * radii,
+                       (cap + spans) * (1.0 + 1e-9) + 2.0**-500)
+    outer = np.empty_like(inner)
+    for at, atoms, _, bounds in measure.ball_batches(centers, radii):
+        end = at + bounds.size - 1
+        rows = np.repeat(np.arange(at, end), np.diff(bounds))
+        ring, row = atoms[local[atoms] != rows], rows[local[atoms] != rows]
+        dist = _ring_distances(measure, grouped, ring, row, cap)
+        outer[at:end] = layers(ring, dist, row - at, end - at)
+    return inner, outer
 
 
 def boundary_audit(lattice: Lattice, lambdas) -> dict:
     """Max over cells of (inner+outer) / (sqrt(lam) * mu(3.5 B_Q)) per lam.
 
     A diagnostic for the thin-boundary property; values are recorded per
-    input as regression constants rather than asserted universally.  Each
-    level takes its cells' 3.5 B_Q masses (as ``ball_mass`` does) and
-    their 4 B_Q balls from one batched query per radius.
+    input as regression constants rather than asserted universally.  Per
+    level, the 3.5 B_Q masses come from one batched query (each holds its
+    centre atom, so none is 0) and the layers from ``_layer_masses``.
     """
-    measure = lattice.measure
-    lambdas = _thicknesses(lambdas)
-    out = dict.fromkeys(lambdas, 0.0)
-    for ids in lattice.levels:
-        # build_lattice numbers a level's cells consecutively
-        cells = lattice.cells[ids[0]:ids[-1] + 1]
-        centers = np.array([cell.center for cell in cells])
-        radii = np.array([cell.radius for cell in cells])
-        denoms = _exact_masses(
-            measure, centers, BOUNDARY_BALL_FACTOR * COVER_FACTOR * radii
-        ).tolist()
-        for at, atoms, _, bounds in measure.ball_batches(
-                centers, 4.0 * COVER_FACTOR * radii):
-            for j in range(bounds.size - 1):
-                denom = denoms[at + j]
-                if denom == 0.0:
-                    continue
-                masses = _layer_masses(lattice, cells[at + j], lambdas,
-                                       atoms[bounds[j]:bounds[j + 1]])
-                for lam, (inner, outer) in zip(lambdas, masses):
-                    out[lam] = max(out[lam],
-                                   (inner + outer) / (math.sqrt(lam) * denom))
-    return out
+    lambdas = [float(lam) for lam in lambdas]
+    if not all(0.0 < lam <= 1.0 for lam in lambdas):
+        raise ValueError(f"layer thicknesses must lie in (0, 1], got {lambdas}")
+    worst = np.zeros(len(lambdas))
+    for k in range(len(lattice.levels)):
+        _, centers, radii, _, _ = _level_arrays(lattice, k)
+        denoms, _ = _ball_masses(lattice.measure, centers,
+                                 BOUNDARY_BALL_FACTOR * COVER_FACTOR * radii)
+        inner, outer = _layer_masses(lattice, k, lambdas)
+        ratios = (inner + outer) / (np.sqrt(lambdas) * denoms[:, None])
+        worst = np.maximum(worst, ratios.max(axis=0))
+    return dict(zip(lambdas, worst.tolist()))
 
 
 def cover_by_doubling(lattice: Lattice, cell_id: int):
@@ -582,21 +616,14 @@ def _five_b_violations(centers, radii) -> int:
 
     Only pairs within reach = 10 max r along the centres' sweep axis can
     count: the rounded norm of a difference is at least the rounded
-    difference along any axis (``_Sweep.slabs``).  In sweep order the
-    centre k places on is at least as far along that axis as any closer
-    one, so the pairs go offset by offset, k = 1, 2, ..., until none at
-    offset k lies within reach.
+    difference along any axis (``_Sweep.slabs``); the centres' offset walk
+    yields exactly those pairs.
     """
     sweep = _Sweep(centers)
-    reach = 2 * FIVE_B * radii.max() + 2.0**-500
-    first, second = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for k in range(1, sweep.order.size):
-        near = np.flatnonzero(sweep.keys[k:] - sweep.keys[:-k] <= reach)
-        if near.size == 0:
-            break
-        first.append(sweep.order[near])
-        second.append(sweep.order[near + k])
-    i, j = np.concatenate(first), np.concatenate(second)
+    reach = np.full(len(centers), 2 * FIVE_B * radii.max() + 2.0**-500)
+    pairs = [np.empty((2, 0), dtype=np.intp)]
+    pairs.extend(np.stack(pair) for pair in sweep.offset_pairs(reach))
+    i, j = sweep.order[np.concatenate(pairs, axis=1)]
     limit = FIVE_B * (radii[i] + radii[j])
     gap = np.sqrt(((centers[i] - centers[j]) ** 2).sum(-1))
     # np.linalg.norm of one vector is a BLAS dot, which may round the last

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import BLOCK_ELEMENTS, diameter_candidates, max_sq_pair_distance
+from ._util import (BLOCK_ELEMENTS, chunks, diameter_candidates,
+                    max_sq_pair_distance, ragged)
 
 __all__ = [
     "Ball",
@@ -65,6 +66,7 @@ class _Sweep:
     def __init__(self, points: np.ndarray):
         self.axis, self.order = _sweep_order(points)
         self.keys = points[self.order, self.axis]
+        self.rank = np.argsort(self.order)    # each row's place in order
 
     def slabs(self, centers: np.ndarray, radius):
         """Per centre c and radius r, the positions ``lo:hi`` in sweep order
@@ -91,6 +93,21 @@ class _Sweep:
         lo = np.searchsorted(self.keys, at - pre, side="left")
         hi = np.searchsorted(self.keys, at + pre, side="right")
         return lo, np.maximum(hi, lo)
+
+    def offset_pairs(self, reach: np.ndarray):
+        """Per offset k = 1, 2, ..., the sweep positions p and p + k of the
+        pairs with keys[p + k] - keys[p] <= reach[p] or <= reach[p + k].
+
+        The caller may lower ``reach`` between offsets, never raise it.  A
+        pair's gap is at least that of each pair nested in it, so the walk
+        stops at the first offset with no pair.
+        """
+        for k in range(1, self.keys.size):
+            gap = self.keys[k:] - self.keys[:-k]
+            first = np.flatnonzero((gap <= reach[:-k]) | (gap <= reach[k:]))
+            if first.size == 0:
+                return
+            yield first, first + k
 
 
 def _least_sq_gap(sites: np.ndarray) -> float:
@@ -312,15 +329,10 @@ class WeightedPointMeasure:
             return
         sweep = self._sweep_index()
         lo, hi = sweep.slabs(centers, radius)
-        lengths = hi - lo
-        window = (np.cumsum(lengths) - lengths) // BALL_CHUNK_ENTRIES
-        cuts = [0, *(np.flatnonzero(np.diff(window)) + 1), count]
-        for start, end in zip(cuts, cuts[1:]):
-            sizes = lengths[start:end]
-            rows = np.repeat(np.arange(end - start), sizes)
+        for start, end in chunks(hi - lo, BALL_CHUNK_ENTRIES):
             # each slab's positions in sweep order, slab after slab
-            skip = lo[start:end] - (np.cumsum(sizes) - sizes)
-            cand = sweep.order[np.arange(rows.size) + skip[rows]]
+            rows, at = ragged(lo[start:end], hi[start:end] - lo[start:end])
+            cand = sweep.order[at]
             dist = np.linalg.norm(
                 self._points[cand] - centers[start:end][rows], axis=1)
             keep = np.flatnonzero(dist <= radius[start:end][rows])

@@ -207,6 +207,19 @@ class TestCliExitCodes:
             assert "Traceback" not in r.stderr, case
             assert not rep.exists(), case
 
+    @pytest.mark.parametrize("command", ["lattice", "corona"])
+    def test_too_deep_max_depth_is_one(self, tmp_path, command):
+        # (10 * 20^-126)^2 underflows to 0: no net site closes its own atom
+        mfile = tmp_path / "m.csv"
+        run_cli("generate", "segment", "--count", "20", "--out", str(mfile))
+        rep = tmp_path / "rep.json"
+        r = run_cli(command, "--input", str(mfile), "--max-depth", "126",
+                    "--out", str(rep))
+        assert r.returncode == 1, r.stderr
+        assert r.stderr.startswith("error: max_depth 126"), r.stderr
+        assert "Traceback" not in r.stderr
+        assert not rep.exists()
+
     def test_empty_file_is_one(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("")

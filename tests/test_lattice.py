@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from betascope import (WeightedPointMeasure, boundary_audit,
-                       boundary_layer_mass, build_lattice, cantor4,
-                       check_lattice, cover_by_doubling,
+from betascope import (WeightedPointMeasure, boundary_audit, build_lattice,
+                       cantor4, check_lattice, cover_by_doubling,
                        lattice_to_json, lipschitz_graph, segment, square_area)
 from betascope import lattice as lattice_mod
 from betascope.lattice import (COVER_FACTOR, DOUBLING_FACTOR, FIVE_B,
@@ -155,18 +154,19 @@ class TestDoubling:
 
 class TestBoundary:
     def test_layer_mass_monotone_in_lambda(self, seg_lattice):
-        cell = seg_lattice.level_cells(2)[0]
-        masses = boundary_layer_mass(seg_lattice, cell,
-                                     (0.02, 0.05, 0.1, 0.2, 1.0))
-        assert len(masses) == 5
-        for (inner, outer), (inner2, outer2) in zip(masses, masses[1:]):
-            assert inner <= inner2 and outer <= outer2
+        lambdas = (0.02, 0.05, 0.1, 0.2, 1.0)
+        for k in range(seg_lattice.max_depth + 1):
+            inner, outer = lattice_mod._layer_masses(seg_lattice, k, lambdas)
+            assert inner.shape == outer.shape == (
+                len(seg_lattice.levels[k]), len(lambdas))
+            assert (np.diff(inner, axis=1) >= 0).all()
+            assert (np.diff(outer, axis=1) >= 0).all()
+        assert inner[:, -1].sum() > 0.0 and outer[:, -1].sum() > 0.0
 
     def test_layer_lambda_validation(self, seg_lattice):
-        cell = seg_lattice.level_cells(1)[0]
         for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                boundary_layer_mass(seg_lattice, cell, [0.1, bad])
+            with pytest.raises(ValueError, match="thickness"):
+                boundary_audit(seg_lattice, [0.1, bad])
 
     def test_audit_returns_requested_lambdas(self, seg_lattice):
         out = boundary_audit(seg_lattice, (0.1, 0.2))
@@ -536,21 +536,22 @@ def test_cell_flags_oracle_sees_both_values():
     assert True in conforming
 
 
-def test_close_doubling_tests_take_exact_masses(monkeypatch):
+def test_close_doubling_tests_take_exact_masses():
+    # both sides of the doubling test are taken as ball_mass takes them, so
     # a cell whose mu(100 B(Q)) and C0 mu(B(Q)) lie within rounding of each
-    # other takes both masses as ball_mass does; the flag families must
-    # reach that path, or the oracle above never sees it
-    unsure = []
-    exact = lattice_mod._exact_masses
-
-    def spy(measure, centers, radii):
-        unsure.append(len(centers))
-        return exact(measure, centers, radii)
-
-    monkeypatch.setattr(lattice_mod, "_exact_masses", spy)
+    # other is decided exactly; the flag families must hold such a cell, or
+    # the oracle above never sees one
+    close = 0
     for make in FLAG_FAMILIES.values():
-        make()
-    assert unsure
+        lat = make()
+        measure = lat.measure
+        for cell in lat.cells:
+            small = lat.c0 * measure.ball_mass(cell.center, cell.radius)
+            big = measure.ball_mass(cell.center,
+                                    DOUBLING_FACTOR * cell.radius)
+            close += abs(big - small) <= 2.0**-50 * (measure.size + 1) * (
+                big + small)
+    assert close
 
 
 def test_build_lattice_makes_no_ball_indices_call(monkeypatch):
@@ -691,17 +692,12 @@ def test_deep_max_depth_builds_without_warnings():
     assert report["partition_ok"] and report["nesting_ok"]
 
 
-def test_build_lattice_builds_no_tree_of_its_own(monkeypatch):
-    builds = []
-    original = lattice_mod._kd_tree
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lattice_mod, "_kd_tree", counting)
-    build_lattice(lipschitz_graph(300))
-    assert builds == []
+def test_too_deep_max_depth_is_a_value_error():
+    # at A0 = 20 the squared net separation (10 * 20^-k)^2 underflows to 0
+    # past k = 125, and no net site would close even its own atom
+    assert build_lattice(segment(20), max_depth=124).max_depth == 124
+    with pytest.raises(ValueError, match="max_depth 126"):
+        build_lattice(segment(20), max_depth=126)
 
 
 # -- cell ids from level offsets -----------------------------------------------
@@ -784,10 +780,11 @@ def test_cell_bookkeeping_matches_old_body(family):
         assert np.array_equal(cell.point_indices, old["point_indices"])
 
 
-# -- boundary audit: one pass per cell ------------------------------------------
+# -- boundary audit: level by level on the sweep ---------------------------------
 #
-# boundary_audit used to recompute mu(3.5 B_Q) and both nearest-atom trees
-# for every thickness; that body is kept here as the oracle.
+# boundary_audit used to take every cell's layers from two KD-trees, over
+# the cell and over every atom outside it, for each thickness; that body is
+# kept here as the oracle, and every cell's (inner, outer) pair must match.
 
 def old_boundary_layer_mass(lattice, cell, lam):
     measure = lattice.measure
@@ -835,6 +832,16 @@ AUDIT_FAMILIES = {
     "segment": lambda: build_lattice(segment(300)),
     "cantor4": lambda: build_lattice(cantor4(4), a0=4.0, c0=400.0),
     "lipschitz_graph": lambda: build_lattice(lipschitz_graph(300, seed=2)),
+    # grid ties along and across the sweep axis
+    "square_area": lambda: build_lattice(square_area(9)),
+    "cloud_3d": lambda: build_lattice(_uniform(
+        np.random.default_rng(0).uniform(size=(300, 3)), 2)),
+    "duplicated": lambda: build_lattice(_duplicated_graph()),
+    "single_atom": lambda: build_lattice(
+        WeightedPointMeasure([[0.3, 0.7]], [1.0], 1)),
+    # l(Q) = 22400 r(Q): the layers reach far beyond 4 B_Q
+    "wide_layers": lambda: build_lattice(lipschitz_graph(300, seed=2),
+                                         a0=4.0, c0=400.0),
 }
 
 
@@ -844,22 +851,24 @@ def test_boundary_audit_matches_old_body(family):
     new = boundary_audit(lat, AUDIT_LAMBDAS)
     assert new == old_boundary_audit(lat, AUDIT_LAMBDAS)
     assert list(new) == list(AUDIT_LAMBDAS)
-    assert any(v > 0.0 for v in new.values())
-    for cell in lat.cells[::7]:
-        masses = boundary_layer_mass(lat, cell, AUDIT_LAMBDAS)
-        assert masses == [old_boundary_layer_mass(lat, cell, lam)
-                          for lam in AUDIT_LAMBDAS]
+    # one atom has no boundary at all
+    assert any(v > 0.0 for v in new.values()) == (family != "single_atom")
+    for k in range(lat.max_depth + 1):
+        inner, outer = lattice_mod._layer_masses(lat, k, AUDIT_LAMBDAS)
+        for j, cell in enumerate(lat.level_cells(k)):
+            assert list(zip(inner[j], outer[j])) == [
+                old_boundary_layer_mass(lat, cell, lam)
+                for lam in AUDIT_LAMBDAS]
 
 
-def test_boundary_audit_builds_two_trees_per_cell(monkeypatch):
-    lat = build_lattice(lipschitz_graph(300, seed=2))
-    builds = []
-    original = lattice_mod._kd_tree
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(lattice_mod, "_kd_tree", counting)
-    boundary_audit(lat, AUDIT_LAMBDAS)
-    assert 0 < len(builds) <= 2 * len(lat.cells)
+def test_segment_sums_match_np_sum():
+    rng = np.random.default_rng(3)
+    # lengths below, at and past numpy's blocks of 8 and 128 terms
+    sizes = rng.choice([0, 1, 2, 7, 8, 9, 127, 128, 129, 300, 1000], 60)
+    values = rng.random(sizes.sum()) * 10.0 ** rng.integers(-8, 8,
+                                                            sizes.sum())
+    row = np.repeat(np.arange(sizes.size), sizes)
+    sums = lattice_mod._segment_sums(values, row, sizes.size)
+    starts = np.cumsum(sizes) - sizes
+    assert sums.tolist() == [np.sum(values[a:a + n])
+                             for a, n in zip(starts, sizes)]

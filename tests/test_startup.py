@@ -1,11 +1,11 @@
-"""Only the boundary audit loads scipy.
+"""No command loads scipy.
 
 ``analyze`` and ``capacity`` read r_min, the diameter and radial passes,
-and ``lattice``, ``corona`` and ``verify`` answer their ball queries from
-a sorted numpy sweep, so all five run on numpy alone.  Only ``lattice
---boundary-audit`` imports ``scipy.spatial``, for its nearest-atom
-KD-tree.  Each case runs in a fresh interpreter, so the modules it lists
-are the ones its commands loaded.
+and ``lattice`` (with or without ``--boundary-audit``), ``corona`` and
+``verify`` answer their ball and nearest-atom queries from a sorted numpy
+sweep, so all of them run on numpy alone; scipy is a test dependency
+only.  Each case runs in a fresh interpreter, so the modules it lists are
+the ones its commands loaded.
 """
 
 import json
@@ -42,13 +42,10 @@ def scipy_modules(tmp_path, commands) -> list:
 
 
 @pytest.mark.parametrize("commands", [[], [ANALYZE, CAPACITY],
-                                      [LATTICE, CORONA, VERIFY]],
+                                      [LATTICE, CORONA, VERIFY],
+                                      [LATTICE + ["--boundary-audit"]]],
                          ids=["import", "analyze-capacity",
-                              "lattice-corona-verify"])
+                              "lattice-corona-verify",
+                              "lattice-boundary-audit"])
 def test_start_up_loads_no_scipy(tmp_path, commands):
     assert scipy_modules(tmp_path, commands) == []
-
-
-def test_boundary_audit_loads_the_kd_tree(tmp_path):
-    audit = LATTICE + ["--boundary-audit"]
-    assert "scipy.spatial" in scipy_modules(tmp_path, [audit])
