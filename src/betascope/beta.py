@@ -16,13 +16,13 @@ counterpart of the integral dr / r against the same integrand.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measure import Ball, RadialBlock, WeightedPointMeasure, radial_pass
+from .measure import (Ball, RadialBlock, WeightedPointMeasure, _prefix,
+                      radial_pass)
 
 __all__ = [
     "BetaResult",
@@ -122,84 +122,81 @@ class BetaProfile:
 
     This is the one-centre case of the blocked pass behind
     ``jones_integrals``; ``cum_w``, ``cum_first`` and ``cum_second`` are
-    views of its moment sums.
+    its moment sums at every prefix.
     """
 
     def __init__(self, measure: WeightedPointMeasure, center):
         center = np.asarray(center, dtype=float).reshape(-1)
         self.n = measure.target_dim
-        dim = measure.dim
-        self.block = RadialBlock(measure, 1, _lane_count(dim),
-                                 offsets=True).load(center, _fill_moments)
-        sums = self.block.sums[:, 0]
-        self.cum_w = sums[0]
-        self.cum_first = sums[1:1 + dim].T
-        self.cum_second = np.moveaxis(sums[_moment_lanes(dim)[1]], -1, 0)
+        self.block = RadialBlock(measure, 1, offsets=True).sort(center)
+        every = np.arange(measure.size + 1)
+        self.cum_w, self.cum_first, self.cum_second = _moment_sums(
+            self.block, np.zeros_like(every), every)
 
     def beta_sq_theta(self, radii):
         """Arrays (beta_2^2, theta) over the given radii."""
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        beta_sq, theta = _block_flatness(self.block, radii, self.n)
+        beta_sq, theta = _block_flatness(self.block, radii,
+                                         self.block.count(radii), self.n)
         return beta_sq[0], theta[0]
 
 
-@functools.cache
-def _moment_lanes(dim: int):
-    """The moment lanes' layout: mass, first moments, then second moments.
+def _moment_sums(block: RadialBlock, rows, counts):
+    """Mass, first and second moments about the centre of the balls that
+    hold the ``counts[j]`` nearest atoms of block row ``rows[j]``.
 
-    Only the upper triangle of the second moments gets a lane: z_a z_b
-    and z_b z_a round alike, so one lane serves both entries.  Returns
-    the upper triangle's index pairs and the (dim, dim) lane of each
-    second-moment entry; the arrays are shared, so they are read only.
+    Returns (W, S1, S2) of shapes (balls,), (balls, d), (balls, d, d).
+    Each moment w z_a or w (z_a z_b) is built for the whole block, summed
+    along the rows and gathered at the balls before the next is built, so
+    the pass holds one product and one prefix-sum array at a time.  z_a z_b
+    and z_b z_a round alike, so one sum serves both entries.
     """
-    upper = np.triu_indices(dim)
-    lane = np.zeros((dim, dim), dtype=np.intp)
-    lane[upper] = lane[upper[::-1]] = 1 + dim + np.arange(upper[0].size)
-    for index in (*upper, lane):
-        index.flags.writeable = False
-    return upper, lane
-
-
-def _lane_count(dim: int) -> int:
-    """Lanes of the moments: mass, first moments, upper second moments."""
-    return 1 + dim + dim * (dim + 1) // 2
-
-
-def _fill_moments(lanes: np.ndarray, z: np.ndarray) -> None:
-    """Write the moment lanes 1 and up from lane 0's weights.
-
-    ``z`` holds the offsets p - x coordinate first, in the lanes' order:
-    (d, atoms) for one centre or (d, centres, atoms) for a block.
-    """
-    w, dim = lanes[0], z.shape[0]
+    z, w = block.offsets, block.mass
+    dim = z.shape[0]
+    product = np.empty(w.shape)
+    prefix = np.empty(block.sums.shape)
+    first = np.empty((rows.size, dim))
+    second = np.empty((rows.size, dim, dim))
     for a in range(dim):
-        np.multiply(w, z[a], out=lanes[1 + a])
-    for k, (a, b) in enumerate(zip(*_moment_lanes(dim)[0]), start=1 + dim):
-        np.multiply(z[a], z[b], out=lanes[k])
-        np.multiply(w, lanes[k], out=lanes[k])
+        np.multiply(w, z[a], out=product)
+        first[:, a] = _prefix(product, 1, prefix)[rows, counts]
+    for a, b in zip(*np.triu_indices(dim)):
+        np.multiply(z[a], z[b], out=product)
+        np.multiply(w, product, out=product)
+        second[:, a, b] = second[:, b, a] = _prefix(product, 1,
+                                                    prefix)[rows, counts]
+    return block.sums[rows, counts], first, second
 
 
-def _block_flatness(block: RadialBlock, radii, n: int):
-    """Arrays (beta_2^2, theta) over ``radii``, a row per centre.
+def _block_flatness(block: RadialBlock, radii, counts, n: int):
+    """The flatness reader: arrays (beta_2^2, theta) over ``radii``, a row
+    per centre of ``block``, whose balls hold ``counts`` atoms.
 
-    ``block`` must be loaded with _fill_moments.  Balls holding no atom
-    keep 0; all the others' planes are fitted by one _moment_flatness call.
+    ``block`` must keep its offsets.  Balls holding no atom keep 0.  Along
+    a row, radii with equal counts hold the same atoms, so each distinct
+    (centre, count) gets one plane fit and every radius of it reads its
+    residual.
     """
-    counts = block.count(radii)
     beta_sq = np.zeros(counts.shape)
     theta = np.zeros(counts.shape)
     held = counts > 0
-    if held.any():
-        dim = block.offsets.shape[0]
-        sums = block.sums[:, np.nonzero(held)[0], counts[held]].T
-        beta_sq[held], theta[held] = _moment_flatness(
-            sums[:, 0], sums[:, 1:1 + dim], sums[:, _moment_lanes(dim)[1]],
-            np.broadcast_to(radii, counts.shape)[held], n)
+    fresh = held.copy()
+    fresh[:, 1:] &= counts[:, 1:] != counts[:, :-1]
+    rows, cols = np.nonzero(fresh)
+    if rows.size:
+        counts = counts[rows, cols]
+        W, S1, S2 = _moment_sums(block, rows, counts)
+        # every held ball reads the last fit at or before it in its row
+        fit = (np.cumsum(fresh) - 1).reshape(held.shape)[held]
+        r = np.broadcast_to(radii, held.shape)[held]
+        beta_sq[held] = _plane_residuals(W, S1, S2, n)[fit] / r ** (n + 2)
+        theta[held] = W[fit] / r**n
     return beta_sq, theta
 
 
-def _moment_flatness(W, S1, S2, radii, n: int):
-    """(beta_2^2, theta) of closed balls from their moment sums.
+def _plane_residuals(W, S1, S2, n: int):
+    """Weighted squared distance to the best n-plane of closed balls, from
+    their moment sums.
 
     W, S1 and S2 hold, per ball, the mass and the weighted first and
     second moments about the centre; every ball must hold mass.  One
@@ -208,8 +205,14 @@ def _moment_flatness(W, S1, S2, radii, n: int):
     mean = S1 / W[:, None]
     cov = S2 - W[:, None, None] * (mean[:, :, None] * mean[:, None, :])
     eigvals = np.linalg.eigvalsh(cov)
-    resid = np.clip(eigvals[:, : S1.shape[1] - n].sum(axis=1), 0.0, None)
-    return resid / radii ** (n + 2), W / radii**n
+    return np.clip(eigvals[:, : S1.shape[1] - n].sum(axis=1), 0.0, None)
+
+
+def _jones_values(block: RadialBlock, radii, counts, log_rho: float,
+                  n: int) -> np.ndarray:
+    """Each row's left Riemann sum of beta_2^2 theta over ``radii``."""
+    beta_sq, theta = _block_flatness(block, radii, counts, n)
+    return np.sum(beta_sq * theta, axis=1) * log_rho
 
 
 def _jones_grid(r_lo: float, r_hi: float, scales_per_octave: int):
@@ -235,10 +238,11 @@ def jones_integrals(
 ):
     """``jones_integral`` at every row of ``centers``, in one blocked pass.
 
-    Each block of centres is sorted once (RadialBlock) and all its
-    m x R balls are fitted by one batched eigvalsh call; each centre's
-    integrand is summed over its own row, so every value equals
-    jones_integral at that centre bit for bit.  With a density ``floor``
+    One radial pass over one reader (``_jones_values``): each block of
+    centres is sorted once (RadialBlock) and its distinct balls are
+    fitted by one batched eigvalsh call; each centre's integrand is summed
+    over its own row, so every value equals jones_integral at that centre
+    bit for bit.  With a density ``floor``
     the same orders also give each centre's sup_density(centre, floor),
     and the result is the pair (integrals, sups).
     """
@@ -254,12 +258,10 @@ def jones_integrals(
     n = measure.target_dim
 
     def visit(block):
-        beta_sq, theta = _block_flatness(block, radii, n)
-        values = np.sum(beta_sq * theta, axis=1) * log_rho
+        values = _jones_values(block, radii, block.count(radii), log_rho, n)
         return values if floor is None else (values, block.sup_density(floor))
 
-    parts = radial_pass(measure, centers, visit, _lane_count(measure.dim),
-                        _fill_moments)
+    parts = radial_pass(measure, centers, visit, offsets=True)
     if floor is None:
         return np.concatenate(parts)
     return tuple(np.concatenate(lane) for lane in zip(*parts))
@@ -335,8 +337,9 @@ def beta_profile_rows(
     radii, _ = _jones_grid(float(r_lo), float(r_hi), scales_per_octave)
     parts = radial_pass(
         measure, centers,
-        lambda block: _block_flatness(block, radii, measure.target_dim),
-        _lane_count(measure.dim), _fill_moments)
+        lambda block: _block_flatness(block, radii, block.count(radii),
+                                      measure.target_dim),
+        offsets=True)
     return [
         [(float(r), float(math.sqrt(b)), float(t))
          for r, b, t in zip(radii, beta_row, theta_row)]

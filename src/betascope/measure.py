@@ -365,7 +365,7 @@ class WeightedPointMeasure:
         if self.is_empty:
             return 0.0
         center = np.asarray(center, dtype=float).reshape(1, -1)
-        return float(RadialBlock(self, 1).load(center).sup_density(floor)[0])
+        return float(RadialBlock(self, 1).sort(center).sup_density(floor)[0])
 
     # -- growth and tails ---------------------------------------------------
 
@@ -377,7 +377,7 @@ class WeightedPointMeasure:
         ``scale_grid`` of radii is required and the result is the maximum of
         the density over atoms x grid, a lower estimate of the true sup
         restricted to r >= r_min.  Either way one blocked radial pass over
-        the atoms reads the mass lane.
+        the atoms reads the mass sums.
         """
         if self.is_empty:
             return 0.0
@@ -397,7 +397,7 @@ class WeightedPointMeasure:
 
         def densest(block):
             rows = np.arange(block.rows)[:, None]
-            masses = block.sums[0][rows, block.count(scale_grid)]
+            masses = block.sums[rows, block.count(scale_grid)]
             return float(np.max(masses / scale_pow))
 
         return max(radial_pass(self, self._points, densest))
@@ -435,7 +435,8 @@ class WeightedPointMeasure:
 
 
 # Elements per array of a RadialBlock: each holds at most
-# max(lanes, coordinates) x centres x (atoms + 1), whatever the input size.
+# planes x centres x (atoms + 1), with one plane per coordinate in a block
+# that keeps the offsets and one otherwise, whatever the input size.
 RADIAL_BLOCK_ELEMENTS = BLOCK_ELEMENTS // 4
 
 
@@ -458,7 +459,7 @@ def _prefix(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
 
 class RadialBlock:
     """The atoms of a measure in order of distance from each of a block of
-    centres, lane-major.
+    centres.
 
     Every closed ball B(x, r) is a prefix of a centre's order and every
     region |p - x| > r the complementary suffix, so any sum over balls or
@@ -468,13 +469,15 @@ class RadialBlock:
 
     Row i of every array belongs to centre i of the block: ``order`` maps
     its sorted positions to atom indices, ``dist`` holds the sorted
-    distances and, in a block built with ``offsets=True``, ``offsets``
-    (coordinate first) the sorted differences p - x.  ``lanes`` holds
-    per-atom values in each row's radial order, lane 0 the weights.
-    ``sums`` accumulates every lane, its column 0 zero, so
-    ``sums[l, i, k]`` is lane l summed over the k nearest atoms of centre
+    distances, ``mass`` the weights in that order and, in a block built
+    with ``offsets=True``, ``offsets`` (coordinate first) the sorted
+    differences p - x.  ``sums`` holds the mass's prefix sums, column 0
+    zero, so ``sums[i, k]`` is the mass of the k nearest atoms of centre
     i; it is taken on first access after each ``sort``, so a pass that
-    reads no sums takes none.
+    reads no sums takes none.  Sums of other per-atom values (kernel
+    terms, moments) are taken by the readers of a pass, one array at a
+    time; ``verify.main_lemma_check`` reads each sorted block twice, for
+    its truncation sums and then for its flatness sums.
 
     The buffers are allocated once, for ``width`` centres, and every
     ``sort`` writes into them; each array of a block is a view of its
@@ -482,36 +485,44 @@ class RadialBlock:
     """
 
     def __init__(self, measure: WeightedPointMeasure, width: int,
-                 lanes: int = 1, offsets: bool = False):
+                 offsets: bool = False):
         size, dim = measure.size, measure.dim
         self.target_dim = measure.target_dim
         self._points = np.ascontiguousarray(measure.points.T)
         self._weights = measure.weights
-        self._lanes = lanes
         self._flat = np.empty(width * size, dtype=np.intp)
         self._dist = np.empty(width * size)
         self._scratch = np.empty(width * size)
         self._offsets = np.empty(dim * width * size) if offsets else None
-        self._values = np.empty(lanes * width * size)
-        self._sums = np.empty(lanes * width * (size + 1))
+        self._mass = np.empty(width * size)
+        self._sums = np.empty(width * (size + 1))
 
     @property
     def rows(self) -> int:
         return self.dist.shape[0]
 
+    @property
+    def exact_norms(self) -> bool:
+        """Whether every distance is ``np.linalg.norm(p - x)`` bit for bit.
+
+        ``sort`` adds the squares left to right.  numpy's norm does the
+        same for up to 7 coordinates; from 8 on it sums them pairwise, and
+        a distance can differ from it in the last place.
+        """
+        return self._points.shape[0] < 8
+
     def sort(self, centers) -> "RadialBlock":
         """Order the atoms by distance from each of ``centers``.
 
-        Fills ``order``, ``dist``, the weight lane and, if the block keeps
-        them, the ``offsets``; the other lanes are left as they were.
+        Fills ``order``, ``dist``, ``mass`` and, if the block keeps them,
+        the ``offsets``.
         """
         dim, size = self._points.shape
         centers = np.asarray(centers, dtype=float).reshape(-1, dim)
         rows = centers.shape[0]
         raw = _head(self._scratch, rows, size)
         self.dist = _head(self._dist, rows, size)
-        # the squares summed left to right, then the root: the arithmetic
-        # of np.linalg.norm, so every distance is norm(p - x) bit for bit
+        # the squares summed left to right, then the root (see exact_norms)
         for a in range(dim):
             square = self.dist if a else raw
             np.subtract(self._points[a], centers[:, a, None], out=square)
@@ -520,11 +531,11 @@ class RadialBlock:
                 np.add(raw, square, out=raw)
         np.sqrt(raw, out=raw)
         self.order = np.argsort(raw, axis=1, kind="stable")
-        self.lanes = _head(self._values, self._lanes, rows, size)
+        self.mass = _head(self._mass, rows, size)
         self._summed = None
         # mode="clip" lets take write straight into out; every index is
         # in range, so nothing is clipped
-        np.take(self._weights, self.order, out=self.lanes[0], mode="clip")
+        np.take(self._weights, self.order, out=self.mass, mode="clip")
         flat = _head(self._flat, rows, size)
         np.add(self.order, (np.arange(rows) * size)[:, None], out=flat)
         np.take(raw, flat, out=self.dist, mode="clip")
@@ -539,24 +550,13 @@ class RadialBlock:
                             out=self.offsets[a])
         return self
 
-    def load(self, centers, fill=None) -> "RadialBlock":
-        """``sort`` about ``centers``, then fill the lanes.
-
-        ``fill(lanes, offsets)``, if given, writes lanes 1 and up from the
-        weight lane and the sorted offsets before any sums are taken.
-        """
-        self.sort(centers)
-        if fill is not None:
-            fill(self.lanes, self.offsets)
-        return self
-
     @property
     def sums(self) -> np.ndarray:
-        """Prefix sums of every lane along each row, taken once per sort."""
+        """Prefix sums of the mass along each row, taken once per sort."""
         if self._summed is None:
             rows, size = self.dist.shape
-            self._summed = _prefix(
-                self.lanes, 2, _head(self._sums, self._lanes, rows, size + 1))
+            self._summed = _prefix(self.mass, 1,
+                                   _head(self._sums, rows, size + 1))
         return self._summed
 
     def count(self, radii) -> np.ndarray:
@@ -564,10 +564,16 @@ class RadialBlock:
         return np.array([np.searchsorted(row, radii, side="right")
                          for row in self.dist])
 
+    @property
+    def near(self) -> np.ndarray:
+        """Atoms at each centre: its row's leading zero distances, so
+        ``count(0.0)`` without a search."""
+        return np.count_nonzero(self.dist == 0.0, axis=1)
+
     def sup_density(self, floor: float) -> np.ndarray:
         """Per centre, the sup of mu(B(x, r)) / r^n over r >= floor.
 
-        Reads only the mass lane.  Position k of a row gives the
+        Reads only the mass sums.  Position k of a row gives the
         candidate (mass of the k + 1 nearest atoms) / max(dist_k, floor)^n.
         At the last atom of each distance above the floor that is the
         density at that breakpoint, and at the last atom within the floor
@@ -578,27 +584,26 @@ class RadialBlock:
         ratio = _head(self._scratch, *self.dist.shape)
         np.maximum(self.dist, floor, out=ratio)
         ratio **= self.target_dim
-        np.divide(self.sums[0, :, 1:], ratio, out=ratio)
+        np.divide(self.sums[:, 1:], ratio, out=ratio)
         return ratio.max(axis=1)
 
 
 def radial_pass(measure: WeightedPointMeasure, centers, visit,
-                lanes: int = 1, fill=None, offsets: bool = False) -> list:
-    """``visit(block)`` on a RadialBlock loaded with each block of centres.
+                offsets: bool = False) -> list:
+    """``visit(block)`` on a RadialBlock sorted about each block of centres.
 
-    Returns the visits' results in centre order.  The block keeps the
-    sorted offsets when ``offsets`` is set or a ``fill`` reads them.  A
-    block holds as many centres as keep each of its arrays within
-    RADIAL_BLOCK_ELEMENTS, at least one: the lanes, and the offsets if it
-    keeps them.  One block is allocated and reloaded block after block.
+    Returns the visits' results in centre order.  A block holds as many
+    centres as keep each of its arrays within RADIAL_BLOCK_ELEMENTS, at
+    least one: centres x (atoms + 1) elements, times the coordinates if it
+    keeps the ``offsets``.  One block is allocated and re-sorted block
+    after block.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
     count = centers.shape[0]
-    offsets = offsets or fill is not None
-    planes = max(lanes, measure.dim) if offsets else lanes
+    planes = measure.dim if offsets else 1
     width = max(1, RADIAL_BLOCK_ELEMENTS // (planes * (measure.size + 1)))
-    block = RadialBlock(measure, min(width, count), lanes, offsets=offsets)
-    return [visit(block.load(centers[at:at + width], fill))
+    block = RadialBlock(measure, min(width, count), offsets=offsets)
+    return [visit(block.sort(centers[at:at + width]))
             for at in range(0, count, width)]
 
 

@@ -11,7 +11,12 @@ points come from one blocked radial pass (``measure.radial_pass``): each
 point's atoms are sorted by distance once, and its kernel terms are summed
 farthest-first into suffix sums.  Any cutoff of that point is then one
 search in its sorted distances, and every cutoff of the same point sums
-in the same order, whatever the block or the sweep.
+in the same order, whatever the block or the sweep.  The truncation
+reader (``_cutoff_sums``) is a function of the sorted block alone, so
+``verify.main_lemma_check`` reads the same block for its truncation
+energies and for its flatness energies: one sort per atom.  A kernel
+with a ``radial`` form takes the block's distances instead of
+recomputing the norms of its offsets.
 """
 
 from __future__ import annotations
@@ -56,6 +61,9 @@ class CZKernel:
 
     fn maps an (m, d) array of nonzero difference vectors to (m, out_dim)
     values.  constants = (c0, c1, c2) bound |grad^j K| by c_j/|x|^(n+j).
+    ``radial``, if set, maps the same differences and their norms to fn's
+    values bit for bit; the radial passes, which hold the norms already,
+    call it instead of fn.
     """
 
     name: str
@@ -64,6 +72,7 @@ class CZKernel:
     out_dim: int
     fn: object
     constants: tuple = field(default=(1.0, 1.0, 1.0))
+    radial: object = None
 
     def __call__(self, diffs: np.ndarray) -> np.ndarray:
         diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
@@ -85,11 +94,13 @@ def riesz_kernel(n: int, d: int) -> CZKernel:
     c1 = math.sqrt(d - 2.0 * a + a * a)
     c2 = math.sqrt(a * a * (3.0 * d + 6.0) - 6.0 * a * b + b * b)
 
-    def fn(v):
-        r = np.linalg.norm(v, axis=1)
+    def radial(v, r):
         return v / r[:, None] ** (n + 1)
 
-    return CZKernel(f"riesz({n},{d})", n, d, d, fn, (1.0, c1, c2))
+    def fn(v):
+        return radial(v, np.linalg.norm(v, axis=1))
+
+    return CZKernel(f"riesz({n},{d})", n, d, d, fn, (1.0, c1, c2), radial)
 
 
 def cauchy_kernel() -> CZKernel:
@@ -230,39 +241,75 @@ class BumpFamily:
         return self.psi_k(k, t) - self.psi_k(k + 1, t)
 
 
+def _suffix_sums(kernel, block, phi_x=None, phi_y=None) -> np.ndarray:
+    """Farthest-first sums of the kernel terms along each row of ``block``.
+
+    Entry [i, k] sums the terms of row i from sorted position k on, so
+    entry [i, count(r)] is the sum over |p - x| > r and the last entry is
+    zero; the shape is (rows, atoms + 1, out_dim).  Given Phi at the
+    block's centres and at its sorted atoms, each term is damped by the
+    factor of ``suppressed_kernel``, computed from the kernel values
+    already taken.  The atoms at a row's centre lead it at distance 0;
+    the kernel sees a finite stand-in offset and distance there, so the
+    entries before the row's ``near`` count are no sums and must not be
+    looked up.
+    """
+    dim, rows, size = block.offsets.shape
+    zero = block.dist == 0.0
+    # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
+    diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
+    diffs[zero] = 1.0
+    diffs = diffs.reshape(-1, dim)
+    # each block-sized temporary is dropped once read, so fewer of them
+    # are alive when the next is made
+    if kernel.radial is not None and block.exact_norms:
+        vals = kernel.radial(diffs, np.where(zero, 1.0, block.dist).ravel())
+    else:
+        vals = kernel(diffs)
+    del diffs
+    terms = vals * block.mass.reshape(-1, 1)
+    if phi_y is not None:
+        terms *= _damping(kernel, vals, np.repeat(phi_x, size),
+                          phi_y.reshape(-1))[:, None]
+    del vals
+    terms = terms.reshape(rows, size, -1)
+    out = np.empty((rows, size + 1, terms.shape[2]))
+    return np.flip(_prefix(np.flip(terms, 1), 1, out), 1)
+
+
+def _cutoff_sums(suffix, block, counts) -> np.ndarray:
+    """The truncation reader: each row's sums beyond the cutoffs that hold
+    ``counts`` atoms, (rows, cutoffs, out_dim).
+
+    Counts are clamped past the atoms at the centre, which no truncation
+    holds.
+    """
+    counts = np.maximum(counts, block.near[:, None])
+    return suffix[np.arange(block.rows)[:, None], counts]
+
+
 def _suffix_pass(kernel, measure, centers, read, phi_centers=None,
                  phi_atoms=None) -> None:
     """``read(block, suffix, rows)`` on each block of one radial pass.
 
-    ``rows`` slices the block's centres.  ``suffix[i, k]`` sums the kernel
-    terms of row i from sorted position k on, accumulated farthest-first,
-    so entry [i, count(r)] is the sum over |p - x| > r and the last entry
-    is zero.  Given Phi at the centres and at the atoms, each term is
-    damped by the factor of ``suppressed_kernel``, computed from the
-    kernel values already taken.  The atoms at a row's centre lead it at
-    distance 0; the kernel sees a finite stand-in offset there, so the
-    entries before the row's count(0.0) are no sums and must not be
-    looked up.
+    ``suffix`` is the block's ``_suffix_sums``, damped by Phi when
+    ``phi_centers`` and ``phi_atoms`` are given, and ``rows`` slices the
+    block's centres.
     """
     at = 0
+    if phi_atoms is not None:
+        phi_centers = np.asarray(phi_centers, dtype=float).reshape(-1)
+        phi_atoms = np.asarray(phi_atoms, dtype=float)
 
     def visit(block):
         nonlocal at
         rows, at = slice(at, at + block.rows), at + block.rows
-        dim, _, size = block.offsets.shape
-        # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
-        diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
-        diffs[block.dist == 0.0] = 1.0
-        vals = kernel(diffs.reshape(-1, dim))
-        terms = vals * block.lanes[0].reshape(-1, 1)
-        if phi_atoms is not None:
-            phi_x = np.asarray(phi_centers, dtype=float).reshape(-1)[rows]
-            phi_y = np.asarray(phi_atoms, dtype=float)[block.order]
-            terms *= _damping(kernel, vals, np.repeat(phi_x, size),
-                              phi_y.reshape(-1))[:, None]
-        terms = terms.reshape(block.rows, size, -1)
-        out = np.empty((block.rows, size + 1, terms.shape[2]))
-        read(block, np.flip(_prefix(np.flip(terms, 1), 1, out), 1), rows)
+        if phi_atoms is None:
+            suffix = _suffix_sums(kernel, block)
+        else:
+            suffix = _suffix_sums(kernel, block, phi_centers[rows],
+                                  phi_atoms[block.order])
+        read(block, suffix, rows)
 
     radial_pass(measure, centers, visit, offsets=True)
 
@@ -270,17 +317,15 @@ def _suffix_pass(kernel, measure, centers, read, phi_centers=None,
 def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
     """T_eps at many centers and cutoffs: shape (centers, cutoffs, out_dim).
 
-    Each row's cutoffs are lookups in its suffix sums, clamped past the
-    atoms at the centre, which no truncation holds.
+    One radial pass over one reader: each row's cutoffs are lookups in its
+    suffix sums (``_cutoff_sums``).
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     eps_values = np.asarray(eps_values, dtype=float).reshape(-1)
     out = np.empty((centers.shape[0], eps_values.size, kernel.out_dim))
 
     def read(block, suffix, rows):
-        counts = np.maximum(block.count(eps_values),
-                            block.count(0.0)[:, None])
-        out[rows] = suffix[np.arange(block.rows)[:, None], counts]
+        out[rows] = _cutoff_sums(suffix, block, block.count(eps_values))
 
     _suffix_pass(kernel, measure, centers, read)
     return out
@@ -346,7 +391,7 @@ def t_phi_star(kernel, measure, centers, phi_centers,
 
     def read(block, suffix, rows):
         dist, at = block.dist, np.arange(block.rows)
-        near, size = block.count(0.0), dist.shape[1]
+        near, size = block.near, dist.shape[1]
         starts = np.ones((block.rows, size + 1), dtype=bool)
         starts[:, 1:size] = dist[:, 1:] != dist[:, :-1]
         starts &= np.arange(size + 1) >= near[:, None]
@@ -387,10 +432,10 @@ def m_tilde(sigma: WeightedPointMeasure, f, centers,
     values = fz * sigma.weights
 
     def visit(block):
-        # the mass lane's sums are the denominators
-        nums = _prefix(values[block.order], 1, np.empty(block.sums[0].shape))
+        # the mass sums are the denominators
+        nums = _prefix(values[block.order], 1, np.empty(block.sums.shape))
         return [_sup_ratio(*row) for row in zip(block.dist, nums,
-                                                 block.sums[0])]
+                                                 block.sums)]
 
     bests = [b for part in radial_pass(sigma, centers, visit) for b in part]
     if variant == "3/2":

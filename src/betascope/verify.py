@@ -18,18 +18,22 @@ import numpy as np
 from ._util import geometric_grid
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
-from .beta import _plane_residual_sq, _weighted_plane, jones_integrals
+from .beta import (_jones_grid, _jones_values, _plane_residual_sq,
+                   _weighted_plane, jones_integrals)
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
 from .corona import TreeGeometry
 from .measure import WeightedPointMeasure, radial_pass
 from .operators import (
+    _cutoff_sums,
+    _suffix_sums,
     k_r_chain,
     m_tilde,
     t_phi_eps,
     t_phi_star,
-    truncated_field,
 )
+# perfbench/tracer.py patches truncated_field here by name
+from .operators import truncated_field  # noqa: F401
 
 __all__ = [
     "jones_field",
@@ -87,17 +91,38 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
 
     lhs is the max over cutoffs of sum_i w_i |T_eps(x_i)|^2; rhs is the
     total mass plus the atom-weighted flatness energy up to the diameter.
+    One radial pass serves both sides: each block's sorted rows are read
+    by the truncation reader at the cutoffs (as ``truncated_field``), then
+    by the flatness reader at the flatness radii (as ``jones_field``), so
+    every atom is sorted once.
     """
     if measure.is_empty:
         raise ValueError("measure is empty")
     eps_grid = _cutoff_grid(measure, scales_per_octave)
-    # atom by atom in index order, which fixes the summation order
-    field = truncated_field(kernel, measure, measure.points, eps_grid)
-    energies = np.zeros(eps_grid.size)
-    for w, rows in zip(measure.weights, field):
-        energies += w * np.sum(rows**2, axis=1)
+    r_lo = _flatness_floor(measure, scales_per_octave)
+    if measure.diameter > r_lo:
+        radii, log_rho = _jones_grid(r_lo, measure.diameter,
+                                     scales_per_octave)
+    else:
+        radii, log_rho = np.zeros(0), 0.0
+    cuts = eps_grid.size
+
+    def visit(block):
+        # one search per row answers the cutoffs and the radii
+        counts = block.count(np.concatenate((eps_grid, radii)))
+        field = _cutoff_sums(_suffix_sums(kernel, block), block,
+                             counts[:, :cuts])
+        # with no radii every row's flatness sum is empty, so 0.0
+        return np.sum(field**2, axis=2), _jones_values(
+            block, radii, counts[:, cuts:], log_rho, measure.target_dim)
+
+    parts = radial_pass(measure, measure.points, visit, offsets=True)
+    squares = np.concatenate([part[0] for part in parts])
+    jones = np.concatenate([part[1] for part in parts])
+    # atom by atom in index order, which fixes the summation order:
+    # cumsum adds the rows one after another whatever their shape
+    energies = np.cumsum(measure.weights[:, None] * squares, axis=0)[-1]
     lhs = float(np.max(energies))
-    jones = jones_field(measure, scales_per_octave=scales_per_octave)
     rhs = measure.total_mass + float(measure.weights @ jones)
     return {
         "name": "main_lemma",

@@ -239,11 +239,11 @@ def old_m_tilde(sigma, f, x, variant="plain"):
 
 def test_radial_order_sums_match_direct_ball_sums(measure):
     x = measure.points[3]
-    block = RadialBlock(measure, 1).load(x)
+    block = RadialBlock(measure, 1).sort(x)
     dist = np.linalg.norm(measure.points - x, axis=1)
     assert np.array_equal(block.dist[0], np.sort(dist))
-    assert np.array_equal(block.lanes[0, 0], measure.weights[block.order[0]])
-    inside = block.sums[0, 0]
+    assert np.array_equal(block.mass[0], measure.weights[block.order[0]])
+    inside = block.sums[0]
     assert inside[0] == 0.0
     for r in np.concatenate(([0.0], np.unique(dist), [0.05, 0.4])):
         k = block.count(r)[0]
@@ -407,3 +407,30 @@ def test_truncated_field_bit_equal_to_per_cutoff_loop(monkeypatch, measure,
     for e, row in zip(eps, sweep):
         assert np.array_equal(truncated_field(kernel, measure, x, [e])[0, 0],
                               row)
+
+
+def test_truncated_field_in_eight_dimensions_bit_equal(monkeypatch):
+    """From d = 8 on numpy's norm sums the squares pairwise, so the block's
+    distances can differ from it in the last place.  The Riesz kernel then
+    takes its own norms, and the field still equals the per-cutoff loop."""
+    rng = np.random.default_rng(8)
+    pts = rng.normal(size=(150, 8))
+    # repeated sites: atoms at distance 0 from some centres
+    pts = np.vstack((pts, pts[:4]))
+    measure = WeightedPointMeasure(pts, rng.uniform(0.5, 2.0, len(pts)), 1)
+    kernel = riesz_kernel(1, 8)
+    xs = np.vstack((pts, rng.normal(size=(3, 8))))
+    block = RadialBlock(measure, len(xs)).sort(xs)
+    norms = np.sort(np.linalg.norm(pts[None, :, :] - xs[:, None, :], axis=2),
+                    axis=1, kind="stable")
+    # the case at stake: some sorted distances are not the norms
+    assert not block.exact_norms and (block.dist != norms).any()
+    # cutoffs off the atom distances, where the two roundings agree on
+    # every count
+    eps = np.concatenate(([0.0, 1e-300],
+                          np.geomspace(0.05, 2 * measure.diameter, 23)))
+    for budget in (measure_module.RADIAL_BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", budget)
+        new = truncated_field(kernel, measure, xs, eps)
+        assert np.array_equal(new, old_truncated_field(kernel, measure, xs,
+                                                       eps))

@@ -224,26 +224,40 @@ def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch,
                 if isinstance(value, np.ndarray)
                 and name not in ("_points", "_weights")]
 
-    for lanes in (1, 6):
-        made.clear()
-        widths = []
+    widths = []
+    sort = RadialBlock.sort
 
-        def visit(block):
-            widths.append(block.rows)
-            assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(block))
-            return block.sup_density(measure.r_min)
+    def sorting(self, centers):
+        sort(self, centers)
+        widths.append(self.rows)
+        return self
 
-        radial_pass(measure, measure.points, visit, lanes=lanes)
-        assert len(made) == 1 and sum(widths) == measure.size
-        # a density-only pass neither keeps nor gathers the offsets
-        assert made[0]._offsets is None and "offsets" not in vars(made[0])
-    # the flatness and truncation passes, which read them
+    monkeypatch.setattr(RadialBlock, "sort", sorting)
+    size = measure.size
+
+    def visit(block):
+        assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(block))
+        return block.sup_density(measure.r_min)
+
+    radial_pass(measure, measure.points, visit)
+    assert len(made) == 1 and sum(widths) == size
+    # a density-only pass holds one plane, the mass, and neither keeps
+    # nor gathers the offsets
+    assert widths[0] == min(size, RADIAL_BLOCK_ELEMENTS // (size + 1))
+    assert made[0]._offsets is None and "offsets" not in vars(made[0])
+    # the flatness, truncation and main-lemma passes, which read them: a
+    # block is sized by its d offset planes, the moments being streamed
+    kernel = riesz_kernel(1, measure.dim)
     for run in (lambda: jones_field(measure),
-                lambda: truncated_field(riesz_kernel(1, measure.dim), measure,
-                                        measure.points, [measure.r_min])):
+                lambda: truncated_field(kernel, measure, measure.points,
+                                        [measure.r_min]),
+                lambda: main_lemma_check(measure, kernel)):
         made.clear()
+        widths.clear()
         run()
-        assert len(made) == 1
+        assert len(made) == 1 and sum(widths) == size
+        assert widths[0] == min(size, RADIAL_BLOCK_ELEMENTS
+                                // (measure.dim * (size + 1)))
         assert made[0].offsets.size > 0
         assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(made[0]))
 
@@ -263,7 +277,7 @@ def test_prefix_sums_are_taken_only_when_read(monkeypatch):
                     [measure.r_min])
     assert made[-1]._summed is None
     # a density pass takes them once per sort, before reading them
-    block = RadialBlock(measure, 2).load(measure.points[:2])
+    block = RadialBlock(measure, 2).sort(measure.points[:2])
     assert block._summed is None
     assert block.sums is block.sums
     block.sort(measure.points[2:4])
@@ -298,3 +312,25 @@ def test_pass_memory_is_a_few_blocks_not_atoms_squared():
     finally:
         tracemalloc.stop()
 
+
+
+def test_one_plane_fit_per_distinct_ball(monkeypatch, measure):
+    """Radii whose balls hold the same atoms share one eigvalsh matrix."""
+    fitted = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrices):
+        fitted.append(len(matrices))
+        return eigvalsh(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    xs = centres(measure)
+    r_lo, r_hi = ranges(measure)[0]
+    radii, _ = _jones_grid(r_lo, r_hi, 4)
+    jones_integrals(measure, xs, r_lo, r_hi)
+    distinct = 0
+    for x in xs:
+        dist = np.sort(np.linalg.norm(measure.points - x, axis=1))
+        counts = np.searchsorted(dist, radii, side="right")
+        distinct += np.unique(counts[counts > 0]).size
+    assert sum(fitted) == distinct

@@ -16,10 +16,12 @@ import pytest
 
 from betascope import (Ball, CZKernel, WeightedPointMeasure, cantor4,
                        cauchy_kernel, jones_field, lipschitz_graph,
-                       riesz_kernel, segment, t1_ball_check)
+                       main_lemma_check, riesz_kernel, segment, t1_ball_check)
 from betascope import measure as measure_module
+from betascope.measure import RadialBlock
 from betascope.verify import _cutoff_grid
 from test_radial import OldTruncationSums
+from test_radial_pass import old_jones_field
 
 
 def old_main_lemma_ratio(measure, kernel, scales_per_octave):
@@ -74,6 +76,46 @@ CASES = {
     "helix-riesz3": (helix, lambda: riesz_kernel(1, 3)),
     "surface-riesz3": (surface, lambda: riesz_kernel(2, 3)),
 }
+
+
+MAIN_LEMMA_CASES = {
+    "ties-riesz": (tie_cloud, lambda: riesz_kernel(1, 2)),
+    "ties-cauchy": (tie_cloud, cauchy_kernel),
+    "helix-riesz13": (helix, lambda: riesz_kernel(1, 3)),
+    "helix-riesz23": (helix, lambda: riesz_kernel(2, 3)),
+}
+
+
+@pytest.mark.parametrize("one_per_block", [False, True],
+                         ids=["default-budget", "one-centre-blocks"])
+@pytest.mark.parametrize("name", sorted(MAIN_LEMMA_CASES))
+def test_main_lemma_bit_equal_to_the_per_atom_oracle(monkeypatch, name,
+                                                     one_per_block):
+    """Truncation and flatness read one radial pass; each side still
+    equals its own per-atom oracle bit for bit."""
+    make_measure, make_kernel = MAIN_LEMMA_CASES[name]
+    measure, kernel = make_measure(), make_kernel()
+    if one_per_block:
+        monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", 1)
+    rec = main_lemma_check(measure, kernel)
+    assert rec["ratio"] == old_main_lemma_ratio(measure, kernel, 4)
+    assert rec["rhs"] == measure.total_mass + float(
+        measure.weights @ old_jones_field(measure))
+
+
+def test_main_lemma_sorts_each_atom_once(monkeypatch):
+    sorted_centres = []
+    sort = RadialBlock.sort
+
+    def spy(self, centers):
+        sorted_centres.append(np.array(centers, dtype=float))
+        return sort(self, centers)
+
+    monkeypatch.setattr(RadialBlock, "sort", spy)
+    for measure in (lipschitz_graph(200, seed=3), helix()):
+        sorted_centres.clear()
+        main_lemma_check(measure, riesz_kernel(1, measure.dim))
+        assert np.array_equal(np.concatenate(sorted_centres), measure.points)
 
 
 def ball_sample(measure, count=24, seed=0):
