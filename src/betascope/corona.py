@@ -62,17 +62,13 @@ class CoronaTree:
         self.beta_terms = beta_terms        # per cell beta2(1.1 B_Q)^2 theta(1.1 B_Q)
         self.theta_big = theta_big          # per cell theta(1.1 B_Q)
         self.theta_ref: dict[int, float] = theta_ref   # per top theta(B_R)
-        self.trees: dict[int, list[int]] = {t: [] for t in tops}
-        for cell in lattice.cells:
-            self.trees[int(owner[cell.id])].append(cell.id)
-        self.stops: dict[int, list[int]] = {t: [] for t in tops}
-        for t in tops:
-            cell = lattice.cells[t]
-            if cell.parent is not None:
-                self.stops[int(owner[cell.parent])].append(t)
+        # per top, its tree's cells in id order, and the tops below it
+        # (every top but the root has a parent) in the order of ``tops``
+        self.trees = _group(owner, np.arange(owner.size), tops)
+        below = np.array(tops[1:], dtype=np.int64)
+        self.stops = _group(owner[lattice.parent[below]], below, tops)
         # atom -> owner of its deepest cell
-        deepest = lattice._assignment[lattice.max_depth]
-        self._atom_owner = owner[deepest]
+        self._atom_owner = owner[lattice.assignment[-1]]
 
     @property
     def measure(self) -> WeightedPointMeasure:
@@ -81,12 +77,6 @@ class CoronaTree:
     @property
     def root_id(self) -> int:
         return self.tops[0]
-
-    def tree(self, top_id: int) -> list[int]:
-        return self.trees[top_id]
-
-    def stop(self, top_id: int) -> list[int]:
-        return self.stops[top_id]
 
     def good_points(self, top_id: int) -> np.ndarray:
         """Atoms of the tree root never captured by a deeper top."""
@@ -100,6 +90,15 @@ class CoronaTree:
         """theta(B_R)^2 mu(R) for a tree root R."""
         cell = self.lattice.cells[top_id]
         return self.theta_ref[top_id] ** 2 * cell.mass(self.measure)
+
+
+def _group(keys, values, tops) -> dict[int, list[int]]:
+    """Per top t, the values whose key is t, in their given order."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    lo = np.searchsorted(keys, tops).tolist()
+    hi = np.searchsorted(keys, tops, side="right").tolist()
+    return {t: values[a:b].tolist() for t, a, b in zip(tops, lo, hi)}
 
 
 def build_corona(
@@ -131,8 +130,8 @@ def build_corona(
     beta_terms = np.empty(n_cells)
     theta_big = np.empty(n_cells)
     theta_own = np.empty(n_cells)
-    for ids in lattice.levels:
-        _ball_statistics(measure, [lattice.cells[cid] for cid in ids],
+    for k in range(lattice.max_depth + 1):
+        _ball_statistics(lattice, slice(*lattice.first[k:k + 2]),
                          beta_terms, theta_big, theta_own)
 
     root = lattice.root.id
@@ -158,42 +157,41 @@ def build_corona(
                 continue
             triggered[cid] = reason
             emitted, _ = cover_by_doubling(lattice, cid)
-            for new_top in emitted:
-                tops.append(new_top)
-                queue.append(new_top)
+            tops.extend(emitted)
+            queue.extend(emitted)
 
     is_top = np.zeros(n_cells, dtype=bool)
     is_top[tops] = True
     owner = np.arange(n_cells)
-    for ids in lattice.levels[1:]:
-        ids = np.asarray(ids)
-        parents = np.array([lattice.cells[cid].parent for cid in ids])
-        owner[ids] = np.where(is_top[ids], ids, owner[parents])
+    for k in range(1, lattice.max_depth + 1):
+        ids = np.arange(*lattice.first[k:k + 2])
+        owner[ids] = np.where(is_top[ids], ids, owner[lattice.parent[ids]])
     return CoronaTree(lattice, a_stop, tau, tops, owner, triggered,
                       beta_terms, theta_big, theta_ref)
 
 
-def _ball_statistics(measure, cells, beta_terms, theta_big, theta_own):
+def _ball_statistics(lattice, ids, beta_terms, theta_big, theta_own):
     """beta2(1.1 B_Q)^2 theta(1.1 B_Q), theta(1.1 B_Q) and theta(B_Q) for
-    the cells of one level, written at their ids.
+    the cells ``ids`` (a slice) of one level, written at their ids.
 
     The 1.1 B_Q radius never drops below the measure resolution (the
     deepest cells sit near it), so it always holds B_Q.
     """
+    measure = lattice.measure
     n = measure.target_dim
-    centers = np.array([cell.center for cell in cells])
-    radii = [max(DENSITY_BALL_FACTOR * COVER_FACTOR * cell.radius,
-                 measure.r_min) for cell in cells]
+    centers = measure.points[lattice.center_index[ids]]
+    owns = (COVER_FACTOR * lattice.radius[ids]).tolist()
+    radii = np.maximum(DENSITY_BALL_FACTOR * COVER_FACTOR
+                       * lattice.radius[ids], measure.r_min).tolist()
     for at, atoms, dist, bounds in measure.ball_batches(centers, radii):
         for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]),
                                      start=at):
-            cell, radius = cells[j], radii[j]
-            res = beta2(measure, Ball(cell.center, radius), atoms[lo:hi])
-            theta_big[cell.id] = res.mass / radius**n
-            beta_terms[cell.id] = res.value**2 * theta_big[cell.id]
-            own = COVER_FACTOR * cell.radius
+            cid, radius, own = ids.start + j, radii[j], owns[j]
+            res = beta2(measure, Ball(centers[j], radius), atoms[lo:hi])
+            theta_big[cid] = res.mass / radius**n
+            beta_terms[cid] = res.value**2 * theta_big[cid]
             inside = atoms[lo:hi][dist[lo:hi] <= own]
-            theta_own[cell.id] = np.sum(measure.weights[inside]) / own**n
+            theta_own[cid] = np.sum(measure.weights[inside]) / own**n
 
 
 class TreeGeometry:
@@ -207,11 +205,9 @@ class TreeGeometry:
         self.measure = corona.measure
         self.top = self.lattice.cells[top_id]
         ids = corona.trees[top_id]
-        self.tree_ids = ids
-        self._centers = np.array([self.lattice.cells[i].center for i in ids])
-        self._sides = np.array([self.lattice.cells[i].side for i in ids])
+        self._centers = self.measure.points[self.lattice.center_index[ids]]
+        self._sides = self.lattice.side[ids]
         self._dr_atoms: np.ndarray | None = None
-        self._cell_min: dict[int, float] = {}
         self._reg: list[int] | None = None
 
     @property
@@ -240,14 +236,6 @@ class TreeGeometry:
     def phi(self, points: np.ndarray) -> np.ndarray:
         return self.d_r(points) / (PHI_SCALE * self.lattice.a0**2)
 
-    def cell_min_dr(self, cell_id: int) -> float:
-        got = self._cell_min.get(cell_id)
-        if got is None:
-            members = self.lattice.cells[cell_id].point_indices
-            got = float(np.min(self.d_r_atoms()[members]))
-            self._cell_min[cell_id] = got
-        return got
-
     def regularize(self) -> list[int]:
         """Maximal cells whose side obeys the 1/60 rule against d_R.
 
@@ -262,18 +250,17 @@ class TreeGeometry:
             return self._reg
         lattice = self.lattice
         dr = self.d_r_atoms()
-        floor = REG_FACTOR * lattice.side(lattice.max_depth)
+        # the deepest level's side is the last cell's
+        floor = REG_FACTOR * lattice.side[-1]
         b0 = self.b0
         candidates = self.measure.ball_indices(b0.center, b0.radius)
         candidates = candidates[dr[candidates] > floor]
-        chosen: set[int] = set()
-        for atom in candidates:
-            for level in range(lattice.max_depth + 1):
-                cell = lattice.cell_of(int(atom), level)
-                if cell.side <= self.cell_min_dr(cell.id) / REG_FACTOR:
-                    chosen.add(cell.id)
-                    break
-        self._reg = sorted(chosen)
+        # every cell holds its centre, so no segment is empty
+        cell_min = np.minimum.reduceat(dr[lattice.members.reshape(-1)],
+                                       lattice.bounds[:-1])
+        cells, hit = lattice.first_flagged(
+            lattice.side <= cell_min / REG_FACTOR, candidates)
+        self._reg = np.unique(cells[hit]).tolist()
         return self._reg
 
 

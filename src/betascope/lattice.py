@@ -28,19 +28,28 @@ gaps >= 10 * r(Q) keep the open enlarged balls 5*B(Q) pairwise disjoint.
 
 Inputs are expected at unit scale: the construction requires the support
 diameter to be below the level-0 separation (rescale otherwise).
+
+The lattice is stored as arrays on ``Lattice``.  Cells are numbered level
+by level: level k holds the ids first[k] <= id < first[k + 1].  Each cell
+field is one array indexed by id: level, center_index, parent (-1 at the
+root), radius, side, conforming and doubling.  Per level k, assignment[k]
+gives each atom's cell and members[k] lists the level's atoms grouped by
+cell, in index order inside a cell: cell i's atoms are
+members.reshape(-1)[bounds[i]:bounds[i + 1]] and its children
+children[child_bounds[i]:child_bounds[i + 1]].  A ``Cell`` is a read-only
+view of one id, and the audits read array slices.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._util import (BLOCK_ELEMENTS, chunks, diameter_candidates, dump_json,
                     max_sq_pair_distance, ragged)
-from .measure import Ball, WeightedPointMeasure, _Sweep
+from .measure import WeightedPointMeasure, _Sweep
 
 __all__ = [
     "Cell",
@@ -63,64 +72,109 @@ DEFAULT_C0 = 4.0
 MAX_DEPTH_CAP = 14
 
 
-@dataclass
-class Cell:
-    """One lattice cell Q."""
+def _field(name, kind):
+    return property(lambda cell: kind(getattr(cell.lattice, name)[cell.id]))
 
-    id: int
-    level: int
-    center_index: int            # atom index of the centre z_Q
-    center: np.ndarray
-    radius: float                # r(Q)
-    side: float                  # l(Q)
-    point_indices: np.ndarray    # sorted atom indices of Q
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-    conforming: bool = True
-    doubling: bool | None = None
+
+class Cell:
+    """One lattice cell Q: a read-only view of entry ``id`` of its
+    lattice's arrays."""
+
+    __slots__ = ("lattice", "id")
+
+    level = _field("level", int)
+    center_index = _field("center_index", int)   # atom index of the centre z_Q
+    radius = _field("radius", float)             # r(Q)
+    side = _field("side", float)                 # l(Q)
+    conforming = _field("conforming", bool)
+    doubling = _field("doubling", bool)
+
+    def __init__(self, lattice: Lattice, cell_id: int):
+        self.lattice, self.id = lattice, cell_id
 
     @property
-    def ball(self) -> Ball:
-        return Ball(self.center, self.radius)
+    def center(self) -> np.ndarray:
+        return self.lattice.measure.points[self.center_index].copy()
+
+    @property
+    def point_indices(self) -> np.ndarray:
+        """Q's atoms in index order."""
+        lo, hi = self.lattice.bounds[self.id:self.id + 2]
+        return self.lattice.members.reshape(-1)[lo:hi]
+
+    @property
+    def parent(self) -> int | None:
+        parent = int(self.lattice.parent[self.id])
+        return None if parent < 0 else parent
+
+    @property
+    def children(self) -> list[int]:
+        lo, hi = self.lattice.child_bounds[self.id:self.id + 2]
+        return self.lattice.children[lo:hi].tolist()
 
     def mass(self, measure: WeightedPointMeasure) -> float:
         return float(np.sum(measure.weights[self.point_indices]))
 
 
 class Lattice:
-    def __init__(self, measure, cells, levels, assignment, a0, c0, strict):
+    """The cell hierarchy as arrays indexed by cell id, laid out as the
+    module docstring describes; ``cells`` holds one ``Cell`` view per id."""
+
+    def __init__(self, measure, first, center_index, parent, assignment,
+                 a0, c0, strict):
         self.measure = measure
-        self.cells: list[Cell] = cells
-        self.levels: list[list[int]] = levels      # cell ids per level
-        self._assignment = assignment              # (max_depth+1, N) cell ids
         self.a0 = float(a0)
         self.c0 = float(c0)
         self.strict = bool(strict)
+        self.first: list[int] = first
+        counts = np.diff(first)
+        self.level = np.repeat(np.arange(counts.size), counts)
+        self.center_index = center_index
+        self.parent = parent
+        self.radius = np.repeat([self.a0 ** (-k) for k in range(counts.size)],
+                                counts)
+        self.side = SIDE_FACTOR * self.c0 * self.radius
+        self.assignment = assignment               # (max_depth+1, N) cell ids
+        self.members = np.argsort(assignment, axis=1, kind="stable")
+        self.bounds = np.concatenate(([0], np.cumsum(
+            np.bincount(assignment.reshape(-1), minlength=first[-1]))))
+        # the root's parent -1 sorts first; a stable sort keeps each
+        # cell's children in id order
+        self.children = np.argsort(parent, kind="stable")[1:]
+        self.child_bounds = np.searchsorted(parent[self.children],
+                                            np.arange(first[-1] + 1))
+        self.cells = [Cell(self, i) for i in range(first[-1])]
+        self.conforming = np.empty(first[-1], dtype=bool)
+        self.doubling = np.empty(first[-1], dtype=bool)
+
+    @property
+    def levels(self) -> list[list[int]]:
+        """Cell ids per level."""
+        return [list(range(lo, hi)) for lo, hi in zip(self.first,
+                                                      self.first[1:])]
 
     @property
     def max_depth(self) -> int:
-        return len(self.levels) - 1
+        return len(self.first) - 2
 
     @property
     def root(self) -> Cell:
-        return self.cells[self.levels[0][0]]
+        return self.cells[0]
 
     def cell(self, cell_id: int) -> Cell:
         return self.cells[cell_id]
 
-    def level_cells(self, k: int) -> list[Cell]:
-        return [self.cells[i] for i in self.levels[k]]
-
     def cell_of(self, point_index: int, level: int) -> Cell:
         """The level-k cell containing a given atom."""
-        return self.cells[self._assignment[level, point_index]]
+        return self.cells[self.assignment[level, point_index]]
 
-    def side(self, k: int) -> float:
-        return SIDE_FACTOR * self.c0 * self.a0 ** (-k)
-
-    def chain(self, point_index: int) -> list[Cell]:
-        """Root-to-leaf chain of cells containing an atom."""
-        return [self.cell_of(point_index, k) for k in range(self.max_depth + 1)]
+    def first_flagged(self, flags, atoms, level: int = 0):
+        """Per atom, the coarsest cell from ``level`` down its chain whose
+        flag is set (an arbitrary one where none is), and whether one is."""
+        chains = self.assignment[level:, atoms]
+        hit = flags[chains]
+        found = chains[hit.argmax(axis=0), np.arange(len(atoms))]
+        return found, hit.any(axis=0)
 
 
 def _lex_order(points: np.ndarray) -> np.ndarray:
@@ -243,36 +297,13 @@ def build_lattice(
     first = np.cumsum([0] + [len(net) for net in nets]).tolist()
     assignment = np.empty((max_depth + 1, n_pts), dtype=np.int64)
     assignment[max_depth] = first[max_depth] + voronoi[max_depth]
-    parents: list = [None] * (max_depth + 1)
+    parent = np.full(first[-1], -1)
     for k in range(max_depth - 1, -1, -1):
-        parents[k + 1] = first[k] + voronoi[k][nets[k + 1]]
-        assignment[k] = parents[k + 1][assignment[k + 1] - first[k + 1]]
+        parent[first[k + 1]:first[k + 2]] = first[k] + voronoi[k][nets[k + 1]]
+        assignment[k] = parent[assignment[k + 1]]
 
-    cells: list[Cell] = []
-    for k, net in enumerate(nets):
-        r = a0 ** (-k)
-        side = SIDE_FACTOR * c0 * a0 ** (-k)
-        members = np.argsort(assignment[k], kind="stable")
-        bounds = np.searchsorted(assignment[k][members],
-                                 np.arange(first[k], first[k + 1] + 1))
-        for j, center_idx in enumerate(net):
-            parent = int(parents[k][j]) if k else None
-            cells.append(Cell(
-                id=first[k] + j,
-                level=k,
-                center_index=int(center_idx),
-                center=points[center_idx].copy(),
-                radius=r,
-                side=side,
-                point_indices=members[bounds[j]:bounds[j + 1]],
-                parent=parent,
-            ))
-            if parent is not None:
-                cells[parent].children.append(first[k] + j)
-    levels = [list(range(first[k], first[k + 1]))
-              for k in range(max_depth + 1)]
-
-    lattice = Lattice(measure, cells, levels, assignment, a0, c0, strict)
+    lattice = Lattice(measure, first, np.concatenate(nets), parent,
+                      assignment, a0, c0, strict)
     _classify_cells(lattice)
     return lattice
 
@@ -290,30 +321,26 @@ def _classify_cells(lattice: Lattice) -> None:
     (``_ball_masses``); containment reads the level's assignment of every
     atom in B(Q), and covering the span of each cell's atoms.
     """
-    for k in range(len(lattice.levels)):
-        cells, centers, radii, local, spans = _level_arrays(lattice, k)
-        small, contained = _ball_masses(lattice.measure, centers, radii, local)
-        big, _ = _ball_masses(lattice.measure, centers, DOUBLING_FACTOR * radii)
-        conforming = contained & (spans <= COVER_FACTOR * radii)
-        doubling = big <= lattice.c0 * small
-        for cell, conf, dbl in zip(cells, conforming.tolist(),
-                                   doubling.tolist()):
-            cell.conforming, cell.doubling = conf, dbl
+    measure = lattice.measure
+    for k in range(lattice.max_depth + 1):
+        ids = slice(*lattice.first[k:k + 2])
+        centers = measure.points[lattice.center_index[ids]]
+        radii = lattice.radius[ids]
+        local = lattice.assignment[k] - lattice.first[k]
+        small, contained = _ball_masses(measure, centers, radii, local)
+        big, _ = _ball_masses(measure, centers, DOUBLING_FACTOR * radii)
+        spans = _spans(measure.points, centers, local)
+        lattice.conforming[ids] = contained & (spans <= COVER_FACTOR * radii)
+        lattice.doubling[ids] = big <= lattice.c0 * small
 
 
-def _level_arrays(lattice, k):
-    """The level-k cells, their centres and radii, each atom's row among
-    them, and per cell the largest span |x - z_Q| of its atoms."""
-    ids = lattice.levels[k]
-    # build_lattice numbers a level's cells consecutively
-    cells = lattice.cells[ids[0]:ids[-1] + 1]
-    centers = np.array([cell.center for cell in cells])
-    local = lattice._assignment[k] - ids[0]
-    spans = np.zeros(len(cells))
-    np.maximum.at(spans, local, np.linalg.norm(
-        lattice.measure.points - centers[local], axis=1))
-    return (cells, centers, np.array([cell.radius for cell in cells]), local,
-            spans)
+def _spans(points, centers, local):
+    """Per cell, the largest |x - z_Q| over its atoms, each atom's cell
+    given as its row ``local`` of ``centers``."""
+    spans = np.zeros(len(centers))
+    np.maximum.at(spans, local, np.linalg.norm(points - centers[local],
+                                               axis=1))
+    return spans
 
 
 def _ball_masses(measure, centers, radii, local=None):
@@ -418,9 +445,11 @@ def _layer_masses(lattice, k, lambdas):
     farther from z_Q lie beyond every thickness from Q, rounding included.
     """
     measure = lattice.measure
-    cells, centers, radii, local, spans = _level_arrays(lattice, k)
+    ids = slice(*lattice.first[k:k + 2])
+    centers = measure.points[lattice.center_index[ids]]
+    local = lattice.assignment[k] - lattice.first[k]
     # a level's cells share l(Q)
-    widths = [lam * cells[0].side for lam in lambdas]
+    widths = [lam * float(lattice.side[ids.start]) for lam in lambdas]
     cap = max(widths)
 
     def layers(atoms, dist, row, rows):
@@ -428,13 +457,14 @@ def _layer_masses(lattice, k, lambdas):
                                        row[dist <= w], rows)
                          for w in widths], axis=1)
 
-    members = np.concatenate([cell.point_indices for cell in cells])
+    members = lattice.members[k]
     inner = layers(members, _foreign_distances(measure, local, cap)[members],
-                   local[members], len(cells))
+                   local[members], len(centers))
     grouped = np.sort(local[measure._sweep_index().order] * measure.size
                       + np.arange(measure.size))
-    radii = np.minimum(4.0 * COVER_FACTOR * radii,
-                       (cap + spans) * (1.0 + 1e-9) + 2.0**-500)
+    radii = np.minimum(4.0 * COVER_FACTOR * lattice.radius[ids],
+                       (cap + _spans(measure.points, centers, local))
+                       * (1.0 + 1e-9) + 2.0**-500)
     outer = np.empty_like(inner)
     for at, atoms, _, bounds in measure.ball_batches(centers, radii):
         end = at + bounds.size - 1
@@ -457,10 +487,11 @@ def boundary_audit(lattice: Lattice, lambdas) -> dict:
     if not all(0.0 < lam <= 1.0 for lam in lambdas):
         raise ValueError(f"layer thicknesses must lie in (0, 1], got {lambdas}")
     worst = np.zeros(len(lambdas))
-    for k in range(len(lattice.levels)):
-        _, centers, radii, _, _ = _level_arrays(lattice, k)
-        denoms, _ = _ball_masses(lattice.measure, centers,
-                                 BOUNDARY_BALL_FACTOR * COVER_FACTOR * radii)
+    for k in range(lattice.max_depth + 1):
+        ids = slice(*lattice.first[k:k + 2])
+        denoms, _ = _ball_masses(
+            lattice.measure, lattice.measure.points[lattice.center_index[ids]],
+            BOUNDARY_BALL_FACTOR * COVER_FACTOR * lattice.radius[ids])
         inner, outer = _layer_masses(lattice, k, lambdas)
         ratios = (inner + outer) / (np.sqrt(lambdas) * denoms[:, None])
         worst = np.maximum(worst, ratios.max(axis=0))
@@ -470,28 +501,14 @@ def boundary_audit(lattice: Lattice, lambdas) -> dict:
 def cover_by_doubling(lattice: Lattice, cell_id: int):
     """Maximal doubling cells at or below a cell, plus uncovered atoms.
 
-    Greedy top-down: a doubling cell is emitted whole, a non-doubling cell
-    recurses into its children, and non-doubling cells at the deepest level
-    contribute their atoms to the uncovered remainder.
+    The cells are the first doubling cells on the atoms' chains down from
+    the cell; the atoms whose chain holds none down to the deepest level
+    are the uncovered remainder.
     """
-    emitted: list[int] = []
-    uncovered: list[np.ndarray] = []
-    stack = [cell_id]
-    while stack:
-        cid = stack.pop()
-        cell = lattice.cells[cid]
-        if cell.doubling:
-            emitted.append(cid)
-        elif cell.children:
-            stack.extend(reversed(cell.children))
-        else:
-            uncovered.append(cell.point_indices)
-    emitted.sort()
-    if uncovered:
-        uncovered_idx = np.sort(np.concatenate(uncovered))
-    else:
-        uncovered_idx = np.empty(0, dtype=np.intp)
-    return emitted, uncovered_idx
+    cell = lattice.cells[cell_id]
+    atoms = cell.point_indices
+    found, hit = lattice.first_flagged(lattice.doubling, atoms, cell.level)
+    return np.unique(found[hit]).tolist(), atoms[~hit]
 
 
 def check_lattice(lattice: Lattice) -> dict:
@@ -502,8 +519,8 @@ def check_lattice(lattice: Lattice) -> dict:
     |z - z'| >= 5 (r + r'), and the cell-diameter window is reported for
     cells with at least two atoms.
 
-    The audit reads the ``Cell`` objects as they stand, one level at a time
-    over arrays.  Partition counts each atom's (cell, atom) pairs; nesting
+    The audit reads the lattice's arrays as they stand, one level at a
+    time.  Partition counts each atom's (cell, atom) pairs; nesting
     and centre membership look (parent, atom) and (cell, centre) pairs up
     among all of them.  The diameter window is decided from a bracket per
     cell: a realised pair distance below (the atom farthest from the
@@ -527,14 +544,13 @@ def check_lattice(lattice: Lattice) -> dict:
         "diam_upper_ok": True,
         "diam_lower_violations": 0,
     }
+    counts = np.diff(lattice.bounds)
     keys, parent_keys, center_keys = [], [], []
-    for k, ids in enumerate(lattice.levels):
-        cells = [lattice.cells[cid] for cid in ids]
-        members = [cell.point_indices for cell in cells]
-        sizes = np.array([m.size for m in members], dtype=np.intp)
-        atoms = np.concatenate(members).astype(np.int64)
-        row = np.repeat(np.arange(len(cells)), sizes)
-        ids = np.asarray(ids, dtype=np.int64)
+    for k in range(lattice.max_depth + 1):
+        ids = np.arange(*lattice.first[k:k + 2])
+        atoms = lattice.members[k]
+        sizes = counts[ids]
+        row = np.repeat(np.arange(ids.size), sizes)
         # (cell, atom) pairs as cell * N + atom: a cell lists each atom once
         level_keys = np.unique(ids[row] * n_pts + atoms)
         keys.append(level_keys)
@@ -542,56 +558,53 @@ def check_lattice(lattice: Lattice) -> dict:
                                           minlength=n_pts),
                               np.ones(n_pts, dtype=np.intp)):
             report["partition_ok"] = False
-        center_keys.append(ids * n_pts + [cell.center_index for cell in cells])
-        parents = np.array([-1 if cell.parent is None else cell.parent
-                            for cell in cells], dtype=np.int64)
-        linked = parents[row] >= 0
-        parent_keys.append(parents[row][linked] * n_pts + atoms[linked])
+        center_keys.append(ids * n_pts + lattice.center_index[ids])
+        parents = lattice.parent[ids][row]
+        parent_keys.append(parents[parents >= 0] * n_pts
+                           + atoms[parents >= 0])
 
-        radii = np.array([cell.radius for cell in cells])
+        radii = lattice.radius[ids]
         scale = lattice.a0 ** (-k)
         if not ((scale - 1e-15 <= radii)
                 & (radii <= lattice.c0 * scale + 1e-15)).all():
             report["radius_bracket_ok"] = False
 
-        sides = np.array([cell.side for cell in cells])
-        multi = np.flatnonzero(sizes >= 2)
-        if multi.size:
+        multi = sizes >= 2
+        if multi.any():
             diam, max_diam, min_diam = _cell_diameters(
-                points, members, multi, sides[multi], lattice.c0)
+                points[atoms[np.repeat(multi, sizes)]], sizes[multi],
+                lattice.side[ids][multi], lattice.c0)
             if (diam > max_diam).any():
                 report["diam_upper_ok"] = False
             report["diam_lower_violations"] += int(
                 np.count_nonzero(diam < min_diam))
 
-        if len(cells) > 1:
-            centers = np.array([cell.center for cell in cells])
-            report["five_b_violations"] += _five_b_violations(centers, radii)
+        if ids.size > 1:
+            report["five_b_violations"] += _five_b_violations(
+                points[lattice.center_index[ids]], radii)
     keys = np.concatenate(keys)
     if not np.isin(np.concatenate(center_keys), keys).all():
         report["center_membership_ok"] = False
     if not np.isin(np.concatenate(parent_keys), keys).all():
         report["nesting_ok"] = False
-    report["nonconforming"] = sum(1 for c in lattice.cells if not c.conforming)
+    report["nonconforming"] = int(np.count_nonzero(~lattice.conforming))
     report["nonconforming_fraction"] = report["nonconforming"] / max(
         1, len(lattice.cells)
     )
     return report
 
 
-def _cell_diameters(points, members, multi, sides, c0):
-    """Diameter stand-ins for the cells ``multi`` (two atoms or more) and
-    the window (max_diam, min_diam) each is compared with.
+def _cell_diameters(pts, sizes, sides, c0):
+    """Diameter stand-ins for cells of two atoms or more, their atoms
+    ``pts`` grouped by cell, and the window (max_diam, min_diam) each is
+    compared with.
 
     Per cell the stand-in is a realised pair distance, or the exact
     diameter when a threshold lies in the bracket [pair, 2 rho]; either
     compares with both thresholds as the diameter does.
     """
-    chosen = [members[i] for i in multi]
-    sizes = np.array([m.size for m in chosen])
     starts = np.cumsum(sizes) - sizes
-    row = np.repeat(np.arange(len(chosen)), sizes)
-    pts = points[np.concatenate(chosen)]
+    row = np.repeat(np.arange(sizes.size), sizes)
     from_first = np.sqrt(((pts - pts[starts][row]) ** 2).sum(-1))
     rho = np.maximum.reduceat(from_first, starts)
     # the first atom of each cell at distance rho
@@ -637,28 +650,27 @@ def _five_b_violations(centers, radii) -> int:
 
 def lattice_to_json(lattice: Lattice, path=None):
     """Serializable description of the lattice (optionally written to path)."""
+    columns = {
+        "id": range(len(lattice.cells)),
+        "level": lattice.level.tolist(),
+        "center_index": lattice.center_index.tolist(),
+        "center": lattice.measure.points[lattice.center_index].tolist(),
+        "radius": lattice.radius.tolist(),
+        "side": lattice.side.tolist(),
+        "parent": [None if p < 0 else p for p in lattice.parent.tolist()],
+        "children": [kids.tolist() for kids in np.split(
+            lattice.children, lattice.child_bounds[1:-1])],
+        "n_points": np.diff(lattice.bounds).tolist(),
+        "conforming": lattice.conforming.tolist(),
+        "doubling": lattice.doubling.tolist(),
+    }
     payload = {
         "a0": lattice.a0,
         "c0": lattice.c0,
         "strict": lattice.strict,
         "max_depth": lattice.max_depth,
         "levels": lattice.levels,
-        "cells": [
-            {
-                "id": c.id,
-                "level": c.level,
-                "center_index": c.center_index,
-                "center": [float(v) for v in c.center],
-                "radius": c.radius,
-                "side": c.side,
-                "parent": c.parent,
-                "children": list(c.children),
-                "n_points": int(c.point_indices.size),
-                "conforming": bool(c.conforming),
-                "doubling": bool(c.doubling),
-            }
-            for c in lattice.cells
-        ],
+        "cells": [dict(zip(columns, row)) for row in zip(*columns.values())],
     }
     if path is not None:
         dump_json(payload, path)

@@ -458,17 +458,15 @@ def _sup_ratio(dist, num_cum, den_cum) -> float:
 
 
 def _chain_levels(corona, top_id: int, atom: int) -> list[int]:
-    lattice = corona.lattice
-    top = lattice.cells[top_id]
-    if lattice.cell_of(atom, top.level).id != top_id:
+    """The levels, from the top's down, at which the atom's cell lies in
+    the top's tree."""
+    level = corona.lattice.cells[top_id].level
+    chain = corona.lattice.assignment[level:, atom]
+    if chain[0] != top_id:
         raise ValueError(f"atom {atom} is not in cell {top_id}")
-    levels = []
-    for level in range(top.level, lattice.max_depth + 1):
-        cell = lattice.cell_of(atom, level)
-        if int(corona.owner[cell.id]) != top_id:
-            break
-        levels.append(level)
-    return levels
+    # a chain that leaves the tree never comes back to it
+    inside = np.count_nonzero(corona.owner[chain] == top_id)
+    return list(range(level, level + int(inside)))
 
 
 def _shell_terms(measure, kernel, atom: int):

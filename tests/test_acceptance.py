@@ -219,7 +219,8 @@ def test_criterion_07_tree_geometry_assertions(cluster_corona):
     # regularized cells sit inside stopping cells
     reg = geo.regularize()
     assert len(reg) > 0
-    stop_atoms = [set(lat.cell(s).point_indices) for s in cor.stop(cor.root_id)]
+    stop_atoms = [set(lat.cell(s).point_indices)
+                  for s in cor.stops[cor.root_id]]
     for cid in reg:
         atoms = set(lat.cell(cid).point_indices)
         assert any(atoms <= s for s in stop_atoms), cid
@@ -236,7 +237,7 @@ def test_criterion_07_tree_geometry_assertions(cluster_corona):
         assert (vals <= 61.0 * a0 * side + 1e-12).all(), cid
 
     # suppression radius small on stopping cells
-    for s in cor.stop(cor.root_id):
+    for s in cor.stops[cor.root_id]:
         cell = lat.cell(s)
         phis = geo.phi(lat.measure.points[cell.point_indices])
         assert (phis <= cell.side / (10.0 * a0) + 1e-15).all(), s

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -362,6 +363,47 @@ class TestCliExitCodes:
                     "--out", str(tmp_path / "rep.json"))
         assert r.returncode == 1
         assert "5000" in r.stderr
+
+
+# SHA-256 of the --dump files at the default parameters; any change to a
+# cell, a flag, a tree or the JSON layout shows here
+DUMP_DIGESTS = {
+    ("segment", "lattice"):
+        "cc5edb5ad721e260fee5ac5cf8ad24c319d2e0167fb668e86c52e9ad1aee3993",
+    ("segment", "corona"):
+        "20aa2942085a1b85e91ebf2f47a9dc304c3c1cfe2d3c3e85aa717669d4ce42c6",
+    ("cantor4", "lattice"):
+        "b274962bbeac132186cdd4087ff0b37142f4b5cbcc541d1080308e9b3a4a16d5",
+    ("cantor4", "corona"):
+        "212a673cdca885e7210cefcd846138164378d8d0dfb5f7c5ebc9c4bf88406fed",
+    ("lipschitz_graph", "lattice"):
+        "e3b02830251d4b0c3d9bc6c3ab50fc3ac0dc5b932aeb10a0645d5764fd3e5937",
+    ("lipschitz_graph", "corona"):
+        "088bf4b2e2fc272d505a0d72e23ef86a48caa6c669bd2765f7f0b2e1b010c439",
+    ("square_area", "lattice"):
+        "4f374ccb2bf7c5734a32bb4d7815e68fb7c2bebefe0893f9ecdfd1a6b61583a5",
+    ("square_area", "corona"):
+        "89e9e6197f97c2c0be330178ce57cc75b2ab4fc08876917274b35a9e7aa819ee",
+}
+DUMP_INPUTS = {
+    "segment": lambda: segment(200),
+    "cantor4": lambda: cantor4(4),
+    "lipschitz_graph": lambda: lipschitz_graph(600),
+    "square_area": lambda: square_area(20),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DUMP_INPUTS))
+def test_dump_files_keep_their_digests(tmp_path, family):
+    mfile = tmp_path / "m.csv"
+    save_csv(DUMP_INPUTS[family](), mfile)
+    for command in ("lattice", "corona"):
+        dump = tmp_path / f"{command}.json"
+        assert cli.main([command, "--input", str(mfile), "--out",
+                         str(tmp_path / "report.json"),
+                         "--dump", str(dump)]) == 0
+        digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+        assert digest == DUMP_DIGESTS[family, command], command
 
 
 class TestCliDeterminism:

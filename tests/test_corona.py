@@ -7,8 +7,10 @@ from betascope import (Ball, TreeGeometry, WeightedPointMeasure, beta2,
                        build_corona, build_lattice, cantor4, check_lattice,
                        corona_to_json, lipschitz_graph, packing_audit,
                        segment, tree_density_audit)
+from betascope import corona as corona_mod
+from betascope import operators
 from betascope.corona import DENSITY_BALL_FACTOR
-from betascope.lattice import COVER_FACTOR
+from betascope.lattice import COVER_FACTOR, SIDE_FACTOR
 from conftest import two_cluster
 from test_lattice import dense_check_lattice, old_cell_flags
 
@@ -43,10 +45,10 @@ class TestStructure:
         lat = cantor_corona.lattice
         all_cells = set()
         for k in range(lat.max_depth + 1):
-            all_cells.update(c.id for c in lat.level_cells(k))
+            all_cells.update(lat.levels[k])
         seen = []
         for top in cantor_corona.tops:
-            seen.extend(cantor_corona.tree(top))
+            seen.extend(cantor_corona.trees[top])
         assert sorted(seen) == sorted(all_cells)
 
     def test_root_is_first_top(self, cantor_corona):
@@ -57,13 +59,13 @@ class TestStructure:
     def test_owner_consistency(self, cantor_corona):
         # each tree member's owner points at its top
         for top in cantor_corona.tops:
-            for cid in cantor_corona.tree(top):
+            for cid in cantor_corona.trees[top]:
                 assert cantor_corona.owner[cid] == top
 
     def test_stop_cells_are_child_tops(self, cantor_corona):
         lat = cantor_corona.lattice
         for top in cantor_corona.tops:
-            for s in cantor_corona.stop(top):
+            for s in cantor_corona.stops[top]:
                 assert s in cantor_corona.tops
                 parent = lat.cell(s).parent
                 assert parent is not None
@@ -75,7 +77,7 @@ class TestStructure:
         lat = build_lattice(cantor4(3))
         cor = build_corona(lat)
         assert len(cor.tops) == 1
-        assert cor.stop(cor.root_id) == []
+        assert cor.stops[cor.root_id] == []
         assert cor.triggered == {}
 
     def test_good_points_complement_of_stops(self, cluster_corona):
@@ -83,7 +85,7 @@ class TestStructure:
         root = cluster_corona.root_id
         good = cluster_corona.good_points(root)
         stopped = set()
-        for s in cluster_corona.stop(root):
+        for s in cluster_corona.stops[root]:
             stopped.update(lat.cell(s).point_indices)
         n = len(lat.root.point_indices)
         assert sorted(good) == sorted(set(range(n)) - stopped)
@@ -111,7 +113,7 @@ class TestDensityStops:
             top = cluster_corona.owner[lat.cell(cid).parent]
             ref = cluster_corona.theta_ref[top]
             c = lat.cell(cid)
-            ball = c.ball.scaled(28.0 * 1.1)
+            ball = Ball(c.center, c.radius).scaled(28.0 * 1.1)
             theta = mu.ball_mass(ball.center, ball.radius) / ball.radius
             assert theta > a_stop * ref
 
@@ -137,10 +139,9 @@ class TestFlatnessStops:
         from betascope import beta2
         lat = cantor_corona.lattice
         mu = lat.measure
-        cell = lat.level_cells(3)[0]
-        ball = cell.ball.scaled(28.0 * 1.1)
+        cell = lat.cell(lat.levels[3][0])
+        ball = Ball(cell.center, cell.radius).scaled(28.0 * 1.1)
         r = max(ball.radius, mu.r_min)
-        from betascope import Ball
         use = Ball(tuple(ball.center), r)
         b = beta2(mu, use).value
         theta = mu.ball_mass(use.center, use.radius) / use.radius
@@ -396,3 +397,96 @@ def test_build_corona_queries_no_single_balls(monkeypatch, cluster_corona):
     corona = build_corona(cluster_corona.lattice, a_stop=30.0, tau=0.12)
     assert calls == []
     assert corona.tops == cluster_corona.tops
+
+
+# -- regularized family from one reduction over the member arrays ------------
+#
+# TreeGeometry.regularize used to walk each candidate atom's chain cell by
+# cell, taking each cell's least d_R over its atoms on first use; that body is
+# kept here as the oracle.
+
+def old_regularize(geo):
+    lattice = geo.lattice
+    dr = geo.d_r_atoms()
+    reg_factor = corona_mod.REG_FACTOR
+    floor = reg_factor * SIDE_FACTOR * lattice.c0 * lattice.a0 ** (
+        -lattice.max_depth)
+    candidates = geo.measure.ball_indices(geo.b0.center, geo.b0.radius)
+    candidates = candidates[dr[candidates] > floor]
+    cell_min = {}
+    chosen = set()
+    for atom in candidates:
+        for level in range(lattice.max_depth + 1):
+            cell = lattice.cell_of(int(atom), level)
+            if cell.id not in cell_min:
+                cell_min[cell.id] = float(np.min(dr[cell.point_indices]))
+            if cell.side <= cell_min[cell.id] / reg_factor:
+                chosen.add(cell.id)
+                break
+    return sorted(chosen)
+
+
+# at l(Q) <= min d_R / 60 the chosen cells on these fixtures come out the
+# same if the rule reads each cell's largest d_R; at l(Q) <= 50 min d_R
+# they do not
+@pytest.mark.parametrize("reg_factor", [corona_mod.REG_FACTOR, 0.02])
+@pytest.mark.parametrize("name", CORONAS)
+def test_regularize_matches_per_atom_walk(request, monkeypatch, name,
+                                          reg_factor):
+    monkeypatch.setattr(corona_mod, "REG_FACTOR", reg_factor)
+    corona = request.getfixturevalue(name)
+    found = 0
+    for top in corona.tops:
+        geo = TreeGeometry(corona, top)
+        reg = geo.regularize()
+        assert reg == old_regularize(geo)
+        assert all(type(cid) is int for cid in reg)
+        found += len(reg)
+    # the comparison means nothing unless some family is non-empty
+    assert found or name != "cluster_corona"
+
+
+# -- trees, stops and chains from the owner and parent arrays ----------------
+#
+# CoronaTree used to collect its trees and stops in loops over the cells and
+# tops, and the tree operator to look each level's cell up with cell_of;
+# those bodies are kept here as the oracle.
+
+def old_trees_and_stops(corona):
+    trees = {t: [] for t in corona.tops}
+    for cell in corona.lattice.cells:
+        trees[int(corona.owner[cell.id])].append(cell.id)
+    stops = {t: [] for t in corona.tops}
+    for t in corona.tops:
+        parent = corona.lattice.cells[t].parent
+        if parent is not None:
+            stops[int(corona.owner[parent])].append(t)
+    return trees, stops
+
+
+def old_chain_levels(corona, top_id, atom):
+    lattice = corona.lattice
+    levels = []
+    for level in range(lattice.cells[top_id].level, lattice.max_depth + 1):
+        if int(corona.owner[lattice.cell_of(atom, level).id]) != top_id:
+            break
+        levels.append(level)
+    return levels
+
+
+@pytest.mark.parametrize("name", CORONAS)
+def test_trees_stops_and_chains_match_cell_loops(request, name):
+    corona = request.getfixturevalue(name)
+    trees, stops = old_trees_and_stops(corona)
+    assert list(corona.trees.items()) == list(trees.items())
+    assert list(corona.stops.items()) == list(stops.items())
+    assert all(type(i) is int for ids in corona.trees.values() for i in ids)
+    for top in corona.tops:
+        for atom in corona.lattice.cells[top].point_indices.tolist():
+            assert (operators._chain_levels(corona, top, atom)
+                    == old_chain_levels(corona, top, atom))
+    outside = np.setdiff1d(np.arange(corona.measure.size),
+                           corona.lattice.cells[corona.tops[-1]].point_indices)
+    if outside.size:
+        with pytest.raises(ValueError, match="not in cell"):
+            operators._chain_levels(corona, corona.tops[-1], int(outside[0]))

@@ -32,20 +32,20 @@ def brute_check(lat):
     m = lat.measure if hasattr(lat, "measure") else None
     n_atoms = len(lat.root.point_indices)
     for k in range(lat.max_depth + 1):
-        cells = lat.level_cells(k)
+        cells = [lat.cell(i) for i in lat.levels[k]]
         seen = np.concatenate([c.point_indices for c in cells])
         assert len(seen) == n_atoms
         assert len(np.unique(seen)) == n_atoms
     # nesting: every child's atoms inside parent's
     for k in range(1, lat.max_depth + 1):
-        for c in lat.level_cells(k):
+        for c in (lat.cell(i) for i in lat.levels[k]):
             parent = lat.cell(c.parent)
             assert set(c.point_indices) <= set(parent.point_indices)
 
 
 class TestConstruction:
     def test_level_zero_is_single_root(self, seg_lattice):
-        roots = seg_lattice.level_cells(0)
+        roots = [seg_lattice.cell(i) for i in seg_lattice.levels[0]]
         assert len(roots) == 1
         assert roots[0].id == seg_lattice.root.id
 
@@ -57,14 +57,17 @@ class TestConstruction:
 
     def test_side_lengths_geometric(self, seg_lattice):
         a0 = seg_lattice.a0
+        first = seg_lattice.first
         for k in range(seg_lattice.max_depth):
-            assert seg_lattice.side(k + 1) == pytest.approx(
-                seg_lattice.side(k) / a0, rel=1e-12)
+            assert seg_lattice.side[first[k + 1]] == pytest.approx(
+                seg_lattice.side[first[k]] / a0, rel=1e-12)
+            assert (seg_lattice.side[first[k]:first[k + 1]]
+                    == seg_lattice.side[first[k]]).all()
 
     def test_scale_alignment_on_cantor(self, cantor_lattice):
         # with a0 = 4, levels 2..5 match Cantor generations 1..4 (level 1's
         # net separation still exceeds the diameter, so it stays one cell)
-        counts = [len(cantor_lattice.level_cells(k))
+        counts = [len(cantor_lattice.levels[k])
                   for k in range(cantor_lattice.max_depth + 1)]
         assert counts == [1, 1, 4, 16, 64, 256, 256]
 
@@ -84,11 +87,11 @@ class TestConstruction:
             build_lattice(m)
 
     def test_deepest_level_singletons(self, seg_lattice):
-        for c in seg_lattice.level_cells(seg_lattice.max_depth):
-            assert len(c.point_indices) == 1
+        for i in seg_lattice.levels[seg_lattice.max_depth]:
+            assert len(seg_lattice.cell(i).point_indices) == 1
 
     def test_chain_walks_root_to_leaf(self, seg_lattice):
-        chain = seg_lattice.chain(17)
+        chain = [seg_lattice.cell(i) for i in seg_lattice.assignment[:, 17]]
         assert chain[0].level == 0
         assert chain[-1].level == seg_lattice.max_depth
         for a, b in zip(chain, chain[1:]):
@@ -125,7 +128,8 @@ class TestInvariantReport:
     def test_five_b_separation_brute(self, seg_lattice):
         # conforming same-level cells: 5B(Q) and 5B(Q') disjoint (open balls)
         for k in range(seg_lattice.max_depth + 1):
-            cells = [c for c in seg_lattice.level_cells(k) if c.conforming]
+            cells = [seg_lattice.cell(i) for i in seg_lattice.levels[k]
+                     if seg_lattice.conforming[i]]
             for i, a in enumerate(cells):
                 for b in cells[i + 1:]:
                     gap = np.linalg.norm(a.center - b.center)
@@ -136,7 +140,8 @@ class TestDoubling:
     def test_flags_match_definition(self, cantor_lattice):
         mu = cantor_lattice.measure
         for k in range(cantor_lattice.max_depth + 1):
-            for c in cantor_lattice.level_cells(k):
+            for i in cantor_lattice.levels[k]:
+                c = cantor_lattice.cell(i)
                 big = mu.ball_mass(c.center, 100.0 * c.radius)
                 small = mu.ball_mass(c.center, c.radius)
                 assert c.doubling == (big <= cantor_lattice.c0 * small)
@@ -288,7 +293,7 @@ def test_nearest_center_on_lattice_nets():
     for k in range(lat.max_depth + 1):
         net, nearest = lattice_mod._level(m, order,
                                           NET_FACTOR * lat.a0 ** (-k), seeds)
-        assert net == [c.center_index for c in lat.level_cells(k)]
+        assert net == [lat.cell(i).center_index for i in lat.levels[k]]
         np.testing.assert_array_equal(nearest,
                                       dense_nearest_center(m.points,
                                                            m.points[net]))
@@ -347,7 +352,7 @@ def test_check_lattice_matches_dense_oracle(audit_lattice_args, mode,
         if pts.shape[0] >= 2:
             diam, rho = _diam_and_rho(pts)
             assert rho <= diam <= 2 * rho
-            cell.side = side_of(diam, lat.c0)
+            lat.side[cell.id] = side_of(diam, lat.c0)
             multi += 1
     scans = []
     exact = lattice_mod.max_sq_pair_distance
@@ -367,12 +372,13 @@ def test_check_lattice_matches_dense_oracle(audit_lattice_args, mode,
 
 def test_check_lattice_flags_membership_like_dense_oracle():
     lat = build_lattice(lipschitz_graph(400, seed=3))
-    last = lat.level_cells(1)[-1]
+    last = lat.cell(lat.levels[1][-1])
     child = lat.cell(last.children[0])
     assert 0 not in last.point_indices
     # atom 0 sorts before every atom of these cells, yet belongs to neither
-    last.center_index = 0
-    child.point_indices = np.concatenate(([0], child.point_indices))
+    lat.center_index[last.id] = 0
+    lat.members.reshape(-1)[lat.bounds[child.id]] = 0
+    assert child.point_indices[0] == 0
     report = check_lattice(lat)
     assert report == dense_check_lattice(lat)
     assert not report["center_membership_ok"]
@@ -385,7 +391,7 @@ def _straddle_sides(lat):
     for cell in lat.cells:
         pts = lat.measure.points[cell.point_indices]
         if pts.shape[0] >= 2:
-            cell.side = _diam_and_rho(pts)[0]
+            lat.side[cell.id] = _diam_and_rho(pts)[0]
 
 
 def _spy_scans(monkeypatch):
@@ -401,7 +407,8 @@ def test_audit_scans_collinear_cell_over_its_two_ends(monkeypatch):
     # root's exact scan reads two atoms, not all 200
     lat = build_lattice(segment(200))
     root = lat.root
-    root.side = _diam_and_rho(lat.measure.points[root.point_indices])[0]
+    lat.side[root.id] = _diam_and_rho(
+        lat.measure.points[root.point_indices])[0]
     scans = _spy_scans(monkeypatch)
     report = check_lattice(lat)
     assert report == dense_check_lattice(lat)
@@ -425,10 +432,12 @@ def test_audit_of_unsorted_cells_matches_dense_oracle(monkeypatch):
     pts = np.random.default_rng(5).uniform(size=(300, 2))
     lat = build_lattice(_uniform(pts))
     rng = np.random.default_rng(6)
-    sizes = []
-    for cell in lat.cells:
-        cell.point_indices = rng.permutation(cell.point_indices)
-        sizes.append(cell.point_indices.size)
+    members = lat.members.reshape(-1)
+    for lo, hi in zip(lat.bounds[:-1], lat.bounds[1:]):
+        rng.shuffle(members[lo:hi])
+    sizes = np.diff(lat.bounds)
+    assert any((np.diff(lat.cell(i).point_indices) < 0).any()
+               for i in np.flatnonzero(sizes >= 2))
     assert check_lattice(lat) == dense_check_lattice(lat)
     _straddle_sides(lat)
     scans = _spy_scans(monkeypatch)
@@ -451,8 +460,7 @@ def test_five_b_count_matches_dense_oracle_at_widened_radii(make):
     # segment's centres lie on its sweep axis, so every pair's gap is its
     # gap along that axis
     lat = build_lattice(make())
-    for cell in lat.cells:
-        cell.radius = lat.c0 * lat.a0 ** (-cell.level)
+    lat.radius[:] = [lat.c0 * lat.a0 ** (-k) for k in lat.level.tolist()]
     report = check_lattice(lat)
     assert report == dense_check_lattice(lat)
     assert report["radius_bracket_ok"]
@@ -522,6 +530,36 @@ def test_cell_flags_match_two_pass_oracle(family):
     conforming, doubling = old_cell_flags(lat)
     assert [c.conforming for c in lat.cells] == conforming
     assert [c.doubling for c in lat.cells] == doubling
+
+
+def old_cover_by_doubling(lattice, cell_id):
+    """The stack walk cover_by_doubling used to make over the cells."""
+    emitted, uncovered = [], []
+    stack = [cell_id]
+    while stack:
+        cid = stack.pop()
+        cell = lattice.cells[cid]
+        if cell.doubling:
+            emitted.append(cid)
+        elif cell.children:
+            stack.extend(reversed(cell.children))
+        else:
+            uncovered.append(cell.point_indices)
+    if not uncovered:
+        return sorted(emitted), np.empty(0, dtype=np.intp)
+    return sorted(emitted), np.sort(np.concatenate(uncovered))
+
+
+@pytest.mark.parametrize("family", sorted(FLAG_FAMILIES))
+def test_cover_by_doubling_matches_stack_walk(family):
+    lat = FLAG_FAMILIES[family]()
+    for cid in range(len(lat.cells)):
+        emitted, uncovered = cover_by_doubling(lat, cid)
+        old_emitted, old_uncovered = old_cover_by_doubling(lat, cid)
+        assert emitted == old_emitted
+        assert all(type(i) is int for i in emitted)
+        assert uncovered.dtype == old_uncovered.dtype
+        assert np.array_equal(uncovered, old_uncovered)
 
 
 def test_cell_flags_oracle_sees_both_values():
@@ -766,8 +804,8 @@ def test_cell_bookkeeping_matches_old_body(family):
                                                 lat.max_depth)
     assert lat.levels == levels
     assert all(type(i) is int for ids in lat.levels for i in ids)
-    assert lat._assignment.dtype == assignment.dtype
-    assert np.array_equal(lat._assignment, assignment)
+    assert lat.assignment.dtype == assignment.dtype
+    assert np.array_equal(lat.assignment, assignment)
     assert len(lat.cells) == len(cells)
     for cell, old in zip(lat.cells, cells):
         assert (cell.id, cell.level, cell.center_index, cell.parent,
@@ -855,7 +893,7 @@ def test_boundary_audit_matches_old_body(family):
     assert any(v > 0.0 for v in new.values()) == (family != "single_atom")
     for k in range(lat.max_depth + 1):
         inner, outer = lattice_mod._layer_masses(lat, k, AUDIT_LAMBDAS)
-        for j, cell in enumerate(lat.level_cells(k)):
+        for j, cell in enumerate(lat.cell(i) for i in lat.levels[k]):
             assert list(zip(inner[j], outer[j])) == [
                 old_boundary_layer_mass(lat, cell, lam)
                 for lam in AUDIT_LAMBDAS]
