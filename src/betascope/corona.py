@@ -86,10 +86,22 @@ class CoronaTree:
     def good_mass(self, top_id: int) -> float:
         return float(np.sum(self.measure.weights[self.good_points(top_id)]))
 
-    def packing_term(self, top_id: int) -> float:
-        """theta(B_R)^2 mu(R) for a tree root R."""
-        cell = self.lattice.cells[top_id]
-        return self.theta_ref[top_id] ** 2 * cell.mass(self.measure)
+    def good_masses(self) -> list[float]:
+        """``good_mass`` per top, in the order of ``tops``: a one-atom
+        top's is its weight, or 0.0 where a deeper top took its atom."""
+        tops = np.array(self.tops)
+        atoms = self.lattice.members.reshape(-1)[self.lattice.bounds[tops]]
+        masses = np.where(self._atom_owner[atoms] == tops,
+                          self.measure.weights[atoms], 0.0)
+        for j in np.flatnonzero(self.lattice.sizes[tops] > 1).tolist():
+            masses[j] = self.good_mass(self.tops[j])
+        return masses.tolist()
+
+    def packing_terms(self) -> list[float]:
+        """theta(B_R)^2 mu(R) per tree root R, in the order of ``tops``."""
+        masses = self.lattice.masses(self.tops).tolist()
+        return [self.theta_ref[top] ** 2 * mass
+                for top, mass in zip(self.tops, masses)]
 
 
 def _group(keys, values, tops) -> dict[int, list[int]]:
@@ -116,10 +128,11 @@ def build_corona(
     cell without reaching a new root stays in the current tree untested.
 
     The ball statistics come one level at a time: one batched query per
-    level (``ball_batches``) finds every cell's 1.1 B_Q, and each cell's
-    beta2 takes its atoms from there.  theta(B_Q), the reference density
-    of a cell that becomes a tree root, reads the same atoms within
-    28 r(Q).  Owners are then set level by level.
+    level (``ball_batches``) finds every cell's 1.1 B_Q, and beta2 takes
+    the atoms of each ball of two atoms or more from there (a one-atom
+    ball holds only the centre, so beta2 = 0).  theta(B_Q), the reference
+    density of a cell that becomes a tree root, reads the same atoms
+    within 28 r(Q).  Owners are then set level by level.
     """
     if not 1.0 < a_stop < np.inf:
         raise ValueError(f"a_stop must be finite and exceed 1, got {a_stop}")
@@ -175,19 +188,31 @@ def _ball_statistics(lattice, ids, beta_terms, theta_big, theta_own):
     the cells ``ids`` (a slice) of one level, written at their ids.
 
     The 1.1 B_Q radius never drops below the measure resolution (the
-    deepest cells sit near it), so it always holds B_Q.
+    deepest cells sit near it), so it always holds B_Q.  A level's cells
+    share r(Q), so both radii are one number per level.
+
+    A 1.1 B_Q that holds one atom holds only the centre, which beta2 fits
+    exactly: beta2 = 0.0, and both densities are the centre's weight over
+    the radius to the n.  Those cells are filled from arrays; beta2 runs on
+    the balls of two atoms or more.
     """
     measure = lattice.measure
     n = measure.target_dim
     centers = measure.points[lattice.center_index[ids]]
-    owns = (COVER_FACTOR * lattice.radius[ids]).tolist()
-    radii = np.maximum(DENSITY_BALL_FACTOR * COVER_FACTOR
-                       * lattice.radius[ids], measure.r_min).tolist()
-    for at, atoms, dist, bounds in measure.ball_batches(centers, radii):
-        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]),
-                                     start=at):
-            cid, radius, own = ids.start + j, radii[j], owns[j]
-            res = beta2(measure, Ball(centers[j], radius), atoms[lo:hi])
+    own = COVER_FACTOR * float(lattice.radius[ids.start])
+    radius = max(DENSITY_BALL_FACTOR * COVER_FACTOR
+                 * float(lattice.radius[ids.start]), measure.r_min)
+    for at, atoms, dist, bounds in measure.ball_batches(centers, radius):
+        sizes = np.diff(bounds)
+        lone = np.flatnonzero(sizes == 1)
+        weights = measure.weights[atoms[bounds[lone]]]
+        cells = ids.start + at + lone
+        theta_big[cells] = weights / radius**n
+        beta_terms[cells] = 0.0
+        theta_own[cells] = weights / own**n
+        for j in np.flatnonzero(sizes > 1).tolist():
+            lo, hi, cid = bounds[j], bounds[j + 1], ids.start + at + j
+            res = beta2(measure, Ball(centers[at + j], radius), atoms[lo:hi])
             theta_big[cid] = res.mass / radius**n
             beta_terms[cid] = res.value**2 * theta_big[cid]
             inside = atoms[lo:hi][dist[lo:hi] <= own]
@@ -273,10 +298,11 @@ def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
     atoms summed in atom index order.
     """
     measure = corona.measure
+    terms = corona.packing_terms()
     lhs = 0.0
-    for top in corona.tops:
-        lhs += corona.packing_term(top)
-    rhs = corona.packing_term(corona.root_id)
+    for term in terms:
+        lhs += term
+    rhs = terms[0]    # the root leads ``tops``
     r_lo = measure.r_min
     r_hi = corona.lattice.cells[corona.root_id].side
     jones = jones_integrals(measure, measure.points, r_lo, r_hi,
@@ -302,11 +328,17 @@ def tree_density_audit(corona: CoronaTree) -> dict:
     construction; untested cells below triggered ones are reported here so
     the empirical tree constant is visible.
     """
+    # every top owns itself, so each owner heads one run of cells
+    order = np.argsort(corona.owner, kind="stable")
+    owners = corona.owner[order]
+    heads = np.flatnonzero(np.diff(owners, prepend=-1))
+    peaks = np.maximum.reduceat(corona.theta_big[order], heads)
+    at = np.searchsorted(owners[heads], corona.tops)
     per_tree = {}
     worst = 0.0
-    for top, ids in corona.trees.items():
+    for top, peak in zip(corona.tops, peaks[at].tolist()):
         # dividing by the positive ref is monotone: max of the quotients
-        peak = float(np.max(corona.theta_big[ids])) / corona.theta_ref[top]
+        peak = peak / corona.theta_ref[top]
         per_tree[top] = peak
         worst = max(worst, peak)
     return {"per_tree": per_tree, "max_ratio": worst}
@@ -314,14 +346,16 @@ def tree_density_audit(corona: CoronaTree) -> dict:
 
 def corona_to_json(corona: CoronaTree, path=None):
     per_tree = {}
-    for top in corona.tops:
-        cell = corona.lattice.cells[top]
+    levels = corona.lattice.level[corona.tops].tolist()
+    for top, level, good, term in zip(corona.tops, levels,
+                                      corona.good_masses(),
+                                      corona.packing_terms()):
         per_tree[str(top)] = {
-            "level": cell.level,
+            "level": level,
             "stop": corona.stops[top],
             "tree_size": len(corona.trees[top]),
-            "good_mass": corona.good_mass(top),
-            "packing_term": corona.packing_term(top),
+            "good_mass": good,
+            "packing_term": term,
         }
     payload = {
         "a_stop": corona.a_stop,

@@ -42,7 +42,6 @@ view of one id, and the audits read array slices.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -143,6 +142,7 @@ class Lattice:
         self.children = np.argsort(parent, kind="stable")[1:]
         self.child_bounds = np.searchsorted(parent[self.children],
                                             np.arange(first[-1] + 1))
+        self.sizes = np.diff(self.bounds)          # atoms per cell
         self.cells = [Cell(self, i) for i in range(first[-1])]
         self.conforming = np.empty(first[-1], dtype=bool)
         self.doubling = np.empty(first[-1], dtype=bool)
@@ -167,6 +167,17 @@ class Lattice:
     def cell_of(self, point_index: int, level: int) -> Cell:
         """The level-k cell containing a given atom."""
         return self.cells[self.assignment[level, point_index]]
+
+    def masses(self, ids) -> np.ndarray:
+        """mu(Q) per cell id, as ``Cell.mass`` takes it: a one-atom cell's
+        mass is its weight, the others np.sum over their atoms."""
+        ids = np.asarray(ids)
+        flat, weights = self.members.reshape(-1), self.measure.weights
+        masses = weights[flat[self.bounds[ids]]]
+        for j in np.flatnonzero(self.sizes[ids] > 1).tolist():
+            lo, hi = self.bounds[ids[j]:ids[j] + 2]
+            masses[j] = np.sum(weights[flat[lo:hi]])
+        return masses
 
     def first_flagged(self, flags, atoms, level: int = 0):
         """Per atom, the coarsest cell from ``level`` down its chain whose
@@ -194,15 +205,29 @@ def _level(measure, order, separation, seeds):
     with d^2, and each atom closer than s gets a record (atom, site
     position, d^2).  Every atom lies within s of some site, so its nearest
     site is among its records: least d^2, ties to the earlier site.
+
+    A lone atom, whose slab holds only itself, lies in no other atom's open
+    s-ball (the slab covers every atom closer than s, and distances are
+    symmetric), so it is a site that closes only itself, at d^2 = 0.0.
+    The walk skips the lone atoms, sites are labelled by their first place
+    in the walk, and the lone atoms' records join after it: the net stays
+    in walk order.
     """
     points = measure.points
     sweep = measure._sweep_index()
     lo, hi = sweep.slabs(points, separation)
+    lone = hi - lo == 1
+    # each atom's first place in the walk: seeds first, then ``order``
+    walk = np.concatenate((np.asarray(seeds, dtype=np.int64), order))
+    place = np.empty(measure.size, dtype=np.int64)
+    place[order] = len(seeds) + np.arange(measure.size)
+    place[walk[:len(seeds)]] = np.arange(len(seeds))
     sep_sq = separation * separation
     closed = np.zeros(measure.size, dtype=bool)
-    net: list[int] = []
+    walked: list[int] = []
     atoms, sites, dist_sq = [], [], []
-    for i in itertools.chain(seeds, order):
+    steps = np.sort(place[~lone])
+    for at, i in zip(steps.tolist(), walk[steps].tolist()):
         if closed[i]:
             continue
         near = sweep.order[lo[i]:hi[i]]
@@ -212,14 +237,20 @@ def _level(measure, order, separation, seeds):
         near, d2 = near[inside], d2[inside]
         closed[near] = True
         atoms.append(near)
-        sites.append(np.full(near.size, len(net), dtype=np.int64))
+        sites.append(np.full(near.size, at, dtype=np.int64))
         dist_sq.append(d2)
-        net.append(int(i))
+        walked.append(at)
+    singles = np.flatnonzero(lone)
+    atoms.append(singles)
+    sites.append(place[singles])
+    dist_sq.append(np.zeros(singles.size))
+    net = np.sort(np.concatenate((np.array(walked, dtype=np.int64),
+                                  place[singles])))
     atoms, sites = np.concatenate(atoms), np.concatenate(sites)
     ranked = np.lexsort((sites, np.concatenate(dist_sq), atoms))
     # every atom has a record, and its best one leads its run in ranked order
     head = np.searchsorted(atoms[ranked], np.arange(measure.size))
-    return net, sites[ranked[head]]
+    return walk[net].tolist(), np.searchsorted(net, sites[ranked[head]])
 
 
 def build_lattice(
@@ -544,7 +575,7 @@ def check_lattice(lattice: Lattice) -> dict:
         "diam_upper_ok": True,
         "diam_lower_violations": 0,
     }
-    counts = np.diff(lattice.bounds)
+    counts = lattice.sizes
     keys, parent_keys, center_keys = [], [], []
     for k in range(lattice.max_depth + 1):
         ids = np.arange(*lattice.first[k:k + 2])
@@ -660,7 +691,7 @@ def lattice_to_json(lattice: Lattice, path=None):
         "parent": [None if p < 0 else p for p in lattice.parent.tolist()],
         "children": [kids.tolist() for kids in np.split(
             lattice.children, lattice.child_bounds[1:-1])],
-        "n_points": np.diff(lattice.bounds).tolist(),
+        "n_points": lattice.sizes.tolist(),
         "conforming": lattice.conforming.tolist(),
         "doubling": lattice.doubling.tolist(),
     }

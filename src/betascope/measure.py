@@ -657,9 +657,9 @@ def load_csv(path) -> WeightedPointMeasure:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
         coords, w = values[:dim], values[dim]
-        if not all(np.isfinite(c) for c in coords):
+        if not all(map(math.isfinite, coords)):
             raise ValueError(f"{path}:{lineno}: coordinates must be finite")
-        if not np.isfinite(w) or w <= 0:
+        if not math.isfinite(w) or w <= 0:
             raise ValueError(f"{path}:{lineno}: weight must be finite and > 0, got {w}")
         points.append(coords)
         weights.append(w)

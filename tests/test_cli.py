@@ -8,8 +8,8 @@ import threading
 import numpy as np
 import pytest
 
-from betascope import (cantor4, cli, lipschitz_graph, load_csv, save_csv,
-                       segment, square_area)
+from betascope import (WeightedPointMeasure, cantor4, cli, lipschitz_graph,
+                       load_csv, save_csv, segment, square_area)
 
 
 def run_cli(*args, cwd=None):
@@ -404,6 +404,51 @@ def test_dump_files_keep_their_digests(tmp_path, family):
                          "--dump", str(dump)]) == 0
         digest = hashlib.sha256(dump.read_bytes()).hexdigest()
         assert digest == DUMP_DIGESTS[family, command], command
+
+
+def _graph(scale):
+    graph = lipschitz_graph(100)
+    return WeightedPointMeasure(scale * graph.points, graph.weights, 1)
+
+
+EDGE_INPUTS = {
+    "one_atom": lambda: WeightedPointMeasure([[0.25, 0.5]], [1.0], 1),
+    "duplicated": lambda: WeightedPointMeasure(
+        np.repeat(cantor4(2).points, 2, axis=0), np.full(32, 1 / 32), 1),
+    "cloud_3d": lambda: WeightedPointMeasure(
+        np.random.default_rng(0).uniform(size=(60, 3)), np.full(60, 1 / 60),
+        2),
+    "graph_x8": lambda: _graph(8.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_INPUTS))
+def test_edge_inputs_run_every_command_twice_alike(tmp_path, name):
+    mfile = tmp_path / "m.csv"
+    save_csv(EDGE_INPUTS[name](), mfile)
+    for command in ("analyze", "capacity", "lattice", "corona", "verify"):
+        runs = []
+        for run in (1, 2):
+            out = tmp_path / f"{command}{run}"
+            out.mkdir()
+            dump = (["--dump", str(out / "dump.json")]
+                    if command in ("lattice", "corona") else [])
+            assert cli.main([command, "--input", str(mfile), "--out",
+                             str(out / "report.json"), *dump]) == 0, command
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[0] == runs[1], command
+
+
+def test_graph_past_the_root_separation_asks_to_rescale(tmp_path, capsys):
+    # diameter 16 reaches the level-0 net separation 10
+    mfile = tmp_path / "m.csv"
+    save_csv(_graph(16.0), mfile)
+    for command in ("lattice", "corona", "verify"):
+        report = tmp_path / f"{command}.json"
+        assert cli.main([command, "--input", str(mfile), "--out",
+                         str(report)]) == 1, command
+        assert "rescale" in capsys.readouterr().err, command
+        assert not report.exists(), command
 
 
 class TestCliDeterminism:

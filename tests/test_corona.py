@@ -490,3 +490,32 @@ def test_trees_stops_and_chains_match_cell_loops(request, name):
     if outside.size:
         with pytest.raises(ValueError, match="not in cell"):
             operators._chain_levels(corona, corona.tops[-1], int(outside[0]))
+
+
+def test_beta2_runs_only_on_balls_of_two_atoms(monkeypatch):
+    """A 1.1 B_Q that holds one atom holds only the centre: build_corona
+    fills it without beta2 and calls beta2 once per other cell."""
+    lat = build_lattice(lipschitz_graph(3000))
+    measure = lat.measure
+    crowded = 0
+    for k in range(lat.max_depth + 1):
+        ids = np.arange(*lat.first[k:k + 2])
+        radius = max(DENSITY_BALL_FACTOR * COVER_FACTOR * lat.radius[ids[0]],
+                     measure.r_min)
+        for start in range(0, ids.size, 200):
+            centers = measure.points[lat.center_index[ids[start:start + 200]]]
+            dist = np.linalg.norm(
+                measure.points[None, :, :] - centers[:, None, :], axis=2)
+            crowded += int(np.count_nonzero((dist <= radius).sum(axis=1) > 1))
+    sizes = []
+    original = corona_mod.beta2
+
+    def counting(measure, ball, indices=None):
+        sizes.append(indices.size)
+        return original(measure, ball, indices)
+
+    monkeypatch.setattr(corona_mod, "beta2", counting)
+    build_corona(lat)
+    assert (len(lat.cells), crowded) == (3803, 803)
+    assert len(sizes) == crowded
+    assert min(sizes) >= 2

@@ -721,6 +721,32 @@ def test_level_matches_old_bodies():
     assert least_tied
 
 
+def test_level_scores_no_lone_slab(monkeypatch):
+    """A site whose sweep slab holds only itself closes itself unscored:
+    every einsum call scores a slab of two atoms or more."""
+    measure = _uniform(np.random.default_rng(0).uniform(size=(300, 2)))
+    order = lattice_mod._lex_order(measure.points)
+    seeds, _ = lattice_mod._level(measure, order, 0.02, [])
+    separation = 0.002
+    lo, hi = measure._sweep_index().slabs(measure.points, separation)
+    scored = []
+    einsum = np.einsum
+
+    def counting(subscripts, *operands, **kwargs):
+        scored.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    net, nearest = lattice_mod._level(measure, order, separation, seeds)
+    slabs = (hi - lo)[net]
+    assert (slabs == 1).sum() > 0 and (slabs > 1).sum() > 0
+    assert len(scored) == (slabs > 1).sum()
+    assert min(scored) >= 2
+    assert net == old_greedy_net(measure.points, order, separation, seeds)
+    np.testing.assert_array_equal(
+        nearest, dense_nearest_center(measure.points, measure.points[net]))
+
+
 def test_deep_max_depth_builds_without_warnings():
     # separations down to 10 * 20^-20 overflowed the old grid hash's int64
     # bucket keys, a RuntimeWarning under the suite's filter
