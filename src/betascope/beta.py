@@ -50,10 +50,6 @@ class BetaResult:
     plane_point: np.ndarray | None
     plane_basis: np.ndarray | None
 
-    @property
-    def is_degenerate(self) -> bool:
-        return self.plane_point is None
-
 
 def _plane_residual_sq(z: np.ndarray, w: np.ndarray, basis: np.ndarray) -> float:
     """sum_i w_i * dist(z_i, span(basis))^2 for centred coordinates z.
@@ -128,7 +124,7 @@ class BetaProfile:
     def __init__(self, measure: WeightedPointMeasure, center):
         center = np.asarray(center, dtype=float).reshape(-1)
         self.n = measure.target_dim
-        self.block = RadialBlock(measure, 1, offsets=True).sort(center)
+        self.block = RadialBlock(measure, 1).sort(center)
         every = np.arange(measure.size + 1)
         self.cum_w, self.cum_first, self.cum_second = _moment_sums(
             self.block, np.zeros_like(every), every)
@@ -159,11 +155,11 @@ def _moment_sums(block: RadialBlock, rows, counts):
     second = np.empty((rows.size, dim, dim))
     for a in range(dim):
         np.multiply(w, z[a], out=product)
-        first[:, a] = _prefix(product, 1, prefix)[rows, counts]
+        first[:, a] = _prefix(product, prefix)[rows, counts]
     for a, b in zip(*np.triu_indices(dim)):
         np.multiply(z[a], z[b], out=product)
         np.multiply(w, product, out=product)
-        second[:, a, b] = second[:, b, a] = _prefix(product, 1,
+        second[:, a, b] = second[:, b, a] = _prefix(product,
                                                     prefix)[rows, counts]
     return block.sums[rows, counts], first, second
 
@@ -172,10 +168,9 @@ def _block_flatness(block: RadialBlock, radii, counts, n: int):
     """The flatness reader: arrays (beta_2^2, theta) over ``radii``, a row
     per centre of ``block``, whose balls hold ``counts`` atoms.
 
-    ``block`` must keep its offsets.  Balls holding no atom keep 0.  Along
-    a row, radii with equal counts hold the same atoms, so each distinct
-    (centre, count) gets one plane fit and every radius of it reads its
-    residual.
+    Balls holding no atom keep 0.  Along a row, radii with equal counts
+    hold the same atoms, so each distinct (centre, count) gets one plane
+    fit and every radius of it reads its residual.
     """
     beta_sq = np.zeros(counts.shape)
     theta = np.zeros(counts.shape)
@@ -242,9 +237,9 @@ def jones_integrals(
     centres is sorted once (RadialBlock) and its distinct balls are
     fitted by one batched eigvalsh call; each centre's integrand is summed
     over its own row, so every value equals jones_integral at that centre
-    bit for bit.  With a density ``floor``
-    the same orders also give each centre's sup_density(centre, floor),
-    and the result is the pair (integrals, sups).
+    bit for bit.  With a density ``floor`` the same orders also give each
+    centre's sup_density(centre, floor), and the result is the pair
+    (integrals, sups).
     """
     r_lo, r_hi = float(r_lo), float(r_hi)
     if not (measure.r_min <= r_lo < r_hi):
@@ -261,10 +256,7 @@ def jones_integrals(
         values = _jones_values(block, radii, block.count(radii), log_rho, n)
         return values if floor is None else (values, block.sup_density(floor))
 
-    parts = radial_pass(measure, centers, visit, offsets=True)
-    if floor is None:
-        return np.concatenate(parts)
-    return tuple(np.concatenate(lane) for lane in zip(*parts))
+    return radial_pass(measure, centers, visit)
 
 
 def jones_integral(
@@ -335,14 +327,12 @@ def beta_profile_rows(
     pass.
     """
     radii, _ = _jones_grid(float(r_lo), float(r_hi), scales_per_octave)
-    parts = radial_pass(
+    beta_sq, theta = radial_pass(
         measure, centers,
         lambda block: _block_flatness(block, radii, block.count(radii),
-                                      measure.target_dim),
-        offsets=True)
+                                      measure.target_dim))
     return [
         [(float(r), float(math.sqrt(b)), float(t))
          for r, b, t in zip(radii, beta_row, theta_row)]
-        for beta_sq, theta in parts
         for beta_row, theta_row in zip(beta_sq, theta)
     ]

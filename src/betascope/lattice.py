@@ -164,10 +164,6 @@ class Lattice:
     def cell(self, cell_id: int) -> Cell:
         return self.cells[cell_id]
 
-    def cell_of(self, point_index: int, level: int) -> Cell:
-        """The level-k cell containing a given atom."""
-        return self.cells[self.assignment[level, point_index]]
-
     def masses(self, ids) -> np.ndarray:
         """mu(Q) per cell id, as ``Cell.mass`` takes it: a one-atom cell's
         mass is its weight, the others np.sum over their atoms."""

@@ -14,6 +14,7 @@ and the fallback is 1.0, which callers can override.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -155,10 +156,6 @@ class Ball:
             raise ValueError("ball center must be finite")
         if not np.isfinite(self.radius) or self.radius < 0:
             raise ValueError(f"ball radius must be finite and >= 0, got {self.radius}")
-
-    def scaled(self, factor: float) -> "Ball":
-        """Concentric ball with radius multiplied by ``factor``."""
-        return Ball(self.center, float(factor) * self.radius)
 
 
 class WeightedPointMeasure:
@@ -356,16 +353,16 @@ class WeightedPointMeasure:
 
         The supremum of a right-continuous piecewise mass function divided
         by r^n is attained at a breakpoint radius or at the floor, so the
-        scan is exact, not a grid approximation.  This is the one-centre
-        case of ``RadialBlock.sup_density``.
+        scan is exact, not a grid approximation.  This is a one-centre
+        radial pass read by ``RadialBlock.sup_density``.
         """
         floor = float(floor)
         if floor <= 0 or not np.isfinite(floor):
             raise ValueError(f"floor must be positive and finite, got {floor}")
         if self.is_empty:
             return 0.0
-        center = np.asarray(center, dtype=float).reshape(1, -1)
-        return float(RadialBlock(self, 1).sort(center).sup_density(floor)[0])
+        return float(radial_pass(
+            self, center, lambda block: block.sup_density(floor))[0])
 
     # -- growth and tails ---------------------------------------------------
 
@@ -383,9 +380,8 @@ class WeightedPointMeasure:
             return 0.0
         if exact:
             floor = self._r_min
-            return max(radial_pass(
-                self, self._points,
-                lambda block: float(np.max(block.sup_density(floor)))))
+            return float(np.max(radial_pass(
+                self, self._points, lambda block: block.sup_density(floor))))
         if scale_grid is None:
             raise ValueError("growth_constant needs a scale_grid unless exact=True")
         scale_grid = np.asarray(scale_grid, dtype=float).reshape(-1)
@@ -398,9 +394,9 @@ class WeightedPointMeasure:
         def densest(block):
             rows = np.arange(block.rows)[:, None]
             masses = block.sums[rows, block.count(scale_grid)]
-            return float(np.max(masses / scale_pow))
+            return np.max(masses / scale_pow, axis=1)
 
-        return max(radial_pass(self, self._points, densest))
+        return float(np.max(radial_pass(self, self._points, densest)))
 
     def annulus_tail(self, center, radius: float) -> float:
         """sum over |x_i - x| > r of w_i / |x_i - x|^(n+1).
@@ -435,8 +431,8 @@ class WeightedPointMeasure:
 
 
 # Elements per array of a RadialBlock: each holds at most
-# planes x centres x (atoms + 1), with one plane per coordinate in a block
-# that keeps the offsets and one otherwise, whatever the input size.
+# d x centres x (atoms + 1), the size of the offsets, whatever the input
+# size.
 RADIAL_BLOCK_ELEMENTS = BLOCK_ELEMENTS // 4
 
 
@@ -445,15 +441,14 @@ def _head(store: np.ndarray, *shape) -> np.ndarray:
     return store[:math.prod(shape)].reshape(shape)
 
 
-def _prefix(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
-    """Sums of ``values`` along ``axis`` over each leading run, into ``out``.
+def _prefix(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sums of ``values`` along each row over each leading run, into ``out``.
 
-    ``out`` is one longer along ``axis``: entry k sums the first k values,
-    so entry 0 is zero.  The sums accumulate straight into place.
+    ``out`` is one longer along the rows (axis 1): entry k sums the first
+    k values, so entry 0 is zero.  The sums accumulate straight into place.
     """
-    lead = (slice(None),) * axis
-    out[lead + (0,)] = 0.0
-    np.cumsum(values, axis=axis, out=out[lead + (slice(1, None),)])
+    out[:, 0] = 0.0
+    np.cumsum(values, axis=1, out=out[:, 1:])
     return out
 
 
@@ -469,23 +464,20 @@ class RadialBlock:
 
     Row i of every array belongs to centre i of the block: ``order`` maps
     its sorted positions to atom indices, ``dist`` holds the sorted
-    distances, ``mass`` the weights in that order and, in a block built
-    with ``offsets=True``, ``offsets`` (coordinate first) the sorted
-    differences p - x.  ``sums`` holds the mass's prefix sums, column 0
-    zero, so ``sums[i, k]`` is the mass of the k nearest atoms of centre
-    i; it is taken on first access after each ``sort``, so a pass that
-    reads no sums takes none.  Sums of other per-atom values (kernel
-    terms, moments) are taken by the readers of a pass, one array at a
-    time; ``verify.main_lemma_check`` reads each sorted block twice, for
-    its truncation sums and then for its flatness sums.
+    distances, ``mass`` the weights in that order, ``offsets`` (coordinate
+    first) the sorted differences p - x, and ``sums`` the mass's prefix
+    sums, column 0 zero, so ``sums[i, k]`` is the mass of the k nearest
+    atoms of centre i.  Sums of other per-atom values (kernel terms,
+    moments) are taken by the readers of a pass, one array at a time;
+    ``verify.main_lemma_check`` reads each sorted block twice, for its
+    truncation sums and then for its flatness sums.
 
     The buffers are allocated once, for ``width`` centres, and every
     ``sort`` writes into them; each array of a block is a view of its
     buffer's head, so it stays contiguous when a block is narrower.
     """
 
-    def __init__(self, measure: WeightedPointMeasure, width: int,
-                 offsets: bool = False):
+    def __init__(self, measure: WeightedPointMeasure, width: int):
         size, dim = measure.size, measure.dim
         self.target_dim = measure.target_dim
         self._points = np.ascontiguousarray(measure.points.T)
@@ -493,7 +485,7 @@ class RadialBlock:
         self._flat = np.empty(width * size, dtype=np.intp)
         self._dist = np.empty(width * size)
         self._scratch = np.empty(width * size)
-        self._offsets = np.empty(dim * width * size) if offsets else None
+        self._offsets = np.empty(dim * width * size)
         self._mass = np.empty(width * size)
         self._sums = np.empty(width * (size + 1))
 
@@ -514,8 +506,7 @@ class RadialBlock:
     def sort(self, centers) -> "RadialBlock":
         """Order the atoms by distance from each of ``centers``.
 
-        Fills ``order``, ``dist``, ``mass`` and, if the block keeps them,
-        the ``offsets``.
+        Fills ``order``, ``dist``, ``mass``, ``offsets`` and ``sums``.
         """
         dim, size = self._points.shape
         centers = np.asarray(centers, dtype=float).reshape(-1, dim)
@@ -532,37 +523,33 @@ class RadialBlock:
         np.sqrt(raw, out=raw)
         self.order = np.argsort(raw, axis=1, kind="stable")
         self.mass = _head(self._mass, rows, size)
-        self._summed = None
         # mode="clip" lets take write straight into out; every index is
         # in range, so nothing is clipped
         np.take(self._weights, self.order, out=self.mass, mode="clip")
+        self.sums = _prefix(self.mass, _head(self._sums, rows, size + 1))
         flat = _head(self._flat, rows, size)
         np.add(self.order, (np.arange(rows) * size)[:, None], out=flat)
         np.take(raw, flat, out=self.dist, mode="clip")
-        if self._offsets is not None:
-            # p - x of the sorted atoms: the differences the distances
-            # squared, taken after the gather
-            self.offsets = _head(self._offsets, dim, rows, size)
-            for a in range(dim):
-                np.take(self._points[a], self.order, out=self.offsets[a],
-                        mode="clip")
-                np.subtract(self.offsets[a], centers[:, a, None],
-                            out=self.offsets[a])
+        # p - x of the sorted atoms: the differences the distances squared,
+        # taken after the gather
+        self.offsets = _head(self._offsets, dim, rows, size)
+        for a in range(dim):
+            np.take(self._points[a], self.order, out=self.offsets[a],
+                    mode="clip")
+            np.subtract(self.offsets[a], centers[:, a, None],
+                        out=self.offsets[a])
         return self
 
-    @property
-    def sums(self) -> np.ndarray:
-        """Prefix sums of the mass along each row, taken once per sort."""
-        if self._summed is None:
-            rows, size = self.dist.shape
-            self._summed = _prefix(self.mass, 1,
-                                   _head(self._sums, rows, size + 1))
-        return self._summed
-
     def count(self, radii) -> np.ndarray:
-        """Atoms in the closed balls B(x, r) over ``radii``, row by centre."""
-        return np.array([np.searchsorted(row, radii, side="right")
-                         for row in self.dist])
+        """Atoms in the closed balls B(x, r), a row per centre: over every
+        radius of a 1-d ``radii``, or over row i of a 2-d one for centre i.
+        """
+        radii = np.asarray(radii, dtype=float)
+        shape = (self.rows,) + radii.shape[radii.ndim > 1:]
+        per_row = radii if radii.ndim > 1 else itertools.repeat(radii)
+        return np.array([np.searchsorted(dist, r, side="right")
+                         for dist, r in zip(self.dist, per_row)],
+                        dtype=np.intp).reshape(shape)
 
     @property
     def near(self) -> np.ndarray:
@@ -588,23 +575,26 @@ class RadialBlock:
         return ratio.max(axis=1)
 
 
-def radial_pass(measure: WeightedPointMeasure, centers, visit,
-                offsets: bool = False) -> list:
+def radial_pass(measure: WeightedPointMeasure, centers, visit):
     """``visit(block)`` on a RadialBlock sorted about each block of centres.
 
-    Returns the visits' results in centre order.  A block holds as many
-    centres as keep each of its arrays within RADIAL_BLOCK_ELEMENTS, at
-    least one: centres x (atoms + 1) elements, times the coordinates if it
-    keeps the ``offsets``.  One block is allocated and re-sorted block
-    after block.
+    Each visit returns an array, or a tuple of arrays (lanes), with one
+    row per centre of its block; the result stacks them in centre order,
+    lane by lane.  With no centres one empty block is visited, so every
+    lane still has its trailing shape.  A block holds as many centres as
+    keep each of its arrays within RADIAL_BLOCK_ELEMENTS, at least one:
+    d x centres x (atoms + 1) elements for the offsets.  One block is
+    allocated and re-sorted block after block.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
     count = centers.shape[0]
-    planes = measure.dim if offsets else 1
-    width = max(1, RADIAL_BLOCK_ELEMENTS // (planes * (measure.size + 1)))
-    block = RadialBlock(measure, min(width, count), offsets=offsets)
-    return [visit(block.sort(centers[at:at + width]))
-            for at in range(0, count, width)]
+    width = max(1, RADIAL_BLOCK_ELEMENTS // (measure.dim * (measure.size + 1)))
+    block = RadialBlock(measure, min(width, count))
+    parts = [visit(block.sort(centers[at:at + width]))
+             for at in range(0, max(count, 1), width)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(lane) for lane in zip(*parts))
+    return np.concatenate(parts)
 
 
 # -- serialization ----------------------------------------------------------

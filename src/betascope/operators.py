@@ -11,11 +11,12 @@ points come from one blocked radial pass (``measure.radial_pass``): each
 point's atoms are sorted by distance once, and its kernel terms are summed
 farthest-first into suffix sums.  Any cutoff of that point is then one
 search in its sorted distances, and every cutoff of the same point sums
-in the same order, whatever the block or the sweep.  The truncation
-reader (``_cutoff_sums``) is a function of the sorted block alone, so
-``verify.main_lemma_check`` reads the same block for its truncation
-energies and for its flatness energies: one sort per atom.  A kernel
-with a ``radial`` form takes the block's distances instead of
+in the same order, whatever the block or the sweep.  Each reader returns
+its block's rows, and the pass stacks them in centre order.  The
+truncation reader (``_cutoff_sums``) is a function of the sorted block
+alone, so ``verify.main_lemma_check`` reads the same block for its
+truncation energies and for its flatness energies: one sort per atom.  A
+kernel with a ``radial`` form takes the block's distances instead of
 recomputing the norms of its offsets.
 """
 
@@ -272,9 +273,9 @@ def _suffix_sums(kernel, block, phi_x=None, phi_y=None) -> np.ndarray:
         terms *= _damping(kernel, vals, np.repeat(phi_x, size),
                           phi_y.reshape(-1))[:, None]
     del vals
-    terms = terms.reshape(rows, size, -1)
+    terms = terms.reshape(rows, size, terms.shape[1])
     out = np.empty((rows, size + 1, terms.shape[2]))
-    return np.flip(_prefix(np.flip(terms, 1), 1, out), 1)
+    return np.flip(_prefix(np.flip(terms, 1), out), 1)
 
 
 def _cutoff_sums(suffix, block, counts) -> np.ndarray:
@@ -289,8 +290,9 @@ def _cutoff_sums(suffix, block, counts) -> np.ndarray:
 
 
 def _suffix_pass(kernel, measure, centers, read, phi_centers=None,
-                 phi_atoms=None) -> None:
-    """``read(block, suffix, rows)`` on each block of one radial pass.
+                 phi_atoms=None):
+    """The rows ``read(block, suffix, rows)`` returns on each block of one
+    radial pass, stacked as ``radial_pass`` stacks them.
 
     ``suffix`` is the block's ``_suffix_sums``, damped by Phi when
     ``phi_centers`` and ``phi_atoms`` are given, and ``rows`` slices the
@@ -309,9 +311,9 @@ def _suffix_pass(kernel, measure, centers, read, phi_centers=None,
         else:
             suffix = _suffix_sums(kernel, block, phi_centers[rows],
                                   phi_atoms[block.order])
-        read(block, suffix, rows)
+        return read(block, suffix, rows)
 
-    radial_pass(measure, centers, visit, offsets=True)
+    return radial_pass(measure, centers, visit)
 
 
 def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
@@ -320,15 +322,11 @@ def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
     One radial pass over one reader: each row's cutoffs are lookups in its
     suffix sums (``_cutoff_sums``).
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
     eps_values = np.asarray(eps_values, dtype=float).reshape(-1)
-    out = np.empty((centers.shape[0], eps_values.size, kernel.out_dim))
-
-    def read(block, suffix, rows):
-        out[rows] = _cutoff_sums(suffix, block, block.count(eps_values))
-
-    _suffix_pass(kernel, measure, centers, read)
-    return out
+    return _suffix_pass(
+        kernel, measure, centers,
+        lambda block, suffix, rows: _cutoff_sums(suffix, block,
+                                                 block.count(eps_values)))
 
 
 def _damping(kernel, vals, phi_x, phi_y: np.ndarray) -> np.ndarray:
@@ -356,23 +354,23 @@ def t_phi_eps(kernel, measure, centers, eps, phi_centers,
     damped by Phi over |x_i - y| > eps_i.
 
     ``eps`` and ``phi_centers`` (Phi at the centres) hold one value per
-    centre, ``phi_atoms`` one per atom.  Every eps_i is >= 0; at eps_i = 0
-    the strict inequality leaves out exactly the atoms sitting at x_i, so
-    the row sums over every atom at a positive distance.
+    centre, ``phi_atoms`` one per atom; a single eps serves every centre.
+    Every eps_i is >= 0; at eps_i = 0 the strict inequality leaves out
+    exactly the atoms sitting at x_i, so the row sums over every atom at a
+    positive distance.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    eps = np.asarray(eps, dtype=float).reshape(-1)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float).reshape(-1),
+                          centers.shape[:1])
     if not (eps >= 0).all():
         raise ValueError(f"eps must be >= 0, got {eps.min()}")
-    out = np.empty((centers.shape[0], kernel.out_dim))
 
     def read(block, suffix, rows):
-        counts = [np.searchsorted(dist, e, side="right")
-                  for dist, e in zip(block.dist, eps[rows])]
-        out[rows] = suffix[np.arange(block.rows), counts]
+        counts = block.count(eps[rows, None])[:, 0]
+        return suffix[np.arange(block.rows), counts]
 
-    _suffix_pass(kernel, measure, centers, read, phi_centers, phi_atoms)
-    return out
+    return _suffix_pass(kernel, measure, centers, read, phi_centers,
+                        phi_atoms)
 
 
 def t_phi_star(kernel, measure, centers, phi_centers,
@@ -387,7 +385,8 @@ def t_phi_star(kernel, measure, centers, phi_centers,
     atom at a positive distance gets (0.0, 0.0).
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    sups, witnesses = out = np.zeros((2, centers.shape[0]))
+    if measure.is_empty:
+        return np.zeros(centers.shape[0]), np.zeros(centers.shape[0])
 
     def read(block, suffix, rows):
         dist, at = block.dist, np.arange(block.rows)
@@ -400,11 +399,10 @@ def t_phi_star(kernel, measure, centers, phi_centers,
         witness = np.where(best == near,
                            dist[at, np.minimum(near, size - 1)] / 2,
                            dist[at, np.maximum(best - 1, 0)])
-        out[:, rows] = np.where(near < size, (norms[at, best], witness), 0.0)
+        return tuple(np.where(near < size, (norms[at, best], witness), 0.0))
 
-    if not measure.is_empty:
-        _suffix_pass(kernel, measure, centers, read, phi_centers, phi_atoms)
-    return sups, witnesses
+    return _suffix_pass(kernel, measure, centers, read, phi_centers,
+                        phi_atoms)
 
 
 def m_tilde(sigma: WeightedPointMeasure, f, centers,
@@ -433,14 +431,15 @@ def m_tilde(sigma: WeightedPointMeasure, f, centers,
 
     def visit(block):
         # the mass sums are the denominators
-        nums = _prefix(values[block.order], 1, np.empty(block.sums.shape))
-        return [_sup_ratio(*row) for row in zip(block.dist, nums,
-                                                 block.sums)]
+        nums = _prefix(values[block.order], np.empty(block.sums.shape))
+        return np.array([_sup_ratio(*row) for row in zip(block.dist, nums,
+                                                          block.sums)])
 
-    bests = [b for part in radial_pass(sigma, centers, visit) for b in part]
+    bests = radial_pass(sigma, centers, visit)
     if variant == "3/2":
-        bests = [b ** (2.0 / 3.0) for b in bests]
-    return np.array(bests)
+        # a Python float power per value
+        bests = np.array([b ** (2.0 / 3.0) for b in bests.tolist()])
+    return bests
 
 
 def _sup_ratio(dist, num_cum, den_cum) -> float:

@@ -116,9 +116,7 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
         return np.sum(field**2, axis=2), _jones_values(
             block, radii, counts[:, cuts:], log_rho, measure.target_dim)
 
-    parts = radial_pass(measure, measure.points, visit, offsets=True)
-    squares = np.concatenate([part[0] for part in parts])
-    jones = np.concatenate([part[1] for part in parts])
+    squares, jones = radial_pass(measure, measure.points, visit)
     # atom by atom in index order, which fixes the summation order:
     # cumsum adds the rows one after another whatever their shape
     energies = np.cumsum(measure.weights[:, None] * squares, axis=0)[-1]
@@ -282,8 +280,8 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:
             floor = mu.r_min
             jones = np.zeros(mu.size)
             tail = 0.0
-            dens = np.concatenate(radial_pass(
-                mu, mu.points, lambda block: block.sup_density(floor)))
+            dens = radial_pass(mu, mu.points,
+                               lambda block: block.sup_density(floor))
         else:
             floor = max(mu.r_min, diam / math.sqrt(mu.size))
             # one radial order per atom serves its flatness and its density

@@ -78,20 +78,20 @@ class TestBeta2:
     def test_single_atom_fits_perfectly(self):
         m = WeightedPointMeasure(np.zeros((1, 2)), np.ones(1), 1)
         r = beta2(m, Ball((0.0, 0.0), 1.0))
-        assert not r.is_degenerate
+        assert r.plane_point is not None
         assert r.value == 0.0
 
     def test_empty_ball_is_degenerate(self):
         m = WeightedPointMeasure(np.zeros((1, 2)), np.ones(1), 1)
         r = beta2(m, Ball((10.0, 10.0), 1.0))
-        assert r.is_degenerate
+        assert r.plane_point is None
         assert r.value == 0.0
 
     def test_plane_witness_returned(self):
         rng = np.random.default_rng(4)
         m, ball = random_instance(rng, 2)
         r = beta2(m, ball)
-        if not r.is_degenerate:
+        if r.plane_point is not None:
             assert r.plane_basis.shape == (1, 2)
             nrm = np.linalg.norm(r.plane_basis[0])
             assert nrm == pytest.approx(1.0, abs=1e-12)

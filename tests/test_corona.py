@@ -113,7 +113,7 @@ class TestDensityStops:
             top = cluster_corona.owner[lat.cell(cid).parent]
             ref = cluster_corona.theta_ref[top]
             c = lat.cell(cid)
-            ball = Ball(c.center, c.radius).scaled(28.0 * 1.1)
+            ball = Ball(c.center, 28.0 * 1.1 * c.radius)
             theta = mu.ball_mass(ball.center, ball.radius) / ball.radius
             assert theta > a_stop * ref
 
@@ -140,7 +140,7 @@ class TestFlatnessStops:
         lat = cantor_corona.lattice
         mu = lat.measure
         cell = lat.cell(lat.levels[3][0])
-        ball = Ball(cell.center, cell.radius).scaled(28.0 * 1.1)
+        ball = Ball(cell.center, 28.0 * 1.1 * cell.radius)
         r = max(ball.radius, mu.r_min)
         use = Ball(tuple(ball.center), r)
         b = beta2(mu, use).value
@@ -417,7 +417,7 @@ def old_regularize(geo):
     chosen = set()
     for atom in candidates:
         for level in range(lattice.max_depth + 1):
-            cell = lattice.cell_of(int(atom), level)
+            cell = lattice.cells[lattice.assignment[level, atom]]
             if cell.id not in cell_min:
                 cell_min[cell.id] = float(np.min(dr[cell.point_indices]))
             if cell.side <= cell_min[cell.id] / reg_factor:
@@ -449,7 +449,7 @@ def test_regularize_matches_per_atom_walk(request, monkeypatch, name,
 # -- trees, stops and chains from the owner and parent arrays ----------------
 #
 # CoronaTree used to collect its trees and stops in loops over the cells and
-# tops, and the tree operator to look each level's cell up with cell_of;
+# tops, and the tree operator to look each level's cell up atom by atom;
 # those bodies are kept here as the oracle.
 
 def old_trees_and_stops(corona):
@@ -468,7 +468,7 @@ def old_chain_levels(corona, top_id, atom):
     lattice = corona.lattice
     levels = []
     for level in range(lattice.cells[top_id].level, lattice.max_depth + 1):
-        if int(corona.owner[lattice.cell_of(atom, level).id]) != top_id:
+        if int(corona.owner[lattice.assignment[level, atom]]) != top_id:
             break
         levels.append(level)
     return levels

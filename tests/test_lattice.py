@@ -98,9 +98,9 @@ class TestConstruction:
             assert b.parent == a.id
             assert 17 in a.point_indices and 17 in b.point_indices
 
-    def test_cell_of_consistent_with_chain(self, seg_lattice):
+    def test_assigned_cell_consistent_with_chain(self, seg_lattice):
         for level in (0, 1, seg_lattice.max_depth):
-            c = seg_lattice.cell_of(5, level)
+            c = seg_lattice.cells[seg_lattice.assignment[level, 5]]
             assert 5 in c.point_indices
             assert c.level == level
 

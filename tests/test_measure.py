@@ -373,13 +373,6 @@ class TestSerialization:
         assert np.array_equal(back.weights, m.weights)
 
 
-def test_ball_scaled():
-    b = Ball((1.0, 2.0), 1.5)
-    s = b.scaled(2.0)
-    assert s.radius == 3.0
-    assert np.array_equal(np.asarray(s.center), np.asarray(b.center))
-
-
 def test_diameter_matches_brute_force():
     # segment(2500) is collinear, and neither the filter nor the scan of
     # its candidates may take O(N^2) memory

@@ -352,6 +352,15 @@ def test_m_tilde_all_atoms_at_centre_bit_equal():
             old_m_tilde(m, f, (0.0, 0.0), variant)
 
 
+def test_one_eps_serves_every_centre():
+    m = lipschitz_graph(50, seed=1)
+    k = riesz_kernel(1, 2)
+    phi = np.linspace(0.0, 0.3, m.size)
+    xs = m.points[:5]
+    assert np.array_equal(t_phi_eps(k, m, xs, 0.05, phi[:5], phi),
+                          t_phi_eps(k, m, xs, np.full(5, 0.05), phi[:5], phi))
+
+
 def test_suppressed_sums_with_every_atom_at_the_centre():
     m = WeightedPointMeasure(np.zeros((3, 2)), np.ones(3), 1)
     k = riesz_kernel(1, 2)

@@ -16,8 +16,9 @@ import pytest
 
 from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
                        build_lattice, condition_check, jones_field,
-                       lipschitz_graph, main_lemma_check, packing_audit,
-                       riesz_kernel, truncated_field)
+                       lipschitz_graph, m_tilde, main_lemma_check,
+                       packing_audit, riesz_kernel, t_phi_eps, t_phi_star,
+                       truncated_field)
 from betascope.beta import _jones_grid, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
                                radial_pass)
@@ -169,8 +170,8 @@ def test_density_pass_equals_the_breakpoint_scan(measure):
               max(measure.r_min, measure.diameter / math.sqrt(measure.size)))
     for floor in floors:
         old = [old_sup_density(measure, x, floor) for x in xs]
-        new = np.concatenate(radial_pass(
-            measure, xs, lambda block: block.sup_density(floor)))
+        new = radial_pass(measure, xs,
+                          lambda block: block.sup_density(floor))
         assert np.array_equal(new, old)
 
 
@@ -195,7 +196,7 @@ def test_lane_distances_are_the_norms(dim):
     pts = rng.normal(size=(2000, dim)) * scale
     measure = WeightedPointMeasure(pts, np.ones(2000), 1, r_min=1e-6)
     xs = rng.normal(size=(5, dim))
-    block = RadialBlock(measure, len(xs), offsets=True).sort(xs)
+    block = RadialBlock(measure, len(xs)).sort(xs)
     for x, dist, offsets in zip(xs, block.dist, np.moveaxis(block.offsets,
                                                             0, -1)):
         norms = np.linalg.norm(pts - x, axis=1)
@@ -241,12 +242,11 @@ def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch,
 
     radial_pass(measure, measure.points, visit)
     assert len(made) == 1 and sum(widths) == size
-    # a density-only pass holds one plane, the mass, and neither keeps
-    # nor gathers the offsets
-    assert widths[0] == min(size, RADIAL_BLOCK_ELEMENTS // (size + 1))
-    assert made[0]._offsets is None and "offsets" not in vars(made[0])
-    # the flatness, truncation and main-lemma passes, which read them: a
-    # block is sized by its d offset planes, the moments being streamed
+    # every block is sized by its d offset planes, the flatness moments
+    # being streamed
+    assert widths[0] == min(size, RADIAL_BLOCK_ELEMENTS
+                            // (measure.dim * (size + 1)))
+    # the flatness, truncation and main-lemma passes
     kernel = riesz_kernel(1, measure.dim)
     for run in (lambda: jones_field(measure),
                 lambda: truncated_field(kernel, measure, measure.points,
@@ -262,29 +262,63 @@ def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch,
         assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(made[0]))
 
 
-def test_prefix_sums_are_taken_only_when_read(monkeypatch):
+def test_every_sort_fills_the_mass_sums():
     measure = lipschitz_graph(120, seed=3)
-    made = []
-    init = RadialBlock.__init__
+    block = RadialBlock(measure, 3)
+    # a full block, then a narrower one sorted into the same workspace
+    for xs in (measure.points[:3], measure.points[3:5]):
+        block.sort(xs)
+        want = np.hstack((np.zeros((len(xs), 1)),
+                          np.cumsum(block.mass, axis=1)))
+        assert np.array_equal(block.sums, want)
 
-    def counting(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        made.append(self)
 
-    monkeypatch.setattr(RadialBlock, "__init__", counting)
-    # the truncation pass reads no sums, so it takes none
-    truncated_field(riesz_kernel(1, 2), measure, measure.points,
-                    [measure.r_min])
-    assert made[-1]._summed is None
-    # a density pass takes them once per sort, before reading them
-    block = RadialBlock(measure, 2).sort(measure.points[:2])
-    assert block._summed is None
-    assert block.sums is block.sums
-    block.sort(measure.points[2:4])
-    assert block._summed is None
-    assert np.array_equal(block.sup_density(measure.r_min),
-                          [old_sup_density(measure, x, measure.r_min)
-                           for x in measure.points[2:4]])
+# each reader with no centres, and the shapes of its lanes
+NO_CENTRES = {
+    "jones_integrals": (
+        lambda m, k, xs: jones_integrals(m, xs, m.r_min, m.diameter),
+        [(0,)]),
+    "jones_integrals_floor": (
+        lambda m, k, xs: jones_integrals(m, xs, m.r_min, m.diameter,
+                                         floor=m.r_min),
+        [(0,), (0,)]),
+    "beta_profile_rows": (
+        lambda m, k, xs: beta_profile_rows(m, xs, m.r_min, m.diameter),
+        [(0,)]),
+    "truncated_field": (
+        lambda m, k, xs: truncated_field(k, m, xs, [m.r_min, 0.1, 1.0]),
+        [(0, 3, 2)]),
+    "t_phi_eps": (
+        lambda m, k, xs: t_phi_eps(k, m, xs, np.zeros(0), np.zeros(0),
+                                   np.ones(m.size)),
+        [(0, 2)]),
+    "t_phi_star": (
+        lambda m, k, xs: t_phi_star(k, m, xs, np.zeros(0), np.ones(m.size)),
+        [(0,), (0,)]),
+    "m_tilde": (
+        lambda m, k, xs: m_tilde(m, np.ones(m.size), xs, variant="3/2"),
+        [(0,)]),
+    "sup_density": (
+        lambda m, k, xs: radial_pass(
+            m, xs, lambda block: block.sup_density(m.r_min)),
+        [(0,)]),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(NO_CENTRES))
+def test_readers_answer_no_centres_with_empty_rows(reader):
+    run, shapes = NO_CENTRES[reader]
+    measure = lipschitz_graph(60, seed=2)
+    got = run(measure, riesz_kernel(1, 2), np.empty((0, 2)))
+    lanes = got if isinstance(got, tuple) else (got,)
+    assert [np.shape(lane) for lane in lanes] == shapes
+
+
+def test_truncated_field_of_an_empty_measure_is_zero():
+    empty = WeightedPointMeasure(np.zeros((0, 2)), np.zeros(0), 1)
+    got = truncated_field(riesz_kernel(1, 2), empty, np.zeros((3, 2)),
+                          [0.0, 1.0])
+    assert np.array_equal(got, np.zeros((3, 2, 2)))
 
 
 def test_pass_memory_is_a_few_blocks_not_atoms_squared():
