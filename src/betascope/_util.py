@@ -1,4 +1,5 @@
 """Shared plumbing: deterministic JSON output, the ordered map, grids, the
+two reductions whose summation order every report relies on, the
 candidate ends of a longest pair and the blocked all-pairs scan."""
 
 from __future__ import annotations
@@ -8,8 +9,9 @@ import math
 
 import numpy as np
 
-__all__ = ["parallel_map", "chunks", "ragged", "dump_json", "geometric_grid",
-           "diameter_candidates", "max_sq_pair_distance"]
+__all__ = ["parallel_map", "chunks", "ragged", "segment_sums", "ordered_sum",
+           "dump_json", "geometric_grid", "diameter_candidates",
+           "max_sq_pair_distance"]
 
 # Elements per temporary array in the blocked pairwise scans (2 MB of
 # float64), so their memory stays O(N) whatever the input size.
@@ -39,6 +41,33 @@ def ragged(starts: np.ndarray, sizes: np.ndarray):
     rows = np.repeat(np.arange(sizes.size), sizes)
     skip = starts - (np.cumsum(sizes) - sizes)
     return rows, np.arange(rows.size) + skip[rows]
+
+
+def segment_sums(values, row, rows) -> np.ndarray:
+    """Per j < rows, np.sum(values[row == j]); ``row`` is nondecreasing.
+
+    A C-contiguous (m, n) array summed along axis 1 takes each row as
+    np.sum takes it alone, so the segments go in blocks of equal length.
+    An empty segment sums to 0.0 and a one-entry segment to its entry.
+    """
+    counts = np.bincount(row, minlength=rows)
+    values = values[np.argsort(counts[row], kind="stable")]
+    by_length = np.argsort(counts, kind="stable")
+    sums = np.empty(rows)
+    start = done = 0
+    for n, m in zip(*np.unique(counts, return_counts=True)):
+        block = values[start:start + n * m].reshape(m, n)
+        sums[by_length[done:done + m]] = block.sum(axis=1)
+        start, done = start + n * m, done + m
+    return sums
+
+
+def ordered_sum(values):
+    """The sum of ``values`` along axis 0, one entry (or row) after another
+    in index order, as a Python loop ``total += value`` takes it; numpy's
+    np.sum would pair the terms up instead.  ``values`` holds one entry at
+    least."""
+    return np.cumsum(values, axis=0)[-1]
 
 
 def dump_json(payload, path=None) -> str:

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import ordered_sum
 from .measure import (Ball, RadialBlock, WeightedPointMeasure, _prefix,
                       radial_pass)
 
@@ -306,9 +307,7 @@ def condition_check(
     jones, sups = jones_integrals(measure, measure.points[idx],
                                   measure.r_min, ball.radius,
                                   scales_per_octave, floor=measure.r_min)
-    total = 0.0
-    for w, value in zip(measure.weights[idx], jones):
-        total += w * value
+    total = ordered_sum(measure.weights[idx] * jones)
     record.update(total=float(total), ratio=float(total / mass),
                   sup_density=float(np.max(sups)))
     return record

@@ -24,7 +24,7 @@ from collections import deque
 
 import numpy as np
 
-from ._util import BLOCK_ELEMENTS, dump_json
+from ._util import BLOCK_ELEMENTS, dump_json, ordered_sum, ragged, segment_sums
 from .beta import beta2, jones_integrals
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
@@ -83,19 +83,15 @@ class CoronaTree:
         members = self.lattice.cells[top_id].point_indices
         return members[self._atom_owner[members] == top_id]
 
-    def good_mass(self, top_id: int) -> float:
-        return float(np.sum(self.measure.weights[self.good_points(top_id)]))
-
     def good_masses(self) -> list[float]:
-        """``good_mass`` per top, in the order of ``tops``: a one-atom
-        top's is its weight, or 0.0 where a deeper top took its atom."""
+        """np.sum over the weights of ``good_points`` per top, in the
+        order of ``tops``."""
         tops = np.array(self.tops)
-        atoms = self.lattice.members.reshape(-1)[self.lattice.bounds[tops]]
-        masses = np.where(self._atom_owner[atoms] == tops,
-                          self.measure.weights[atoms], 0.0)
-        for j in np.flatnonzero(self.lattice.sizes[tops] > 1).tolist():
-            masses[j] = self.good_mass(self.tops[j])
-        return masses.tolist()
+        row, at = ragged(self.lattice.bounds[tops], self.lattice.sizes[tops])
+        atoms = self.lattice.members.reshape(-1)[at]
+        good = self._atom_owner[atoms] == tops[row]
+        return segment_sums(self.measure.weights[atoms[good]], row[good],
+                            tops.size).tolist()
 
     def packing_terms(self) -> list[float]:
         """theta(B_R)^2 mu(R) per tree root R, in the order of ``tops``."""
@@ -128,11 +124,10 @@ def build_corona(
     cell without reaching a new root stays in the current tree untested.
 
     The ball statistics come one level at a time: one batched query per
-    level (``ball_batches``) finds every cell's 1.1 B_Q, and beta2 takes
-    the atoms of each ball of two atoms or more from there (a one-atom
-    ball holds only the centre, so beta2 = 0).  theta(B_Q), the reference
-    density of a cell that becomes a tree root, reads the same atoms
-    within 28 r(Q).  Owners are then set level by level.
+    level (``ball_batches``) finds every cell's 1.1 B_Q, whose atoms give
+    theta(1.1 B_Q) and, within 28 r(Q), theta(B_Q), the reference density
+    of a cell that becomes a tree root (``_ball_statistics``).  beta2 fits
+    the balls of two atoms or more.  Owners are then set level by level.
     """
     if not 1.0 < a_stop < np.inf:
         raise ValueError(f"a_stop must be finite and exceed 1, got {a_stop}")
@@ -140,7 +135,7 @@ def build_corona(
         raise ValueError(f"tau must be finite and positive, got {tau}")
     measure = lattice.measure
     n_cells = len(lattice.cells)
-    beta_terms = np.empty(n_cells)
+    beta_terms = np.zeros(n_cells)
     theta_big = np.empty(n_cells)
     theta_own = np.empty(n_cells)
     for k in range(lattice.max_depth + 1):
@@ -191,10 +186,11 @@ def _ball_statistics(lattice, ids, beta_terms, theta_big, theta_own):
     deepest cells sit near it), so it always holds B_Q.  A level's cells
     share r(Q), so both radii are one number per level.
 
-    A 1.1 B_Q that holds one atom holds only the centre, which beta2 fits
-    exactly: beta2 = 0.0, and both densities are the centre's weight over
-    the radius to the n.  Those cells are filled from arrays; beta2 runs on
-    the balls of two atoms or more.
+    Both masses of every ball of a chunk come from ``segment_sums``, each
+    np.sum over the ball's weights in index order.  A 1.1 B_Q that holds
+    one atom holds only the centre, which a plane fits exactly, so its
+    beta_terms entry stays 0.0 and beta2 runs on the balls of two atoms or
+    more.
     """
     measure = lattice.measure
     n = measure.target_dim
@@ -203,20 +199,18 @@ def _ball_statistics(lattice, ids, beta_terms, theta_big, theta_own):
     radius = max(DENSITY_BALL_FACTOR * COVER_FACTOR
                  * float(lattice.radius[ids.start]), measure.r_min)
     for at, atoms, dist, bounds in measure.ball_batches(centers, radius):
-        sizes = np.diff(bounds)
-        lone = np.flatnonzero(sizes == 1)
-        weights = measure.weights[atoms[bounds[lone]]]
-        cells = ids.start + at + lone
-        theta_big[cells] = weights / radius**n
-        beta_terms[cells] = 0.0
-        theta_own[cells] = weights / own**n
+        sizes, first = np.diff(bounds), ids.start + at
+        count = sizes.size
+        row = np.repeat(np.arange(count), sizes)
+        weights, inside = measure.weights[atoms], dist <= own
+        cells = slice(first, first + count)
+        theta_big[cells] = segment_sums(weights, row, count) / radius**n
+        theta_own[cells] = segment_sums(weights[inside], row[inside],
+                                        count) / own**n
         for j in np.flatnonzero(sizes > 1).tolist():
-            lo, hi, cid = bounds[j], bounds[j + 1], ids.start + at + j
+            lo, hi = bounds[j], bounds[j + 1]
             res = beta2(measure, Ball(centers[at + j], radius), atoms[lo:hi])
-            theta_big[cid] = res.mass / radius**n
-            beta_terms[cid] = res.value**2 * theta_big[cid]
-            inside = atoms[lo:hi][dist[lo:hi] <= own]
-            theta_own[cid] = np.sum(measure.weights[inside]) / own**n
+            beta_terms[first + j] = res.value**2 * theta_big[first + j]
 
 
 class TreeGeometry:
@@ -238,8 +232,7 @@ class TreeGeometry:
     @property
     def b0(self) -> Ball:
         """B0(R), a hair larger than the big ball B_R."""
-        return Ball(self.top.center,
-                    B0_RADIUS_FACTOR * self.lattice.a0 ** (-self.top.level))
+        return Ball(self.top.center, B0_RADIUS_FACTOR * self.top.radius)
 
     def d_r(self, points: np.ndarray) -> np.ndarray:
         """min over tree cells Q of |x - z_Q| + l(Q), per row of points."""
@@ -299,18 +292,13 @@ def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
     """
     measure = corona.measure
     terms = corona.packing_terms()
-    lhs = 0.0
-    for term in terms:
-        lhs += term
-    rhs = terms[0]    # the root leads ``tops``
+    lhs = float(ordered_sum(terms))
     r_lo = measure.r_min
     r_hi = corona.lattice.cells[corona.root_id].side
     jones = jones_integrals(measure, measure.points, r_lo, r_hi,
                             scales_per_octave)
-    energy = 0.0
-    for w, value in zip(measure.weights, jones):
-        energy += w * value
-    rhs += energy
+    energy = float(ordered_sum(measure.weights * jones))
+    rhs = terms[0] + energy    # the root leads ``tops``
     return {
         "lhs": lhs,
         "rhs": rhs,

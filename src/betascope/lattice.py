@@ -47,7 +47,7 @@ import math
 import numpy as np
 
 from ._util import (BLOCK_ELEMENTS, chunks, diameter_candidates, dump_json,
-                    max_sq_pair_distance, ragged)
+                    max_sq_pair_distance, ragged, segment_sums)
 from .measure import WeightedPointMeasure, _Sweep
 
 __all__ = [
@@ -111,9 +111,6 @@ class Cell:
         lo, hi = self.lattice.child_bounds[self.id:self.id + 2]
         return self.lattice.children[lo:hi].tolist()
 
-    def mass(self, measure: WeightedPointMeasure) -> float:
-        return float(np.sum(measure.weights[self.point_indices]))
-
 
 class Lattice:
     """The cell hierarchy as arrays indexed by cell id, laid out as the
@@ -165,15 +162,11 @@ class Lattice:
         return self.cells[cell_id]
 
     def masses(self, ids) -> np.ndarray:
-        """mu(Q) per cell id, as ``Cell.mass`` takes it: a one-atom cell's
-        mass is its weight, the others np.sum over their atoms."""
+        """mu(Q) per cell id: np.sum over the cell's atoms in index order."""
         ids = np.asarray(ids)
-        flat, weights = self.members.reshape(-1), self.measure.weights
-        masses = weights[flat[self.bounds[ids]]]
-        for j in np.flatnonzero(self.sizes[ids] > 1).tolist():
-            lo, hi = self.bounds[ids[j]:ids[j] + 2]
-            masses[j] = np.sum(weights[flat[lo:hi]])
-        return masses
+        row, at = ragged(self.bounds[ids], self.sizes[ids])
+        atoms = self.members.reshape(-1)[at]
+        return segment_sums(self.measure.weights[atoms], row, ids.size)
 
     def first_flagged(self, flags, atoms, level: int = 0):
         """Per atom, the coarsest cell from ``level`` down its chain whose
@@ -377,29 +370,11 @@ def _ball_masses(measure, centers, radii, local=None):
     own_only = np.ones(len(centers), dtype=bool)
     for at, atoms, _, bounds in measure.ball_batches(centers, radii):
         rows = np.repeat(np.arange(bounds.size - 1), np.diff(bounds))
-        masses[at:at + bounds.size - 1] = _segment_sums(
+        masses[at:at + bounds.size - 1] = segment_sums(
             measure.weights[atoms], rows, bounds.size - 1)
         if local is not None:
             own_only[at + rows[local[atoms] != at + rows]] = False
     return masses, own_only
-
-
-def _segment_sums(values, row, rows) -> np.ndarray:
-    """Per j < rows, np.sum(values[row == j]); ``row`` is nondecreasing.
-
-    A C-contiguous (m, n) array summed along axis 1 takes each row as
-    np.sum takes it alone, so the segments go in blocks of equal length.
-    """
-    counts = np.bincount(row, minlength=rows)
-    values = values[np.argsort(counts[row], kind="stable")]
-    by_length = np.argsort(counts, kind="stable")
-    sums = np.empty(rows)
-    start = done = 0
-    for n, m in zip(*np.unique(counts, return_counts=True)):
-        block = values[start:start + n * m].reshape(m, n)
-        sums[by_length[done:done + m]] = block.sum(axis=1)
-        start, done = start + n * m, done + m
-    return sums
 
 
 def _distances(points, first, second) -> np.ndarray:
@@ -480,8 +455,8 @@ def _layer_masses(lattice, k, lambdas):
     cap = max(widths)
 
     def layers(atoms, dist, row, rows):
-        return np.stack([_segment_sums(measure.weights[atoms][dist <= w],
-                                       row[dist <= w], rows)
+        return np.stack([segment_sums(measure.weights[atoms][dist <= w],
+                                      row[dist <= w], rows)
                          for w in widths], axis=1)
 
     members = lattice.members[k]

@@ -120,23 +120,22 @@ def _least_sq_gap(sites: np.ndarray) -> float:
     some pair exactly k apart, so the sweep stops once the least squared
     gap along the axis at offset k reaches the least squared distance
     found.  Rounding keeps a squared distance at least its axis term, so
-    the stop is exact, and each pair is scored with a dense scan's
-    arithmetic.  Memory stays O(N).
+    the stop is exact.  Each pair is scored with a dense scan's arithmetic,
+    ``(diff**2).sum(-1)`` over C-contiguous (pairs, d) rows, which adds
+    up to 7 squares in order and 8 or more pairwise.  Memory stays O(N).
     """
     axis, order = _sweep_order(sites)
-    # one contiguous row per coordinate, sites in sweep order
-    coords = np.ascontiguousarray(sites[order].T)
+    sites = sites[order]
     best = math.inf
-    for k in range(1, coords.shape[1]):
-        diff = coords[:, k:] - coords[:, :-k]
-        gap = float(diff[axis].min())
+    for k in range(1, sites.shape[0]):
+        diff = sites[k:] - sites[:-k]
+        gap = float(diff[:, axis].min())
         if gap * gap >= best:
             break
         # a square that overflows is +inf, a gap that cannot be the least
         with np.errstate(over="ignore"):
             diff *= diff
-            # summed over coordinates in order, as (diff**2).sum(-1) does
-            best = min(best, float(diff.sum(axis=0).min()))
+            best = min(best, float(diff.sum(-1).min()))
     return best
 
 

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from ._util import geometric_grid
+from ._util import geometric_grid, ordered_sum
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
 from .beta import (_jones_grid, _jones_values, _plane_residual_sq,
@@ -117,9 +117,8 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
             block, radii, counts[:, cuts:], log_rho, measure.target_dim)
 
     squares, jones = radial_pass(measure, measure.points, visit)
-    # atom by atom in index order, which fixes the summation order:
-    # cumsum adds the rows one after another whatever their shape
-    energies = np.cumsum(measure.weights[:, None] * squares, axis=0)[-1]
+    # atom by atom in index order, which fixes the summation order
+    energies = ordered_sum(measure.weights[:, None] * squares)
     lhs = float(np.max(energies))
     rhs = measure.total_mass + float(measure.weights @ jones)
     return {

@@ -89,7 +89,7 @@ class TestStructure:
             stopped.update(lat.cell(s).point_indices)
         n = len(lat.root.point_indices)
         assert sorted(good) == sorted(set(range(n)) - stopped)
-        gm = cluster_corona.good_mass(root)
+        gm = cluster_corona.good_masses()[0]
         assert gm == pytest.approx(
             float(lat.measure.weights[list(good)].sum())
             if len(good) else 0.0)
@@ -270,7 +270,19 @@ def old_tree_density_audit(corona):
 
 def old_packing_term(corona, top):
     cell = corona.lattice.cells[top]
-    return old_theta_ref(corona, top) ** 2 * cell.mass(corona.measure)
+    return old_theta_ref(corona, top) ** 2 * float(
+        np.sum(corona.measure.weights[cell.point_indices]))
+
+
+@pytest.mark.parametrize("name", CORONAS)
+def test_masses_are_np_sum_over_cells_and_good_points(request, name):
+    corona = request.getfixturevalue(name)
+    weights = corona.measure.weights
+    assert corona.lattice.masses(corona.tops).tolist() == [
+        np.sum(weights[corona.lattice.cells[top].point_indices])
+        for top in corona.tops]
+    assert corona.good_masses() == [np.sum(weights[corona.good_points(top)])
+                                    for top in corona.tops]
 
 
 @pytest.mark.parametrize("name", CORONAS)

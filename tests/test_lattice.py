@@ -10,6 +10,7 @@ from betascope import (WeightedPointMeasure, boundary_audit, build_lattice,
                        cantor4, check_lattice, cover_by_doubling,
                        lattice_to_json, lipschitz_graph, segment, square_area)
 from betascope import lattice as lattice_mod
+from betascope._util import ordered_sum, segment_sums
 from betascope.lattice import (COVER_FACTOR, DOUBLING_FACTOR, FIVE_B,
                                NET_FACTOR)
 from betascope.measure import _TREE_SLACK
@@ -932,7 +933,31 @@ def test_segment_sums_match_np_sum():
     values = rng.random(sizes.sum()) * 10.0 ** rng.integers(-8, 8,
                                                             sizes.sum())
     row = np.repeat(np.arange(sizes.size), sizes)
-    sums = lattice_mod._segment_sums(values, row, sizes.size)
+    sums = segment_sums(values, row, sizes.size)
     starts = np.cumsum(sizes) - sizes
     assert sums.tolist() == [np.sum(values[a:a + n])
                              for a, n in zip(starts, sizes)]
+
+
+def test_ordered_sum_is_the_python_loop():
+    rng = np.random.default_rng(5)
+    # magnitudes far apart, so the order of the additions shows
+    values = rng.random((300, 4)) * 10.0 ** rng.integers(-8, 8, (300, 4))
+    for column in values.T:
+        total = 0.0
+        for value in column:
+            total += value
+        assert ordered_sum(column) == total
+    rows = np.zeros(4)
+    for row in values:
+        rows = rows + row
+    assert ordered_sum(values).tolist() == rows.tolist()
+    assert ordered_sum(values[:1]).tolist() == values[0].tolist()
+
+
+@pytest.mark.parametrize("family", sorted(FLAG_FAMILIES))
+def test_masses_are_np_sum_over_each_cell(family):
+    lat = FLAG_FAMILIES[family]()
+    weights = lat.measure.weights
+    assert lat.masses(np.arange(len(lat.cells))).tolist() == [
+        np.sum(weights[cell.point_indices]) for cell in lat.cells]

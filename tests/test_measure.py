@@ -450,6 +450,20 @@ def test_diameter_equals_the_dense_scan(name):
     assert SWEEP_INPUTS[name].diameter == math.sqrt(dense)
 
 
+@pytest.mark.parametrize("dim", [8, 12])
+def test_r_min_of_eight_coordinates_or_more_equals_the_dense_scan(dim):
+    # from 8 coordinates on, (diff**2).sum(-1) adds the squares pairwise
+    # rather than in order, and the last bit of a distance can differ
+    for seed in range(20):
+        pts = np.random.default_rng(seed).uniform(size=(40, dim))
+        m = WeightedPointMeasure(pts, np.ones(40), 1)
+        others = (np.delete(pts, i, axis=0) - p for i, p in enumerate(pts))
+        dense = min(float((diff**2).sum(-1).min()) for diff in others)
+        assert m.r_min == 0.5 * math.sqrt(dense)
+        assert m.diameter == math.sqrt(
+            max(float(((pts - p) ** 2).sum(-1).max()) for p in pts))
+
+
 def test_r_min_falls_back_when_the_squared_gap_underflows():
     m = WeightedPointMeasure([[0.0, 0.0], [0.0, 1.5e-258]], [1.0, 1.0], 1)
     assert m.r_min == 1.0
