@@ -294,7 +294,6 @@ def condition_check(
     idx = measure.ball_indices(ball.center, ball.radius)
     mass = float(np.sum(measure.weights[idx]))
     record = {
-        "ball_center": [float(v) for v in ball.center],
         "ball_radius": float(ball.radius),
         "mass": mass,
         "atoms": int(idx.size),

@@ -252,9 +252,9 @@ def _cmd_corona(args) -> int:
         },
         {
             "name": "tree_density",
-            "lhs": density["max_ratio"],
+            "lhs": density,
             "rhs": args.a_stop,
-            "ratio": density["max_ratio"] / args.a_stop,
+            "ratio": density / args.a_stop,
             "samples": len(corona.tops),
             "params": {"a_stop": args.a_stop, "tau": args.tau},
         },
@@ -477,7 +477,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -78,14 +78,9 @@ class CoronaTree:
     def root_id(self) -> int:
         return self.tops[0]
 
-    def good_points(self, top_id: int) -> np.ndarray:
-        """Atoms of the tree root never captured by a deeper top."""
-        members = self.lattice.cells[top_id].point_indices
-        return members[self._atom_owner[members] == top_id]
-
     def good_masses(self) -> list[float]:
-        """np.sum over the weights of ``good_points`` per top, in the
-        order of ``tops``."""
+        """Per top, in the order of ``tops``, np.sum over the weights of
+        its cell's atoms that no deeper top captures, in member order."""
         tops = np.array(self.tops)
         row, at = ragged(self.lattice.bounds[tops], self.lattice.sizes[tops])
         atoms = self.lattice.members.reshape(-1)[at]
@@ -219,15 +214,12 @@ class TreeGeometry:
     def __init__(self, corona: CoronaTree, top_id: int):
         if top_id not in corona.trees:
             raise ValueError(f"cell {top_id} is not a top cell")
-        self.corona = corona
         self.lattice = corona.lattice
         self.measure = corona.measure
         self.top = self.lattice.cells[top_id]
         ids = corona.trees[top_id]
         self._centers = self.measure.points[self.lattice.center_index[ids]]
         self._sides = self.lattice.side[ids]
-        self._dr_atoms: np.ndarray | None = None
-        self._reg: list[int] | None = None
 
     @property
     def b0(self) -> Ball:
@@ -246,11 +238,6 @@ class TreeGeometry:
             out[lo:hi] = np.min(dist + self._sides[None, :], axis=1)
         return out
 
-    def d_r_atoms(self) -> np.ndarray:
-        if self._dr_atoms is None:
-            self._dr_atoms = self.d_r(self.measure.points)
-        return self._dr_atoms
-
     def phi(self, points: np.ndarray) -> np.ndarray:
         return self.d_r(points) / (PHI_SCALE * self.lattice.a0**2)
 
@@ -262,12 +249,10 @@ class TreeGeometry:
         each contributes the first (coarsest) cell on its root-to-leaf
         chain with l(Q) <= (1/60) min over member atoms of d_R.  The rule
         is monotone along chains, so first-true cells are maximal and the
-        emitted family is pairwise disjoint.
+        emitted family is pairwise disjoint.  d_R is taken afresh per call.
         """
-        if self._reg is not None:
-            return self._reg
         lattice = self.lattice
-        dr = self.d_r_atoms()
+        dr = self.d_r(self.measure.points)
         # the deepest level's side is the last cell's
         floor = REG_FACTOR * lattice.side[-1]
         b0 = self.b0
@@ -278,8 +263,7 @@ class TreeGeometry:
                                        lattice.bounds[:-1])
         cells, hit = lattice.first_flagged(
             lattice.side <= cell_min / REG_FACTOR, candidates)
-        self._reg = np.unique(cells[hit]).tolist()
-        return self._reg
+        return np.unique(cells[hit]).tolist()
 
 
 def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
@@ -305,16 +289,14 @@ def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
         "ratio": lhs / rhs if rhs > 0 else 0.0,
         "tops": len(corona.tops),
         "jones_energy": energy,
-        "scales_per_octave": scales_per_octave,
     }
 
 
-def tree_density_audit(corona: CoronaTree) -> dict:
-    """Per tree, the max of theta(1.1 B_Q)/theta(B_R) over its cells.
+def tree_density_audit(corona: CoronaTree) -> float:
+    """The tree constant: max of theta(1.1 B_Q)/theta(B_R) over Q in Tree(R).
 
     Cells that passed the density test obey the a_stop bound by
-    construction; untested cells below triggered ones are reported here so
-    the empirical tree constant is visible.
+    construction; untested cells below triggered ones can exceed it.
     """
     # every top owns itself, so each owner heads one run of cells
     order = np.argsort(corona.owner, kind="stable")
@@ -322,14 +304,10 @@ def tree_density_audit(corona: CoronaTree) -> dict:
     heads = np.flatnonzero(np.diff(owners, prepend=-1))
     peaks = np.maximum.reduceat(corona.theta_big[order], heads)
     at = np.searchsorted(owners[heads], corona.tops)
-    per_tree = {}
-    worst = 0.0
-    for top, peak in zip(corona.tops, peaks[at].tolist()):
-        # dividing by the positive ref is monotone: max of the quotients
-        peak = peak / corona.theta_ref[top]
-        per_tree[top] = peak
-        worst = max(worst, peak)
-    return {"per_tree": per_tree, "max_ratio": worst}
+    refs = np.array([corona.theta_ref[top] for top in corona.tops])
+    # dividing by the positive ref is monotone: max of the quotients;
+    # fmax skips a NaN (inf / inf) as a Python max loop from 0.0 does
+    return float(np.fmax.reduce(peaks[at] / refs, initial=0.0))
 
 
 def corona_to_json(corona: CoronaTree, path=None):

@@ -14,7 +14,6 @@ and the fallback is 1.0, which callers can override.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -540,15 +539,13 @@ class RadialBlock:
         return self
 
     def count(self, radii) -> np.ndarray:
-        """Atoms in the closed balls B(x, r), a row per centre: over every
-        radius of a 1-d ``radii``, or over row i of a 2-d one for centre i.
-        """
+        """Atoms in the closed balls B(x, r), a row per centre and a column
+        per radius of ``radii`` (a scalar or a 1-d array shared by every
+        centre)."""
         radii = np.asarray(radii, dtype=float)
-        shape = (self.rows,) + radii.shape[radii.ndim > 1:]
-        per_row = radii if radii.ndim > 1 else itertools.repeat(radii)
-        return np.array([np.searchsorted(dist, r, side="right")
-                         for dist, r in zip(self.dist, per_row)],
-                        dtype=np.intp).reshape(shape)
+        return np.array([np.searchsorted(dist, radii, side="right")
+                         for dist in self.dist],
+                        dtype=np.intp).reshape((self.rows,) + radii.shape)
 
     @property
     def near(self) -> np.ndarray:
@@ -687,12 +684,16 @@ def load_json(path) -> WeightedPointMeasure:
         weights = np.asarray(payload["weights"], dtype=float)
     except TypeError as exc:
         raise ValueError(f"{path}: points and weights must be numbers") from exc
+    if points.shape == (0,):
+        raise ValueError(f"{path}: no atoms")
     if points.ndim != 2 or points.shape[1] != payload["dim"]:
         raise ValueError(f"{path}: points do not match declared dim")
-    if weights.size and ((~np.isfinite(weights)).any() or (weights <= 0).any()):
+    if weights.shape != points.shape[:1]:
+        raise ValueError(f"{path}: weights must hold one number per atom")
+    if (~np.isfinite(weights)).any() or (weights <= 0).any():
         bad = int(np.argmax(~np.isfinite(weights) | (weights <= 0)))
         raise ValueError(f"{path}: atom {bad}: weight must be finite and > 0")
-    if points.size and (~np.isfinite(points)).any():
+    if (~np.isfinite(points)).any():
         bad = int(np.argmax((~np.isfinite(points)).any(axis=1)))
         raise ValueError(f"{path}: atom {bad}: coordinates must be finite")
     return WeightedPointMeasure(points, weights, payload["n"])

@@ -366,7 +366,8 @@ def t_phi_eps(kernel, measure, centers, eps, phi_centers,
         raise ValueError(f"eps must be >= 0, got {eps.min()}")
 
     def read(block, suffix, rows):
-        counts = block.count(eps[rows, None])[:, 0]
+        # on a sorted row this count is the right-sided search
+        counts = np.count_nonzero(block.dist <= eps[rows, None], axis=1)
         return suffix[np.arange(block.rows), counts]
 
     return _suffix_pass(kernel, measure, centers, read, phi_centers,
@@ -374,32 +375,26 @@ def t_phi_eps(kernel, measure, centers, eps, phi_centers,
 
 
 def t_phi_star(kernel, measure, centers, phi_centers,
-               phi_atoms) -> tuple[np.ndarray, np.ndarray]:
-    """sup over eps > 0 of the suppressed truncation, per centre, with
-    witness cutoffs; arguments as in ``t_phi_eps``.
+               phi_atoms) -> np.ndarray:
+    """sup over eps > 0 of the suppressed truncation's norm, one per
+    centre; arguments as in ``t_phi_eps``.
 
     The sum beyond eps changes only where eps crosses an atom distance, so
     the sup is a max over the suffix entries that start a run of equal
-    positive distances, and the final zero.  The witness is the distance
-    before the entry, or half the first positive one.  A centre with no
-    atom at a positive distance gets (0.0, 0.0).
+    positive distances, and the final zero.  A centre with no atom at a
+    positive distance gets 0.0.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if measure.is_empty:
-        return np.zeros(centers.shape[0]), np.zeros(centers.shape[0])
+        return np.zeros(centers.shape[0])
 
     def read(block, suffix, rows):
-        dist, at = block.dist, np.arange(block.rows)
-        near, size = block.near, dist.shape[1]
+        dist, near, size = block.dist, block.near, block.dist.shape[1]
         starts = np.ones((block.rows, size + 1), dtype=bool)
         starts[:, 1:size] = dist[:, 1:] != dist[:, :-1]
         starts &= np.arange(size + 1) >= near[:, None]
         norms = np.where(starts, np.linalg.norm(suffix, axis=2), -np.inf)
-        best = np.argmax(norms, axis=1)
-        witness = np.where(best == near,
-                           dist[at, np.minimum(near, size - 1)] / 2,
-                           dist[at, np.maximum(best - 1, 0)])
-        return tuple(np.where(near < size, (norms[at, best], witness), 0.0))
+        return np.where(near < size, norms.max(axis=1), 0.0)
 
     return _suffix_pass(kernel, measure, centers, read, phi_centers,
                         phi_atoms)

@@ -195,7 +195,7 @@ def cotlar_check(measure, kernel, corona, top_id: int,
 
     sample = _strided(np.arange(sigma.size), max_samples)
     points = sigma.points[sample]
-    stars, _ = t_phi_star(kernel, sigma, points, phi_sigma[sample], phi_sigma)
+    stars = t_phi_star(kernel, sigma, points, phi_sigma[sample], phi_sigma)
     rhss = (m_tilde(sigma, t_vals, points, variant="plain")
             + m_tilde(sigma, ones, points, variant="3/2"))
     flagged = 0
@@ -231,8 +231,7 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
     theta_ref = corona.theta_ref[top_id]
     sample = _strided(corona.lattice.cells[top_id].point_indices, max_samples)
     points = measure.points[sample]
-    stars, _ = t_phi_star(kernel, sigma, points, geometry.phi(points),
-                          phi_sigma)
+    stars = t_phi_star(kernel, sigma, points, geometry.phi(points), phi_sigma)
     excesses = [
         max(0.0, float(np.linalg.norm(k_r_chain(
             corona, kernel, bump, top_id, int(atom)))) - star) / theta_ref

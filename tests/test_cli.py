@@ -167,6 +167,14 @@ class TestCliExitCodes:
             ("bool_n.json", '{"dim": 2, "n": true, %s}' % atom),
             ("dict_weights.json",
              '{"dim": 2, "n": 1, "points": [[0.0, 0.0]], "weights": {}}'),
+            ("row_weights.json", '{"dim": 2, "n": 1, "points": '
+             '[[0.0, 0.0], [1.0, 0.0]], "weights": [[1, 2]]}'),
+            ("column_weights.json", '{"dim": 2, "n": 1, "points": '
+             '[[0.0, 0.0], [1.0, 0.0]], "weights": [[1], [2]]}'),
+            ("scalar_weights.json",
+             '{"dim": 2, "n": 1, "points": [[0.0, 0.0]], "weights": 5}'),
+            ("no_atoms.json",
+             '{"dim": 2, "n": 1, "points": [], "weights": []}'),
             ("syntax.json", '{"dim": 2, "n": 1,'),
             ("missing.csv", None),
         ]
@@ -181,6 +189,25 @@ class TestCliExitCodes:
             assert r.stderr.startswith("error:"), (name, r.stderr)
             assert "Traceback" not in r.stderr, name
             assert r.stderr.count(str(bad)) == 1, (name, r.stderr)
+
+    def test_float_range_errors_are_one(self, tmp_path):
+        # capacity: the tail's diam ** (2n + 2) underflows to a zero
+        # divisor; corona and verify: theta(B_R) ** 2 overflows a float
+        graph = lipschitz_graph(50)
+        tiny, heavy = tmp_path / "tiny.csv", tmp_path / "heavy.csv"
+        save_csv(WeightedPointMeasure(graph.points * 1e-150, graph.weights,
+                                      1), tiny)
+        save_csv(WeightedPointMeasure(graph.points,
+                                      np.full(graph.size, 1e300), 1), heavy)
+        for command, data in (("capacity", tiny), ("corona", heavy),
+                              ("verify", heavy)):
+            rep = tmp_path / f"{command}.json"
+            r = run_cli(command, "--input", str(data), "--out", str(rep))
+            assert r.returncode == 1, (command, r.stderr)
+            assert r.stderr.splitlines()[-1].startswith("error:"), \
+                (command, r.stderr)
+            assert "Traceback" not in r.stderr, command
+            assert not rep.exists(), command
 
     def test_non_finite_constant_is_one(self, tmp_path):
         mfile = tmp_path / "m.csv"

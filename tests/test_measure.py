@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -335,6 +336,20 @@ class TestSerialization:
         back = load_json(path)
         assert np.array_equal(back.points, m.points)
         assert np.array_equal(back.weights, m.weights)
+
+    @pytest.mark.parametrize("points, weights, message", [
+        ([[0.0, 0.0], [1.0, 0.0]], [[1.0, 2.0]], "one number per atom"),
+        ([[0.0, 0.0], [1.0, 0.0]], [[1.0], [2.0]], "one number per atom"),
+        ([[0.0, 0.0]], 5.0, "one number per atom"),
+        ([], [], "no atoms"),
+    ], ids=["row", "column", "scalar", "empty"])
+    def test_json_rejects_weights_off_the_atoms(self, tmp_path, points,
+                                                weights, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"dim": 2, "n": 1, "points": points,
+                                    "weights": weights}))
+        with pytest.raises(ValueError, match=message):
+            load_json(path)
 
     def test_csv_header_carries_dims(self, tmp_path):
         m = small_measure(1)

@@ -294,7 +294,7 @@ NO_CENTRES = {
         [(0, 2)]),
     "t_phi_star": (
         lambda m, k, xs: t_phi_star(k, m, xs, np.zeros(0), np.ones(m.size)),
-        [(0,), (0,)]),
+        [(0,)]),
     "m_tilde": (
         lambda m, k, xs: m_tilde(m, np.ones(m.size), xs, variant="3/2"),
         [(0,)]),
