@@ -107,34 +107,26 @@ def beta2(measure: WeightedPointMeasure, ball: Ball,
 
 
 class BetaProfile:
-    """All-scales flatness of a single centre in O(log N) per radius.
+    """All-scales flatness of a single centre.
 
-    Sorting the atoms by distance to the centre once makes every closed
-    ball a prefix of the sorted order; prefix sums of the weights and of
-    the first and second weighted moments (taken about the centre, so every
-    entry is O(r)) then give the in-ball covariance for any radius without
-    revisiting the atoms.  The trailing eigenvalue route loses the last
-    ~1e-8 of absolute accuracy on exactly flat data compared to beta2's
-    direct residual; quantities integrated over scales tolerate that.
-
-    This is the one-centre case of the blocked pass behind
-    ``jones_integrals``; ``cum_w``, ``cum_first`` and ``cum_second`` are
-    its moment sums at every prefix.
+    Every closed ball about the centre is a prefix of the atoms in order
+    of distance from it, so one radial pass at the centre answers any
+    radii: the one-centre case of the pass behind ``beta_profile_rows``.
+    The trailing eigenvalue route loses the last ~1e-8 of absolute
+    accuracy on exactly flat data compared to beta2's direct residual;
+    quantities integrated over scales tolerate that.
     """
 
     def __init__(self, measure: WeightedPointMeasure, center):
-        center = np.asarray(center, dtype=float).reshape(-1)
-        self.n = measure.target_dim
-        self.block = RadialBlock(measure, 1).sort(center)
-        every = np.arange(measure.size + 1)
-        self.cum_w, self.cum_first, self.cum_second = _moment_sums(
-            self.block, np.zeros_like(every), every)
+        self.measure = measure
+        self.center = np.asarray(center, dtype=float).reshape(1, -1)
 
     def beta_sq_theta(self, radii):
         """Arrays (beta_2^2, theta) over the given radii."""
         radii = np.atleast_1d(np.asarray(radii, dtype=float))
-        beta_sq, theta = _block_flatness(self.block, radii,
-                                         self.block.count(radii), self.n)
+        beta_sq, theta = radial_pass(
+            self.measure, self.center,
+            lambda block: _block_flatness(block, radii, block.count(radii)))
         return beta_sq[0], theta[0]
 
 
@@ -165,7 +157,7 @@ def _moment_sums(block: RadialBlock, rows, counts):
     return block.sums[rows, counts], first, second
 
 
-def _block_flatness(block: RadialBlock, radii, counts, n: int):
+def _block_flatness(block: RadialBlock, radii, counts):
     """The flatness reader: arrays (beta_2^2, theta) over ``radii``, a row
     per centre of ``block``, whose balls hold ``counts`` atoms.
 
@@ -173,6 +165,7 @@ def _block_flatness(block: RadialBlock, radii, counts, n: int):
     hold the same atoms, so each distinct (centre, count) gets one plane
     fit and every radius of it reads its residual.
     """
+    n = block.target_dim
     beta_sq = np.zeros(counts.shape)
     theta = np.zeros(counts.shape)
     held = counts > 0
@@ -204,10 +197,9 @@ def _plane_residuals(W, S1, S2, n: int):
     return np.clip(eigvals[:, : S1.shape[1] - n].sum(axis=1), 0.0, None)
 
 
-def _jones_values(block: RadialBlock, radii, counts, log_rho: float,
-                  n: int) -> np.ndarray:
+def _jones_values(block: RadialBlock, radii, counts, log_rho: float):
     """Each row's left Riemann sum of beta_2^2 theta over ``radii``."""
-    beta_sq, theta = _block_flatness(block, radii, counts, n)
+    beta_sq, theta = _block_flatness(block, radii, counts)
     return np.sum(beta_sq * theta, axis=1) * log_rho
 
 
@@ -251,10 +243,9 @@ def jones_integrals(
     if int(scales_per_octave) < 1:
         raise ValueError("scales_per_octave must be >= 1")
     radii, log_rho = _jones_grid(r_lo, r_hi, scales_per_octave)
-    n = measure.target_dim
 
     def visit(block):
-        values = _jones_values(block, radii, block.count(radii), log_rho, n)
+        values = _jones_values(block, radii, block.count(radii), log_rho)
         return values if floor is None else (values, block.sup_density(floor))
 
     return radial_pass(measure, centers, visit)
@@ -327,8 +318,7 @@ def beta_profile_rows(
     radii, _ = _jones_grid(float(r_lo), float(r_hi), scales_per_octave)
     beta_sq, theta = radial_pass(
         measure, centers,
-        lambda block: _block_flatness(block, radii, block.count(radii),
-                                      measure.target_dim))
+        lambda block: _block_flatness(block, radii, block.count(radii)))
     return [
         [(float(r), float(math.sqrt(b)), float(t))
          for r, b, t in zip(radii, beta_row, theta_row)]

@@ -147,7 +147,7 @@ def _cmd_analyze(args) -> int:
     # the centroid ball holds every atom, so its pass gives c0 as well
     c0 = cond.get("sup_density")
     if c0 is None:
-        c0 = measure.growth_constant(exact=True)
+        c0 = measure.growth_constant()
     checks = [
         {
             "name": "growth_constant",
@@ -477,8 +477,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except (InputError, ValueError, ArithmeticError) as exc:
+    except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        # capacity reads a list of inputs, generate none
+        inputs = np.atleast_1d(getattr(args, "input", "the arguments"))
+        print(f"error: a value computed from {', '.join(inputs)} left "
+              f"float64 range ({exc})", file=sys.stderr)
         return 1
 
 

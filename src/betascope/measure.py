@@ -364,37 +364,16 @@ class WeightedPointMeasure:
 
     # -- growth and tails ---------------------------------------------------
 
-    def growth_constant(self, scale_grid=None, exact=False) -> float:
-        """Estimate of c0 = sup over atoms x and radii r of theta(x, r).
-
-        With ``exact=True`` the supremum over r >= r_min is computed per
-        atom from the distance breakpoints (no grid).  Otherwise a
-        ``scale_grid`` of radii is required and the result is the maximum of
-        the density over atoms x grid, a lower estimate of the true sup
-        restricted to r >= r_min.  Either way one blocked radial pass over
-        the atoms reads the mass sums.
-        """
+    def growth_constant(self, *, exact=True) -> float:
+        """c0 = sup over atoms x and radii r >= r_min of theta(x, r), read
+        exactly at each atom's distance breakpoints in one radial pass
+        (``RadialBlock.sup_density``).  ``exact`` admits only True."""
+        if exact is not True:
+            raise ValueError("growth_constant computes the exact sup only")
         if self.is_empty:
             return 0.0
-        if exact:
-            floor = self._r_min
-            return float(np.max(radial_pass(
-                self, self._points, lambda block: block.sup_density(floor))))
-        if scale_grid is None:
-            raise ValueError("growth_constant needs a scale_grid unless exact=True")
-        scale_grid = np.asarray(scale_grid, dtype=float).reshape(-1)
-        if scale_grid.size == 0:
-            raise ValueError("scale_grid is empty")
-        if (scale_grid < self._r_min).any():
-            raise ValueError("scale_grid contains radii below r_min")
-        scale_pow = scale_grid**self._n
-
-        def densest(block):
-            rows = np.arange(block.rows)[:, None]
-            masses = block.sums[rows, block.count(scale_grid)]
-            return np.max(masses / scale_pow, axis=1)
-
-        return float(np.max(radial_pass(self, self._points, densest)))
+        return float(np.max(radial_pass(
+            self, self._points, lambda block: block.sup_density(self._r_min))))
 
     def annulus_tail(self, center, radius: float) -> float:
         """sum over |x_i - x| > r of w_i / |x_i - x|^(n+1).
@@ -460,15 +439,16 @@ class RadialBlock:
     it.  The sort is stable: atoms at equal distance keep their index
     order, which fixes the summation order of every such sum.
 
-    Row i of every array belongs to centre i of the block: ``order`` maps
-    its sorted positions to atom indices, ``dist`` holds the sorted
-    distances, ``mass`` the weights in that order, ``offsets`` (coordinate
-    first) the sorted differences p - x, and ``sums`` the mass's prefix
-    sums, column 0 zero, so ``sums[i, k]`` is the mass of the k nearest
-    atoms of centre i.  Sums of other per-atom values (kernel terms,
-    moments) are taken by the readers of a pass, one array at a time;
-    ``verify.main_lemma_check`` reads each sorted block twice, for its
-    truncation sums and then for its flatness sums.
+    Row i of every array belongs to centre i of the block, which is centre
+    ``centres.start + i`` of its pass (``radial_pass`` sets that slice):
+    ``order`` maps its sorted positions to atom indices, ``dist`` holds
+    the sorted distances, ``mass`` the weights in that order, ``offsets``
+    (coordinate first) the sorted differences p - x, and ``sums`` the
+    mass's prefix sums, column 0 zero, so ``sums[i, k]`` is the mass of
+    the k nearest atoms of centre i.  Sums of other per-atom values
+    (kernel terms, moments) are taken by the readers of a pass, one array
+    at a time; ``verify.main_lemma_check`` reads each sorted block twice,
+    for its truncation sums and then for its flatness sums.
 
     The buffers are allocated once, for ``width`` centres, and every
     ``sort`` writes into them; each array of a block is a view of its
@@ -575,19 +555,22 @@ def radial_pass(measure: WeightedPointMeasure, centers, visit):
     """``visit(block)`` on a RadialBlock sorted about each block of centres.
 
     Each visit returns an array, or a tuple of arrays (lanes), with one
-    row per centre of its block; the result stacks them in centre order,
-    lane by lane.  With no centres one empty block is visited, so every
-    lane still has its trailing shape.  A block holds as many centres as
-    keep each of its arrays within RADIAL_BLOCK_ELEMENTS, at least one:
-    d x centres x (atoms + 1) elements for the offsets.  One block is
-    allocated and re-sorted block after block.
+    row per centre of its block, whose slice of ``centers`` it finds on
+    ``block.centres``; the result stacks them in centre order, lane by
+    lane.  With no centres one empty block is visited, so every lane still
+    has its trailing shape.  A block holds as many centres as keep each of
+    its arrays within RADIAL_BLOCK_ELEMENTS, at least one: d x centres x
+    (atoms + 1) elements for the offsets.  One block is allocated and
+    re-sorted block after block.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
     count = centers.shape[0]
     width = max(1, RADIAL_BLOCK_ELEMENTS // (measure.dim * (measure.size + 1)))
     block = RadialBlock(measure, min(width, count))
-    parts = [visit(block.sort(centers[at:at + width]))
-             for at in range(0, max(count, 1), width)]
+    parts = []
+    for at in range(0, max(count, 1), width):
+        block.centres = slice(at, min(at + width, count))
+        parts.append(visit(block.sort(centers[block.centres])))
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(lane) for lane in zip(*parts))
     return np.concatenate(parts)

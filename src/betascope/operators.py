@@ -10,14 +10,15 @@ The truncated, suppressed and maximal sums over a block of evaluation
 points come from one blocked radial pass (``measure.radial_pass``): each
 point's atoms are sorted by distance once, and its kernel terms are summed
 farthest-first into suffix sums.  Any cutoff of that point is then one
-search in its sorted distances, and every cutoff of the same point sums
-in the same order, whatever the block or the sweep.  Each reader returns
-its block's rows, and the pass stacks them in centre order.  The
-truncation reader (``_cutoff_sums``) is a function of the sorted block
-alone, so ``verify.main_lemma_check`` reads the same block for its
-truncation energies and for its flatness energies: one sort per atom.  A
-kernel with a ``radial`` form takes the block's distances instead of
-recomputing the norms of its offsets.
+search in its sorted distances, and every cutoff of the same point sums in
+the same order, whatever the block or the sweep.  Each reader indexes its
+per-centre inputs (cutoffs, Phi) by the block's ``centres`` and returns
+its block's rows; the pass stacks them in centre order.  The truncation
+reader (``_cutoff_sums``) is a function of the sorted block alone, so
+``verify.main_lemma_check`` reads the same block for its truncation
+energies and for its flatness energies: one sort per atom.  A kernel with
+a ``radial`` form takes the block's distances instead of recomputing the
+norms of its offsets.
 """
 
 from __future__ import annotations
@@ -247,13 +248,13 @@ def _suffix_sums(kernel, block, phi_x=None, phi_y=None) -> np.ndarray:
 
     Entry [i, k] sums the terms of row i from sorted position k on, so
     entry [i, count(r)] is the sum over |p - x| > r and the last entry is
-    zero; the shape is (rows, atoms + 1, out_dim).  Given Phi at the
-    block's centres and at its sorted atoms, each term is damped by the
-    factor of ``suppressed_kernel``, computed from the kernel values
-    already taken.  The atoms at a row's centre lead it at distance 0;
-    the kernel sees a finite stand-in offset and distance there, so the
-    entries before the row's ``near`` count are no sums and must not be
-    looked up.
+    zero; the shape is (rows, atoms + 1, out_dim).  Given Phi at every
+    centre of the pass (``phi_x``) and at every atom (``phi_y``), each
+    term is damped by the factor of ``suppressed_kernel``, computed from
+    the kernel values already taken.  The atoms at a row's centre lead it
+    at distance 0; the kernel sees a finite stand-in offset and distance
+    there, so the entries before the row's ``near`` count are no sums and
+    must not be looked up.
     """
     dim, rows, size = block.offsets.shape
     zero = block.dist == 0.0
@@ -270,8 +271,8 @@ def _suffix_sums(kernel, block, phi_x=None, phi_y=None) -> np.ndarray:
     del diffs
     terms = vals * block.mass.reshape(-1, 1)
     if phi_y is not None:
-        terms *= _damping(kernel, vals, np.repeat(phi_x, size),
-                          phi_y.reshape(-1))[:, None]
+        terms *= _damping(kernel, vals, np.repeat(phi_x[block.centres], size),
+                          phi_y[block.order].reshape(-1))[:, None]
     del vals
     terms = terms.reshape(rows, size, terms.shape[1])
     out = np.empty((rows, size + 1, terms.shape[2]))
@@ -289,33 +290,6 @@ def _cutoff_sums(suffix, block, counts) -> np.ndarray:
     return suffix[np.arange(block.rows)[:, None], counts]
 
 
-def _suffix_pass(kernel, measure, centers, read, phi_centers=None,
-                 phi_atoms=None):
-    """The rows ``read(block, suffix, rows)`` returns on each block of one
-    radial pass, stacked as ``radial_pass`` stacks them.
-
-    ``suffix`` is the block's ``_suffix_sums``, damped by Phi when
-    ``phi_centers`` and ``phi_atoms`` are given, and ``rows`` slices the
-    block's centres.
-    """
-    at = 0
-    if phi_atoms is not None:
-        phi_centers = np.asarray(phi_centers, dtype=float).reshape(-1)
-        phi_atoms = np.asarray(phi_atoms, dtype=float)
-
-    def visit(block):
-        nonlocal at
-        rows, at = slice(at, at + block.rows), at + block.rows
-        if phi_atoms is None:
-            suffix = _suffix_sums(kernel, block)
-        else:
-            suffix = _suffix_sums(kernel, block, phi_centers[rows],
-                                  phi_atoms[block.order])
-        return read(block, suffix, rows)
-
-    return radial_pass(measure, centers, visit)
-
-
 def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
     """T_eps at many centers and cutoffs: shape (centers, cutoffs, out_dim).
 
@@ -323,10 +297,22 @@ def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
     suffix sums (``_cutoff_sums``).
     """
     eps_values = np.asarray(eps_values, dtype=float).reshape(-1)
-    return _suffix_pass(
-        kernel, measure, centers,
-        lambda block, suffix, rows: _cutoff_sums(suffix, block,
-                                                 block.count(eps_values)))
+    return radial_pass(
+        measure, centers,
+        lambda block: _cutoff_sums(_suffix_sums(kernel, block), block,
+                                   block.count(eps_values)))
+
+
+def _phi_values(measure, centers, phi_centers, phi_atoms):
+    """Phi at the centres and at the atoms as float arrays, checked."""
+    phi_x = np.asarray(phi_centers, dtype=float).reshape(-1)
+    phi_y = np.asarray(phi_atoms, dtype=float)
+    if phi_x.shape != centers.shape[:1] or phi_y.shape != (measure.size,):
+        raise ValueError(
+            f"Phi must give one value per centre and one per atom: got "
+            f"shapes {phi_x.shape} and {phi_y.shape}, need "
+            f"({len(centers)},) and ({measure.size},)")
+    return phi_x, phi_y
 
 
 def _damping(kernel, vals, phi_x, phi_y: np.ndarray) -> np.ndarray:
@@ -354,24 +340,25 @@ def t_phi_eps(kernel, measure, centers, eps, phi_centers,
     damped by Phi over |x_i - y| > eps_i.
 
     ``eps`` and ``phi_centers`` (Phi at the centres) hold one value per
-    centre, ``phi_atoms`` one per atom; a single eps serves every centre.
-    Every eps_i is >= 0; at eps_i = 0 the strict inequality leaves out
-    exactly the atoms sitting at x_i, so the row sums over every atom at a
-    positive distance.
+    centre, ``phi_atoms`` one per atom (other Phi lengths raise
+    ValueError); a single eps serves every centre.  Every eps_i is >= 0;
+    at eps_i = 0 the strict inequality leaves out exactly the atoms
+    sitting at x_i, so the row sums over every atom at a positive distance.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     eps = np.broadcast_to(np.asarray(eps, dtype=float).reshape(-1),
-                          centers.shape[:1])
+                          centers.shape[:1])[:, None]
     if not (eps >= 0).all():
         raise ValueError(f"eps must be >= 0, got {eps.min()}")
+    phi_x, phi_y = _phi_values(measure, centers, phi_centers, phi_atoms)
 
-    def read(block, suffix, rows):
+    def visit(block):
+        suffix = _suffix_sums(kernel, block, phi_x, phi_y)
         # on a sorted row this count is the right-sided search
-        counts = np.count_nonzero(block.dist <= eps[rows, None], axis=1)
+        counts = np.count_nonzero(block.dist <= eps[block.centres], axis=1)
         return suffix[np.arange(block.rows), counts]
 
-    return _suffix_pass(kernel, measure, centers, read, phi_centers,
-                        phi_atoms)
+    return radial_pass(measure, centers, visit)
 
 
 def t_phi_star(kernel, measure, centers, phi_centers,
@@ -385,10 +372,10 @@ def t_phi_star(kernel, measure, centers, phi_centers,
     positive distance gets 0.0.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    if measure.is_empty:
-        return np.zeros(centers.shape[0])
+    phi_x, phi_y = _phi_values(measure, centers, phi_centers, phi_atoms)
 
-    def read(block, suffix, rows):
+    def visit(block):
+        suffix = _suffix_sums(kernel, block, phi_x, phi_y)
         dist, near, size = block.dist, block.near, block.dist.shape[1]
         starts = np.ones((block.rows, size + 1), dtype=bool)
         starts[:, 1:size] = dist[:, 1:] != dist[:, :-1]
@@ -396,8 +383,7 @@ def t_phi_star(kernel, measure, centers, phi_centers,
         norms = np.where(starts, np.linalg.norm(suffix, axis=2), -np.inf)
         return np.where(near < size, norms.max(axis=1), 0.0)
 
-    return _suffix_pass(kernel, measure, centers, read, phi_centers,
-                        phi_atoms)
+    return radial_pass(measure, centers, visit)
 
 
 def m_tilde(sigma: WeightedPointMeasure, f, centers,

@@ -114,7 +114,7 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
                              counts[:, :cuts])
         # with no radii every row's flatness sum is empty, so 0.0
         return np.sum(field**2, axis=2), _jones_values(
-            block, radii, counts[:, cuts:], log_rho, measure.target_dim)
+            block, radii, counts[:, cuts:], log_rho)
 
     squares, jones = radial_pass(measure, measure.points, visit)
     # atom by atom in index order, which fixes the summation order

@@ -204,8 +204,9 @@ class TestCliExitCodes:
             rep = tmp_path / f"{command}.json"
             r = run_cli(command, "--input", str(data), "--out", str(rep))
             assert r.returncode == 1, (command, r.stderr)
-            assert r.stderr.splitlines()[-1].startswith("error:"), \
-                (command, r.stderr)
+            last = r.stderr.splitlines()[-1]
+            assert last.startswith("error:"), (command, r.stderr)
+            assert str(data) in last and "float64 range" in last, last
             assert "Traceback" not in r.stderr, command
             assert not rep.exists(), command
 

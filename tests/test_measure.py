@@ -260,16 +260,9 @@ class TestGrowthAndTail:
                 brute = max(brute, m.ball_mass(x, r) / r)
         assert exact == pytest.approx(brute, rel=1e-13)
 
-    def test_grid_estimate_never_exceeds_exact(self):
-        m = small_measure(8)
-        grid = np.geomspace(m.r_min, m.diameter, 60)
-        assert m.growth_constant(scale_grid=grid) <= \
-            m.growth_constant(exact=True) + 1e-12
-
-    def test_grid_below_r_min_rejected(self):
-        m = small_measure(8)
-        with pytest.raises(ValueError):
-            m.growth_constant(scale_grid=[m.r_min / 2.0])
+    def test_growth_constant_has_only_the_exact_mode(self):
+        with pytest.raises(ValueError, match="exact sup only"):
+            small_measure(8).growth_constant(exact=False)
 
     def test_annulus_tail_brute_force_and_strictness(self):
         m = small_measure(9)

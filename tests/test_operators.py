@@ -251,6 +251,21 @@ class TestSuppressedTruncation:
             t_phi_eps(k, m, centers, eps, np.zeros(len(centers)),
                       np.zeros(m.size))
 
+    def test_phi_arrays_must_hold_one_value_per_centre_and_atom(self):
+        m = lipschitz_graph(20)
+        k = riesz_kernel(1, 2)
+        xs = m.points[:4]
+        phi = np.linspace(0.0, 0.3, m.size + 2)
+        # Phi at the atoms too long, at the centres too short, and absent
+        for phi_centers, phi_atoms, need in ((phi[:4], phi, r"\(20,\)"),
+                                             (phi[:3], phi[:20], r"\(4,\)"),
+                                             (None, None, r"\(4,\)")):
+            for run in (lambda: t_phi_eps(k, m, xs, 0.1, phi_centers,
+                                          phi_atoms),
+                        lambda: t_phi_star(k, m, xs, phi_centers, phi_atoms)):
+                with pytest.raises(ValueError, match=f"one value per .*{need}"):
+                    run()
+
     def test_t_phi_star_bounded_by_unsuppressed_lowtrunc(self):
         m = segment(50)
         k = riesz_kernel(1, 2)

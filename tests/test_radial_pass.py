@@ -19,6 +19,7 @@ from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
                        lipschitz_graph, m_tilde, main_lemma_check,
                        packing_audit, riesz_kernel, t_phi_eps, t_phi_star,
                        truncated_field)
+from betascope import measure as measure_module
 from betascope.beta import _jones_grid, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
                                radial_pass)
@@ -260,6 +261,20 @@ def test_blocks_stay_within_the_budget_and_reuse_one_workspace(monkeypatch,
                                 // (measure.dim * (size + 1)))
         assert made[0].offsets.size > 0
         assert all(a.size <= RADIAL_BLOCK_ELEMENTS for a in arrays(made[0]))
+    # each visit is told the slice of the centres its block holds: the
+    # slices tile the centres once, in order, also at one centre a block
+    for budget in (RADIAL_BLOCK_ELEMENTS, 1):
+        monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", budget)
+        held = []
+
+        def told(block):
+            assert block.centres.stop - block.centres.start == block.rows
+            held.append(np.arange(size)[block.centres])
+            return np.zeros(block.rows)
+
+        radial_pass(measure, measure.points, told)
+        assert np.array_equal(np.concatenate(held), np.arange(size))
+        assert budget > 1 or len(held) == size
 
 
 def test_every_sort_fills_the_mass_sums():
@@ -319,6 +334,15 @@ def test_truncated_field_of_an_empty_measure_is_zero():
     got = truncated_field(riesz_kernel(1, 2), empty, np.zeros((3, 2)),
                           [0.0, 1.0])
     assert np.array_equal(got, np.zeros((3, 2, 2)))
+
+
+def test_suppressed_sums_of_an_empty_measure_are_zero():
+    empty = WeightedPointMeasure(np.zeros((0, 2)), np.zeros(0), 1)
+    k, xs, phi = riesz_kernel(1, 2), np.zeros((3, 2)), np.ones(3)
+    assert np.array_equal(t_phi_eps(k, empty, xs, 0.0, phi, np.zeros(0)),
+                          np.zeros((3, 2)))
+    assert np.array_equal(t_phi_star(k, empty, xs, phi, np.zeros(0)),
+                          np.zeros(3))
 
 
 def test_pass_memory_is_a_few_blocks_not_atoms_squared():
