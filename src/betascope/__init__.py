@@ -71,6 +71,7 @@ from .verify import (
     make_report,
     pointwise_domination_check,
     t1_ball_check,
+    verify_checks,
 )
 
 __version__ = "0.1.0"

@@ -162,8 +162,10 @@ def _block_flatness(block: RadialBlock, radii, counts):
     per centre of ``block``, whose balls hold ``counts`` atoms.
 
     Balls holding no atom keep 0.  Along a row, radii with equal counts
-    hold the same atoms, so each distinct (centre, count) gets one plane
-    fit and every radius of it reads its residual.
+    hold the same atoms, so each run of neighbouring radii with one count
+    gets one plane fit and every radius of it reads its residual.  Over a
+    descending grid that is one fit per distinct (centre, count); grids
+    side by side may fit a count once per grid.
     """
     n = block.target_dim
     beta_sq = np.zeros(counts.shape)
@@ -197,10 +199,23 @@ def _plane_residuals(W, S1, S2, n: int):
     return np.clip(eigvals[:, : S1.shape[1] - n].sum(axis=1), 0.0, None)
 
 
-def _jones_values(block: RadialBlock, radii, counts, log_rho: float):
-    """Each row's left Riemann sum of beta_2^2 theta over ``radii``."""
-    beta_sq, theta = _block_flatness(block, radii, counts)
-    return np.sum(beta_sq * theta, axis=1) * log_rho
+def _jones_values(block: RadialBlock, grids, counts) -> list:
+    """Each row's left Riemann sum of beta_2^2 theta over each of ``grids``,
+    pairs (radii, log_rho) whose balls hold ``counts`` atoms, the grids'
+    columns side by side.
+
+    One flatness read serves every grid, so the grids share the moment
+    sums and one eigvalsh batch; each grid's sum reads its own columns.
+    """
+    beta_sq, theta = _block_flatness(
+        block, np.concatenate([radii for radii, _ in grids]), counts)
+    values, at = [], 0
+    for radii, log_rho in grids:
+        cols = slice(at, at + radii.size)
+        at = cols.stop
+        values.append(np.sum(beta_sq[:, cols] * theta[:, cols], axis=1)
+                      * log_rho)
+    return values
 
 
 def _jones_grid(r_lo: float, r_hi: float, scales_per_octave: int):
@@ -214,6 +229,20 @@ def _jones_grid(r_lo: float, r_hi: float, scales_per_octave: int):
     count = max(1, math.ceil(math.log(r_hi / r_lo) / math.log(rho) - 1e-9))
     radii = r_hi * rho ** (-np.arange(count, dtype=float))
     return radii, math.log(rho)
+
+
+def _checked_jones_grid(measure, r_lo, r_hi, scales_per_octave):
+    """``_jones_grid`` over [r_lo, r_hi]; ValueError unless
+    r_min <= r_lo < r_hi and scales_per_octave >= 1."""
+    r_lo, r_hi = float(r_lo), float(r_hi)
+    if not (measure.r_min <= r_lo < r_hi):
+        raise ValueError(
+            f"need r_min <= r_lo < r_hi, got r_min={measure.r_min:.3g} "
+            f"r_lo={r_lo:.3g} r_hi={r_hi:.3g}"
+        )
+    if int(scales_per_octave) < 1:
+        raise ValueError("scales_per_octave must be >= 1")
+    return _jones_grid(r_lo, r_hi, scales_per_octave)
 
 
 def jones_integrals(
@@ -234,18 +263,11 @@ def jones_integrals(
     centre's sup_density(centre, floor), and the result is the pair
     (integrals, sups).
     """
-    r_lo, r_hi = float(r_lo), float(r_hi)
-    if not (measure.r_min <= r_lo < r_hi):
-        raise ValueError(
-            f"need r_min <= r_lo < r_hi, got r_min={measure.r_min:.3g} "
-            f"r_lo={r_lo:.3g} r_hi={r_hi:.3g}"
-        )
-    if int(scales_per_octave) < 1:
-        raise ValueError("scales_per_octave must be >= 1")
-    radii, log_rho = _jones_grid(r_lo, r_hi, scales_per_octave)
+    radii, log_rho = _checked_jones_grid(measure, r_lo, r_hi,
+                                         scales_per_octave)
 
     def visit(block):
-        values = _jones_values(block, radii, block.count(radii), log_rho)
+        values, = _jones_values(block, [(radii, log_rho)], block.count(radii))
         return values if floor is None else (values, block.sup_density(floor))
 
     return radial_pass(measure, centers, visit)

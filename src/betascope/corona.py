@@ -271,17 +271,27 @@ def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:
 
     lhs sums theta(B_R)^2 mu(R) over all tree roots; rhs is the root cell's
     own term plus the atom-weighted multiscale flatness energy from the
-    resolution up to the root side length, one blocked radial pass over the
-    atoms summed in atom index order.
+    resolution up to the root side length (``_packing_span``), one blocked
+    radial pass over the atoms summed in atom index order.
     """
     measure = corona.measure
+    jones = jones_integrals(measure, measure.points, *_packing_span(corona),
+                            scales_per_octave)
+    return _packing_record(corona, jones)
+
+
+def _packing_span(corona: CoronaTree) -> tuple[float, float]:
+    """The radii [r_min, root side] of the packing audit's flatness energy."""
+    return (corona.measure.r_min,
+            float(corona.lattice.cells[corona.root_id].side))
+
+
+def _packing_record(corona: CoronaTree, jones: np.ndarray) -> dict:
+    """``packing_audit``'s record, given each atom's flatness energy over
+    ``_packing_span``."""
     terms = corona.packing_terms()
     lhs = float(ordered_sum(terms))
-    r_lo = measure.r_min
-    r_hi = corona.lattice.cells[corona.root_id].side
-    jones = jones_integrals(measure, measure.points, r_lo, r_hi,
-                            scales_per_octave)
-    energy = float(ordered_sum(measure.weights * jones))
+    energy = float(ordered_sum(corona.measure.weights * jones))
     rhs = terms[0] + energy    # the root leads ``tops``
     return {
         "lhs": lhs,

@@ -447,8 +447,8 @@ class RadialBlock:
     mass's prefix sums, column 0 zero, so ``sums[i, k]`` is the mass of
     the k nearest atoms of centre i.  Sums of other per-atom values
     (kernel terms, moments) are taken by the readers of a pass, one array
-    at a time; ``verify.main_lemma_check`` reads each sorted block twice,
-    for its truncation sums and then for its flatness sums.
+    at a time; ``verify.verify_checks`` reads each sorted block for the
+    truncation sums, the damped sums and the flatness sums of four checks.
 
     The buffers are allocated once, for ``width`` centres, and every
     ``sort`` writes into them; each array of a block is a view of its

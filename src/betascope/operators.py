@@ -16,7 +16,10 @@ per-centre inputs (cutoffs, Phi) by the block's ``centres`` and returns
 its block's rows; the pass stacks them in centre order.  The truncation
 reader (``_cutoff_sums``) is a function of the sorted block alone, so
 ``verify.main_lemma_check`` reads the same block for its truncation
-energies and for its flatness energies: one sort per atom.  A kernel with
+energies and for its flatness energies: one sort per atom.  The kernel
+values of a block (``_kernel_terms``) give the plain terms and, times the
+factor of ``_block_damping``, the damped ones, so ``verify.verify_checks``
+takes the truncations and T_Phi from one kernel evaluation.  A kernel with
 a ``radial`` form takes the block's distances instead of recomputing the
 norms of its offsets.
 """
@@ -243,40 +246,63 @@ class BumpFamily:
         return self.psi_k(k, t) - self.psi_k(k + 1, t)
 
 
-def _suffix_sums(kernel, block, phi_x=None, phi_y=None) -> np.ndarray:
-    """Farthest-first sums of the kernel terms along each row of ``block``.
+def _kernel_terms(kernel, block):
+    """The kernel values K(x - p) along the rows of ``block`` and the terms
+    K(x - p) w_p, each of shape (rows x atoms, out_dim).
 
-    Entry [i, k] sums the terms of row i from sorted position k on, so
-    entry [i, count(r)] is the sum over |p - x| > r and the last entry is
-    zero; the shape is (rows, atoms + 1, out_dim).  Given Phi at every
-    centre of the pass (``phi_x``) and at every atom (``phi_y``), each
-    term is damped by the factor of ``suppressed_kernel``, computed from
-    the kernel values already taken.  The atoms at a row's centre lead it
-    at distance 0; the kernel sees a finite stand-in offset and distance
-    there, so the entries before the row's ``near`` count are no sums and
-    must not be looked up.
+    The atoms at a row's centre lead it at distance 0; the kernel sees a
+    finite stand-in offset and distance there, so those entries are no
+    terms and must not be summed.
     """
-    dim, rows, size = block.offsets.shape
+    dim = block.offsets.shape[0]
     zero = block.dist == 0.0
     # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
     diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
     diffs[zero] = 1.0
     diffs = diffs.reshape(-1, dim)
-    # each block-sized temporary is dropped once read, so fewer of them
-    # are alive when the next is made
     if kernel.radial is not None and block.exact_norms:
         vals = kernel.radial(diffs, np.where(zero, 1.0, block.dist).ravel())
     else:
         vals = kernel(diffs)
     del diffs
-    terms = vals * block.mass.reshape(-1, 1)
-    if phi_y is not None:
-        terms *= _damping(kernel, vals, np.repeat(phi_x[block.centres], size),
-                          phi_y[block.order].reshape(-1))[:, None]
-    del vals
-    terms = terms.reshape(rows, size, terms.shape[1])
+    return vals, vals * block.mass.reshape(-1, 1)
+
+
+def _block_damping(kernel, block, vals, phi_x, phi_y) -> np.ndarray:
+    """The factor of ``suppressed_kernel`` per entry of ``block``, from its
+    kernel values, given Phi at every centre of the pass (``phi_x``) and
+    at every atom (``phi_y``)."""
+    return _damping(kernel, vals, np.repeat(phi_x[block.centres],
+                                            block.dist.shape[1]),
+                    phi_y[block.order].reshape(-1))[:, None]
+
+
+def _suffix(terms, block) -> np.ndarray:
+    """Farthest-first sums of ``terms`` along each row of ``block``.
+
+    Entry [i, k] sums the terms of row i from sorted position k on, so
+    entry [i, count(r)] is the sum over |p - x| > r and the last entry is
+    zero; the shape is (rows, atoms + 1, out_dim).  The entries before a
+    row's ``near`` count hold the stand-in terms at its centre, so they are
+    no sums and must not be looked up.
+    """
+    rows, size = block.dist.shape
+    terms = terms.reshape(rows, size, terms.shape[-1])
     out = np.empty((rows, size + 1, terms.shape[2]))
     return np.flip(_prefix(np.flip(terms, 1), out), 1)
+
+
+def _suffix_sums(kernel, block, phi_x=None, phi_y=None) -> np.ndarray:
+    """``_suffix`` of the kernel terms of ``block``, each damped by the
+    factor of ``suppressed_kernel`` when Phi is given (``_block_damping``).
+    """
+    vals, terms = _kernel_terms(kernel, block)
+    if phi_y is not None:
+        terms *= _block_damping(kernel, block, vals, phi_x, phi_y)
+    # each block-sized temporary is dropped once read, so fewer of them
+    # are alive when the next is made
+    del vals
+    return _suffix(terms, block)
 
 
 def _cutoff_sums(suffix, block, counts) -> np.ndarray:
@@ -421,6 +447,15 @@ def m_tilde(sigma: WeightedPointMeasure, f, centers,
         # a Python float power per value
         bests = np.array([b ** (2.0 / 3.0) for b in bests.tolist()])
     return bests
+
+
+def _mass_maximal(block, rows) -> np.ndarray:
+    """``m_tilde(sigma, 1, x, variant="3/2")`` at the centres x of the
+    given rows of ``block``, a block of sigma's pass: with f = 1 the
+    numerators are the mass sums themselves, so no other sum is taken."""
+    return np.array([
+        _sup_ratio(dist, sums, sums) ** (2.0 / 3.0)
+        for dist, sums in zip(block.dist[rows], block.sums[rows])])
 
 
 def _sup_ratio(dist, num_cum, den_cum) -> float:

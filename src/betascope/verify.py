@@ -18,14 +18,19 @@ import numpy as np
 from ._util import geometric_grid, ordered_sum
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
-from .beta import (_jones_grid, _jones_values, _plane_residual_sq,
-                   _weighted_plane, jones_integrals)
+from .beta import (_checked_jones_grid, _jones_grid, _jones_values,
+                   _plane_residual_sq, _weighted_plane, jones_integrals)
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
-from .corona import TreeGeometry
+from .corona import (TreeGeometry, _packing_record, _packing_span,
+                     packing_audit)
 from .measure import WeightedPointMeasure, radial_pass
 from .operators import (
+    _block_damping,
     _cutoff_sums,
+    _kernel_terms,
+    _mass_maximal,
+    _suffix,
     _suffix_sums,
     k_r_chain,
     m_tilde,
@@ -41,6 +46,7 @@ __all__ = [
     "t1_ball_check",
     "cotlar_check",
     "pointwise_domination_check",
+    "verify_checks",
     "capacity_lower_bound",
     "make_report",
     "compare_baseline",
@@ -86,6 +92,18 @@ def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
     return geometric_grid(lo, hi, scales_per_octave)
 
 
+def _main_lemma_grids(measure, scales_per_octave: int):
+    """The main lemma's cutoffs and its flatness grid (radii, log_rho)."""
+    if measure.is_empty:
+        raise ValueError("measure is empty")
+    r_lo = _flatness_floor(measure, scales_per_octave)
+    if measure.diameter > r_lo:
+        grid = _jones_grid(r_lo, measure.diameter, scales_per_octave)
+    else:
+        grid = np.zeros(0), 0.0
+    return _cutoff_grid(measure, scales_per_octave), grid
+
+
 def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
     """Square-function bound: worst truncation energy against mass + flatness.
 
@@ -96,27 +114,27 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
     by the flatness reader at the flatness radii (as ``jones_field``), so
     every atom is sorted once.
     """
-    if measure.is_empty:
-        raise ValueError("measure is empty")
-    eps_grid = _cutoff_grid(measure, scales_per_octave)
-    r_lo = _flatness_floor(measure, scales_per_octave)
-    if measure.diameter > r_lo:
-        radii, log_rho = _jones_grid(r_lo, measure.diameter,
-                                     scales_per_octave)
-    else:
-        radii, log_rho = np.zeros(0), 0.0
+    eps_grid, grid = _main_lemma_grids(measure, scales_per_octave)
     cuts = eps_grid.size
 
     def visit(block):
         # one search per row answers the cutoffs and the radii
-        counts = block.count(np.concatenate((eps_grid, radii)))
+        counts = block.count(np.concatenate((eps_grid, grid[0])))
         field = _cutoff_sums(_suffix_sums(kernel, block), block,
                              counts[:, :cuts])
         # with no radii every row's flatness sum is empty, so 0.0
-        return np.sum(field**2, axis=2), _jones_values(
-            block, radii, counts[:, cuts:], log_rho)
+        return (np.sum(field**2, axis=2),
+                *_jones_values(block, [grid], counts[:, cuts:]))
 
     squares, jones = radial_pass(measure, measure.points, visit)
+    return _main_lemma_record(measure, kernel, eps_grid, squares, jones,
+                              scales_per_octave)
+
+
+def _main_lemma_record(measure, kernel, eps_grid, squares, jones,
+                       scales_per_octave: int) -> dict:
+    """``main_lemma_check``'s record from each atom's squared truncations
+    at the cutoffs and its flatness energy."""
     # atom by atom in index order, which fixes the summation order
     energies = ordered_sum(measure.weights[:, None] * squares)
     lhs = float(np.max(energies))
@@ -183,21 +201,28 @@ def cotlar_check(measure, kernel, corona, top_id: int,
     in the record.
     """
     _, sigma, phi_sigma = _tree_sigma(measure, corona, top_id)
-    ones = np.ones(sigma.size)
-
     # suppressed operator applied to sigma, at every sigma atom: eps = 0
     # leaves out only the atoms at the atom's own location
     field = t_phi_eps(kernel, sigma, sigma.points, np.zeros(sigma.size),
                       phi_sigma, phi_sigma)
-    # row by row: the norm of one vector is a dot product, which rounds
-    # unlike norm(axis=1)
-    t_vals = np.array([float(np.linalg.norm(row)) for row in field])
-
     sample = _strided(np.arange(sigma.size), max_samples)
     points = sigma.points[sample]
     stars = t_phi_star(kernel, sigma, points, phi_sigma[sample], phi_sigma)
-    rhss = (m_tilde(sigma, t_vals, points, variant="plain")
-            + m_tilde(sigma, ones, points, variant="3/2"))
+    return _cotlar_record(kernel, sigma, top_id, field, sample, stars,
+                          m_tilde(sigma, np.ones(sigma.size), points,
+                                  variant="3/2"))
+
+
+def _cotlar_record(kernel, sigma, top_id: int, field, sample, stars,
+                   ones_max) -> dict:
+    """``cotlar_check``'s record from T_Phi sigma at every atom of sigma
+    (``field``), and from T_{Phi,*} sigma (``stars``) and
+    Mtilde_{sigma,3/2}1 (``ones_max``) at the ``sample`` atoms."""
+    # row by row: the norm of one vector is a dot product, which rounds
+    # unlike norm(axis=1)
+    t_vals = np.array([float(np.linalg.norm(row)) for row in field])
+    rhss = m_tilde(sigma, t_vals, sigma.points[sample],
+                   variant="plain") + ones_max
     flagged = 0
     best = 0.0
     worst_lhs = worst_rhs = 0.0
@@ -228,10 +253,17 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
     the record's ratio is the largest c_x.
     """
     geometry, sigma, phi_sigma = _tree_sigma(measure, corona, top_id)
-    theta_ref = corona.theta_ref[top_id]
     sample = _strided(corona.lattice.cells[top_id].point_indices, max_samples)
     points = measure.points[sample]
     stars = t_phi_star(kernel, sigma, points, geometry.phi(points), phi_sigma)
+    return _pointwise_record(corona, kernel, bump, top_id, sample, stars)
+
+
+def _pointwise_record(corona, kernel, bump, top_id: int, sample,
+                      stars) -> dict:
+    """``pointwise_domination_check``'s record from T_{Phi_R,*} at the
+    ``sample`` atoms (``stars``)."""
+    theta_ref = corona.theta_ref[top_id]
     excesses = [
         max(0.0, float(np.linalg.norm(k_r_chain(
             corona, kernel, bump, top_id, int(atom)))) - star) / theta_ref
@@ -246,6 +278,72 @@ def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
         "params": {"kernel": kernel.name, "top": top_id,
                    "bump_a0": bump.a0},
     }
+
+
+def verify_checks(measure, kernel, corona, bump, scales_per_octave: int = 4,
+                  max_samples: int = 128):
+    """The records of ``main_lemma_check``, of ``cotlar_check`` and
+    ``pointwise_domination_check`` on the root tree, and of
+    ``packing_audit``, in that order, each equal to its check's own.
+
+    B0 of the root holds every atom on inputs the lattice accepts, so sigma
+    is the measure and both tree checks sample the same atoms.  Then one
+    radial pass over the atoms serves all four: each block is searched
+    once for the cutoffs and both flatness grids, the kernel is evaluated
+    once for the plain terms (the truncations) and the terms damped by
+    Phi_R (T_Phi sigma at every atom), the mass sums give
+    Mtilde_{sigma,3/2}1 at the samples, and one flatness read serves both
+    grids.  One ``t_phi_star`` call gives T_{Phi,*} at the samples for
+    both tree checks, and one ``m_tilde`` call Cotlar's Mtilde_sigma of
+    |T_Phi sigma|.  Should sigma leave atoms out, each check runs on its
+    own.
+    """
+    top_id = corona.root_id
+    _, sigma, phi = _tree_sigma(measure, corona, top_id)
+    if sigma.size < measure.size:
+        return (main_lemma_check(measure, kernel, scales_per_octave),
+                cotlar_check(measure, kernel, corona, top_id, max_samples),
+                pointwise_domination_check(measure, kernel, corona, bump,
+                                           top_id, max_samples),
+                packing_audit(corona, scales_per_octave))
+    eps_grid, lemma_grid = _main_lemma_grids(measure, scales_per_octave)
+    grids = [lemma_grid, _checked_jones_grid(
+        measure, *_packing_span(corona), scales_per_octave)]
+    radii = np.concatenate([eps_grid] + [grid[0] for grid in grids])
+    cuts = eps_grid.size
+    # the root cell holds every atom in index order, so both tree checks
+    # sample these atoms
+    sample = _strided(np.arange(measure.size), max_samples)
+
+    def visit(block):
+        counts = block.count(radii)
+        vals, terms = _kernel_terms(kernel, block)
+        damping = _block_damping(kernel, block, vals, phi, phi)
+        del vals
+        suffix = _suffix(terms, block)
+        squares = np.sum(_cutoff_sums(suffix, block, counts[:, :cuts])**2,
+                         axis=2)
+        del suffix
+        terms *= damping
+        field = _suffix(terms, block)[np.arange(block.rows), block.near]
+        del terms
+        # the block's samples; the other rows keep 0.0
+        ones_max = np.zeros(block.rows)
+        rows = sample[(sample >= block.centres.start)
+                      & (sample < block.centres.stop)] - block.centres.start
+        ones_max[rows] = _mass_maximal(block, rows)
+        return (squares, field, ones_max,
+                *_jones_values(block, grids, counts[:, cuts:]))
+
+    squares, field, ones_max, lemma_jones, packing_jones = radial_pass(
+        measure, measure.points, visit)
+    stars = t_phi_star(kernel, sigma, sigma.points[sample], phi[sample], phi)
+    return (_main_lemma_record(measure, kernel, eps_grid, squares,
+                               lemma_jones, scales_per_octave),
+            _cotlar_record(kernel, sigma, top_id, field, sample, stars,
+                           ones_max[sample]),
+            _pointwise_record(corona, kernel, bump, top_id, sample, stars),
+            _packing_record(corona, packing_jones))
 
 
 def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:

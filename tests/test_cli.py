@@ -13,7 +13,10 @@ from betascope import (WeightedPointMeasure, cantor4, cli, lipschitz_graph,
 
 
 def run_cli(*args, cwd=None):
-    return subprocess.run([sys.executable, "-m", "betascope.cli", *args],
+    # the child fails on a runtime warning, as pyproject's filterwarnings
+    # makes the in-process tests do
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           "-m", "betascope.cli", *args],
                           capture_output=True, text=True, cwd=cwd)
 
 
@@ -191,8 +194,8 @@ class TestCliExitCodes:
             assert r.stderr.count(str(bad)) == 1, (name, r.stderr)
 
     def test_float_range_errors_are_one(self, tmp_path):
-        # capacity: the tail's diam ** (2n + 2) underflows to a zero
-        # divisor; corona and verify: theta(B_R) ** 2 overflows a float
+        # capacity: r ** (n + 2) underflows to a zero divisor of the
+        # flatness; corona and verify: a ball's beta^2 theta overflows
         graph = lipschitz_graph(50)
         tiny, heavy = tmp_path / "tiny.csv", tmp_path / "heavy.csv"
         save_csv(WeightedPointMeasure(graph.points * 1e-150, graph.weights,
@@ -208,6 +211,9 @@ class TestCliExitCodes:
             assert last.startswith("error:"), (command, r.stderr)
             assert str(data) in last and "float64 range" in last, last
             assert "Traceback" not in r.stderr, command
+            # the first float error stops the command: no warning before
+            assert "RuntimeWarning" not in r.stderr, (command, r.stderr)
+            assert len(r.stderr.splitlines()) == 1, (command, r.stderr)
             assert not rep.exists(), command
 
     def test_non_finite_constant_is_one(self, tmp_path):

@@ -6,11 +6,14 @@ import pytest
 
 from betascope import (Ball, BumpFamily, REPORT_SCHEMA, WeightedPointMeasure,
                        build_corona, build_lattice, cantor4,
-                       capacity_lower_bound, compare_baseline, cotlar_check,
-                       jones_field, lipschitz_graph, main_lemma_check,
-                       make_report, pointwise_domination_check, riesz_kernel,
-                       segment, t1_ball_check)
-from betascope import verify
+                       capacity_lower_bound, cauchy_kernel,
+                       compare_baseline, cotlar_check, jones_field,
+                       lipschitz_graph, main_lemma_check, make_report,
+                       packing_audit, pointwise_domination_check,
+                       riesz_kernel, save_csv, segment, square_area,
+                       t1_ball_check, verify_checks)
+from betascope import cli, corona, lattice, verify
+from betascope.measure import RadialBlock
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +188,121 @@ class TestPointwiseDomination:
         assert rec["name"] == "pointwise_domination"
         assert rec["lhs"] >= 0.0
         assert np.isfinite(rec["ratio"])
+
+
+def cloud_measure(dim: int, size: int, seed: int):
+    """Uniform atoms in a small cube of R^dim, target dimension 1."""
+    rng = np.random.default_rng(seed)
+    return WeightedPointMeasure(rng.uniform(0.0, 0.3, (size, dim)),
+                                rng.uniform(0.5, 1.5, size), 1)
+
+
+FUSED_INPUTS = {
+    "graph": lambda: (lipschitz_graph(300, seed=2), riesz_kernel(1, 2)),
+    "cantor": lambda: (cantor4(3), riesz_kernel(1, 2)),
+    "tie-cloud": lambda: (tie_cloud_measure(), riesz_kernel(1, 2)),
+    "coincident": lambda: (WeightedPointMeasure(np.zeros((3, 2)), np.ones(3),
+                                                1), riesz_kernel(1, 2)),
+    # no radial form: the kernel takes the offsets alone
+    "cauchy": lambda: (lipschitz_graph(120, seed=5), cauchy_kernel()),
+    # 8 coordinates: the block's distances are not numpy's norms
+    "d8-cloud": lambda: (cloud_measure(8, 40, 7), riesz_kernel(1, 8)),
+}
+
+
+def standalone_checks(measure, kernel, cor, bump, max_samples):
+    root = cor.root_id
+    return (main_lemma_check(measure, kernel),
+            cotlar_check(measure, kernel, cor, root, max_samples),
+            pointwise_domination_check(measure, kernel, cor, bump, root,
+                                       max_samples),
+            packing_audit(cor))
+
+
+class TestFusedChecks:
+    @pytest.mark.parametrize("max_samples", [16, 128])
+    @pytest.mark.parametrize("name", sorted(FUSED_INPUTS))
+    def test_records_equal_the_standalone_checks(self, name, max_samples):
+        measure, kern = FUSED_INPUTS[name]()
+        cor = build_corona(build_lattice(measure))
+        bump = BumpFamily(cor.lattice.a0)
+        assert verify_checks(measure, kern, cor, bump,
+                             max_samples=max_samples) == standalone_checks(
+            measure, kern, cor, bump, max_samples)
+
+    def test_a_sigma_short_of_the_measure_runs_each_check(self, kernel,
+                                                          monkeypatch):
+        """Should B0(R) leave atoms out, the tree checks read sigma's own
+        rows, and the records still equal the standalone checks'."""
+        measure = lipschitz_graph(120, seed=3)
+        cor = build_corona(build_lattice(measure))
+        monkeypatch.setattr(corona, "B0_RADIUS_FACTOR", 0.3)
+        _, sigma, _ = verify._tree_sigma(measure, cor, cor.root_id)
+        assert 0 < sigma.size < measure.size
+        bump = BumpFamily(cor.lattice.a0)
+        assert verify_checks(measure, kernel, cor, bump, max_samples=16) == (
+            standalone_checks(measure, kernel, cor, bump, 16))
+
+    def test_verify_sorts_each_atom_once(self, tmp_path, monkeypatch):
+        """One verify sorts the atoms once for all its checks but t1's,
+        and the samples twice more, for Cotlar's two maximal functions."""
+        measure = lipschitz_graph(90, seed=4)
+        save_csv(measure, tmp_path / "graph.csv")
+        rows, in_t1 = [], []
+        real_sort, real_t1 = RadialBlock.sort, cli.t1_ball_check
+
+        def sort(block, centers):
+            if not in_t1:
+                rows.append(np.reshape(centers, (-1, measure.dim)).shape[0])
+            return real_sort(block, centers)
+
+        def t1_ball_check(*args, **kwargs):
+            in_t1.append(True)
+            try:
+                return real_t1(*args, **kwargs)
+            finally:
+                in_t1.pop()
+
+        monkeypatch.setattr(RadialBlock, "sort", sort)
+        monkeypatch.setattr(cli, "t1_ball_check", t1_ball_check)
+        samples = 16
+        assert cli.main(["verify", "--input", str(tmp_path / "graph.csv"),
+                         "--samples", str(samples),
+                         "--out", str(tmp_path / "report.json")]) == 0
+        assert sum(rows) == measure.size + 2 * samples
+
+
+def widest_graph():
+    """A graph as wide as the lattice takes: just below the level-0
+    separation."""
+    graph = lipschitz_graph(200, seed=6)
+    return WeightedPointMeasure(
+        graph.points * (lattice.NET_FACTOR * (1 - 1e-9) / graph.diameter),
+        graph.weights, 1)
+
+
+UNIT_SCALE_INPUTS = {
+    "segment": lambda: segment(100),
+    "graph": lambda: lipschitz_graph(200, seed=6),
+    "cantor": lambda: cantor4(4),
+    "square": lambda: square_area(12),
+    "widest": widest_graph,
+}
+
+
+@pytest.mark.parametrize("a0", [4.0, lattice.DEFAULT_A0])
+@pytest.mark.parametrize("name", sorted(UNIT_SCALE_INPUTS))
+def test_the_root_trees_sigma_is_the_measure(name, a0):
+    """verify_checks reads one pass for the root tree's checks because
+    B0(R) holds every atom and the root cell holds them in index order."""
+    measure = UNIT_SCALE_INPUTS[name]()
+    assert measure.diameter < lattice.NET_FACTOR
+    cor = build_corona(build_lattice(measure, a0=a0))
+    _, sigma, _ = verify._tree_sigma(measure, cor, cor.root_id)
+    assert np.array_equal(sigma.points, measure.points)
+    assert np.array_equal(sigma.weights, measure.weights)
+    assert np.array_equal(cor.lattice.cells[cor.root_id].point_indices,
+                          np.arange(measure.size))
 
 
 class TestCapacity:
