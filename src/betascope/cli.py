@@ -2,8 +2,9 @@
 
 Commands: ``generate`` emits reference measures; ``analyze``, ``lattice``,
 ``corona``, ``verify`` and ``capacity`` run the corresponding pipelines and
-write JSON reports.  Exit codes: 0 success, 1 invalid input, 2 baseline
-mismatch (argparse keeps its own code 2 for malformed command lines).
+write JSON reports.  Exit codes: 0 success, 1 invalid input or an output
+path that cannot be written, 2 baseline mismatch (argparse keeps its own
+code 2 for malformed command lines).
 
 Reports are canonical JSON with no wall-clock content by default, so a
 repeated run with the same flags produces the same bytes; pass --stamp to
@@ -277,6 +278,13 @@ def _cmd_corona(args) -> int:
 
 def _cmd_verify(args) -> int:
     measure = _load_measure(args.input, args.r_min)
+    # a baseline that cannot be read stops the command before any check
+    if args.baseline:
+        try:
+            with open(args.baseline, encoding="ascii") as fh:
+                baseline = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"{args.baseline}: {exc}") from exc
     kernel = _make_kernel(args, measure)
     lattice = build_lattice(measure, a0=args.a0, c0=args.c0,
                             max_depth=args.max_depth)
@@ -325,11 +333,6 @@ def _cmd_verify(args) -> int:
     }
     failures = None
     if args.baseline:
-        try:
-            with open(args.baseline, encoding="ascii") as fh:
-                baseline = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"{args.baseline}: {exc}") from exc
         report = make_report(_describe(args.input, measure), checks, config)
         try:
             failures = compare_baseline(report, baseline)
@@ -482,6 +485,10 @@ def main(argv=None) -> int:
             return _DISPATCH[args.command](args)
     except (InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:    # an output: the loaders raise InputError
+        print(f"error: {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 1
     except ArithmeticError as exc:
         # capacity reads a list of inputs, generate none

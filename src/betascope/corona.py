@@ -43,7 +43,7 @@ __all__ = [
 DENSITY_BALL_FACTOR = 1.1    # stopping tests use 1.1 B_Q
 PHI_SCALE = 20.0             # Phi_R = d_R / (20 A0^2)
 REG_FACTOR = 60.0            # side <= (1/60) min d_R over members
-B0_RADIUS_FACTOR = 29.0      # B0(R) = B(z_R, 29 A0^-J(R))
+B0_RADIUS_FACTOR = 29.0      # B0(R) = B(z_R, 29 r(R))
 DEFAULT_A_STOP = 30.0
 DEFAULT_TAU = 0.12
 

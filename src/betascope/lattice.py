@@ -8,13 +8,13 @@ joins its nearest centre, ties to the earlier centre, and whole level-(k+1)
 cells attach to the level-k cell owning their centre so nesting is exact by
 construction.
 
-Scale conventions at level k, with A0 the inter-level ratio and C0 the
-doubling constant:
+Scale conventions at level k, with A0 the inter-level ratio, C0 the
+doubling constant and s the lattice's unit (``Lattice.scale``):
 
-    net separation      NET_FACTOR * A0^-k
-    ball radius r(Q)    A0^-k          (smallest admissible, clamped bracket
-                                        [A0^-k, C0 * A0^-k])
-    side length l(Q)    56 * C0 * A0^-k
+    net separation      NET_FACTOR * s * A0^-k
+    ball radius r(Q)    s * A0^-k      (smallest admissible, clamped bracket
+                                        [s * A0^-k, C0 * s * A0^-k])
+    side length l(Q)    56 * C0 * s * A0^-k
     big ball B_Q        28 * B(Q)
 
 The net separation sits one order above r(Q): with a separation equal to
@@ -26,8 +26,10 @@ foreign atoms stay at distance > (1/2 - 1/(A0-1)) * separation from a
 centre, cells have radius < separation * A0/(A0-1) <= 28 * r(Q), and centre
 gaps >= 10 * r(Q) keep the open enlarged balls 5*B(Q) pairwise disjoint.
 
-Inputs are expected at unit scale: the construction requires the support
-diameter to be below the level-0 separation (rescale otherwise).
+The unit s is the largest power of two not above max(diameter, r_min),
+so the level-0 separation 10 s > 5 diameter leaves level 0 one cell, and
+a dilation of the input by a power of two scales s and every length above
+exactly: the cells, and all built on them, follow the input bit for bit.
 
 The lattice is stored as arrays on ``Lattice``.  Cells are numbered level
 by level: level k holds the ids first[k] <= id < first[k + 1].  Each cell
@@ -60,9 +62,9 @@ __all__ = [
     "lattice_to_json",
 ]
 
-NET_FACTOR = 10.0         # net separation = NET_FACTOR * A0^-k
+NET_FACTOR = 10.0         # net separation = NET_FACTOR * s * A0^-k
 COVER_FACTOR = 28.0       # Q subset of 28 B(Q);  B_Q := 28 B(Q)
-SIDE_FACTOR = 56.0        # l(Q) = 56 * C0 * A0^-k
+SIDE_FACTOR = 56.0        # l(Q) = 56 * C0 * s * A0^-k
 FIVE_B = 5.0              # enlarged-ball disjointness factor
 DOUBLING_FACTOR = 100.0   # doubling cells: mu(100 B(Q)) <= C0 mu(B(Q))
 BOUNDARY_BALL_FACTOR = 3.5
@@ -117,18 +119,19 @@ class Lattice:
     module docstring describes; ``cells`` holds one ``Cell`` view per id."""
 
     def __init__(self, measure, first, center_index, parent, assignment,
-                 a0, c0, strict):
+                 a0, c0, strict, scale):
         self.measure = measure
         self.a0 = float(a0)
         self.c0 = float(c0)
         self.strict = bool(strict)
+        self.scale = scale                         # s, a power of two
         self.first: list[int] = first
         counts = np.diff(first)
         self.level = np.repeat(np.arange(counts.size), counts)
         self.center_index = center_index
         self.parent = parent
-        self.radius = np.repeat([self.a0 ** (-k) for k in range(counts.size)],
-                                counts)
+        self.radius = np.repeat(
+            [scale * self.a0 ** (-k) for k in range(counts.size)], counts)
         self.side = SIDE_FACTOR * self.c0 * self.radius
         self.assignment = assignment               # (max_depth+1, N) cell ids
         self.members = np.argsort(assignment, axis=1, kind="stable")
@@ -272,24 +275,19 @@ def build_lattice(
 
     points = measure.points
     n_pts = measure.size
+    scale = 2.0 ** (math.frexp(max(measure.diameter, measure.r_min))[1] - 1)
     if max_depth is None:
         max_depth = math.ceil(
-            math.log(NET_FACTOR / measure.r_min) / math.log(a0) - 1e-9
+            math.log(NET_FACTOR * scale / measure.r_min) / math.log(a0) - 1e-9
         )
         max_depth = min(max(max_depth, 1), MAX_DEPTH_CAP)
     max_depth = int(max_depth)
     if max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    deepest = NET_FACTOR * a0 ** (-max_depth)
+    deepest = NET_FACTOR * scale * a0 ** (-max_depth)
     if deepest * deepest == 0.0:    # no net site would close its own atom
         raise ValueError(f"max_depth {max_depth} is too deep for A0={a0}: "
                          f"the net separation {deepest:.3g} squares to 0")
-
-    if measure.diameter >= NET_FACTOR:
-        raise ValueError(
-            f"support diameter {measure.diameter:.3g} reaches the level-0 "
-            f"separation {NET_FACTOR:g}; rescale the input to unit size"
-        )
 
     order = _lex_order(points)
 
@@ -300,11 +298,8 @@ def build_lattice(
     voronoi: list[np.ndarray] = []
     seeds: list[int] = []
     for k in range(max_depth + 1):
-        net, nearest = _level(measure, order, NET_FACTOR * a0 ** (-k), seeds)
-        if k == 0 and len(net) != 1:
-            raise ValueError(
-                "support is not contained in a single root cell; rescale input"
-            )
+        net, nearest = _level(measure, order,
+                              NET_FACTOR * scale * a0 ** (-k), seeds)
         nets.append(net)
         voronoi.append(nearest)
         seeds = net
@@ -323,7 +318,7 @@ def build_lattice(
         assignment[k] = parent[assignment[k + 1]]
 
     lattice = Lattice(measure, first, np.concatenate(nets), parent,
-                      assignment, a0, c0, strict)
+                      assignment, a0, c0, strict, scale)
     _classify_cells(lattice)
     return lattice
 
@@ -331,10 +326,10 @@ def build_lattice(
 def _classify_cells(lattice: Lattice) -> None:
     """Set the conforming and doubling flags of every cell, level by level.
 
-    r(Q) is the lower clamp A0^-k (ball containment only shrinks with the
-    radius, so the smallest admissible radius in the bracket is its lower
-    edge).  A cell is conforming when support inter B(z_Q, r(Q)) stays
-    inside Q and Q stays inside 28 B(Q), and doubling when
+    r(Q) is the lower clamp s * A0^-k (ball containment only shrinks with
+    the radius, so the smallest admissible radius in the bracket is its
+    lower edge).  A cell is conforming when support inter B(z_Q, r(Q))
+    stays inside Q and Q stays inside 28 B(Q), and doubling when
     mu(100 B(Q)) <= C0 * mu(B(Q)).
 
     Each level makes one batched query at r(Q) and one at 100 r(Q)
@@ -566,9 +561,9 @@ def check_lattice(lattice: Lattice) -> dict:
                            + atoms[parents >= 0])
 
         radii = lattice.radius[ids]
-        scale = lattice.a0 ** (-k)
-        if not ((scale - 1e-15 <= radii)
-                & (radii <= lattice.c0 * scale + 1e-15)).all():
+        low = lattice.scale * lattice.a0 ** (-k)
+        if not ((low * (1 - 1e-15) <= radii)
+                & (radii <= lattice.c0 * low * (1 + 1e-15))).all():
             report["radius_bracket_ok"] = False
 
         multi = sizes >= 2

@@ -222,7 +222,8 @@ class BumpFamily:
     1 - (6 s^5 - 15 s^4 + 10 s^3) in between with s the normalized radius.
     phi_k is supported on the shell 0.001 a0^{-k-1} < |z| < 0.01 a0^{-k};
     for a0 >= 10 consecutive shells' transition bands are disjoint, which
-    makes plateau values of partial sums exactly 1.
+    makes plateau values of partial sums exactly 1.  The tree operators
+    take |z| in units of the lattice's scale s, as the cells are.
     """
 
     INNER = 0.001
@@ -484,13 +485,16 @@ def _chain_levels(corona, top_id: int, atom: int) -> list[int]:
     return list(range(level, level + int(inside)))
 
 
-def _shell_terms(measure, kernel, atom: int):
-    """Distances and weighted kernel terms K(x - x_i) w_i from a support
-    atom x to every atom at a positive distance (each shell vanishes at 0)."""
-    diffs = measure.points[atom][None, :] - measure.points
+def _shell_terms(corona, kernel, atom: int):
+    """Distances in units of the lattice's scale s, and weighted kernel
+    terms K(x - x_i) w_i, from a support atom x to every atom at a positive
+    distance (each shell vanishes at 0)."""
+    points, weights = corona.measure.points, corona.measure.weights
+    diffs = points[atom][None, :] - points
     dist = np.linalg.norm(diffs, axis=1)
     keep = dist > 0.0
-    return dist[keep], kernel(diffs[keep]) * measure.weights[keep][:, None]
+    return (dist[keep] / corona.lattice.scale,
+            kernel(diffs[keep]) * weights[keep][:, None])
 
 
 def k_r_chain(corona, kernel, bump: BumpFamily, top_id: int,
@@ -498,9 +502,9 @@ def k_r_chain(corona, kernel, bump: BumpFamily, top_id: int,
     """Tree-restricted operator at a support atom, level by level.
 
     Sums, over the tree cells containing the atom, the shell contribution
-    sum_i phi_{J(Q)}(|x - x_i|) K(x - x_i) w_i.
+    sum_i phi_{J(Q)}(|x - x_i| / s) K(x - x_i) w_i, s the lattice's scale.
     """
-    dist, terms = _shell_terms(corona.measure, kernel, atom)
+    dist, terms = _shell_terms(corona, kernel, atom)
     out = np.zeros(kernel.out_dim)
     for level in _chain_levels(corona, top_id, atom):
         out += bump.phi_k(level, dist) @ terms
@@ -515,6 +519,6 @@ def k_r_telescoped(corona, kernel, bump: BumpFamily, top_id: int,
     the shell sum telescopes to that difference of cutoffs.
     """
     levels = _chain_levels(corona, top_id, atom)
-    dist, terms = _shell_terms(corona.measure, kernel, atom)
+    dist, terms = _shell_terms(corona, kernel, atom)
     weights = bump.psi_k(levels[0], dist) - bump.psi_k(levels[-1] + 1, dist)
     return weights @ terms

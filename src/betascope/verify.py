@@ -22,8 +22,7 @@ from .beta import (_checked_jones_grid, _jones_grid, _jones_values,
                    _plane_residual_sq, _weighted_plane, jones_integrals)
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
-from .corona import (TreeGeometry, _packing_record, _packing_span,
-                     packing_audit)
+from .corona import TreeGeometry, _packing_record, _packing_span
 from .measure import WeightedPointMeasure, radial_pass
 from .operators import (
     _block_damping,
@@ -286,26 +285,19 @@ def verify_checks(measure, kernel, corona, bump, scales_per_octave: int = 4,
     ``pointwise_domination_check`` on the root tree, and of
     ``packing_audit``, in that order, each equal to its check's own.
 
-    B0 of the root holds every atom on inputs the lattice accepts, so sigma
-    is the measure and both tree checks sample the same atoms.  Then one
-    radial pass over the atoms serves all four: each block is searched
-    once for the cutoffs and both flatness grids, the kernel is evaluated
-    once for the plain terms (the truncations) and the terms damped by
-    Phi_R (T_Phi sigma at every atom), the mass sums give
-    Mtilde_{sigma,3/2}1 at the samples, and one flatness read serves both
-    grids.  One ``t_phi_star`` call gives T_{Phi,*} at the samples for
-    both tree checks, and one ``m_tilde`` call Cotlar's Mtilde_sigma of
-    |T_Phi sigma|.  Should sigma leave atoms out, each check runs on its
-    own.
+    The root's r(R) is the lattice's scale s > diameter / 2, so B0(R) =
+    B(z_R, 29 s) holds every atom: sigma is the measure, and both tree
+    checks sample the same atoms.  Then one radial pass over the atoms
+    serves all four: each block is searched once for the cutoffs and both
+    flatness grids, the kernel is evaluated once for the plain terms (the
+    truncations) and the terms damped by Phi_R (T_Phi sigma at every
+    atom), the mass sums give Mtilde_{sigma,3/2}1 at the samples, and one
+    flatness read serves both grids.  One ``t_phi_star`` call gives
+    T_{Phi,*} at the samples for both tree checks, and one ``m_tilde``
+    call Cotlar's Mtilde_sigma of |T_Phi sigma|.
     """
     top_id = corona.root_id
-    _, sigma, phi = _tree_sigma(measure, corona, top_id)
-    if sigma.size < measure.size:
-        return (main_lemma_check(measure, kernel, scales_per_octave),
-                cotlar_check(measure, kernel, corona, top_id, max_samples),
-                pointwise_domination_check(measure, kernel, corona, bump,
-                                           top_id, max_samples),
-                packing_audit(corona, scales_per_octave))
+    phi = TreeGeometry(corona, top_id).phi(measure.points)
     eps_grid, lemma_grid = _main_lemma_grids(measure, scales_per_octave)
     grids = [lemma_grid, _checked_jones_grid(
         measure, *_packing_span(corona), scales_per_octave)]
@@ -337,10 +329,11 @@ def verify_checks(measure, kernel, corona, bump, scales_per_octave: int = 4,
 
     squares, field, ones_max, lemma_jones, packing_jones = radial_pass(
         measure, measure.points, visit)
-    stars = t_phi_star(kernel, sigma, sigma.points[sample], phi[sample], phi)
+    stars = t_phi_star(kernel, measure, measure.points[sample], phi[sample],
+                       phi)
     return (_main_lemma_record(measure, kernel, eps_grid, squares,
                                lemma_jones, scales_per_octave),
-            _cotlar_record(kernel, sigma, top_id, field, sample, stars,
+            _cotlar_record(kernel, measure, top_id, field, sample, stars,
                            ones_max[sample]),
             _pointwise_record(corona, kernel, bump, top_id, sample, stars),
             _packing_record(corona, packing_jones))

@@ -379,6 +379,48 @@ class TestCliExitCodes:
         assert code == 1, err
         assert err.startswith(f"error: {bfile}: {detail}"), err
 
+    @pytest.mark.parametrize("text", [None, "not json"])
+    def test_unreadable_baseline_stops_before_the_lattice(
+            self, tmp_path, capsys, monkeypatch, text):
+        """A missing or non-JSON baseline exits 1 before any check runs."""
+        mfile = tmp_path / "m.csv"
+        save_csv(segment(20), mfile)
+        bfile = tmp_path / "base.json"
+        if text is not None:
+            bfile.write_text(text)
+
+        def build_lattice(*args, **kwargs):
+            raise AssertionError("the lattice was built before the baseline "
+                                 "was read")
+
+        monkeypatch.setattr(cli, "build_lattice", build_lattice)
+        code = cli.main(["verify", "--input", str(mfile), "--out",
+                         str(tmp_path / "rep.json"), "--baseline", str(bfile)])
+        err = capsys.readouterr().err
+        assert code == 1, err
+        assert err.startswith(f"error: {bfile}: "), err
+        assert err.count("\n") == 1, err
+
+    def test_unwritable_output_is_one(self, tmp_path):
+        """An output path in a missing directory: one error line naming
+        it, exit 1, no traceback."""
+        mfile = tmp_path / "m.csv"
+        save_csv(segment(20), mfile)
+        report, gone = str(tmp_path / "rep.json"), tmp_path / "gone"
+        cases = [
+            ("lattice", "--input", str(mfile), "--out", f"{gone}/r.json"),
+            ("lattice", "--input", str(mfile), "--out", report,
+             "--dump", f"{gone}/d.json"),
+            ("analyze", "--input", str(mfile), "--out", report,
+             "--profile-csv", f"{gone}/p.csv"),
+            ("generate", "segment", "--count", "5", "--out", f"{gone}/s.csv"),
+        ]
+        for args in cases:
+            r = run_cli(*args)
+            assert r.returncode == 1, (args, r.stderr)
+            assert r.stderr == (f"error: {args[-1]}: No such file or "
+                                "directory\n"), (args, r.stderr)
+
     def test_defaults_are_the_library_constants(self):
         from betascope import corona, lattice
         parser = cli.build_parser()
@@ -441,8 +483,11 @@ def test_dump_files_keep_their_digests(tmp_path, family):
 
 
 def _graph(scale):
+    """lipschitz_graph(100) dilated by ``scale``: points times scale, and
+    weights times scale^n with n = 1."""
     graph = lipschitz_graph(100)
-    return WeightedPointMeasure(scale * graph.points, graph.weights, 1)
+    return WeightedPointMeasure(scale * graph.points, scale * graph.weights,
+                                1)
 
 
 EDGE_INPUTS = {
@@ -473,16 +518,43 @@ def test_edge_inputs_run_every_command_twice_alike(tmp_path, name):
         assert runs[0] == runs[1], command
 
 
-def test_graph_past_the_root_separation_asks_to_rescale(tmp_path, capsys):
-    # diameter 16 reaches the level-0 net separation 10
-    mfile = tmp_path / "m.csv"
-    save_csv(_graph(16.0), mfile)
+def _ratios(tmp_path, scale):
+    """Per command, every check's ratio on the graph dilated by scale."""
+    mfile = tmp_path / f"m{scale!r}.csv"
+    save_csv(_graph(scale), mfile)
+    ratios = {}
     for command in ("lattice", "corona", "verify"):
-        report = tmp_path / f"{command}.json"
+        report = tmp_path / f"{command}{scale!r}.json"
         assert cli.main([command, "--input", str(mfile), "--out",
-                         str(report)]) == 1, command
-        assert "rescale" in capsys.readouterr().err, command
-        assert not report.exists(), command
+                         str(report)]) == 0, (command, scale)
+        checks = json.loads(report.read_text())["checks"]
+        ratios[command] = {name: rec["ratio"] for name, rec in checks.items()}
+    return ratios
+
+
+def test_power_of_two_dilations_keep_every_ratio(tmp_path):
+    """The lattice takes its unit from the input, so a dilation by 2^40 or
+    2^-40 leaves every check's ratio as it is, bit for bit."""
+    unit = _ratios(tmp_path, 1.0)
+    for scale in (2.0 ** 40, 2.0 ** -40):
+        assert _ratios(tmp_path, scale) == unit, scale
+
+
+@pytest.mark.parametrize("exponent", [500, -500])
+def test_extreme_dilations_run_or_exit_one(tmp_path, exponent):
+    """At 2^500 or 2^-500 a float may leave range: then the command exits
+    1 with one error line and no traceback."""
+    mfile = tmp_path / "m.csv"
+    save_csv(_graph(2.0 ** exponent), mfile)
+    for command in ("lattice", "corona", "verify"):
+        r = run_cli(command, "--input", str(mfile), "--out",
+                    str(tmp_path / f"{command}.json"))
+        assert r.returncode in (0, 1), (command, r.stderr)
+        if r.returncode == 1:
+            assert r.stderr.startswith("error:"), (command, r.stderr)
+            assert r.stderr.count("\n") == 1, (command, r.stderr)
+        else:
+            assert r.stderr == "", (command, r.stderr)
 
 
 class TestCliDeterminism:

@@ -425,8 +425,8 @@ def old_regularize(geo):
     lattice = geo.lattice
     dr = geo.d_r(geo.measure.points)
     reg_factor = corona_mod.REG_FACTOR
-    floor = reg_factor * SIDE_FACTOR * lattice.c0 * lattice.a0 ** (
-        -lattice.max_depth)
+    floor = reg_factor * SIDE_FACTOR * lattice.c0 * (
+        lattice.scale * lattice.a0 ** -lattice.max_depth)
     candidates = geo.measure.ball_indices(geo.b0.center, geo.b0.radius)
     candidates = candidates[dr[candidates] > floor]
     cell_min = {}

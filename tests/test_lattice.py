@@ -81,11 +81,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             build_lattice(m, strict=True)   # needs a0 > 5000 c0
 
-    def test_rejects_oversized_measure(self):
+    def test_wide_measure_takes_its_scale(self):
+        # s is the largest power of two not above the diameter 100
         pts = np.array([[0.0, 0.0], [100.0, 0.0]])
-        m = __import__("betascope").WeightedPointMeasure(pts, np.ones(2), 1)
-        with pytest.raises(ValueError, match="rescale"):
-            build_lattice(m)
+        lat = build_lattice(WeightedPointMeasure(pts, np.ones(2), 1))
+        assert lat.scale == 64.0
+        assert lat.levels[0] == [lat.root.id]
+        assert lat.root.radius == 64.0
+        assert check_lattice(lat)["radius_bracket_ok"]
 
     def test_deepest_level_singletons(self, seg_lattice):
         for i in seg_lattice.levels[seg_lattice.max_depth]:
@@ -240,13 +243,14 @@ def dense_check_lattice(lattice):
     }
     for k, ids in enumerate(lattice.levels):
         seen = np.zeros(n_pts, dtype=np.int64)
+        unit = lattice.scale * lattice.a0 ** (-k)
         for cid in ids:
             cell = lattice.cells[cid]
             seen[cell.point_indices] += 1
             if not (
-                lattice.a0 ** (-k) - 1e-15
+                unit * (1 - 1e-15)
                 <= cell.radius
-                <= lattice.c0 * lattice.a0 ** (-k) + 1e-15
+                <= lattice.c0 * unit * (1 + 1e-15)
             ):
                 report["radius_bracket_ok"] = False
             if cell.center_index not in set(cell.point_indices.tolist()):
@@ -292,8 +296,8 @@ def test_nearest_center_on_lattice_nets():
     order = lattice_mod._lex_order(m.points)
     seeds = []
     for k in range(lat.max_depth + 1):
-        net, nearest = lattice_mod._level(m, order,
-                                          NET_FACTOR * lat.a0 ** (-k), seeds)
+        net, nearest = lattice_mod._level(
+            m, order, NET_FACTOR * lat.scale * lat.a0 ** (-k), seeds)
         assert net == [lat.cell(i).center_index for i in lat.levels[k]]
         np.testing.assert_array_equal(nearest,
                                       dense_nearest_center(m.points,
@@ -461,7 +465,7 @@ def test_five_b_count_matches_dense_oracle_at_widened_radii(make):
     # segment's centres lie on its sweep axis, so every pair's gap is its
     # gap along that axis
     lat = build_lattice(make())
-    lat.radius[:] = [lat.c0 * lat.a0 ** (-k) for k in lat.level.tolist()]
+    lat.radius[:] = lat.c0 * lat.radius
     report = check_lattice(lat)
     assert report == dense_check_lattice(lat)
     assert report["radius_bracket_ok"]
@@ -771,14 +775,15 @@ def test_too_deep_max_depth_is_a_value_error():
 # child-to-parent remap, and to collect each cell's atoms with one scan of
 # the level assignment per cell; that body is kept here as the oracle.
 
-def old_bookkeeping(measure, a0, max_depth):
+def old_bookkeeping(measure, scale, a0, max_depth):
     """(levels, assignment, cells) from the old per-cell bookkeeping; cells
     as (id, level, center_index, parent, children, point_indices)."""
     points = measure.points
     order = lattice_mod._lex_order(points)
     nets, voronoi, seeds = [], [], []
     for k in range(max_depth + 1):
-        net = old_greedy_net(points, order, NET_FACTOR * a0 ** (-k), seeds)
+        net = old_greedy_net(points, order, NET_FACTOR * scale * a0 ** (-k),
+                             seeds)
         nets.append(net)
         voronoi.append(old_nearest_center(points, points[net]))
         seeds = net
@@ -827,7 +832,7 @@ BOOKKEEPING_FAMILIES = {
 def test_cell_bookkeeping_matches_old_body(family):
     measure = BOOKKEEPING_FAMILIES[family]()
     lat = build_lattice(measure)
-    levels, assignment, cells = old_bookkeeping(measure, lat.a0,
+    levels, assignment, cells = old_bookkeeping(measure, lat.scale, lat.a0,
                                                 lat.max_depth)
     assert lat.levels == levels
     assert all(type(i) is int for ids in lat.levels for i in ids)

@@ -12,7 +12,7 @@ from betascope import (Ball, BumpFamily, REPORT_SCHEMA, WeightedPointMeasure,
                        packing_audit, pointwise_domination_check,
                        riesz_kernel, save_csv, segment, square_area,
                        t1_ball_check, verify_checks)
-from betascope import cli, corona, lattice, verify
+from betascope import cli, lattice, verify
 from betascope.measure import RadialBlock
 
 
@@ -230,19 +230,6 @@ class TestFusedChecks:
                              max_samples=max_samples) == standalone_checks(
             measure, kern, cor, bump, max_samples)
 
-    def test_a_sigma_short_of_the_measure_runs_each_check(self, kernel,
-                                                          monkeypatch):
-        """Should B0(R) leave atoms out, the tree checks read sigma's own
-        rows, and the records still equal the standalone checks'."""
-        measure = lipschitz_graph(120, seed=3)
-        cor = build_corona(build_lattice(measure))
-        monkeypatch.setattr(corona, "B0_RADIUS_FACTOR", 0.3)
-        _, sigma, _ = verify._tree_sigma(measure, cor, cor.root_id)
-        assert 0 < sigma.size < measure.size
-        bump = BumpFamily(cor.lattice.a0)
-        assert verify_checks(measure, kernel, cor, bump, max_samples=16) == (
-            standalone_checks(measure, kernel, cor, bump, 16))
-
     def test_verify_sorts_each_atom_once(self, tmp_path, monkeypatch):
         """One verify sorts the atoms once for all its checks but t1's,
         and the samples twice more, for Cotlar's two maximal functions."""
@@ -272,31 +259,31 @@ class TestFusedChecks:
         assert sum(rows) == measure.size + 2 * samples
 
 
-def widest_graph():
-    """A graph as wide as the lattice takes: just below the level-0
-    separation."""
+def graph_of_diameter(diameter):
+    """lipschitz_graph(200, seed=6) dilated to the given diameter."""
     graph = lipschitz_graph(200, seed=6)
-    return WeightedPointMeasure(
-        graph.points * (lattice.NET_FACTOR * (1 - 1e-9) / graph.diameter),
-        graph.weights, 1)
+    return WeightedPointMeasure(graph.points * (diameter / graph.diameter),
+                                graph.weights, 1)
 
 
-UNIT_SCALE_INPUTS = {
+SIGMA_INPUTS = {
     "segment": lambda: segment(100),
     "graph": lambda: lipschitz_graph(200, seed=6),
     "cantor": lambda: cantor4(4),
     "square": lambda: square_area(12),
-    "widest": widest_graph,
+    # just under 10, 0.3 and 40: the scale s sits below each diameter
+    "widest": lambda: graph_of_diameter(10 * (1 - 1e-9)),
+    "narrow": lambda: graph_of_diameter(0.3),
+    "wide": lambda: graph_of_diameter(40.0),
 }
 
 
 @pytest.mark.parametrize("a0", [4.0, lattice.DEFAULT_A0])
-@pytest.mark.parametrize("name", sorted(UNIT_SCALE_INPUTS))
+@pytest.mark.parametrize("name", sorted(SIGMA_INPUTS))
 def test_the_root_trees_sigma_is_the_measure(name, a0):
     """verify_checks reads one pass for the root tree's checks because
     B0(R) holds every atom and the root cell holds them in index order."""
-    measure = UNIT_SCALE_INPUTS[name]()
-    assert measure.diameter < lattice.NET_FACTOR
+    measure = SIGMA_INPUTS[name]()
     cor = build_corona(build_lattice(measure, a0=a0))
     _, sigma, _ = verify._tree_sigma(measure, cor, cor.root_id)
     assert np.array_equal(sigma.points, measure.points)
