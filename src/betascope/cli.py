@@ -49,7 +49,7 @@ from .measure import (
     save_csv,
     save_json,
 )
-from .operators import BumpFamily, make_kernel
+from .operators import make_kernel
 from .verify import (
     capacity_lower_bound,
     compare_baseline,
@@ -60,9 +60,6 @@ from .verify import (
 # perfbench/tracer.py patches these here by name
 from .verify import (cotlar_check, main_lemma_check,  # noqa: F401
                      pointwise_domination_check)
-
-AUDIT_LAMBDAS = (0.2, 0.1, 0.05, 0.02)
-
 
 class InputError(Exception):
     pass
@@ -211,13 +208,13 @@ def _cmd_lattice(args) -> int:
         }
     ]
     if args.boundary_audit:
-        worst = boundary_audit(lattice, AUDIT_LAMBDAS)
+        worst = boundary_audit(lattice)
         checks.append({
             "name": "boundary_layers",
             "lhs": max(worst.values()),
             "rhs": 1.0,
             "ratio": max(worst.values()),
-            "samples": audit["cells"] * len(AUDIT_LAMBDAS),
+            "samples": audit["cells"] * len(worst),
             "params": {str(k): v for k, v in worst.items()},
         })
     if args.dump:
@@ -289,7 +286,6 @@ def _cmd_verify(args) -> int:
     lattice = build_lattice(measure, a0=args.a0, c0=args.c0,
                             max_depth=args.max_depth)
     corona = build_corona(lattice, a_stop=args.a_stop, tau=args.tau)
-    bump = BumpFamily(args.a0)
 
     rng = np.random.default_rng(args.seed)
     n_balls = min(args.samples, measure.size)
@@ -301,8 +297,8 @@ def _cmd_verify(args) -> int:
              for c, r in zip(centers, radii)]
 
     main_lemma, cotlar, pointwise, packing = verify_checks(
-        measure, kernel, corona, bump,
-        scales_per_octave=args.scales_per_octave, max_samples=args.samples)
+        kernel, corona, scales_per_octave=args.scales_per_octave,
+        max_samples=args.samples)
     checks = [
         main_lemma,
         t1_ball_check(measure, kernel, balls,

@@ -68,6 +68,7 @@ SIDE_FACTOR = 56.0        # l(Q) = 56 * C0 * s * A0^-k
 FIVE_B = 5.0              # enlarged-ball disjointness factor
 DOUBLING_FACTOR = 100.0   # doubling cells: mu(100 B(Q)) <= C0 mu(B(Q))
 BOUNDARY_BALL_FACTOR = 3.5
+BOUNDARY_LAMBDAS = (0.2, 0.1, 0.05, 0.02)  # boundary_audit's thicknesses
 DEFAULT_A0 = 20.0
 DEFAULT_C0 = 4.0
 MAX_DEPTH_CAP = 14
@@ -472,27 +473,26 @@ def _layer_masses(lattice, k, lambdas):
     return inner, outer
 
 
-def boundary_audit(lattice: Lattice, lambdas) -> dict:
-    """Max over cells of (inner+outer) / (sqrt(lam) * mu(3.5 B_Q)) per lam.
+def boundary_audit(lattice: Lattice) -> dict:
+    """Max over cells of (inner+outer) / (sqrt(lam) * mu(3.5 B_Q)), one
+    entry per thickness lam of BOUNDARY_LAMBDAS, in that order.
 
     A diagnostic for the thin-boundary property; values are recorded per
     input as regression constants rather than asserted universally.  Per
     level, the 3.5 B_Q masses come from one batched query (each holds its
     centre atom, so none is 0) and the layers from ``_layer_masses``.
     """
-    lambdas = [float(lam) for lam in lambdas]
-    if not all(0.0 < lam <= 1.0 for lam in lambdas):
-        raise ValueError(f"layer thicknesses must lie in (0, 1], got {lambdas}")
-    worst = np.zeros(len(lambdas))
+    worst = np.zeros(len(BOUNDARY_LAMBDAS))
     for k in range(lattice.max_depth + 1):
         ids = slice(*lattice.first[k:k + 2])
         denoms, _ = _ball_masses(
             lattice.measure, lattice.measure.points[lattice.center_index[ids]],
             BOUNDARY_BALL_FACTOR * COVER_FACTOR * lattice.radius[ids])
-        inner, outer = _layer_masses(lattice, k, lambdas)
-        ratios = (inner + outer) / (np.sqrt(lambdas) * denoms[:, None])
+        inner, outer = _layer_masses(lattice, k, BOUNDARY_LAMBDAS)
+        ratios = (inner + outer) / (np.sqrt(BOUNDARY_LAMBDAS)
+                                    * denoms[:, None])
         worst = np.maximum(worst, ratios.max(axis=0))
-    return dict(zip(lambdas, worst.tolist()))
+    return dict(zip(BOUNDARY_LAMBDAS, worst.tolist()))
 
 
 def cover_by_doubling(lattice: Lattice, cell_id: int):

@@ -339,10 +339,8 @@ class WeightedPointMeasure:
                       out=bounds[1:])
             yield start, cand[by_atom], dist[keep][by_atom], bounds
 
-    def ball_mass(self, center, radius: float | None = None) -> float:
-        """mu(B(x, r)) for the closed ball; accepts a Ball or (center, radius)."""
-        if isinstance(center, Ball):
-            center, radius = center.center, center.radius
+    def ball_mass(self, center, radius: float) -> float:
+        """mu(B(x, r)) for the closed ball."""
         idx = self.ball_indices(center, radius)
         return float(np.sum(self._weights[idx]))
 

@@ -25,12 +25,12 @@ from .beta import jones_integral  # noqa: F401
 from .corona import TreeGeometry, _packing_record, _packing_span
 from .measure import WeightedPointMeasure, radial_pass
 from .operators import (
+    BumpFamily,
     _block_damping,
     _cutoff_sums,
     _kernel_terms,
     _mass_maximal,
     _suffix,
-    _suffix_sums,
     k_r_chain,
     m_tilde,
     t_phi_eps,
@@ -108,26 +108,31 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
 
     lhs is the max over cutoffs of sum_i w_i |T_eps(x_i)|^2; rhs is the
     total mass plus the atom-weighted flatness energy up to the diameter.
-    One radial pass serves both sides: each block's sorted rows are read
-    by the truncation reader at the cutoffs (as ``truncated_field``), then
-    by the flatness reader at the flatness radii (as ``jones_field``), so
-    every atom is sorted once.
+    One radial pass serves both sides through ``_lemma_reads``, so every
+    atom is sorted once.
     """
     eps_grid, grid = _main_lemma_grids(measure, scales_per_octave)
-    cuts = eps_grid.size
+    radii = np.concatenate((eps_grid, grid[0]))
 
     def visit(block):
-        # one search per row answers the cutoffs and the radii
-        counts = block.count(np.concatenate((eps_grid, grid[0])))
-        field = _cutoff_sums(_suffix_sums(kernel, block), block,
-                             counts[:, :cuts])
-        # with no radii every row's flatness sum is empty, so 0.0
-        return (np.sum(field**2, axis=2),
-                *_jones_values(block, [grid], counts[:, cuts:]))
+        return _lemma_reads(block, _kernel_terms(kernel, block)[1],
+                            block.count(radii), eps_grid.size, [grid])
 
     squares, jones = radial_pass(measure, measure.points, visit)
     return _main_lemma_record(measure, kernel, eps_grid, squares, jones,
                               scales_per_octave)
+
+
+def _lemma_reads(block, terms, counts, cuts, grids):
+    """Each row's squared truncations at the cutoffs, then its flatness sum
+    over each of ``grids``, from the plain kernel ``terms`` of ``block``
+    and the row counts at the cutoffs (the first ``cuts`` columns) and at
+    the grids' radii.  ``terms`` is read, not changed."""
+    # the suffix sums are dropped once the cutoffs are read; with no radii
+    # every row's flatness sum is empty, so 0.0
+    squares = np.sum(_cutoff_sums(_suffix(terms, block), block,
+                                  counts[:, :cuts])**2, axis=2)
+    return (squares, *_jones_values(block, grids, counts[:, cuts:]))
 
 
 def _main_lemma_record(measure, kernel, eps_grid, squares, jones,
@@ -180,47 +185,49 @@ def _strided(indices: np.ndarray, cap: int) -> np.ndarray:
     return indices[:: max(1, indices.size // cap)][:cap]
 
 
-def _tree_sigma(measure, corona, top_id: int):
-    """The geometry of the tree rooted at ``top_id``, sigma = measure
-    restricted to B0(R), and Phi_R at sigma's atoms."""
-    geometry = TreeGeometry(corona, top_id)
-    sigma = measure.restrict_ball(geometry.b0)
-    return geometry, sigma, geometry.phi(sigma.points)
+def _root_phi(corona) -> np.ndarray:
+    """Phi_R of the root tree R at every atom.
+
+    The paper's checks on R run on sigma = chi_{B0(R)} mu.  On the root,
+    r(R) is the lattice's scale s > diameter / 2, so B0(R) = B(z_R, 29 s)
+    holds every atom and sigma is the corona's measure mu.
+    """
+    return TreeGeometry(corona, corona.root_id).phi(corona.measure.points)
 
 
-def cotlar_check(measure, kernel, corona, top_id: int,
-                 max_samples: int = 128) -> dict:
+def cotlar_check(kernel, corona, max_samples: int = 128) -> dict:
     """Maximal suppressed operator against maximal functions of its output.
 
-    With sigma the restriction to B0(R) and Phi_R the tree suppression:
-    lhs(x) = sup_eps |T_{Phi,eps} sigma(x)| and
-    rhs(x) = Mtilde_sigma(|T_Phi sigma|)(x) + Mtilde_{sigma,3/2}1(x),
-    sampled over atoms of sigma: the Cotlar inequality with s = 1 applied
-    to sigma itself.  Samples with rhs = 0 < lhs are excluded and counted
-    in the record.
+    On the root tree R, where sigma is the corona's measure mu
+    (``_root_phi``), with Phi_R the tree suppression:
+    lhs(x) = sup_eps |T_{Phi,eps} mu(x)| and
+    rhs(x) = Mtilde_mu(|T_Phi mu|)(x) + Mtilde_{mu,3/2}1(x),
+    sampled over the atoms: the Cotlar inequality with s = 1 applied to mu
+    itself.  Samples with rhs = 0 < lhs are excluded and counted in the
+    record.
     """
-    _, sigma, phi_sigma = _tree_sigma(measure, corona, top_id)
-    # suppressed operator applied to sigma, at every sigma atom: eps = 0
-    # leaves out only the atoms at the atom's own location
-    field = t_phi_eps(kernel, sigma, sigma.points, np.zeros(sigma.size),
-                      phi_sigma, phi_sigma)
-    sample = _strided(np.arange(sigma.size), max_samples)
-    points = sigma.points[sample]
-    stars = t_phi_star(kernel, sigma, points, phi_sigma[sample], phi_sigma)
-    return _cotlar_record(kernel, sigma, top_id, field, sample, stars,
-                          m_tilde(sigma, np.ones(sigma.size), points,
+    measure, phi = corona.measure, _root_phi(corona)
+    # suppressed operator applied to mu, at every atom: eps = 0 leaves out
+    # only the atoms at the atom's own location
+    field = t_phi_eps(kernel, measure, measure.points, np.zeros(measure.size),
+                      phi, phi)
+    sample = _strided(np.arange(measure.size), max_samples)
+    points = measure.points[sample]
+    stars = t_phi_star(kernel, measure, points, phi[sample], phi)
+    return _cotlar_record(kernel, corona, field, sample, stars,
+                          m_tilde(measure, np.ones(measure.size), points,
                                   variant="3/2"))
 
 
-def _cotlar_record(kernel, sigma, top_id: int, field, sample, stars,
-                   ones_max) -> dict:
-    """``cotlar_check``'s record from T_Phi sigma at every atom of sigma
-    (``field``), and from T_{Phi,*} sigma (``stars``) and
-    Mtilde_{sigma,3/2}1 (``ones_max``) at the ``sample`` atoms."""
+def _cotlar_record(kernel, corona, field, sample, stars, ones_max) -> dict:
+    """``cotlar_check``'s record from T_Phi mu at every atom (``field``),
+    and from T_{Phi,*} mu (``stars``) and Mtilde_{mu,3/2}1 (``ones_max``)
+    at the ``sample`` atoms."""
+    measure = corona.measure
     # row by row: the norm of one vector is a dot product, which rounds
     # unlike norm(axis=1)
     t_vals = np.array([float(np.linalg.norm(row)) for row in field])
-    rhss = m_tilde(sigma, t_vals, sigma.points[sample],
+    rhss = m_tilde(measure, t_vals, measure.points[sample],
                    variant="plain") + ones_max
     flagged = 0
     best = 0.0
@@ -239,29 +246,31 @@ def _cotlar_record(kernel, sigma, top_id: int, field, sample, stars,
         "ratio": best,
         "samples": int(sample.size),
         "params": {"kernel": kernel.name, "s": 1.0, "flagged": flagged,
-                   "top": top_id},
+                   "top": corona.root_id},
     }
 
 
-def pointwise_domination_check(measure, kernel, corona, bump, top_id: int,
+def pointwise_domination_check(kernel, corona,
                                max_samples: int = 128) -> dict:
     """Excess of the tree operator over the suppressed maximal operator.
 
-    Per sampled atom x of the tree root R:
-    c_x = max(0, |K_R(x)| - T_{Phi_R,*}(chi_{B0} mu)(x)) / theta(B_R);
-    the record's ratio is the largest c_x.
+    Per sampled atom x of the root tree R, with K_R built on the bump
+    family of the lattice's A0 and sigma the measure mu (``_root_phi``):
+    c_x = max(0, |K_R(x)| - T_{Phi_R,*} mu(x)) / theta(B_R); the record's
+    ratio is the largest c_x.
     """
-    geometry, sigma, phi_sigma = _tree_sigma(measure, corona, top_id)
-    sample = _strided(corona.lattice.cells[top_id].point_indices, max_samples)
-    points = measure.points[sample]
-    stars = t_phi_star(kernel, sigma, points, geometry.phi(points), phi_sigma)
-    return _pointwise_record(corona, kernel, bump, top_id, sample, stars)
+    measure, phi = corona.measure, _root_phi(corona)
+    sample = _strided(np.arange(measure.size), max_samples)
+    stars = t_phi_star(kernel, measure, measure.points[sample], phi[sample],
+                       phi)
+    return _pointwise_record(corona, kernel, sample, stars)
 
 
-def _pointwise_record(corona, kernel, bump, top_id: int, sample,
-                      stars) -> dict:
+def _pointwise_record(corona, kernel, sample, stars) -> dict:
     """``pointwise_domination_check``'s record from T_{Phi_R,*} at the
     ``sample`` atoms (``stars``)."""
+    top_id = corona.root_id
+    bump = BumpFamily(corona.lattice.a0)
     theta_ref = corona.theta_ref[top_id]
     excesses = [
         max(0.0, float(np.linalg.norm(k_r_chain(
@@ -279,32 +288,26 @@ def _pointwise_record(corona, kernel, bump, top_id: int, sample,
     }
 
 
-def verify_checks(measure, kernel, corona, bump, scales_per_octave: int = 4,
+def verify_checks(kernel, corona, scales_per_octave: int = 4,
                   max_samples: int = 128):
-    """The records of ``main_lemma_check``, of ``cotlar_check`` and
-    ``pointwise_domination_check`` on the root tree, and of
+    """The records of ``main_lemma_check`` on the corona's measure, of
+    ``cotlar_check`` and ``pointwise_domination_check``, and of
     ``packing_audit``, in that order, each equal to its check's own.
 
-    The root's r(R) is the lattice's scale s > diameter / 2, so B0(R) =
-    B(z_R, 29 s) holds every atom: sigma is the measure, and both tree
-    checks sample the same atoms.  Then one radial pass over the atoms
-    serves all four: each block is searched once for the cutoffs and both
-    flatness grids, the kernel is evaluated once for the plain terms (the
-    truncations) and the terms damped by Phi_R (T_Phi sigma at every
-    atom), the mass sums give Mtilde_{sigma,3/2}1 at the samples, and one
-    flatness read serves both grids.  One ``t_phi_star`` call gives
+    Both tree checks sample the same atoms.  One radial pass over the
+    atoms serves all four: each block is searched once for the cutoffs and
+    both flatness grids, the kernel is evaluated once for the plain terms
+    (the truncations and flatness, ``_lemma_reads``) and the terms damped
+    by Phi_R (T_Phi mu at every atom), and the mass sums give
+    Mtilde_{mu,3/2}1 at the samples.  One ``t_phi_star`` call gives
     T_{Phi,*} at the samples for both tree checks, and one ``m_tilde``
-    call Cotlar's Mtilde_sigma of |T_Phi sigma|.
+    call Cotlar's Mtilde_mu of |T_Phi mu|.
     """
-    top_id = corona.root_id
-    phi = TreeGeometry(corona, top_id).phi(measure.points)
+    measure, phi = corona.measure, _root_phi(corona)
     eps_grid, lemma_grid = _main_lemma_grids(measure, scales_per_octave)
     grids = [lemma_grid, _checked_jones_grid(
         measure, *_packing_span(corona), scales_per_octave)]
     radii = np.concatenate([eps_grid] + [grid[0] for grid in grids])
-    cuts = eps_grid.size
-    # the root cell holds every atom in index order, so both tree checks
-    # sample these atoms
     sample = _strided(np.arange(measure.size), max_samples)
 
     def visit(block):
@@ -312,10 +315,7 @@ def verify_checks(measure, kernel, corona, bump, scales_per_octave: int = 4,
         vals, terms = _kernel_terms(kernel, block)
         damping = _block_damping(kernel, block, vals, phi, phi)
         del vals
-        suffix = _suffix(terms, block)
-        squares = np.sum(_cutoff_sums(suffix, block, counts[:, :cuts])**2,
-                         axis=2)
-        del suffix
+        reads = _lemma_reads(block, terms, counts, eps_grid.size, grids)
         terms *= damping
         field = _suffix(terms, block)[np.arange(block.rows), block.near]
         del terms
@@ -324,23 +324,23 @@ def verify_checks(measure, kernel, corona, bump, scales_per_octave: int = 4,
         rows = sample[(sample >= block.centres.start)
                       & (sample < block.centres.stop)] - block.centres.start
         ones_max[rows] = _mass_maximal(block, rows)
-        return (squares, field, ones_max,
-                *_jones_values(block, grids, counts[:, cuts:]))
+        return field, ones_max, *reads
 
-    squares, field, ones_max, lemma_jones, packing_jones = radial_pass(
+    field, ones_max, squares, lemma_jones, packing_jones = radial_pass(
         measure, measure.points, visit)
     stars = t_phi_star(kernel, measure, measure.points[sample], phi[sample],
                        phi)
     return (_main_lemma_record(measure, kernel, eps_grid, squares,
                                lemma_jones, scales_per_octave),
-            _cotlar_record(kernel, measure, top_id, field, sample, stars,
+            _cotlar_record(kernel, corona, field, sample, stars,
                            ones_max[sample]),
-            _pointwise_record(corona, kernel, bump, top_id, sample, stars),
+            _pointwise_record(corona, kernel, sample, stars),
             _packing_record(corona, packing_jones))
 
 
 def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:
-    """Largest admissible multiple of each candidate measure, and its mass.
+    """Largest admissible multiple of each measure in the list
+    ``candidates``, and its mass.
 
     Per support atom x of a candidate: A(x) is the sup over radii of the
     density theta(x, r), restricted to r >= max(r_min, diam/sqrt(N)) so a
@@ -354,8 +354,6 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:
     t = 2/(A + sqrt(A^2 + 4 I)); the reported bound is t* ||mu|| for the
     worst atom, and the best candidate wins.
     """
-    if isinstance(candidates, WeightedPointMeasure):
-        candidates = [candidates]
     if not candidates:
         raise ValueError("need at least one candidate measure")
     entries = []

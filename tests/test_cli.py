@@ -116,6 +116,17 @@ class TestCliRoundTrip:
         assert "main_lemma" in report["checks"]
         assert report["generated_at"] is None
 
+    def test_verify_takes_the_bump_family_from_the_lattice(self, tmp_path):
+        """At A0 = 4 the pointwise check's bump family is the lattice's."""
+        mfile = tmp_path / "m.csv"
+        rep = tmp_path / "rep.json"
+        save_csv(lipschitz_graph(100), mfile)
+        assert cli.main(["verify", "--input", str(mfile), "--a0", "4",
+                         "--c0", "400", "--tau", "0.005",
+                         "--out", str(rep)]) == 0
+        record = json.loads(rep.read_text())["checks"]["pointwise_domination"]
+        assert record["params"]["bump_a0"] == 4.0
+
     def test_analyze_profile_csv(self, tmp_path):
         mfile = tmp_path / "m.csv"
         rep = tmp_path / "rep.json"

@@ -172,14 +172,9 @@ class TestBoundary:
             assert (np.diff(outer, axis=1) >= 0).all()
         assert inner[:, -1].sum() > 0.0 and outer[:, -1].sum() > 0.0
 
-    def test_layer_lambda_validation(self, seg_lattice):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError, match="thickness"):
-                boundary_audit(seg_lattice, [0.1, bad])
-
     def test_audit_returns_requested_lambdas(self, seg_lattice):
-        out = boundary_audit(seg_lattice, (0.1, 0.2))
-        assert set(out) == {0.1, 0.2}
+        out = boundary_audit(seg_lattice)
+        assert list(out) == list(lattice_mod.BOUNDARY_LAMBDAS)
         assert all(v >= 0.0 for v in out.values())
 
 
@@ -918,7 +913,7 @@ AUDIT_FAMILIES = {
 @pytest.mark.parametrize("family", sorted(AUDIT_FAMILIES))
 def test_boundary_audit_matches_old_body(family):
     lat = AUDIT_FAMILIES[family]()
-    new = boundary_audit(lat, AUDIT_LAMBDAS)
+    new = boundary_audit(lat)
     assert new == old_boundary_audit(lat, AUDIT_LAMBDAS)
     assert list(new) == list(AUDIT_LAMBDAS)
     # one atom has no boundary at all

@@ -12,7 +12,7 @@ import functools
 import numpy as np
 import pytest
 
-from betascope import (Ball, BumpFamily, WeightedPointMeasure, build_corona,
+from betascope import (Ball, WeightedPointMeasure, build_corona,
                        build_lattice, cantor4, lipschitz_graph, riesz_kernel,
                        t1_ball_check, verify_checks)
 
@@ -46,8 +46,7 @@ def outcome(name, regime, factor):
     lattice = build_lattice(measure, **lattice_params)
     corona = build_corona(lattice, **corona_params)
     kernel = riesz_kernel(1, 2)
-    records = verify_checks(measure, kernel, corona,
-                            BumpFamily(lattice.a0))
+    records = verify_checks(kernel, corona)
     centres = np.random.default_rng(0).choice(measure.size, BALLS,
                                               replace=False)
     radii = factor * np.geomspace(0.02, 1.0, BALLS)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from betascope import (Ball, BumpFamily, REPORT_SCHEMA, WeightedPointMeasure,
+from betascope import (Ball, REPORT_SCHEMA, TreeGeometry, WeightedPointMeasure,
                        build_corona, build_lattice, cantor4,
                        capacity_lower_bound, cauchy_kernel,
                        compare_baseline, cotlar_check, jones_field,
@@ -103,8 +103,7 @@ class TestT1Balls:
 
 class TestCotlar:
     def test_record_and_exclusions(self, graph_corona, kernel):
-        rec = cotlar_check(graph_corona.measure, kernel, graph_corona,
-                           graph_corona.root_id, max_samples=48)
+        rec = cotlar_check(kernel, graph_corona, max_samples=48)
         assert rec["name"] == "cotlar"
         assert rec["params"]["s"] == 1.0
         assert rec["samples"] > 0
@@ -115,8 +114,7 @@ class TestCotlar:
         for count in (500, 2000):
             lat = build_lattice(lipschitz_graph(count, seed=4))
             cor = build_corona(lat)
-            rec = cotlar_check(cor.measure, kernel, cor, cor.root_id,
-                               max_samples=64)
+            rec = cotlar_check(kernel, cor, max_samples=64)
             ratios.append(rec["ratio"])
         lo, hi = min(ratios), max(ratios)
         assert hi <= lo * 1.5 + 1e-12
@@ -134,7 +132,7 @@ class TestCotlar:
             return real(kern, sigma, centers, eps, phi_centers, phi_atoms)
 
         monkeypatch.setattr(verify, "t_phi_eps", spy)
-        cotlar_check(cor.measure, kernel, cor, cor.root_id, max_samples=16)
+        cotlar_check(kernel, cor, max_samples=16)
         assert len(calls) == 1
         sigma, centers, eps, phi_centers, phi_atoms = calls[0]
         assert len(centers) == len(eps) == sigma.size
@@ -159,32 +157,27 @@ class TestCotlar:
 
             monkeypatch.setattr(verify, name, spy)
         cor = graph_corona
-        rec = cotlar_check(cor.measure, kernel, cor, cor.root_id,
-                           max_samples=48)
+        rec = cotlar_check(kernel, cor, max_samples=48)
         assert rec["samples"] > 1
         assert sorted(calls) == ["m_tilde", "m_tilde", "t_phi_eps",
                                  "t_phi_star"]
         calls.clear()
-        rec = pointwise_domination_check(
-            cor.measure, kernel, cor, BumpFamily(cor.lattice.a0),
-            cor.root_id, max_samples=48)
+        rec = pointwise_domination_check(kernel, cor, max_samples=48)
         assert rec["samples"] > 1
         assert calls == ["t_phi_star"]
 
     def test_coincident_atoms_keep_a_zero_field(self, kernel):
         m = WeightedPointMeasure(np.zeros((3, 2)), np.ones(3), 1)
         cor = build_corona(build_lattice(m))
-        rec = cotlar_check(m, kernel, cor, cor.root_id)
+        rec = cotlar_check(kernel, cor)
         assert rec["ratio"] == 0.0 and rec["samples"] == 3
         assert rec["params"]["flagged"] == 0
 
 
 class TestPointwiseDomination:
     def test_record(self, graph_corona, kernel):
-        bump = BumpFamily(graph_corona.lattice.a0)
-        rec = pointwise_domination_check(
-            graph_corona.measure, kernel, graph_corona, bump,
-            graph_corona.root_id, max_samples=48)
+        rec = pointwise_domination_check(kernel, graph_corona,
+                                         max_samples=48)
         assert rec["name"] == "pointwise_domination"
         assert rec["lhs"] >= 0.0
         assert np.isfinite(rec["ratio"])
@@ -210,12 +203,15 @@ FUSED_INPUTS = {
 }
 
 
-def standalone_checks(measure, kernel, cor, bump, max_samples):
-    root = cor.root_id
-    return (main_lemma_check(measure, kernel),
-            cotlar_check(measure, kernel, cor, root, max_samples),
-            pointwise_domination_check(measure, kernel, cor, bump, root,
-                                       max_samples),
+# (build_lattice, build_corona) parameters: the library defaults and the
+# regime of the acceptance suite
+REGIMES = [({}, {}), ({"a0": 4.0, "c0": 400.0}, {"tau": 0.005})]
+
+
+def standalone_checks(kernel, cor, max_samples):
+    return (main_lemma_check(cor.measure, kernel),
+            cotlar_check(kernel, cor, max_samples),
+            pointwise_domination_check(kernel, cor, max_samples),
             packing_audit(cor))
 
 
@@ -224,11 +220,11 @@ class TestFusedChecks:
     @pytest.mark.parametrize("name", sorted(FUSED_INPUTS))
     def test_records_equal_the_standalone_checks(self, name, max_samples):
         measure, kern = FUSED_INPUTS[name]()
-        cor = build_corona(build_lattice(measure))
-        bump = BumpFamily(cor.lattice.a0)
-        assert verify_checks(measure, kern, cor, bump,
-                             max_samples=max_samples) == standalone_checks(
-            measure, kern, cor, bump, max_samples)
+        for lattice_params, corona_params in REGIMES:
+            cor = build_corona(build_lattice(measure, **lattice_params),
+                               **corona_params)
+            assert verify_checks(kern, cor, max_samples=max_samples) == \
+                standalone_checks(kern, cor, max_samples), lattice_params
 
     def test_verify_sorts_each_atom_once(self, tmp_path, monkeypatch):
         """One verify sorts the atoms once for all its checks but t1's,
@@ -275,17 +271,26 @@ SIGMA_INPUTS = {
     "widest": lambda: graph_of_diameter(10 * (1 - 1e-9)),
     "narrow": lambda: graph_of_diameter(0.3),
     "wide": lambda: graph_of_diameter(40.0),
+    # the edge inputs: every atom twice, one atom, and a cloud in R^3
+    "duplicated": lambda: WeightedPointMeasure(
+        np.repeat(cantor4(2).points, 2, axis=0), np.full(32, 1 / 32), 1),
+    "one-atom": lambda: WeightedPointMeasure([[0.25, 0.5]], [1.0], 1),
+    "d3-cloud": lambda: WeightedPointMeasure(
+        np.random.default_rng(0).uniform(size=(60, 3)), np.full(60, 1 / 60),
+        2),
 }
 
 
 @pytest.mark.parametrize("a0", [4.0, lattice.DEFAULT_A0])
 @pytest.mark.parametrize("name", sorted(SIGMA_INPUTS))
 def test_the_root_trees_sigma_is_the_measure(name, a0):
-    """verify_checks reads one pass for the root tree's checks because
-    B0(R) holds every atom and the root cell holds them in index order."""
+    """The root tree's checks take sigma = chi_{B0(R)} mu to be the
+    measure, and sample the root cell's atoms as the first atoms of the
+    measure: B0(R) holds every atom and the root cell holds them in index
+    order."""
     measure = SIGMA_INPUTS[name]()
     cor = build_corona(build_lattice(measure, a0=a0))
-    _, sigma, _ = verify._tree_sigma(measure, cor, cor.root_id)
+    sigma = measure.restrict_ball(TreeGeometry(cor, cor.root_id).b0)
     assert np.array_equal(sigma.points, measure.points)
     assert np.array_equal(sigma.weights, measure.weights)
     assert np.array_equal(cor.lattice.cells[cor.root_id].point_indices,
