@@ -61,24 +61,30 @@ from .verify import (
 from .verify import (cotlar_check, main_lemma_check,  # noqa: F401
                      pointwise_domination_check)
 
-class InputError(Exception):
-    pass
+# flags that name files or only change how a run is carried out; a
+# report's config records every other parsed flag
+_UNRECORDED = ("input", "out", "r_min", "stamp", "threads", "dump",
+               "boundary_audit", "profile_csv", "baseline")
+
+
+def _config(args) -> dict:
+    return {key: value for key, value in vars(args).items()
+            if key not in _UNRECORDED}
 
 
 def _load_measure(path: str, r_min=None) -> WeightedPointMeasure:
+    # a file that cannot be read raises OSError, which main reports
     try:
         if path.endswith(".json"):
             measure = load_json(path)
         else:
             measure = load_csv(path)
-    except OSError as exc:
-        raise InputError(f"{path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         # the loaders' own messages start with the path already
         message = str(exc)
         if not message.startswith(f"{path}:"):
             message = f"{path}: {message}"
-        raise InputError(message) from exc
+        raise ValueError(message) from exc
     if r_min is not None:
         measure = WeightedPointMeasure(
             measure.points, measure.weights, measure.target_dim, r_min=r_min
@@ -98,20 +104,34 @@ def _describe(path: str, measure: WeightedPointMeasure) -> dict:
     }
 
 
-def _write_report(args, input_desc, checks, config, baseline_failures=None):
+def _write_report(args, input_desc, checks, baseline=None):
+    """Write the report to --out; with --baseline, the baseline mismatches."""
     stamp = None
-    if getattr(args, "stamp", False):
+    if args.stamp:
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    report = make_report(input_desc, checks, config, baseline_failures, stamp)
+    report = make_report(input_desc, checks, _config(args), stamp=stamp)
+    failures = None
+    # keyed on the flag: a baseline file holding JSON null is malformed
+    if getattr(args, "baseline", None):
+        try:
+            failures = compare_baseline(report, baseline)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(
+                f"{args.baseline}: not a baseline file "
+                '(expected {"checks": {name: {"value": ..., ...}}})'
+            ) from exc
+        except ValueError as exc:
+            raise ValueError(f"{args.baseline}: {exc}") from exc
+        report["baseline_failures"] = failures
     dump_json(report, args.out)
-    return report
+    return failures
 
 
 def _make_kernel(args, measure):
     if args.kernel == "riesz":
         return make_kernel("riesz", n=measure.target_dim, d=measure.dim)
     if measure.dim != 2 or measure.target_dim != 1:
-        raise InputError(
+        raise ValueError(
             "cauchy kernel needs a planar measure with target dimension 1"
         )
     return make_kernel("cauchy")
@@ -183,12 +203,7 @@ def _cmd_analyze(args) -> int:
                         f"{center},{r!r},{beta!r},{theta!r},"
                         f"{beta * beta * theta!r}\n"
                     )
-    config = {
-        "command": "analyze",
-        "scales_per_octave": args.scales_per_octave,
-        "centers": args.centers,
-    }
-    _write_report(args, _describe(args.input, measure), checks, config)
+    _write_report(args, _describe(args.input, measure), checks)
     return 0
 
 
@@ -219,14 +234,7 @@ def _cmd_lattice(args) -> int:
         })
     if args.dump:
         lattice_to_json(lattice, args.dump)
-    config = {
-        "command": "lattice",
-        "a0": args.a0,
-        "c0": args.c0,
-        "max_depth": args.max_depth,
-        "strict": args.strict,
-    }
-    _write_report(args, _describe(args.input, measure), checks, config)
+    _write_report(args, _describe(args.input, measure), checks)
     return 0
 
 
@@ -260,28 +268,20 @@ def _cmd_corona(args) -> int:
     ]
     if args.dump:
         corona_to_json(corona, args.dump)
-    config = {
-        "command": "corona",
-        "a0": args.a0,
-        "c0": args.c0,
-        "a_stop": args.a_stop,
-        "tau": args.tau,
-        "max_depth": args.max_depth,
-        "scales_per_octave": args.scales_per_octave,
-    }
-    _write_report(args, _describe(args.input, measure), checks, config)
+    _write_report(args, _describe(args.input, measure), checks)
     return 0
 
 
 def _cmd_verify(args) -> int:
     measure = _load_measure(args.input, args.r_min)
     # a baseline that cannot be read stops the command before any check
+    baseline = None
     if args.baseline:
         try:
             with open(args.baseline, encoding="ascii") as fh:
                 baseline = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise InputError(f"{args.baseline}: {exc}") from exc
+            raise ValueError(f"{args.baseline}: {exc}") from exc
     kernel = _make_kernel(args, measure)
     lattice = build_lattice(measure, a0=args.a0, c0=args.c0,
                             max_depth=args.max_depth)
@@ -314,33 +314,8 @@ def _cmd_verify(args) -> int:
             "params": {"scales_per_octave": args.scales_per_octave},
         },
     ]
-
-    config = {
-        "command": "verify",
-        "kernel": args.kernel,
-        "a0": args.a0,
-        "c0": args.c0,
-        "a_stop": args.a_stop,
-        "tau": args.tau,
-        "max_depth": args.max_depth,
-        "scales_per_octave": args.scales_per_octave,
-        "seed": args.seed,
-        "samples": args.samples,
-    }
-    failures = None
-    if args.baseline:
-        report = make_report(_describe(args.input, measure), checks, config)
-        try:
-            failures = compare_baseline(report, baseline)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise InputError(
-                f"{args.baseline}: not a baseline file "
-                '(expected {"checks": {name: {"value": ..., ...}}})'
-            ) from exc
-        except ValueError as exc:
-            raise InputError(f"{args.baseline}: {exc}") from exc
-    _write_report(args, _describe(args.input, measure), checks, config,
-                  failures)
+    failures = _write_report(args, _describe(args.input, measure), checks,
+                             baseline)
     if failures:
         for line in failures:
             print(f"baseline mismatch: {line}", file=sys.stderr)
@@ -352,16 +327,12 @@ def _cmd_capacity(args) -> int:
     measures = [_load_measure(path, args.r_min) for path in args.input]
     record = capacity_lower_bound(measures,
                                   scales_per_octave=args.scales_per_octave)
-    config = {
-        "command": "capacity",
-        "scales_per_octave": args.scales_per_octave,
-    }
     desc = {
         "inputs": [
             _describe(path, mu) for path, mu in zip(args.input, measures)
         ]
     }
-    _write_report(args, desc, [record], config)
+    _write_report(args, desc, [record])
     return 0
 
 
@@ -372,9 +343,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(parser, out_required=True):
-    parser.add_argument("--out", required=out_required,
-                        help="report JSON path")
+def _add_common(parser, inputs=None):
+    parser.add_argument("--input", required=True, nargs=inputs,
+                        help="measure file(s), .csv or .json")
+    parser.add_argument("--out", required=True, help="report JSON path")
     parser.add_argument("--r-min", type=float, default=None,
                         help="override the measure resolution")
     parser.add_argument("--stamp", action="store_true",
@@ -416,14 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", required=True, help="measure file (.csv or .json)")
 
     analyze = sub.add_parser("analyze", help="densities and flatness profiles")
-    analyze.add_argument("--input", required=True)
     analyze.add_argument("--centers", type=_positive_int, default=12)
     analyze.add_argument("--profile-csv", default=None,
                          help="also export per-center flatness profiles")
     _add_common(analyze)
 
     lat = sub.add_parser("lattice", help="build the cell hierarchy and audit it")
-    lat.add_argument("--input", required=True)
     lat.add_argument("--strict", action="store_true")
     lat.add_argument("--boundary-audit", action="store_true")
     lat.add_argument("--dump", default=None, help="cell tree JSON path")
@@ -431,14 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(lat)
 
     cor = sub.add_parser("corona", help="stopping-time decomposition")
-    cor.add_argument("--input", required=True)
     _add_corona_params(cor)
     cor.add_argument("--dump", default=None, help="decomposition JSON path")
     _add_lattice_params(cor)
     _add_common(cor)
 
     ver = sub.add_parser("verify", help="run the inequality checks")
-    ver.add_argument("--input", required=True)
     ver.add_argument("--kernel", choices=("riesz", "cauchy"), default="riesz")
     _add_corona_params(ver)
     ver.add_argument("--seed", type=int, default=0)
@@ -449,9 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(ver)
 
     cap = sub.add_parser("capacity", help="capacity lower bound of candidates")
-    cap.add_argument("--input", required=True, nargs="+",
-                     help="one or more candidate measure files")
-    _add_common(cap)
+    _add_common(cap, inputs="+")
 
     for sp in (analyze, ver, cap):
         sp.add_argument("--threads", type=_positive_int, default=1,
@@ -479,18 +445,19 @@ def main(argv=None) -> int:
         # through the ArithmeticError branch
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return _DISPATCH[args.command](args)
-    except (InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:    # an output: the loaders raise InputError
+    except OSError as exc:
         print(f"error: {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return 1
     except ArithmeticError as exc:
-        # capacity reads a list of inputs, generate none
+        # capacity reads a list of inputs, generate none; a Python
+        # float's OverflowError carries (errno, reason), numpy's the reason
         inputs = np.atleast_1d(getattr(args, "input", "the arguments"))
         print(f"error: a value computed from {', '.join(inputs)} left "
-              f"float64 range ({exc})", file=sys.stderr)
+              f"float64 range ({exc.args[-1]})", file=sys.stderr)
         return 1
 
 

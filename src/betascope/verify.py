@@ -430,8 +430,9 @@ def compare_baseline(report: dict, baseline: dict) -> list:
     Baseline format: {"checks": {name: {"value": v, "rel_tol": t,
     "field": "ratio"}}}; field defaults to "ratio" and rel_tol to 0.2.
     A baseline of any other shape raises KeyError, TypeError or
-    AttributeError; a value or rel_tol that is not a finite number, or a
-    negative rel_tol, raises ValueError.
+    AttributeError; a value or rel_tol that is not a finite number, a
+    negative rel_tol, or a field that is not a number in the report raises
+    ValueError.
     """
     failures = []
     for name, entry in baseline["checks"].items():
@@ -444,7 +445,9 @@ def compare_baseline(report: dict, baseline: dict) -> list:
         if record is None or field not in record:
             failures.append(f"{name}: missing from report")
             continue
-        actual = float(record[field])
+        actual = record[field]
+        if not isinstance(actual, (int, float)):
+            raise ValueError(f"{name}.{field} is not a number in the report")
         if not abs(actual - target) <= rel_tol * abs(target):
             failures.append(
                 f"{name}.{field}: got {actual:.6g}, baseline {target:.6g} "

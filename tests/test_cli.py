@@ -162,6 +162,54 @@ class TestCliRoundTrip:
         assert set(record["params"]) == {"0.2", "0.1", "0.05", "0.02"}
         assert record["ratio"] == max(record["params"].values())
 
+    def test_config_records_the_flags_that_change_a_result(self, tmp_path):
+        """Each report's config holds the command and the flags that change
+        its result, and the flags that name files or only change how a run
+        is carried out leave it as it is."""
+        mfile, other = tmp_path / "m.csv", tmp_path / "copy.csv"
+        save_csv(segment(20), mfile)
+        save_csv(segment(20), other)
+        bfile = tmp_path / "base.json"
+        bfile.write_text('{"checks": {}}')
+        cases = {
+            "analyze": (
+                ["--centers", "5", "--scales-per-octave", "3"],
+                {"command": "analyze", "scales_per_octave": 3, "centers": 5},
+                ["--threads", "2", "--profile-csv", str(tmp_path / "p.csv")]),
+            "lattice": (
+                ["--strict", "--a0", "6000", "--c0", "1.1",
+                 "--max-depth", "3"],
+                {"command": "lattice", "a0": 6000.0, "c0": 1.1,
+                 "max_depth": 3, "strict": True},
+                ["--boundary-audit", "--dump", str(tmp_path / "d.json")]),
+            "corona": (
+                ["--a0", "4", "--c0", "400", "--tau", "0.005",
+                 "--a-stop", "50", "--scales-per-octave", "2"],
+                {"command": "corona", "a0": 4.0, "c0": 400.0,
+                 "a_stop": 50.0, "tau": 0.005, "max_depth": None,
+                 "scales_per_octave": 2},
+                ["--dump", str(tmp_path / "d.json")]),
+            "verify": (
+                ["--kernel", "cauchy", "--seed", "7", "--samples", "5"],
+                {"command": "verify", "kernel": "cauchy", "a0": 20.0,
+                 "c0": 4.0, "a_stop": 30.0, "tau": 0.12, "max_depth": None,
+                 "scales_per_octave": 4, "seed": 7, "samples": 5},
+                ["--threads", "2", "--baseline", str(bfile)]),
+            "capacity": (
+                ["--scales-per-octave", "6"],
+                {"command": "capacity", "scales_per_octave": 6},
+                ["--threads", "2"]),
+        }
+        for command, (flags, config, unrecorded) in cases.items():
+            rep, rep2 = tmp_path / "rep.json", tmp_path / "rep2.json"
+            assert cli.main([command, "--input", str(mfile), "--out",
+                             str(rep), *flags]) == 0, command
+            assert json.loads(rep.read_text())["config"] == config, command
+            assert cli.main([command, "--input", str(other), "--out",
+                             str(rep2), "--r-min", "0.01", "--stamp",
+                             *flags, *unrecorded]) == 0, command
+            assert json.loads(rep2.read_text())["config"] == config, command
+
 
 class TestCliExitCodes:
     def test_missing_input_is_one(self, tmp_path):
@@ -206,21 +254,28 @@ class TestCliExitCodes:
 
     def test_float_range_errors_are_one(self, tmp_path):
         # capacity: r ** (n + 2) underflows to a zero divisor of the
-        # flatness; corona and verify: a ball's beta^2 theta overflows
+        # flatness; corona and verify: a ball's beta^2 theta overflows;
+        # verify at --r-min 1e300: the Python float r ** (n + 2) overflows
         graph = lipschitz_graph(50)
         tiny, heavy = tmp_path / "tiny.csv", tmp_path / "heavy.csv"
+        plain = tmp_path / "graph.csv"
         save_csv(WeightedPointMeasure(graph.points * 1e-150, graph.weights,
                                       1), tiny)
         save_csv(WeightedPointMeasure(graph.points,
                                       np.full(graph.size, 1e300), 1), heavy)
-        for command, data in (("capacity", tiny), ("corona", heavy),
-                              ("verify", heavy)):
+        save_csv(graph, plain)
+        for command, data, *extra in (("capacity", tiny), ("corona", heavy),
+                                      ("verify", heavy),
+                                      ("verify", plain, "--r-min", "1e300")):
             rep = tmp_path / f"{command}.json"
-            r = run_cli(command, "--input", str(data), "--out", str(rep))
+            r = run_cli(command, "--input", str(data), "--out", str(rep),
+                        *extra)
             assert r.returncode == 1, (command, r.stderr)
             last = r.stderr.splitlines()[-1]
             assert last.startswith("error:"), (command, r.stderr)
             assert str(data) in last and "float64 range" in last, last
+            # the reason alone, not an errno tuple
+            assert "((" not in last, last
             assert "Traceback" not in r.stderr, command
             # the first float error stops the command: no warning before
             assert "RuntimeWarning" not in r.stderr, (command, r.stderr)
@@ -376,10 +431,15 @@ class TestCliExitCodes:
         ('{"checks": {"main_lemma": 1}}', "not a baseline file"),
         ('{"checks": {"main_lemma": {"rel_tol": 0.1}}}',
          "not a baseline file"),
+        ('{"checks": {"main_lemma": {"value": 1.0, "field": "params"}}}',
+         "main_lemma.params is not a number in the report\n"),
+        ('{"checks": {"main_lemma": {"value": 1.0, "field": "name"}}}',
+         "main_lemma.name is not a number in the report\n"),
     ])
     def test_bad_baseline_is_one(self, tmp_path, capsys, text, detail):
         """A baseline of the wrong shape, a value or rel_tol that is no
-        finite number, or a negative rel_tol: exit 1, naming the file."""
+        finite number, a negative rel_tol, or a field the report holds
+        but not as a number: exit 1, naming the file."""
         mfile = tmp_path / "m.csv"
         save_csv(segment(20), mfile)
         bfile = tmp_path / "base.json"

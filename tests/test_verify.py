@@ -366,6 +366,13 @@ class TestReports:
         failures = compare_baseline(rep, bad)
         assert len(failures) == 1
         assert "main_lemma" in failures[0]
+        # a field the report holds but not as a number
+        for field in ("params", "name"):
+            pinned = {"checks": {"main_lemma": {"value": 1.0,
+                                                "field": field}}}
+            with pytest.raises(ValueError, match=f"^main_lemma.{field} is "
+                               "not a number in the report$"):
+                compare_baseline(rep, pinned)
 
     def test_compare_baseline_missing_check(self, seg, kernel):
         rep = make_report({}, [main_lemma_check(seg, kernel)], {})
