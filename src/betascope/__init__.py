@@ -64,6 +64,7 @@ from .operators import (
 from .verify import (
     REPORT_SCHEMA,
     capacity_lower_bound,
+    check_record,
     compare_baseline,
     cotlar_check,
     jones_field,

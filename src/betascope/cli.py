@@ -52,6 +52,7 @@ from .measure import (
 from .operators import make_kernel
 from .verify import (
     capacity_lower_bound,
+    check_record,
     compare_baseline,
     make_report,
     t1_ball_check,
@@ -168,26 +169,13 @@ def _cmd_analyze(args) -> int:
     if c0 is None:
         c0 = measure.growth_constant()
     checks = [
-        {
-            "name": "growth_constant",
-            "lhs": c0,
-            "rhs": 1.0,
-            "ratio": c0,
-            "samples": measure.size,
-            "params": {"exact": True, "floor": measure.r_min},
-        },
-        {
-            "name": "flatness_condition",
-            "lhs": cond["total"],
-            "rhs": cond["mass"],
-            "ratio": cond["ratio"],
-            "samples": cond["atoms"],
-            "params": {
-                "ball_radius": cond["ball_radius"],
-                "degenerate": cond["degenerate"],
-                "scales_per_octave": args.scales_per_octave,
-            },
-        },
+        check_record("growth_constant", c0, 1.0, measure.size,
+                     {"exact": True, "floor": measure.r_min}),
+        check_record("flatness_condition", cond["total"], cond["mass"],
+                     cond["atoms"],
+                     {"ball_radius": cond["ball_radius"],
+                      "degenerate": cond["degenerate"],
+                      "scales_per_octave": args.scales_per_octave}),
     ]
     if args.profile_csv:
         stride = max(1, measure.size // args.centers)
@@ -212,26 +200,15 @@ def _cmd_lattice(args) -> int:
     lattice = build_lattice(measure, a0=args.a0, c0=args.c0,
                             max_depth=args.max_depth, strict=args.strict)
     audit = check_lattice(lattice)
-    checks = [
-        {
-            "name": "lattice_invariants",
-            "lhs": float(audit["nonconforming"]),
-            "rhs": float(audit["cells"]),
-            "ratio": audit["nonconforming_fraction"],
-            "samples": audit["cells"],
-            "params": audit,
-        }
-    ]
+    checks = [check_record("lattice_invariants",
+                           float(audit["nonconforming"]),
+                           float(audit["cells"]), audit["cells"], audit)]
     if args.boundary_audit:
         worst = boundary_audit(lattice)
-        checks.append({
-            "name": "boundary_layers",
-            "lhs": max(worst.values()),
-            "rhs": 1.0,
-            "ratio": max(worst.values()),
-            "samples": audit["cells"] * len(worst),
-            "params": {str(k): v for k, v in worst.items()},
-        })
+        checks.append(check_record(
+            "boundary_layers", max(worst.values()), 1.0,
+            audit["cells"] * len(worst),
+            {str(k): v for k, v in worst.items()}))
     if args.dump:
         lattice_to_json(lattice, args.dump)
     _write_report(args, _describe(args.input, measure), checks)
@@ -246,25 +223,12 @@ def _cmd_corona(args) -> int:
     packing = packing_audit(corona, scales_per_octave=args.scales_per_octave)
     density = tree_density_audit(corona)
     checks = [
-        {
-            "name": "packing",
-            "lhs": packing["lhs"],
-            "rhs": packing["rhs"],
-            "ratio": packing["ratio"],
-            "samples": packing["tops"],
-            "params": {
-                "jones_energy": packing["jones_energy"],
-                "scales_per_octave": args.scales_per_octave,
-            },
-        },
-        {
-            "name": "tree_density",
-            "lhs": density,
-            "rhs": args.a_stop,
-            "ratio": density / args.a_stop,
-            "samples": len(corona.tops),
-            "params": {"a_stop": args.a_stop, "tau": args.tau},
-        },
+        check_record("packing", packing["lhs"], packing["rhs"],
+                     packing["tops"],
+                     {"jones_energy": packing["jones_energy"],
+                      "scales_per_octave": args.scales_per_octave}),
+        check_record("tree_density", density, args.a_stop, len(corona.tops),
+                     {"a_stop": args.a_stop, "tau": args.tau}),
     ]
     if args.dump:
         corona_to_json(corona, args.dump)
@@ -305,14 +269,9 @@ def _cmd_verify(args) -> int:
                       scales_per_octave=args.scales_per_octave),
         cotlar,
         pointwise,
-        {
-            "name": "packing",
-            "lhs": packing["lhs"],
-            "rhs": packing["rhs"],
-            "ratio": packing["ratio"],
-            "samples": packing["tops"],
-            "params": {"scales_per_octave": args.scales_per_octave},
-        },
+        check_record("packing", packing["lhs"], packing["rhs"],
+                     packing["tops"],
+                     {"scales_per_octave": args.scales_per_octave}),
     ]
     failures = _write_report(args, _describe(args.input, measure), checks,
                              baseline)

@@ -1,11 +1,12 @@
 """Inequality checks: square-function bounds, Cotlar-type maximal control,
 pointwise domination of tree operators, and the capacity lower bound.
 
-Every check returns a structured record with the inputs needed to reproduce
-it and a finite headline number (usually a ratio).  Constants the theory
-leaves unspecified become measured values; acceptance is stability of those
-values under refinement, handled by the test suite and the baseline
-comparison below.
+Every check returns one ``check_record``: the inequality's two sides
+``lhs`` and ``rhs``, their ``ratio`` (lhs / rhs, or 0.0 when rhs is not
+positive), the number of ``samples`` behind them and the ``params`` that
+reproduce them.  The ratio is the measured constant the theory leaves
+unspecified; acceptance is stability of those values under refinement,
+handled by the test suite and the baseline comparison below.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .operators import (
 from .operators import truncated_field  # noqa: F401
 
 __all__ = [
+    "check_record",
     "jones_field",
     "main_lemma_check",
     "t1_ball_check",
@@ -52,6 +54,20 @@ __all__ = [
 ]
 
 REPORT_SCHEMA = "betascope-report/1"
+
+
+def check_record(name: str, lhs, rhs, samples: int, params: dict) -> dict:
+    """One report entry: an inequality's two sides, their ratio (0.0 when
+    rhs is not positive), the number of samples behind them and the
+    parameters that reproduce them."""
+    return {
+        "name": name,
+        "lhs": lhs,
+        "rhs": rhs,
+        "ratio": lhs / rhs if rhs > 0 else 0.0,
+        "samples": samples,
+        "params": params,
+    }
 
 
 def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
@@ -75,20 +91,18 @@ def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
 
 def _flatness_floor(measure, scales_per_octave: int) -> float:
     """Default lower radius of the flatness energy."""
-    # same half-step offset as the default truncation grid: scale radii
-    # must not land on exact inter-atom distances, or ball membership
-    # flips under float-level perturbations of the coordinates
+    # a half-step above r_min: grid radii stay off the dyadic multiples of
+    # the minimum gap, where ball membership and the truncation jump, so a
+    # float-level perturbation of the input cannot flip an atom across one
     return measure.r_min * 2.0 ** (1.0 / (2 * scales_per_octave))
 
 
 def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
-    """Truncation cutoffs of the square-function bound, up to the diameter."""
+    """Truncation cutoffs of the square-function bound, from half the
+    flatness floor up to the diameter."""
     hi = max(measure.diameter, measure.r_min)
-    # the half-step offset keeps grid points away from dyadic multiples
-    # of the minimum gap, where the truncation jumps and a float-level
-    # perturbation of the input could flip an atom across the cutoff
-    lo = measure.r_min / 2 * 2.0 ** (1.0 / (2 * scales_per_octave))
-    return geometric_grid(lo, hi, scales_per_octave)
+    return geometric_grid(_flatness_floor(measure, scales_per_octave) / 2,
+                          hi, scales_per_octave)
 
 
 def _main_lemma_grids(measure, scales_per_octave: int):
@@ -143,18 +157,11 @@ def _main_lemma_record(measure, kernel, eps_grid, squares, jones,
     energies = ordered_sum(measure.weights[:, None] * squares)
     lhs = float(np.max(energies))
     rhs = measure.total_mass + float(measure.weights @ jones)
-    return {
-        "name": "main_lemma",
-        "lhs": lhs,
-        "rhs": rhs,
-        "ratio": lhs / rhs,
-        "samples": int(measure.size * eps_grid.size),
-        "params": {
-            "kernel": kernel.name,
-            "eps_grid": [float(e) for e in eps_grid],
-            "scales_per_octave": scales_per_octave,
-        },
-    }
+    return check_record("main_lemma", lhs, rhs,
+                        int(measure.size * eps_grid.size),
+                        {"kernel": kernel.name,
+                         "eps_grid": [float(e) for e in eps_grid],
+                         "scales_per_octave": scales_per_octave})
 
 
 def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4) -> dict:
@@ -168,15 +175,9 @@ def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4) -> dict:
         part = measure.restrict_ball(ball)
         ratios.append(0.0 if part.is_empty else main_lemma_check(
             part, kernel, scales_per_octave)["ratio"])
-    worst = max(ratios) if ratios else 0.0
-    return {
-        "name": "t1_balls",
-        "lhs": worst,
-        "rhs": 1.0,
-        "ratio": worst,
-        "samples": len(ratios),
-        "params": {"kernel": kernel.name, "per_ball": ratios},
-    }
+    return check_record("t1_balls", max(ratios, default=0.0), 1.0,
+                        len(ratios),
+                        {"kernel": kernel.name, "per_ball": ratios})
 
 
 def _strided(indices: np.ndarray, cap: int) -> np.ndarray:
@@ -230,24 +231,16 @@ def _cotlar_record(kernel, corona, field, sample, stars, ones_max) -> dict:
     rhss = m_tilde(measure, t_vals, measure.points[sample],
                    variant="plain") + ones_max
     flagged = 0
-    best = 0.0
-    worst_lhs = worst_rhs = 0.0
+    best = worst_lhs = worst_rhs = 0.0
     for lhs, rhs in zip(stars.tolist(), rhss.tolist()):
         if rhs == 0.0:
-            if lhs > 0.0:
-                flagged += 1
-            continue
-        if lhs / rhs > best:
+            flagged += lhs > 0.0
+        elif lhs / rhs > best:
             best, worst_lhs, worst_rhs = lhs / rhs, lhs, rhs
-    return {
-        "name": "cotlar",
-        "lhs": worst_lhs,
-        "rhs": worst_rhs,
-        "ratio": best,
-        "samples": int(sample.size),
-        "params": {"kernel": kernel.name, "s": 1.0, "flagged": flagged,
-                   "top": corona.root_id},
-    }
+    # with no sample chosen both sides stay 0.0, and so does the ratio
+    return check_record("cotlar", worst_lhs, worst_rhs, int(sample.size),
+                        {"kernel": kernel.name, "s": 1.0, "flagged": flagged,
+                         "top": corona.root_id})
 
 
 def pointwise_domination_check(kernel, corona,
@@ -276,16 +269,10 @@ def _pointwise_record(corona, kernel, sample, stars) -> dict:
         max(0.0, float(np.linalg.norm(k_r_chain(
             corona, kernel, bump, top_id, int(atom)))) - star) / theta_ref
         for atom, star in zip(sample, stars.tolist())]
-    worst = max(excesses) if excesses else 0.0
-    return {
-        "name": "pointwise_domination",
-        "lhs": worst,
-        "rhs": 1.0,
-        "ratio": worst,
-        "samples": int(sample.size),
-        "params": {"kernel": kernel.name, "top": top_id,
-                   "bump_a0": bump.a0},
-    }
+    return check_record("pointwise_domination", max(excesses, default=0.0),
+                        1.0, int(sample.size),
+                        {"kernel": kernel.name, "top": top_id,
+                         "bump_a0": bump.a0})
 
 
 def verify_checks(kernel, corona, scales_per_octave: int = 4,
@@ -391,27 +378,22 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:
             "sub_resolution": sub_resolution,
             "size": mu.size,
         })
-    best = max(e["bound"] for e in entries)
-    return {
-        "name": "capacity",
-        "lhs": best,
-        "rhs": 1.0,
-        "ratio": best,
-        "samples": len(entries),
-        "params": {"scales_per_octave": scales_per_octave,
-                   "candidates": entries},
-    }
+    return check_record("capacity", max(e["bound"] for e in entries), 1.0,
+                        len(entries),
+                        {"scales_per_octave": scales_per_octave,
+                         "candidates": entries})
 
 
 def make_report(input_desc: dict, checks: list, config: dict,
-                baseline_failures=None, stamp=None) -> dict:
-    """Assemble the serializable report envelope."""
+                stamp=None) -> dict:
+    """Assemble the serializable report envelope; ``baseline_failures``
+    stays None until a baseline comparison fills it."""
     return {
         "schema": REPORT_SCHEMA,
         "input": input_desc,
         "config": config,
         "checks": {rec["name"]: rec for rec in checks},
-        "baseline_failures": baseline_failures,
+        "baseline_failures": None,
         "generated_at": stamp,
     }
 

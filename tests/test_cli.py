@@ -589,6 +589,31 @@ def test_edge_inputs_run_every_command_twice_alike(tmp_path, name):
         assert runs[0] == runs[1], command
 
 
+@pytest.mark.parametrize("name", sorted(DUMP_INPUTS) + sorted(EDGE_INPUTS))
+def test_every_check_takes_its_ratio_from_its_sides(tmp_path, name):
+    """Every report entry holds the six fields, and its ratio is lhs / rhs,
+    or 0.0 when rhs is not positive."""
+    measure = {**DUMP_INPUTS, **EDGE_INPUTS}[name]()
+    mfile = tmp_path / "m.csv"
+    save_csv(measure, mfile)
+    runs = [["analyze", "--profile-csv", str(tmp_path / "profile.csv")],
+            ["lattice", "--boundary-audit"], ["corona"], ["verify"],
+            ["capacity"]]
+    if measure.dim == 2 and measure.target_dim == 1:
+        runs.append(["verify", "--kernel", "cauchy"])
+    report = tmp_path / "report.json"
+    for run in runs:
+        assert cli.main([*run, "--input", str(mfile),
+                         "--out", str(report)]) == 0, run
+        for key, record in json.loads(report.read_text())["checks"].items():
+            assert sorted(record) == ["lhs", "name", "params", "ratio",
+                                      "rhs", "samples"], (run, key)
+            assert record["name"] == key
+            lhs, rhs = record["lhs"], record["rhs"]
+            assert record["ratio"] == (lhs / rhs if rhs > 0 else 0.0), \
+                (run, key)
+
+
 def _ratios(tmp_path, scale):
     """Per command, every check's ratio on the graph dilated by scale."""
     mfile = tmp_path / f"m{scale!r}.csv"
