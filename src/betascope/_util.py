@@ -9,9 +9,9 @@ import math
 
 import numpy as np
 
-__all__ = ["parallel_map", "chunks", "ragged", "segment_sums", "ordered_sum",
-           "dump_json", "geometric_grid", "diameter_candidates",
-           "max_sq_pair_distance"]
+__all__ = ["parallel_map", "chunks", "ragged", "strided", "segment_sums",
+           "ordered_sum", "dump_json", "geometric_grid",
+           "diameter_candidates", "max_sq_pair_distance"]
 
 # Elements per temporary array in the blocked pairwise scans (2 MB of
 # float64), so their memory stays O(N) whatever the input size.
@@ -41,6 +41,14 @@ def ragged(starts: np.ndarray, sizes: np.ndarray):
     rows = np.repeat(np.arange(sizes.size), sizes)
     skip = starts - (np.cumsum(sizes) - sizes)
     return rows, np.arange(rows.size) + skip[rows]
+
+
+def strided(indices: np.ndarray, cap: int) -> np.ndarray:
+    """At most ``cap`` of ``indices``, taken at an even stride from the
+    first."""
+    if indices.size <= cap:
+        return indices
+    return indices[:: max(1, indices.size // cap)][:cap]
 
 
 def segment_sums(values, row, rows) -> np.ndarray:

@@ -296,13 +296,13 @@ def condition_check(
     ball: Ball,
     scales_per_octave: int = 4,
 ) -> dict:
-    """Mass-normalised multiscale flatness of a ball.
+    """Multiscale flatness of a ball, summed over its atoms, and its mass.
 
-    Returns sum over atoms x_i in B of w_i * jones(x_i, r_min, r(B)),
-    divided by mu(B), summed in atom index order.  A massless ball yields
-    ratio 0.0 with a flag.  Otherwise the same radial orders give
-    ``sup_density``, the largest sup_density(x_i, r_min) over the ball's
-    atoms: c0 itself for a ball that holds every atom.
+    Returns ``total``, the sum over atoms x_i in B of
+    w_i * jones(x_i, r_min, r(B)) in atom index order, and ``mass``, mu(B).
+    A massless ball yields total 0.0 with a flag.  Otherwise the same
+    radial orders give ``sup_density``, the largest sup_density(x_i, r_min)
+    over the ball's atoms: c0 itself for a ball that holds every atom.
     """
     idx = measure.ball_indices(ball.center, ball.radius)
     mass = float(np.sum(measure.weights[idx]))
@@ -313,15 +313,14 @@ def condition_check(
         "degenerate": mass == 0.0,
     }
     if mass == 0.0 or ball.radius <= measure.r_min:
-        record.update(total=0.0, ratio=0.0)
+        record["total"] = 0.0
         record["degenerate"] = True
         return record
     jones, sups = jones_integrals(measure, measure.points[idx],
                                   measure.r_min, ball.radius,
                                   scales_per_octave, floor=measure.r_min)
     total = ordered_sum(measure.weights[idx] * jones)
-    record.update(total=float(total), ratio=float(total / mass),
-                  sup_density=float(np.max(sups)))
+    record.update(total=float(total), sup_density=float(np.max(sups)))
     return record
 
 

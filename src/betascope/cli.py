@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from ._util import dump_json
+from ._util import dump_json, strided
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
 from .beta import beta_profile_rows, condition_check
@@ -74,18 +74,8 @@ def _config(args) -> dict:
 
 
 def _load_measure(path: str, r_min=None) -> WeightedPointMeasure:
-    # a file that cannot be read raises OSError, which main reports
-    try:
-        if path.endswith(".json"):
-            measure = load_json(path)
-        else:
-            measure = load_csv(path)
-    except ValueError as exc:
-        # the loaders' own messages start with the path already
-        message = str(exc)
-        if not message.startswith(f"{path}:"):
-            message = f"{path}: {message}"
-        raise ValueError(message) from exc
+    # main reports an unreadable file's OSError; loader errors name the path
+    measure = load_json(path) if path.endswith(".json") else load_csv(path)
     if r_min is not None:
         measure = WeightedPointMeasure(
             measure.points, measure.weights, measure.target_dim, r_min=r_min
@@ -128,16 +118,6 @@ def _write_report(args, input_desc, checks, baseline=None):
     return failures
 
 
-def _make_kernel(args, measure):
-    if args.kernel == "riesz":
-        return make_kernel("riesz", n=measure.target_dim, d=measure.dim)
-    if measure.dim != 2 or measure.target_dim != 1:
-        raise ValueError(
-            "cauchy kernel needs a planar measure with target dimension 1"
-        )
-    return make_kernel("cauchy")
-
-
 def _cmd_generate(args) -> int:
     if args.kind == "segment":
         measure = segment(args.count)
@@ -178,8 +158,7 @@ def _cmd_analyze(args) -> int:
                       "scales_per_octave": args.scales_per_octave}),
     ]
     if args.profile_csv:
-        stride = max(1, measure.size // args.centers)
-        centers = list(range(0, measure.size, stride))[: args.centers]
+        centers = strided(np.arange(measure.size), args.centers)
         rows_per_center = beta_profile_rows(
             measure, measure.points[centers], measure.r_min, diam,
             scales_per_octave=args.scales_per_octave)
@@ -246,7 +225,7 @@ def _cmd_verify(args) -> int:
                 baseline = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ValueError(f"{args.baseline}: {exc}") from exc
-    kernel = _make_kernel(args, measure)
+    kernel = make_kernel(args.kernel, measure.target_dim, measure.dim)
     lattice = build_lattice(measure, a0=args.a0, c0=args.c0,
                             max_depth=args.max_depth)
     corona = build_corona(lattice, a_stop=args.a_stop, tau=args.tau)

@@ -14,6 +14,7 @@ and the fallback is 1.0, which callers can override.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -164,7 +165,8 @@ class WeightedPointMeasure:
     points : (N, d) array_like
         Atom locations.  Finite; duplicates are allowed.
     weights : (N,) array_like
-        Strictly positive atom weights.
+        Finite, strictly positive atom weights.  A faulty atom is named by
+        its 0-based index, the first one found.
     target_dim : int
         Growth degree n, with 1 <= n <= d.  Densities are mass / r^n.
     r_min : float, optional
@@ -179,21 +181,22 @@ class WeightedPointMeasure:
 
     def __init__(self, points, weights, target_dim, r_min=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        weights = np.asarray(weights, dtype=float).reshape(-1)
+        weights = np.asarray(weights, dtype=float)
         if points.shape[0] == 0:
             points = points.reshape(0, points.shape[1] if points.ndim == 2 else 1)
         if points.ndim != 2:
             raise ValueError("points must be an (N, d) array")
-        if points.shape[0] != weights.shape[0]:
-            raise ValueError(
-                f"got {points.shape[0]} points but {weights.shape[0]} weights"
-            )
-        if points.size and not np.isfinite(points).all():
-            raise ValueError("point coordinates must be finite")
-        if weights.size and not np.isfinite(weights).all():
-            raise ValueError("weights must be finite")
-        if weights.size and not (weights > 0).all():
-            raise ValueError("weights must be strictly positive")
+        if weights.shape != points.shape[:1]:
+            raise ValueError("weights must hold one number per atom")
+        # the first atom with a fault, its coordinates checked first
+        finite = np.isfinite(points).all(axis=1)
+        bad = np.flatnonzero(~(finite & (weights > 0) & (weights < np.inf)))
+        if bad.size:
+            i = int(bad[0])
+            if not finite[i]:
+                raise ValueError(f"atom {i}: coordinates must be finite")
+            raise ValueError(f"atom {i}: weight must be finite and > 0, "
+                             f"got {float(weights[i])}")
         target_dim = int(target_dim)
         dim = int(points.shape[1])
         if not 1 <= target_dim <= dim:
@@ -595,8 +598,18 @@ def save_csv(measure: WeightedPointMeasure, path) -> None:
             fh.write(",".join(_fmt(v) for v in p) + "," + _fmt(w) + "\n")
 
 
+@contextlib.contextmanager
+def _named(path):
+    """ValueErrors raised inside (a byte outside ASCII, JSON syntax, numpy's
+    array errors, the atom rules) start with the path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_csv(path) -> WeightedPointMeasure:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh, _named(path):
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -623,16 +636,12 @@ def load_csv(path) -> WeightedPointMeasure:
             values = [float(v) for v in fields]
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: non-numeric field") from exc
-        coords, w = values[:dim], values[dim]
-        if not all(map(math.isfinite, coords)):
-            raise ValueError(f"{path}:{lineno}: coordinates must be finite")
-        if not math.isfinite(w) or w <= 0:
-            raise ValueError(f"{path}:{lineno}: weight must be finite and > 0, got {w}")
-        points.append(coords)
-        weights.append(w)
+        points.append(values[:dim])
+        weights.append(values[dim])
     if not points:
         raise ValueError(f"{path}: no atoms")
-    return WeightedPointMeasure(np.array(points), np.array(weights), n)
+    with _named(path):
+        return WeightedPointMeasure(np.array(points), np.array(weights), n)
 
 
 def save_json(measure: WeightedPointMeasure, path) -> None:
@@ -648,7 +657,7 @@ def save_json(measure: WeightedPointMeasure, path) -> None:
 
 
 def load_json(path) -> WeightedPointMeasure:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="ascii") as fh, _named(path):
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: top level must be an object")
@@ -661,20 +670,14 @@ def load_json(path) -> WeightedPointMeasure:
             raise ValueError(f"{path}: {key!r} must be an integer, "
                              f"got {payload[key]!r}")
     try:
-        points = np.asarray(payload["points"], dtype=float)
-        weights = np.asarray(payload["weights"], dtype=float)
+        with _named(path):
+            points = np.asarray(payload["points"], dtype=float)
+            weights = np.asarray(payload["weights"], dtype=float)
     except TypeError as exc:
         raise ValueError(f"{path}: points and weights must be numbers") from exc
     if points.shape == (0,):
         raise ValueError(f"{path}: no atoms")
     if points.ndim != 2 or points.shape[1] != payload["dim"]:
         raise ValueError(f"{path}: points do not match declared dim")
-    if weights.shape != points.shape[:1]:
-        raise ValueError(f"{path}: weights must hold one number per atom")
-    if (~np.isfinite(weights)).any() or (weights <= 0).any():
-        bad = int(np.argmax(~np.isfinite(weights) | (weights <= 0)))
-        raise ValueError(f"{path}: atom {bad}: weight must be finite and > 0")
-    if (~np.isfinite(points)).any():
-        bad = int(np.argmax((~np.isfinite(points)).any(axis=1)))
-        raise ValueError(f"{path}: atom {bad}: coordinates must be finite")
-    return WeightedPointMeasure(points, weights, payload["n"])
+    with _named(path):
+        return WeightedPointMeasure(points, weights, payload["n"])

@@ -112,7 +112,8 @@ def cauchy_kernel() -> CZKernel:
     """1/(zeta - z) as a 2-vector kernel of the difference w = z - zeta.
 
     -1/w in complex notation is (-w1, w2)/|w|^2; a coordinate reflection of
-    the planar Riesz kernel, so it shares its exact constants.
+    the planar Riesz kernel, so it shares its exact constants.  It fits only
+    n = 1 in the plane, as ``make_kernel(kind, n, d)`` checks.
     """
     riesz = riesz_kernel(1, 2)
 
@@ -123,14 +124,15 @@ def cauchy_kernel() -> CZKernel:
     return CZKernel("cauchy", 1, 2, 2, fn, riesz.constants)
 
 
-def make_kernel(kind: str, n: int | None = None,
-                d: int | None = None) -> CZKernel:
-    """Kernel factory: 'riesz' or 'cauchy', validated before it is returned."""
+def make_kernel(kind: str, n: int, d: int) -> CZKernel:
+    """Kernel factory for a measure of growth degree n in R^d: 'riesz', or
+    'cauchy' when (n, d) = (1, 2); validated before it is returned."""
     if kind == "riesz":
-        if n is None or d is None:
-            raise ValueError("riesz kernel needs n and d")
         kernel = riesz_kernel(n, d)
     elif kind == "cauchy":
+        if (n, d) != (1, 2):
+            raise ValueError(
+                "cauchy kernel needs a planar measure with target dimension 1")
         kernel = cauchy_kernel()
     else:
         raise ValueError(f"unknown kernel kind {kind!r}")

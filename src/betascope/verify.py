@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from ._util import geometric_grid, ordered_sum
+from ._util import geometric_grid, ordered_sum, strided
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
 from .beta import (_checked_jones_grid, _jones_grid, _jones_values,
@@ -180,12 +180,6 @@ def t1_ball_check(measure, kernel, balls, scales_per_octave: int = 4) -> dict:
                         {"kernel": kernel.name, "per_ball": ratios})
 
 
-def _strided(indices: np.ndarray, cap: int) -> np.ndarray:
-    if indices.size <= cap:
-        return indices
-    return indices[:: max(1, indices.size // cap)][:cap]
-
-
 def _root_phi(corona) -> np.ndarray:
     """Phi_R of the root tree R at every atom.
 
@@ -212,7 +206,7 @@ def cotlar_check(kernel, corona, max_samples: int = 128) -> dict:
     # only the atoms at the atom's own location
     field = t_phi_eps(kernel, measure, measure.points, np.zeros(measure.size),
                       phi, phi)
-    sample = _strided(np.arange(measure.size), max_samples)
+    sample = strided(np.arange(measure.size), max_samples)
     points = measure.points[sample]
     stars = t_phi_star(kernel, measure, points, phi[sample], phi)
     return _cotlar_record(kernel, corona, field, sample, stars,
@@ -253,7 +247,7 @@ def pointwise_domination_check(kernel, corona,
     ratio is the largest c_x.
     """
     measure, phi = corona.measure, _root_phi(corona)
-    sample = _strided(np.arange(measure.size), max_samples)
+    sample = strided(np.arange(measure.size), max_samples)
     stars = t_phi_star(kernel, measure, measure.points[sample], phi[sample],
                        phi)
     return _pointwise_record(corona, kernel, sample, stars)
@@ -295,7 +289,7 @@ def verify_checks(kernel, corona, scales_per_octave: int = 4,
     grids = [lemma_grid, _checked_jones_grid(
         measure, *_packing_span(corona), scales_per_octave)]
     radii = np.concatenate([eps_grid] + [grid[0] for grid in grids])
-    sample = _strided(np.arange(measure.size), max_samples)
+    sample = strided(np.arange(measure.size), max_samples)
 
     def visit(block):
         counts = block.count(radii)

@@ -126,7 +126,7 @@ class TestJones:
 def test_condition_check_keys():
     m = segment(25)
     rec = condition_check(m, Ball((0.5, 0.0), 0.5))
-    for key in ("mass", "atoms", "degenerate", "total", "ratio"):
+    for key in ("mass", "atoms", "degenerate", "total"):
         assert key in rec
     assert rec["atoms"] >= 2
     assert not rec["degenerate"]

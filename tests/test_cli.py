@@ -282,6 +282,39 @@ class TestCliExitCodes:
             assert len(r.stderr.splitlines()) == 1, (command, r.stderr)
             assert not rep.exists(), command
 
+    @pytest.mark.parametrize("atom, fault", [
+        ([float("inf"), 0.0, 1.0], "coordinates must be finite"),
+        ([1.0, 0.0, 0.0], "weight must be finite and > 0, got 0.0"),
+        ([1.0, 0.0, -2.0], "weight must be finite and > 0, got -2.0"),
+        ([1.0, 0.0, float("nan")], "weight must be finite and > 0, got nan"),
+    ], ids=["coordinate", "zero", "negative", "nan"])
+    def test_bad_atom_is_named_alike_in_both_formats(self, tmp_path, capsys,
+                                                     atom, fault):
+        """The measure checks the atoms, so a CSV and a JSON file with the
+        same bad atom give one line that differs only in the path."""
+        (tmp_path / "b.csv").write_text(
+            "dim=2,n=1\n0.0,0.0,1.0\n\n" + ",".join(map(repr, atom)) + "\n")
+        (tmp_path / "b.json").write_text(json.dumps(
+            {"dim": 2, "n": 1, "points": [[0.0, 0.0], atom[:2]],
+             "weights": [1.0, atom[2]]}))
+        lines = {}
+        for name in ("b.csv", "b.json"):
+            assert cli.main(["analyze", "--input", str(tmp_path / name),
+                             "--out", str(tmp_path / "rep.json")]) == 1
+            lines[name] = capsys.readouterr().err
+        csv_path = tmp_path / "b.csv"
+        assert lines["b.csv"] == f"error: {csv_path}: atom 1: {fault}\n"
+        assert lines["b.json"] == lines["b.csv"].replace("b.csv", "b.json")
+
+    def test_cauchy_kernel_off_the_plane_is_one(self, tmp_path, capsys):
+        mfile = tmp_path / "m.csv"
+        save_csv(EDGE_INPUTS["cloud_3d"](), mfile)
+        assert cli.main(["verify", "--input", str(mfile), "--kernel",
+                         "cauchy", "--out", str(tmp_path / "rep.json")]) == 1
+        assert capsys.readouterr().err == (
+            "error: cauchy kernel needs a planar measure with target "
+            "dimension 1\n")
+
     def test_non_finite_constant_is_one(self, tmp_path):
         mfile = tmp_path / "m.csv"
         run_cli("generate", "segment", "--count", "20", "--out", str(mfile))
@@ -642,7 +675,7 @@ def test_extreme_dilations_run_or_exit_one(tmp_path, exponent):
     1 with one error line and no traceback."""
     mfile = tmp_path / "m.csv"
     save_csv(_graph(2.0 ** exponent), mfile)
-    for command in ("lattice", "corona", "verify"):
+    for command in ("lattice", "corona", "verify", "analyze", "capacity"):
         r = run_cli(command, "--input", str(mfile), "--out",
                     str(tmp_path / f"{command}.json"))
         assert r.returncode in (0, 1), (command, r.stderr)

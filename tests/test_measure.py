@@ -97,6 +97,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             WeightedPointMeasure(np.zeros((3, 2)), np.ones(2), 1)
 
+    @pytest.mark.parametrize("weights", [np.ones((3, 1)), 1.0],
+                             ids=["column", "scalar"])
+    def test_rejects_weights_off_the_atoms(self, weights):
+        with pytest.raises(ValueError, match="one number per atom"):
+            WeightedPointMeasure(np.zeros((3, 2)), weights, 1)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             WeightedPointMeasure(np.array([[np.nan, 0.0]]), np.ones(1), 1)

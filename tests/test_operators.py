@@ -56,6 +56,11 @@ class TestKernels:
         with pytest.raises(ValueError):
             make_kernel("custom", n=1, d=2)
 
+    def test_cauchy_kernel_needs_the_plane(self):
+        assert make_kernel("cauchy", 1, 2).name == "cauchy"
+        with pytest.raises(ValueError, match="cauchy kernel needs a planar"):
+            make_kernel("cauchy", 1, 3)
+
 
 class TestBumpFamily:
     @pytest.mark.parametrize("a0", [1.0, 0.5, np.inf, np.nan])
