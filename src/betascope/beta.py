@@ -232,16 +232,18 @@ def _jones_grid(r_lo: float, r_hi: float, scales_per_octave: int):
 
 
 def _checked_jones_grid(measure, r_lo, r_hi, scales_per_octave):
-    """``_jones_grid`` over [r_lo, r_hi]; ValueError unless
-    r_min <= r_lo < r_hi and scales_per_octave >= 1."""
+    """``_jones_grid`` over [r_lo, r_hi], or the empty grid
+    (np.zeros(0), 0.0) when r_hi <= r_lo: an empty span, over which every
+    flatness sum is 0.0.  ValueError for r_lo < r_min, whatever r_hi is,
+    and for scales_per_octave < 1."""
     r_lo, r_hi = float(r_lo), float(r_hi)
-    if not (measure.r_min <= r_lo < r_hi):
-        raise ValueError(
-            f"need r_min <= r_lo < r_hi, got r_min={measure.r_min:.3g} "
-            f"r_lo={r_lo:.3g} r_hi={r_hi:.3g}"
-        )
+    if not measure.r_min <= r_lo:
+        raise ValueError(f"need r_min <= r_lo, got r_min={measure.r_min:.3g} "
+                         f"r_lo={r_lo:.3g}")
     if int(scales_per_octave) < 1:
         raise ValueError("scales_per_octave must be >= 1")
+    if r_hi <= r_lo:
+        return np.zeros(0), 0.0
     return _jones_grid(r_lo, r_hi, scales_per_octave)
 
 
@@ -261,7 +263,8 @@ def jones_integrals(
     over its own row, so every value equals jones_integral at that centre
     bit for bit.  With a density ``floor`` the same orders also give each
     centre's sup_density(centre, floor), and the result is the pair
-    (integrals, sups).
+    (integrals, sups).  An empty span (r_hi <= r_lo) integrates to 0.0 at
+    every centre; an r_lo below r_min raises whatever r_hi is.
     """
     radii, log_rho = _checked_jones_grid(measure, r_lo, r_hi,
                                          scales_per_octave)
@@ -284,7 +287,7 @@ def jones_integral(
 
     Left Riemann sum of beta_2(x, r)^2 * theta(x, r) in log scale over the
     geometric grid r_j = r_hi * rho^-j, rho = 2^(1/scales_per_octave).
-    Requires r_min <= r_lo < r_hi.
+    Requires r_min <= r_lo; an empty span (r_hi <= r_lo) integrates to 0.0.
     """
     center = np.asarray(center, dtype=float).reshape(1, -1)
     return float(jones_integrals(measure, center, r_lo, r_hi,
@@ -300,9 +303,11 @@ def condition_check(
 
     Returns ``total``, the sum over atoms x_i in B of
     w_i * jones(x_i, r_min, r(B)) in atom index order, and ``mass``, mu(B).
-    A massless ball yields total 0.0 with a flag.  Otherwise the same
-    radial orders give ``sup_density``, the largest sup_density(x_i, r_min)
-    over the ball's atoms: c0 itself for a ball that holds every atom.
+    A ball that holds mass also gets ``sup_density``, the largest
+    sup_density(x_i, r_min) over its atoms from the same radial orders: c0
+    itself for a ball that holds every atom.  ``degenerate`` flags a
+    massless ball (total 0.0, no sup_density) and a radius <= r_min, whose
+    empty span integrates to total 0.0.
     """
     idx = measure.ball_indices(ball.center, ball.radius)
     mass = float(np.sum(measure.weights[idx]))
@@ -310,11 +315,10 @@ def condition_check(
         "ball_radius": float(ball.radius),
         "mass": mass,
         "atoms": int(idx.size),
-        "degenerate": mass == 0.0,
+        "degenerate": mass == 0.0 or ball.radius <= measure.r_min,
     }
-    if mass == 0.0 or ball.radius <= measure.r_min:
+    if mass == 0.0:
         record["total"] = 0.0
-        record["degenerate"] = True
         return record
     jones, sups = jones_integrals(measure, measure.points[idx],
                                   measure.r_min, ball.radius,

@@ -144,12 +144,9 @@ def _cmd_analyze(args) -> int:
     )
     cond = condition_check(measure, Ball(centroid, radius),
                            scales_per_octave=args.scales_per_octave)
-    # the centroid ball holds every atom, so its pass gives c0 as well
-    c0 = cond.get("sup_density")
-    if c0 is None:
-        c0 = measure.growth_constant()
     checks = [
-        check_record("growth_constant", c0, 1.0, measure.size,
+        # the centroid ball holds every atom, so its pass gives c0 as well
+        check_record("growth_constant", cond["sup_density"], 1.0, measure.size,
                      {"exact": True, "floor": measure.r_min}),
         check_record("flatness_condition", cond["total"], cond["mass"],
                      cond["atoms"],

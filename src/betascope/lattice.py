@@ -576,9 +576,8 @@ def check_lattice(lattice: Lattice) -> dict:
             report["diam_lower_violations"] += int(
                 np.count_nonzero(diam < min_diam))
 
-        if ids.size > 1:
-            report["five_b_violations"] += _five_b_violations(
-                points[lattice.center_index[ids]], radii)
+        report["five_b_violations"] += _five_b_violations(
+            points[lattice.center_index[ids]], radii)
     keys = np.concatenate(keys)
     if not np.isin(np.concatenate(center_keys), keys).all():
         report["center_membership_ok"] = False

@@ -182,8 +182,6 @@ class WeightedPointMeasure:
     def __init__(self, points, weights, target_dim, r_min=None):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         weights = np.asarray(weights, dtype=float)
-        if points.shape[0] == 0:
-            points = points.reshape(0, points.shape[1] if points.ndim == 2 else 1)
         if points.ndim != 2:
             raise ValueError("points must be an (N, d) array")
         if weights.shape != points.shape[:1]:
@@ -260,8 +258,6 @@ class WeightedPointMeasure:
         )
 
     def _default_r_min(self) -> float:
-        if self.size < 2:
-            return DEFAULT_SINGLETON_RMIN
         # Closest pair of distinct sites; duplicates carry no positive
         # distance and must not collapse the resolution to zero.
         unique = np.unique(self._points, axis=0)
@@ -302,10 +298,7 @@ class WeightedPointMeasure:
         center = np.asarray(center, dtype=float).reshape(-1)
         if center.shape[0] != self._dim:
             raise ValueError(f"center has dim {center.shape[0]}, expected {self._dim}")
-        radius = float(radius)
-        if radius < 0:
-            return np.empty(0, dtype=np.intp)
-        return next(self.ball_batches(center, radius))[1]
+        return next(self.ball_batches(center, float(radius)))[1]
 
     def ball_batches(self, centers, radius):
         """The closed balls B(c, r) about the rows c of ``centers``, in chunks.
@@ -358,8 +351,6 @@ class WeightedPointMeasure:
         floor = float(floor)
         if floor <= 0 or not np.isfinite(floor):
             raise ValueError(f"floor must be positive and finite, got {floor}")
-        if self.is_empty:
-            return 0.0
         return float(radial_pass(
             self, center, lambda block: block.sup_density(floor))[0])
 
@@ -371,10 +362,9 @@ class WeightedPointMeasure:
         (``RadialBlock.sup_density``).  ``exact`` admits only True."""
         if exact is not True:
             raise ValueError("growth_constant computes the exact sup only")
-        if self.is_empty:
-            return 0.0
         return float(np.max(radial_pass(
-            self, self._points, lambda block: block.sup_density(self._r_min))))
+            self, self._points, lambda block: block.sup_density(self._r_min)),
+            initial=0.0))
 
     def annulus_tail(self, center, radius: float) -> float:
         """sum over |x_i - x| > r of w_i / |x_i - x|^(n+1).
@@ -386,8 +376,6 @@ class WeightedPointMeasure:
         radius = float(radius)
         if radius <= 0:
             raise ValueError(f"annulus tail needs r > 0, got {radius}")
-        if self.is_empty:
-            return 0.0
         center = np.asarray(center, dtype=float).reshape(-1)
         if center.shape[0] != self._dim:
             raise ValueError(f"center has dim {center.shape[0]}, expected {self._dim}")
@@ -543,13 +531,14 @@ class RadialBlock:
         density at that breakpoint, and at the last atom within the floor
         the density at the floor; every other candidate divides a mass no
         larger by the same radius.  So the row maximum is the exact sup,
-        with the breakpoint scan's arithmetic, and no radius is 0.
+        with the breakpoint scan's arithmetic, and no radius is 0.  A row
+        with no atoms (an empty measure) reads 0.0.
         """
         ratio = _head(self._scratch, *self.dist.shape)
         np.maximum(self.dist, floor, out=ratio)
         ratio **= self.target_dim
         np.divide(self.sums[:, 1:], ratio, out=ratio)
-        return ratio.max(axis=1)
+        return ratio.max(axis=1, initial=0.0)
 
 
 def radial_pass(measure: WeightedPointMeasure, centers, visit):

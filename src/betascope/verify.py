@@ -19,8 +19,8 @@ import numpy as np
 from ._util import geometric_grid, ordered_sum, strided
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
-from .beta import (_checked_jones_grid, _jones_grid, _jones_values,
-                   _plane_residual_sq, _weighted_plane, jones_integrals)
+from .beta import (_checked_jones_grid, _jones_values, _plane_residual_sq,
+                   _weighted_plane, jones_integrals)
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
 from .corona import TreeGeometry, _packing_record, _packing_span
@@ -74,17 +74,12 @@ def jones_field(measure: WeightedPointMeasure, r_lo=None, r_hi=None,
                 scales_per_octave: int = 4) -> np.ndarray:
     """Per-atom multiscale flatness energy over [r_lo, r_hi].
 
-    One blocked radial pass over the atoms (``jones_integrals``).
+    One blocked radial pass over the atoms (``jones_integrals``); an empty
+    span (r_hi <= r_lo) gives 0.0 at every atom.
     """
-    if measure.is_empty:
-        return np.zeros(0)
     if r_lo is None:
         r_lo = _flatness_floor(measure, scales_per_octave)
-    else:
-        r_lo = float(r_lo)
-    r_hi = measure.diameter if r_hi is None else float(r_hi)
-    if r_hi <= r_lo:
-        return np.zeros(measure.size)
+    r_hi = measure.diameter if r_hi is None else r_hi
     return jones_integrals(measure, measure.points, r_lo, r_hi,
                            scales_per_octave)
 
@@ -106,15 +101,13 @@ def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
 
 
 def _main_lemma_grids(measure, scales_per_octave: int):
-    """The main lemma's cutoffs and its flatness grid (radii, log_rho)."""
+    """The main lemma's cutoffs and its flatness grid (radii, log_rho),
+    empty when the diameter is below the flatness floor."""
     if measure.is_empty:
         raise ValueError("measure is empty")
-    r_lo = _flatness_floor(measure, scales_per_octave)
-    if measure.diameter > r_lo:
-        grid = _jones_grid(r_lo, measure.diameter, scales_per_octave)
-    else:
-        grid = np.zeros(0), 0.0
-    return _cutoff_grid(measure, scales_per_octave), grid
+    return _cutoff_grid(measure, scales_per_octave), _checked_jones_grid(
+        measure, _flatness_floor(measure, scales_per_octave),
+        measure.diameter, scales_per_octave)
 
 
 def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
@@ -333,7 +326,9 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:
     is res * mass / ((2n+2) diam^(2n+2)).  The admissible multiple solves
     t A + t^2 I = 1, evaluated in the cancellation-free form
     t = 2/(A + sqrt(A^2 + 4 I)); the reported bound is t* ||mu|| for the
-    worst atom, and the best candidate wins.
+    worst atom, and the best candidate wins.  A candidate whose diameter is
+    at most r_min is ``sub_resolution``: no span, so I(x) is 0.0, and no
+    tail; A(x) is then read at r >= r_min.
     """
     if not candidates:
         raise ValueError("need at least one candidate measure")
@@ -344,17 +339,12 @@ def capacity_lower_bound(candidates, scales_per_octave: int = 8) -> dict:
         n = mu.target_dim
         diam = mu.diameter
         sub_resolution = diam <= mu.r_min
-        if sub_resolution:
-            floor = mu.r_min
-            jones = np.zeros(mu.size)
-            tail = 0.0
-            dens = radial_pass(mu, mu.points,
-                               lambda block: block.sup_density(floor))
-        else:
-            floor = max(mu.r_min, diam / math.sqrt(mu.size))
-            # one radial order per atom serves its flatness and its density
-            jones, dens = jones_integrals(mu, mu.points, mu.r_min, diam,
-                                          scales_per_octave, floor=floor)
+        floor = max(mu.r_min, diam / math.sqrt(mu.size))
+        # one radial order per atom serves its flatness and its density
+        jones, dens = jones_integrals(mu, mu.points, mu.r_min, diam,
+                                      scales_per_octave, floor=floor)
+        tail = 0.0
+        if not sub_resolution:
             centroid, basis, _ = _weighted_plane(mu.points, mu.weights, n)
             res = _plane_residual_sq(mu.points - centroid, mu.weights, basis)
             tail = res * mu.total_mass / ((2 * n + 2) * diam ** (2 * n + 2))

@@ -6,6 +6,7 @@ import pytest
 from betascope import (Ball, WeightedPointMeasure, beta2, beta_profile_rows,
                        condition_check, geometric_grid, jones_field,
                        jones_integral, segment)
+from betascope.beta import jones_integrals
 from conftest import oracle_beta2, random_instance
 
 
@@ -122,6 +123,24 @@ class TestJones:
         assert field.shape == (80,)
         assert field.max() <= 1e-20
 
+    def test_empty_span_integrates_to_zero(self):
+        m = segment(20)
+        for r_hi in (m.r_min, 0.5 * m.r_min):
+            assert np.array_equal(
+                jones_integrals(m, m.points, m.r_min, r_hi), np.zeros(20))
+            assert jones_integral(m, m.points[3], m.r_min, r_hi) == 0.0
+            assert np.array_equal(jones_field(m, m.r_min, r_hi),
+                                  np.zeros(20))
+        # the flatness floor lies above the diameter of a single atom
+        one = WeightedPointMeasure(np.zeros((1, 2)), np.ones(1), 1)
+        assert np.array_equal(jones_field(one), np.zeros(1))
+
+    def test_r_lo_below_r_min_raises_whatever_r_hi_is(self):
+        m = segment(20)
+        for r_hi in (m.diameter, 0.25 * m.r_min):
+            with pytest.raises(ValueError, match="need r_min <= r_lo"):
+                jones_integral(m, m.points[0], 0.5 * m.r_min, r_hi)
+
 
 def test_condition_check_keys():
     m = segment(25)
@@ -130,6 +149,20 @@ def test_condition_check_keys():
         assert key in rec
     assert rec["atoms"] >= 2
     assert not rec["degenerate"]
+
+
+def test_condition_check_below_resolution_keeps_the_density():
+    # a ball no wider than r_min has an empty span but holds mass
+    m = segment(25)
+    for radius in (m.r_min, 0.5 * m.r_min):
+        rec = condition_check(m, Ball(tuple(m.points[4]), radius))
+        assert rec["mass"] > 0.0
+        assert rec["total"] == 0.0
+        assert rec["degenerate"]
+    two = WeightedPointMeasure([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], 1)
+    rec = condition_check(two, Ball((0.5, 0.0), two.r_min))
+    assert rec["atoms"] == 2 and rec["total"] == 0.0 and rec["degenerate"]
+    assert rec["sup_density"] == two.growth_constant()
 
 
 def test_beta_profile_rows_columns():

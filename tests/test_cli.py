@@ -596,6 +596,9 @@ def _graph(scale):
 
 EDGE_INPUTS = {
     "one_atom": lambda: WeightedPointMeasure([[0.25, 0.5]], [1.0], 1),
+    # r_min = 1/2, and the centroid ball's radius is exactly r_min
+    "two_equal": lambda: WeightedPointMeasure([[0.0, 0.0], [1.0, 0.0]],
+                                              [1.0, 1.0], 1),
     "duplicated": lambda: WeightedPointMeasure(
         np.repeat(cantor4(2).points, 2, axis=0), np.full(32, 1 / 32), 1),
     "cloud_3d": lambda: WeightedPointMeasure(

@@ -131,6 +131,21 @@ class TestConstruction:
         assert e.diameter == 0.0
         assert e.ball_mass((0.0, 0.0), 5.0) == 0.0
 
+    def test_empty_points_must_have_two_axes(self):
+        # (0, d) builds the empty sentinel; an empty array of another rank
+        # is rejected, not reshaped to (0, 1)
+        e = WeightedPointMeasure(np.empty((0, 2)), [], 1)
+        assert e.is_empty and e.dim == 2
+        with pytest.raises(ValueError,
+                           match=r"^points must be an \(N, d\) array$"):
+            WeightedPointMeasure(np.empty((0, 2, 3)), [], 1)
+
+    def test_empty_measure_takes_the_radial_pass(self):
+        e = WeightedPointMeasure(np.empty((0, 2)), [], 1)
+        assert e.sup_density((0.0, 0.0), 0.5) == 0.0
+        assert e.growth_constant() == 0.0
+        assert e.annulus_tail((0.0, 0.0), 1.0) == 0.0
+
 
 class TestBallMass:
     def test_closed_ball_includes_boundary(self):
@@ -219,7 +234,8 @@ class TestBallMass:
 
     def test_ball_indices_guards_match_old_body(self):
         m = small_measure(5)
-        for radius in (-1e-300, -0.5):
+        # a negative radius leaves an empty slab
+        for radius in (-1e-300, -0.5, -1.0, -math.inf):
             got = m.ball_indices(m.points[0], radius)
             assert got.dtype == np.intp and got.size == 0
             assert np.array_equal(got, old_ball_indices(m, m.points[0],

@@ -13,7 +13,7 @@ from betascope import (Ball, REPORT_SCHEMA, TreeGeometry, WeightedPointMeasure,
                        riesz_kernel, save_csv, segment, square_area,
                        t1_ball_check, verify_checks)
 from betascope import cli, lattice, verify
-from betascope.measure import RadialBlock
+from betascope.measure import RadialBlock, radial_pass
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +335,34 @@ class TestCapacity:
                                    np.array([0.5, 0.5]), 1)
         rec = capacity_lower_bound([one, two])
         assert np.isfinite(rec["lhs"])
+
+    def test_sub_resolution_entries_equal_the_former_branch(self):
+        def former(idx, mu):
+            # capacity_lower_bound's own pass for a diameter <= r_min
+            floor = mu.r_min
+            jones = np.zeros(mu.size)
+            tail = 0.0
+            dens = radial_pass(mu, mu.points,
+                               lambda block: block.sup_density(floor))
+            energy = jones + tail
+            t_vals = 2.0 / (dens + np.sqrt(dens**2 + 4.0 * energy))
+            worst = int(np.argmin(t_vals))
+            return {"candidate": idx, "t_star": float(t_vals[worst]),
+                    "bound": float(t_vals[worst]) * mu.total_mass,
+                    "worst_atom": worst, "density_floor": floor,
+                    "tail": tail, "sub_resolution": True, "size": mu.size}
+
+        candidates = [
+            WeightedPointMeasure([[0.25, 0.5]], [1.0], 1),
+            WeightedPointMeasure(np.tile([[0.3, -0.7]], (4, 1)),
+                                 np.full(4, 0.25), 1),
+            WeightedPointMeasure([[0.0, 0.0], [0.5, 0.0]], [0.5, 0.5], 1,
+                                 r_min=1.0),
+        ]
+        entries = capacity_lower_bound(candidates)["params"]["candidates"]
+        for idx, (mu, entry) in enumerate(zip(candidates, entries)):
+            # repr tells every bit of a float apart, the sign of 0.0 too
+            assert repr(entry) == repr(former(idx, mu))
 
 
 class TestReports:
