@@ -75,12 +75,8 @@ def _config(args) -> dict:
 
 def _load_measure(path: str, r_min=None) -> WeightedPointMeasure:
     # main reports an unreadable file's OSError; loader errors name the path
-    measure = load_json(path) if path.endswith(".json") else load_csv(path)
-    if r_min is not None:
-        measure = WeightedPointMeasure(
-            measure.points, measure.weights, measure.target_dim, r_min=r_min
-        )
-    return measure
+    load = load_json if path.endswith(".json") else load_csv
+    return load(path, r_min)
 
 
 def _describe(path: str, measure: WeightedPointMeasure) -> dict:

@@ -572,8 +572,8 @@ def radial_pass(measure: WeightedPointMeasure, centers, visit):
 # JSON: {"dim": d, "n": n, "points": [[...]], "weights": [...]}.
 # Floats are written with 17 significant digits so that a load/save
 # round-trip reproduces every atom bit-for-bit.  A custom r_min is not part
-# of either format; reloading recomputes the default from the same points,
-# which is deterministic.
+# of either format: a loader takes it as an argument, and without one it
+# recomputes the default from the same points, which is deterministic.
 
 
 def _fmt(x: float) -> str:
@@ -597,7 +597,7 @@ def _named(path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def load_csv(path) -> WeightedPointMeasure:
+def load_csv(path, r_min=None) -> WeightedPointMeasure:
     with open(path, "r", encoding="ascii") as fh, _named(path):
         lines = fh.read().splitlines()
     if not lines:
@@ -630,7 +630,8 @@ def load_csv(path) -> WeightedPointMeasure:
     if not points:
         raise ValueError(f"{path}: no atoms")
     with _named(path):
-        return WeightedPointMeasure(np.array(points), np.array(weights), n)
+        return WeightedPointMeasure(np.array(points), np.array(weights), n,
+                                    r_min=r_min)
 
 
 def save_json(measure: WeightedPointMeasure, path) -> None:
@@ -645,7 +646,7 @@ def save_json(measure: WeightedPointMeasure, path) -> None:
         fh.write("\n")
 
 
-def load_json(path) -> WeightedPointMeasure:
+def load_json(path, r_min=None) -> WeightedPointMeasure:
     with open(path, "r", encoding="ascii") as fh, _named(path):
         payload = json.load(fh)
     if not isinstance(payload, dict):
@@ -669,4 +670,5 @@ def load_json(path) -> WeightedPointMeasure:
     if points.ndim != 2 or points.shape[1] != payload["dim"]:
         raise ValueError(f"{path}: points do not match declared dim")
     with _named(path):
-        return WeightedPointMeasure(points, weights, payload["n"])
+        return WeightedPointMeasure(points, weights, payload["n"],
+                                    r_min=r_min)

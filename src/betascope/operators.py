@@ -398,7 +398,7 @@ def t_phi_star(kernel, measure, centers, phi_centers,
     The sum beyond eps changes only where eps crosses an atom distance, so
     the sup is a max over the suffix entries that start a run of equal
     positive distances, and the final zero.  A centre with no atom at a
-    positive distance gets 0.0.
+    positive distance reads only that zero, so it gets 0.0.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     phi_x, phi_y = _phi_values(measure, centers, phi_centers, phi_atoms)
@@ -410,22 +410,20 @@ def t_phi_star(kernel, measure, centers, phi_centers,
         starts[:, 1:size] = dist[:, 1:] != dist[:, :-1]
         starts &= np.arange(size + 1) >= near[:, None]
         norms = np.where(starts, np.linalg.norm(suffix, axis=2), -np.inf)
-        return np.where(near < size, norms.max(axis=1), 0.0)
+        return norms.max(axis=1)
 
     return radial_pass(measure, centers, visit)
 
 
-def m_tilde(sigma: WeightedPointMeasure, f, centers,
-            variant: str = "plain") -> np.ndarray:
+def m_tilde(sigma: WeightedPointMeasure, f, centers) -> np.ndarray:
     """sup over r of mean |f| on B(x, r) against sigma's mass on B(x, 3r).
 
     One value per row of ``centers``.  The ratio is piecewise constant
     between breakpoints (atom distances for the numerator, one third of
     them for the denominator), so the sup is a max over those radii.
-    variant '3/2' averages |f|^{3/2} and takes the 2/3 power of the ratio.
+    The radii read start at half the least positive distance d1, so the
+    limit |f(x)| of the ratio on (0, d1/3) is missed where it is larger.
     """
-    if variant not in ("plain", "3/2"):
-        raise ValueError(f"unknown variant {variant!r}")
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     if sigma.is_empty:
         return np.zeros(centers.shape[0])
@@ -435,8 +433,6 @@ def m_tilde(sigma: WeightedPointMeasure, f, centers,
             f"f must give one value per atom: got shape {fz.shape}, "
             f"need ({sigma.size},)"
         )
-    if variant == "3/2":
-        fz = fz**1.5
     values = fz * sigma.weights
 
     def visit(block):
@@ -445,20 +441,7 @@ def m_tilde(sigma: WeightedPointMeasure, f, centers,
         return np.array([_sup_ratio(*row) for row in zip(block.dist, nums,
                                                           block.sums)])
 
-    bests = radial_pass(sigma, centers, visit)
-    if variant == "3/2":
-        # a Python float power per value
-        bests = np.array([b ** (2.0 / 3.0) for b in bests.tolist()])
-    return bests
-
-
-def _mass_maximal(block, rows) -> np.ndarray:
-    """``m_tilde(sigma, 1, x, variant="3/2")`` at the centres x of the
-    given rows of ``block``, a block of sigma's pass: with f = 1 the
-    numerators are the mass sums themselves, so no other sum is taken."""
-    return np.array([
-        _sup_ratio(dist, sums, sums) ** (2.0 / 3.0)
-        for dist, sums in zip(block.dist[rows], block.sums[rows])])
+    return radial_pass(sigma, centers, visit)
 
 
 def _sup_ratio(dist, num_cum, den_cum) -> float:

@@ -30,7 +30,6 @@ from .operators import (
     _block_damping,
     _cutoff_sums,
     _kernel_terms,
-    _mass_maximal,
     _suffix,
     k_r_chain,
     m_tilde,
@@ -191,8 +190,11 @@ def cotlar_check(kernel, corona, max_samples: int = 128) -> dict:
     lhs(x) = sup_eps |T_{Phi,eps} mu(x)| and
     rhs(x) = Mtilde_mu(|T_Phi mu|)(x) + Mtilde_{mu,3/2}1(x),
     sampled over the atoms: the Cotlar inequality with s = 1 applied to mu
-    itself.  Samples with rhs = 0 < lhs are excluded and counted in the
-    record.
+    itself.  The second term is the constant 1: it is the sup over r of
+    (mu(B(x, r)) / mu(B(x, 3r)))^(2/3), no ratio of a ball's mass to a
+    larger ball's exceeds 1, and a ball holding every atom reads exactly
+    1.  So rhs >= 1, and the record's ``flagged`` count of samples with
+    rhs = 0 < lhs is always 0.
     """
     measure, phi = corona.measure, _root_phi(corona)
     # suppressed operator applied to mu, at every atom: eps = 0 leaves out
@@ -200,33 +202,27 @@ def cotlar_check(kernel, corona, max_samples: int = 128) -> dict:
     field = t_phi_eps(kernel, measure, measure.points, np.zeros(measure.size),
                       phi, phi)
     sample = strided(np.arange(measure.size), max_samples)
-    points = measure.points[sample]
-    stars = t_phi_star(kernel, measure, points, phi[sample], phi)
-    return _cotlar_record(kernel, corona, field, sample, stars,
-                          m_tilde(measure, np.ones(measure.size), points,
-                                  variant="3/2"))
+    stars = t_phi_star(kernel, measure, measure.points[sample], phi[sample],
+                       phi)
+    return _cotlar_record(kernel, corona, field, sample, stars)
 
 
-def _cotlar_record(kernel, corona, field, sample, stars, ones_max) -> dict:
-    """``cotlar_check``'s record from T_Phi mu at every atom (``field``),
-    and from T_{Phi,*} mu (``stars``) and Mtilde_{mu,3/2}1 (``ones_max``)
-    at the ``sample`` atoms."""
+def _cotlar_record(kernel, corona, field, sample, stars) -> dict:
+    """``cotlar_check``'s record from T_Phi mu at every atom (``field``)
+    and from T_{Phi,*} mu at the ``sample`` atoms (``stars``)."""
     measure = corona.measure
     # row by row: the norm of one vector is a dot product, which rounds
     # unlike norm(axis=1)
     t_vals = np.array([float(np.linalg.norm(row)) for row in field])
-    rhss = m_tilde(measure, t_vals, measure.points[sample],
-                   variant="plain") + ones_max
-    flagged = 0
+    # Mtilde_{mu,3/2}1 is 1.0 (cotlar_check)
+    rhss = m_tilde(measure, t_vals, measure.points[sample]) + 1.0
     best = worst_lhs = worst_rhs = 0.0
     for lhs, rhs in zip(stars.tolist(), rhss.tolist()):
-        if rhs == 0.0:
-            flagged += lhs > 0.0
-        elif lhs / rhs > best:
+        if lhs / rhs > best:
             best, worst_lhs, worst_rhs = lhs / rhs, lhs, rhs
     # with no sample chosen both sides stay 0.0, and so does the ratio
     return check_record("cotlar", worst_lhs, worst_rhs, int(sample.size),
-                        {"kernel": kernel.name, "s": 1.0, "flagged": flagged,
+                        {"kernel": kernel.name, "s": 1.0, "flagged": 0,
                          "top": corona.root_id})
 
 
@@ -272,8 +268,7 @@ def verify_checks(kernel, corona, scales_per_octave: int = 4,
     atoms serves all four: each block is searched once for the cutoffs and
     both flatness grids, the kernel is evaluated once for the plain terms
     (the truncations and flatness, ``_lemma_reads``) and the terms damped
-    by Phi_R (T_Phi mu at every atom), and the mass sums give
-    Mtilde_{mu,3/2}1 at the samples.  One ``t_phi_star`` call gives
+    by Phi_R (T_Phi mu at every atom).  One ``t_phi_star`` call gives
     T_{Phi,*} at the samples for both tree checks, and one ``m_tilde``
     call Cotlar's Mtilde_mu of |T_Phi mu|.
     """
@@ -282,7 +277,6 @@ def verify_checks(kernel, corona, scales_per_octave: int = 4,
     grids = [lemma_grid, _checked_jones_grid(
         measure, *_packing_span(corona), scales_per_octave)]
     radii = np.concatenate([eps_grid] + [grid[0] for grid in grids])
-    sample = strided(np.arange(measure.size), max_samples)
 
     def visit(block):
         counts = block.count(radii)
@@ -293,21 +287,16 @@ def verify_checks(kernel, corona, scales_per_octave: int = 4,
         terms *= damping
         field = _suffix(terms, block)[np.arange(block.rows), block.near]
         del terms
-        # the block's samples; the other rows keep 0.0
-        ones_max = np.zeros(block.rows)
-        rows = sample[(sample >= block.centres.start)
-                      & (sample < block.centres.stop)] - block.centres.start
-        ones_max[rows] = _mass_maximal(block, rows)
-        return field, ones_max, *reads
+        return field, *reads
 
-    field, ones_max, squares, lemma_jones, packing_jones = radial_pass(
+    field, squares, lemma_jones, packing_jones = radial_pass(
         measure, measure.points, visit)
+    sample = strided(np.arange(measure.size), max_samples)
     stars = t_phi_star(kernel, measure, measure.points[sample], phi[sample],
                        phi)
     return (_main_lemma_record(measure, kernel, eps_grid, squares,
                                lemma_jones, scales_per_octave),
-            _cotlar_record(kernel, corona, field, sample, stars,
-                           ones_max[sample]),
+            _cotlar_record(kernel, corona, field, sample, stars),
             _pointwise_record(corona, kernel, sample, stars),
             _packing_record(corona, packing_jones))
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from betascope import (WeightedPointMeasure, cantor4, cli, lipschitz_graph,
-                       load_csv, save_csv, segment, square_area)
+                       load_csv, save_csv, save_json, segment, square_area)
 
 
 def run_cli(*args, cwd=None):
@@ -209,6 +209,35 @@ class TestCliRoundTrip:
                              str(rep2), "--r-min", "0.01", "--stamp",
                              *flags, *unrecorded]) == 0, command
             assert json.loads(rep2.read_text())["config"] == config, command
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_r_min_flag_builds_one_measure(tmp_path, monkeypatch, suffix):
+    """Under --r-min the loader builds the one measure with it, so the
+    default r_min is never computed."""
+    mfile = tmp_path / f"m.{suffix}"
+    (save_csv if suffix == "csv" else save_json)(lipschitz_graph(40), mfile)
+
+    def refuse(self):
+        raise AssertionError("default r_min computed under --r-min")
+
+    monkeypatch.setattr(WeightedPointMeasure, "_default_r_min", refuse)
+    for command in ("analyze", "verify"):
+        rep = tmp_path / f"{command}.json"
+        assert cli.main([command, "--input", str(mfile), "--out", str(rep),
+                         "--r-min", "0.01"]) == 0, command
+        assert json.loads(rep.read_text())["input"]["r_min"] == 0.01
+
+
+def test_bad_r_min_is_one_error_naming_the_input(tmp_path, capsys):
+    mfile = tmp_path / "m.csv"
+    save_csv(segment(10), mfile)
+    for value in ("0", "-1", "inf", "nan"):
+        assert cli.main(["analyze", "--input", str(mfile), "--out",
+                         str(tmp_path / "rep.json"), "--r-min", value]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {mfile}: r_min must be finite and positive, "
+            f"got {float(value)}\n")
 
 
 class TestCliExitCodes:

@@ -282,14 +282,27 @@ class TestSuppressedTruncation:
 
 class TestMaximalFunctions:
     def test_m_tilde_variants(self):
+        # the 3/2 variant is the plain maximal function of |f|^{3/2} to the
+        # 2/3, so m_tilde takes no variant
         m = segment(30)
         f = np.ones(30)
         x = m.points[4]
         (plain,) = m_tilde(m, f, x)
-        (three_half,) = m_tilde(m, f, x, variant="3/2")
+        (three_half,) = m_tilde(m, np.abs(f) ** 1.5, x) ** (2.0 / 3.0)
         assert plain > 0.0 and three_half > 0.0
-        with pytest.raises(ValueError):
-            m_tilde(m, f, x, variant="bogus")
+        with pytest.raises(TypeError):
+            m_tilde(m, f, x, variant="3/2")
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "m_tilde reads radii from d1/2 up, d1 the least positive distance, "
+        "so it misses the ratio |f(x)| on (0, d1/3)"))
+    def test_m_tilde_reads_the_small_radius_limit(self):
+        # about atom 0, d1 = 1: for r < 1/3 both balls hold atom 0 alone,
+        # so the ratio is |f| w / w = 5, and every larger r gives at most
+        # 2.5 (5 / (1 + 1) up to r = 5/6, then 5 / 102)
+        m = WeightedPointMeasure([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]],
+                                 [1.0, 1.0, 100.0], 1)
+        assert m_tilde(m, [5.0, 0.0, 0.0], m.points[0]).tolist() == [5.0]
 
     def test_m_tilde_constant_function_bounded_by_one(self):
         # averaging |f| = 1 against a probability-normalized window stays

@@ -11,7 +11,8 @@ import pytest
 
 from betascope import (BetaProfile, WeightedPointMeasure, cantor4,
                        cauchy_kernel, lipschitz_graph, m_tilde, riesz_kernel,
-                       segment, t_phi_eps, t_phi_star, truncated_field)
+                       segment, square_area, t_phi_eps, t_phi_star,
+                       truncated_field)
 from betascope import measure as measure_module
 from betascope.measure import RadialBlock
 
@@ -305,22 +306,55 @@ def test_truncation_sums_bit_equal(monkeypatch, measure, kernel):
             assert sups.tolist() == [o.sup_norm() for o in old]
 
 
+def m_tilde_three_half(sigma, f, xs):
+    """The 3/2 maximal function of f from the plain one: M~ of |f|^{3/2},
+    to the 2/3 as a Python float power, the steps of the variant that
+    ``m_tilde`` no longer takes."""
+    return [b ** (2.0 / 3.0)
+            for b in m_tilde(sigma, np.abs(f) ** 1.5, xs).tolist()]
+
+
 @pytest.mark.parametrize("variant", ["plain", "3/2"])
 def test_m_tilde_bit_equal(monkeypatch, measure, variant):
     f = np.random.default_rng(3).normal(size=measure.size)
     xs = centres(measure)
     old = [old_m_tilde(measure, f, x, variant) for x in xs]
+    new = {"plain": lambda: m_tilde(measure, f, xs).tolist(),
+           "3/2": lambda: m_tilde_three_half(measure, f, xs)}[variant]
     for budget in (measure_module.RADIAL_BLOCK_ELEMENTS, 1):
         monkeypatch.setattr(measure_module, "RADIAL_BLOCK_ELEMENTS", budget)
-        assert np.array_equal(m_tilde(measure, f, xs, variant), old)
+        assert new() == old
 
 
 def test_m_tilde_all_atoms_at_centre_bit_equal():
     m = WeightedPointMeasure(np.zeros((4, 2)), np.array([1.0, 2.0, 0.5, 1.5]), 1)
     f = np.array([0.3, -1.0, 2.0, 0.7])
-    for variant in ("plain", "3/2"):
-        assert m_tilde(m, f, [(0.0, 0.0)], variant)[0] == \
-            old_m_tilde(m, f, (0.0, 0.0), variant)
+    assert m_tilde(m, f, [(0.0, 0.0)])[0] == old_m_tilde(m, f, (0.0, 0.0))
+    assert m_tilde_three_half(m, f, [(0.0, 0.0)])[0] == \
+        old_m_tilde(m, f, (0.0, 0.0), "3/2")
+
+
+# the maximal function of the constant 1 on these, at every atom and off
+# the support
+IDENTITY_MEASURES = {
+    **ALL_MEASURES,
+    "square": lambda: square_area(8),
+    "duplicated": lambda: WeightedPointMeasure(
+        np.repeat(cantor4(2).points, 2, axis=0), np.full(32, 1 / 32), 1),
+    "wide_weights": lambda: WeightedPointMeasure(
+        lipschitz_graph(61, seed=4).points, np.logspace(-300, 300, 61), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_MEASURES))
+def test_mass_maximal_function_is_one(name):
+    """M~_{sigma,3/2}1 = sup_r (sigma(B(x, r)) / sigma(B(x, 3r)))^(2/3) is
+    exactly 1.0: no ratio exceeds 1, and the largest radius read holds
+    every atom in both balls.  So the Cotlar check adds the constant 1.0
+    in its place."""
+    sigma = IDENTITY_MEASURES[name]()
+    for x in centres(sigma):
+        assert old_m_tilde(sigma, np.ones(sigma.size), x, "3/2") == 1.0
 
 
 def test_one_eps_serves_every_centre():

@@ -311,7 +311,7 @@ NO_CENTRES = {
         lambda m, k, xs: t_phi_star(k, m, xs, np.zeros(0), np.ones(m.size)),
         [(0,)]),
     "m_tilde": (
-        lambda m, k, xs: m_tilde(m, np.ones(m.size), xs, variant="3/2"),
+        lambda m, k, xs: m_tilde(m, np.ones(m.size), xs),
         [(0,)]),
     "sup_density": (
         lambda m, k, xs: radial_pass(
