@@ -10,7 +10,7 @@ checks plus report plumbing that tie them together (``verify``).
 
 from types import ModuleType as _Module
 
-from ._util import dump_json, geometric_grid
+from ._util import dump_json
 from .beta import (
     BetaProfile,
     BetaResult,

@@ -1,6 +1,6 @@
-"""Shared plumbing: deterministic JSON output, the ordered map, grids, the
-two reductions whose summation order every report relies on, the
-candidate ends of a longest pair and the blocked all-pairs scan."""
+"""Shared plumbing: deterministic JSON output, the ordered map, the two
+reductions whose summation order every report relies on, the candidate
+ends of a longest pair and the blocked all-pairs scan."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import math
 import numpy as np
 
 __all__ = ["parallel_map", "chunks", "ragged", "strided", "segment_sums",
-           "ordered_sum", "dump_json", "geometric_grid",
-           "diameter_candidates", "max_sq_pair_distance"]
+           "ordered_sum", "dump_json", "diameter_candidates",
+           "max_sq_pair_distance"]
 
 # Elements per temporary array in the blocked pairwise scans (2 MB of
 # float64), so their memory stays O(N) whatever the input size.
@@ -90,19 +90,6 @@ def dump_json(payload, path=None) -> str:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
     return text
-
-
-def geometric_grid(lo: float, hi: float, per_octave: int = 4) -> np.ndarray:
-    """Ascending grid lo * 2^(j/per_octave) capped at hi; at least one node."""
-    if lo <= 0:
-        raise ValueError(f"grid start must be positive, got {lo}")
-    if per_octave < 1:
-        raise ValueError(f"per_octave must be >= 1, got {per_octave}")
-    if hi <= lo:
-        return np.array([lo])
-    count = int(math.floor(math.log2(hi / lo) * per_octave + 1e-9)) + 1
-    grid = lo * 2.0 ** (np.arange(count) / per_octave)
-    return grid[grid <= hi * (1 + 1e-12)]
 
 
 def diameter_candidates(points: np.ndarray) -> np.ndarray:

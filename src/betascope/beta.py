@@ -218,33 +218,31 @@ def _jones_values(block: RadialBlock, grids, counts) -> list:
     return values
 
 
-def _jones_grid(r_lo: float, r_hi: float, scales_per_octave: int):
-    """Geometric node radii r_hi * rho^-j descending towards r_lo.
-
-    Nodes satisfy r_lo < r_j <= r_hi.  Each node carries weight ln(rho); a
-    split of [r_lo, r_hi] at any node therefore reproduces the full node
-    set exactly, which is the additivity the tests rely on.
-    """
-    rho = 2.0 ** (1.0 / int(scales_per_octave))
-    count = max(1, math.ceil(math.log(r_hi / r_lo) / math.log(rho) - 1e-9))
-    radii = r_hi * rho ** (-np.arange(count, dtype=float))
-    return radii, math.log(rho)
+def _octaves(scales_per_octave) -> int:
+    """``scales_per_octave`` as an int; ValueError below 1."""
+    octaves = int(scales_per_octave)
+    if octaves < 1:
+        raise ValueError("scales_per_octave must be >= 1")
+    return octaves
 
 
 def _checked_jones_grid(measure, r_lo, r_hi, scales_per_octave):
-    """``_jones_grid`` over [r_lo, r_hi], or the empty grid
-    (np.zeros(0), 0.0) when r_hi <= r_lo: an empty span, over which every
-    flatness sum is 0.0.  ValueError for r_lo < r_min, whatever r_hi is,
-    and for scales_per_octave < 1."""
+    """The flatness grid (radii, log_rho) over [r_lo, r_hi]: descending
+    nodes r_j = r_hi * rho^-j in (r_lo, r_hi], rho = 2^(1/scales_per_octave),
+    each of weight ln(rho), so a split of the span at a node reproduces the
+    node set.  An empty span (r_hi <= r_lo) has no node: (np.zeros(0), 0.0).
+    ValueError for scales_per_octave < 1, and for r_lo < r_min whatever
+    r_hi is."""
+    rho = 2.0 ** (1.0 / _octaves(scales_per_octave))
     r_lo, r_hi = float(r_lo), float(r_hi)
     if not measure.r_min <= r_lo:
         raise ValueError(f"need r_min <= r_lo, got r_min={measure.r_min:.3g} "
                          f"r_lo={r_lo:.3g}")
-    if int(scales_per_octave) < 1:
-        raise ValueError("scales_per_octave must be >= 1")
     if r_hi <= r_lo:
         return np.zeros(0), 0.0
-    return _jones_grid(r_lo, r_hi, scales_per_octave)
+    count = max(1, math.ceil(math.log(r_hi / r_lo) / math.log(rho) - 1e-9))
+    radii = r_hi * rho ** (-np.arange(count, dtype=float))
+    return radii, math.log(rho)
 
 
 def jones_integrals(
@@ -338,9 +336,10 @@ def beta_profile_rows(
     """(radius, beta2, theta) rows over the multiscale grid, coarse to fine.
 
     One list of rows per row of the (m, d) ``centers``, from one blocked
-    pass.
+    pass, over ``jones_integrals``' grid: an empty span (r_hi <= r_lo)
+    gives every centre no row, and an r_lo below r_min raises.
     """
-    radii, _ = _jones_grid(float(r_lo), float(r_hi), scales_per_octave)
+    radii, _ = _checked_jones_grid(measure, r_lo, r_hi, scales_per_octave)
     beta_sq, theta = radial_pass(
         measure, centers,
         lambda block: _block_flatness(block, radii, block.count(radii)))

@@ -132,7 +132,6 @@ def _cmd_generate(args) -> int:
 
 def _cmd_analyze(args) -> int:
     measure = _load_measure(args.input, args.r_min)
-    diam = max(measure.diameter, measure.r_min)
     centroid = measure.weights @ measure.points / measure.total_mass
     radius = max(
         float(np.max(np.linalg.norm(measure.points - centroid, axis=1))),
@@ -153,7 +152,7 @@ def _cmd_analyze(args) -> int:
     if args.profile_csv:
         centers = strided(np.arange(measure.size), args.centers)
         rows_per_center = beta_profile_rows(
-            measure, measure.points[centers], measure.r_min, diam,
+            measure, measure.points[centers], measure.r_min, measure.diameter,
             scales_per_octave=args.scales_per_octave)
         with open(args.profile_csv, "w", encoding="ascii") as fh:
             fh.write("center_index,r,beta,theta,integrand\n")

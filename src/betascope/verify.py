@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from ._util import geometric_grid, ordered_sum, strided
+from ._util import ordered_sum, strided
 # perfbench/tracer.py patches parallel_map here by name
 from ._util import parallel_map  # noqa: F401
-from .beta import (_checked_jones_grid, _jones_values, _plane_residual_sq,
-                   _weighted_plane, jones_integrals)
+from .beta import (_checked_jones_grid, _jones_values, _octaves,
+                   _plane_residual_sq, _weighted_plane, jones_integrals)
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
 from .corona import TreeGeometry, _packing_record, _packing_span
@@ -88,15 +88,19 @@ def _flatness_floor(measure, scales_per_octave: int) -> float:
     # a half-step above r_min: grid radii stay off the dyadic multiples of
     # the minimum gap, where ball membership and the truncation jump, so a
     # float-level perturbation of the input cannot flip an atom across one
-    return measure.r_min * 2.0 ** (1.0 / (2 * scales_per_octave))
+    return measure.r_min * 2.0 ** (1.0 / (2 * _octaves(scales_per_octave)))
 
 
 def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
-    """Truncation cutoffs of the square-function bound, from half the
-    flatness floor up to the diameter."""
+    """Truncation cutoffs of the square-function bound: ascending nodes
+    lo * 2^(j/scales_per_octave) from half the flatness floor, lo in
+    (r_min / 2, r_min / sqrt(2)], up to max(diameter, r_min): lo at least."""
+    octaves = _octaves(scales_per_octave)
+    lo = _flatness_floor(measure, octaves) / 2
     hi = max(measure.diameter, measure.r_min)
-    return geometric_grid(_flatness_floor(measure, scales_per_octave) / 2,
-                          hi, scales_per_octave)
+    count = int(math.floor(math.log2(hi / lo) * octaves + 1e-9)) + 1
+    grid = lo * 2.0 ** (np.arange(count) / octaves)
+    return grid[grid <= hi * (1 + 1e-12)]
 
 
 def _main_lemma_grids(measure, scales_per_octave: int):

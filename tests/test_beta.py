@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from betascope import (Ball, WeightedPointMeasure, beta2, beta_profile_rows,
-                       condition_check, geometric_grid, jones_field,
-                       jones_integral, segment)
-from betascope.beta import jones_integrals
+                       build_corona, build_lattice, condition_check,
+                       jones_field, jones_integral, lipschitz_graph,
+                       main_lemma_check, riesz_kernel, segment,
+                       t1_ball_check, verify_checks)
+from betascope.beta import _checked_jones_grid, jones_integrals
 from conftest import oracle_beta2, random_instance
 
 
@@ -100,21 +102,25 @@ class TestBeta2:
 
 class TestJones:
     def test_grid_spacing(self):
-        g = geometric_grid(1.0, 4.0, per_octave=4)
-        ratios = g[1:] / g[:-1]
-        assert np.allclose(ratios, 2.0 ** 0.25, rtol=1e-12)
+        m = segment(40)
+        radii, log_rho = _checked_jones_grid(m, m.r_min, 4.0 * m.r_min, 4)
+        assert radii[0] == 4.0 * m.r_min and radii[-1] > m.r_min
+        assert np.allclose(radii[1:] / radii[:-1], 2.0 ** -0.25, rtol=1e-12)
+        assert radii.size == 8 and log_rho == math.log(2.0 ** 0.25)
 
     def test_integral_matches_direct_sum(self):
-        m = segment(40)
+        # a non-flat input, so both sides are far from 0.0
+        m = lipschitz_graph(60, seed=1)
         x = m.points[11]
         lo, hi = m.r_min, m.diameter
-        grid = geometric_grid(lo, hi, per_octave=4)
+        radii, log_rho = _checked_jones_grid(m, lo, hi, 4)
         direct = 0.0
-        for r in grid:
+        for r in radii:
             b = beta2(m, Ball(tuple(x), float(r)))
             theta = m.ball_mass(x, float(r)) / float(r)
-            direct += b.value ** 2 * theta * math.log(2.0 ** 0.25)
+            direct += b.value ** 2 * theta * log_rho
         got = jones_integral(m, x, lo, hi, scales_per_octave=4)
+        assert got > 1e-3
         assert got == pytest.approx(direct, rel=1e-10)
 
     def test_flat_set_has_tiny_energy(self):
@@ -131,15 +137,22 @@ class TestJones:
             assert jones_integral(m, m.points[3], m.r_min, r_hi) == 0.0
             assert np.array_equal(jones_field(m, m.r_min, r_hi),
                                   np.zeros(20))
+            # and the profile rows, over the same grid, hold no row
+            assert beta_profile_rows(m, m.points[:3], m.r_min,
+                                     r_hi) == [[]] * 3
         # the flatness floor lies above the diameter of a single atom
         one = WeightedPointMeasure(np.zeros((1, 2)), np.ones(1), 1)
         assert np.array_equal(jones_field(one), np.zeros(1))
+        assert beta_profile_rows(one, one.points, one.r_min,
+                                 one.diameter) == [[]]
 
     def test_r_lo_below_r_min_raises_whatever_r_hi_is(self):
         m = segment(20)
         for r_hi in (m.diameter, 0.25 * m.r_min):
             with pytest.raises(ValueError, match="need r_min <= r_lo"):
                 jones_integral(m, m.points[0], 0.5 * m.r_min, r_hi)
+            with pytest.raises(ValueError, match="need r_min <= r_lo"):
+                beta_profile_rows(m, m.points[:3], 0.25 * m.r_min, r_hi)
 
 
 def test_condition_check_keys():
@@ -171,3 +184,22 @@ def test_beta_profile_rows_columns():
     assert len(rows) >= 4
     for r, beta, theta in rows:
         assert r > 0 and beta >= 0 and theta >= 0
+
+
+@pytest.mark.parametrize("reader", [
+    lambda m, kernel, corona: main_lemma_check(m, kernel, 0),
+    lambda m, kernel, corona: verify_checks(kernel, corona, 0),
+    lambda m, kernel, corona: t1_ball_check(
+        m, kernel, [Ball(m.points[0], m.diameter)], 0),
+    lambda m, kernel, corona: jones_field(m, scales_per_octave=0),
+    lambda m, kernel, corona: beta_profile_rows(m, m.points[:3], m.r_min,
+                                                m.diameter, 0),
+    lambda m, kernel, corona: jones_integrals(m, m.points, m.r_min,
+                                              m.diameter, 0),
+], ids=["main_lemma_check", "verify_checks", "t1_ball_check", "jones_field",
+        "beta_profile_rows", "jones_integrals"])
+def test_every_flatness_reader_checks_scales_per_octave(reader):
+    m = lipschitz_graph(50)
+    corona = build_corona(build_lattice(m))
+    with pytest.raises(ValueError, match="^scales_per_octave must be >= 1$"):
+        reader(m, riesz_kernel(1, 2), corona)

@@ -211,6 +211,25 @@ class TestCliRoundTrip:
             assert json.loads(rep2.read_text())["config"] == config, command
 
 
+@pytest.mark.parametrize("measure, flags", [
+    (segment(30), ["--r-min", "1e300"]),
+    (WeightedPointMeasure([[0.25, 0.5]], [1.0], 1), []),
+], ids=["r_min_above_diameter", "one_atom"])
+def test_empty_profile_span_writes_only_the_header(tmp_path, measure, flags):
+    """The profile rows take jones_integrals' grid, so an empty span writes
+    no row and the export leaves the report as it is."""
+    mfile, prof = tmp_path / "m.csv", tmp_path / "prof.csv"
+    save_csv(measure, mfile)
+    reports = []
+    for extra in ([], ["--profile-csv", str(prof)]):
+        rep = tmp_path / f"rep{len(extra)}.json"
+        assert cli.main(["analyze", "--input", str(mfile), "--out", str(rep),
+                         *flags, *extra]) == 0, extra
+        reports.append(rep.read_bytes())
+    assert prof.read_text() == "center_index,r,beta,theta,integrand\n"
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("suffix", ["csv", "json"])
 def test_r_min_flag_builds_one_measure(tmp_path, monkeypatch, suffix):
     """Under --r-min the loader builds the one measure with it, so the

@@ -20,7 +20,7 @@ from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
                        packing_audit, riesz_kernel, t_phi_eps, t_phi_star,
                        truncated_field)
 from betascope import measure as measure_module
-from betascope.beta import _jones_grid, jones_integrals
+from betascope.beta import _checked_jones_grid, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
                                radial_pass)
 from betascope.verify import _flatness_floor
@@ -41,7 +41,8 @@ def old_jones_integral(measure, center, r_lo, r_hi, scales_per_octave=4):
         raise ValueError("scales_per_octave must be >= 1")
     if measure.is_empty:
         return 0.0
-    radii, log_rho = _jones_grid(r_lo, r_hi, scales_per_octave)
+    radii, log_rho = _checked_jones_grid(measure, r_lo, r_hi,
+                                         scales_per_octave)
     beta_sq, theta = OldBetaProfile(measure, center).beta_sq_theta(radii)
     return float(np.sum(beta_sq * theta) * log_rho)
 
@@ -153,7 +154,7 @@ def test_condition_sup_density_is_c0_when_the_ball_holds_every_atom(measure):
 def test_profile_rows_equal_the_one_centre_profiles(measure):
     xs = centres(measure)
     r_lo, r_hi = ranges(measure)[0]
-    radii, _ = _jones_grid(r_lo, r_hi, 4)
+    radii, _ = _checked_jones_grid(measure, r_lo, r_hi, 4)
     rows = beta_profile_rows(measure, xs, r_lo, r_hi)
     assert len(rows) == len(xs)
     for x, got in zip(xs, rows):
@@ -384,7 +385,7 @@ def test_one_plane_fit_per_distinct_ball(monkeypatch, measure):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     xs = centres(measure)
     r_lo, r_hi = ranges(measure)[0]
-    radii, _ = _jones_grid(r_lo, r_hi, 4)
+    radii, _ = _checked_jones_grid(measure, r_lo, r_hi, 4)
     jones_integrals(measure, xs, r_lo, r_hi)
     distinct = 0
     for x in xs:

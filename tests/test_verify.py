@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from betascope import (Ball, REPORT_SCHEMA, TreeGeometry, WeightedPointMeasure,
-                       build_corona, build_lattice, cantor4,
+                       beta2, build_corona, build_lattice, cantor4,
                        capacity_lower_bound, cauchy_kernel,
                        compare_baseline, cotlar_check, jones_field,
-                       lipschitz_graph, main_lemma_check, make_report,
-                       packing_audit, pointwise_domination_check,
+                       lipschitz_graph, m_tilde, main_lemma_check,
+                       make_report, packing_audit, pointwise_domination_check,
                        riesz_kernel, save_csv, segment, square_area,
                        t1_ball_check, verify_checks)
 from betascope import cli, lattice, verify
@@ -407,3 +407,42 @@ class TestReports:
                                            "field": "ratio"}}}
         failures = compare_baseline(rep, base)
         assert len(failures) == 1
+
+
+def _tree_geometry_off_a_top():
+    # cell 1 of segment(40)'s corona lies in a tree, not at its top
+    corona = build_corona(build_lattice(segment(40)))
+    return TreeGeometry(corona, 1)
+
+
+EMPTY = WeightedPointMeasure(np.empty((0, 2)), [], 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Ball(np.zeros((1, 2)), 1.0),
+     "ball center must be a 1-d coordinate array"),
+    (lambda: Ball((0.0, float("nan")), 1.0), "ball center must be finite"),
+    (lambda: Ball((0.0, 0.0), -1.0),
+     "ball radius must be finite and >= 0, got -1.0"),
+    (lambda: Ball((0.0, 0.0), float("inf")),
+     "ball radius must be finite and >= 0, got inf"),
+    (lambda: beta2(segment(10), Ball((0.0, 0.0), 0.01)),
+     "beta query at r=0.01 below resolution"),
+    (lambda: segment(10).annulus_tail((0.0, 0.0), 0.0),
+     "annulus tail needs r > 0, got 0.0"),
+    (_tree_geometry_off_a_top, "cell 1 is not a top cell"),
+    (lambda: m_tilde(segment(10), np.ones(9), np.zeros((1, 2))),
+     "f must give one value per atom: got shape (9,), need (10,)"),
+    (lambda: build_lattice(EMPTY),
+     "cannot build a lattice over an empty measure"),
+    (lambda: capacity_lower_bound([]), "need at least one candidate measure"),
+    (lambda: capacity_lower_bound([segment(10), EMPTY]),
+     "candidate 1 is empty"),
+], ids=["ball_2d_center", "ball_nan_center", "ball_negative_radius",
+        "ball_infinite_radius", "beta2_below_r_min", "annulus_tail_at_zero",
+        "tree_geometry_off_top", "m_tilde_wrong_length", "empty_lattice",
+        "no_candidates", "empty_candidate"])
+def test_library_errors_name_their_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value).startswith(message)
