@@ -16,6 +16,7 @@ counterpart of the integral dr / r against the same integrand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -146,15 +147,16 @@ def _moment_sums(block: RadialBlock, rows, counts):
     prefix = np.empty(block.sums.shape)
     first = np.empty((rows.size, dim))
     second = np.empty((rows.size, dim, dim))
+    # each ball's entry of a (rows, atoms + 1) sum array, as a flat index
+    at = rows * prefix.shape[1] + counts
     for a in range(dim):
         np.multiply(w, z[a], out=product)
-        first[:, a] = _prefix(product, prefix)[rows, counts]
-    for a, b in zip(*np.triu_indices(dim)):
+        first[:, a] = _prefix(product, prefix).take(at)
+    for a, b in itertools.combinations_with_replacement(range(dim), 2):
         np.multiply(z[a], z[b], out=product)
         np.multiply(w, product, out=product)
-        second[:, a, b] = second[:, b, a] = _prefix(product,
-                                                    prefix)[rows, counts]
-    return block.sums[rows, counts], first, second
+        second[:, a, b] = second[:, b, a] = _prefix(product, prefix).take(at)
+    return block.sums.take(at), first, second
 
 
 def _block_flatness(block: RadialBlock, radii, counts):
@@ -190,13 +192,92 @@ def _plane_residuals(W, S1, S2, n: int):
     their moment sums.
 
     W, S1 and S2 hold, per ball, the mass and the weighted first and
-    second moments about the centre; every ball must hold mass.  One
-    batched eigvalsh call fits all the planes.
+    second moments about the centre; every ball must hold mass.  The
+    residual is the sum of the d - n smallest eigenvalues of the ball's
+    covariance S2 - W mean mean^T, clipped at 0; n = d leaves no direction
+    out, so every residual is 0.0.  In the plane ``_eigvalsh2`` fits all
+    the planes from the covariances' lower triangles, in LAPACK's
+    arithmetic with no LAPACK call; from d = 3 on one batched eigvalsh
+    call does.
     """
+    dim = S1.shape[1]
+    if dim == n:
+        return np.zeros(W.shape)
     mean = S1 / W[:, None]
-    cov = S2 - W[:, None, None] * (mean[:, :, None] * mean[:, None, :])
-    eigvals = np.linalg.eigvalsh(cov)
-    return np.clip(eigvals[:, : S1.shape[1] - n].sum(axis=1), 0.0, None)
+    if dim == 2:
+        m0, m1 = mean.T
+        eigvals = _eigvalsh2(S2[:, 0, 0] - W * (m0 * m0),
+                             S2[:, 1, 0] - W * (m1 * m0),
+                             S2[:, 1, 1] - W * (m1 * m1))
+    else:
+        eigvals = np.linalg.eigvalsh(
+            S2 - W[:, None, None] * (mean[:, :, None] * mean[:, None, :]))
+    return np.clip(eigvals[:, : dim - n].sum(axis=1), 0.0, None)
+
+
+# The largest |entry| of a 2 x 2 matrix that LAPACK's eigvalsh takes as it
+# is lies in [2^-405, 2^485] (or is 0): dsyevd rescales above
+# sqrt(eps / safmin) = 2^485, with eps = 2^-52 and safmin = 2^-1022, and
+# dsterf below sqrt(safmin) / eps^2 = 2^-405, with eps = 2^-53.
+_EIG2_RANGE = (2.0 ** -405, 2.0 ** 485)
+
+
+def _eigvalsh2(d1, e, d2):
+    """``np.linalg.eigvalsh`` of the symmetric 2 x 2 matrices with lower
+    triangles (d1, e, d2), bit for bit, in numpy arithmetic: shape (m, 2),
+    ascending.
+
+    eigvalsh runs LAPACK's dsyevd on each lower triangle.  On a 2 x 2
+    matrix dsytd2 leaves it as it is and dsterf finds the eigenvalues: the
+    matrix splits when |e| <= sqrt|d1| sqrt|d2| 2^-53, its QL or QR sweep
+    keeps the diagonal when e^2 <= 2^-106 |d1 d2|, and otherwise
+    ``_dlae2`` gives the two; dlasrt then swaps a pair only when it is
+    strictly out of order.  Each step is that arithmetic in the same
+    order.  Rows that LAPACK rescales first (largest |entry| outside
+    ``_EIG2_RANGE`` and not 0) and rows that are not finite go to eigvalsh
+    itself.
+    """
+    ad1, ae, ad2 = np.abs(d1), np.abs(e), np.abs(d2)
+    top = np.maximum(np.maximum(ad1, ae), ad2)
+    tiny, huge = _EIG2_RANGE
+    rescaled = ~(top <= huge) | ((top > 0.0) & (top < tiny))
+    if rescaled.any():
+        out = np.empty((top.size, 2))
+        out[rescaled] = np.linalg.eigvalsh(np.stack(
+            (np.stack((d1, e), -1), np.stack((e, d2), -1)), -2)[rescaled])
+        kept = ~rescaled
+        out[kept] = _eigvalsh2(d1[kept], e[kept], d2[kept])
+        return out
+    e2 = e * e
+    # every entry is finite, so > is the negation of <=
+    turn = ((ae > np.sqrt(ad1) * np.sqrt(ad2) * 2.0 ** -53)
+            & (e2 > 2.0 ** -106 * np.abs(d1 * d2)))
+    lo, hi = d1.copy(), d2.copy()
+    lo[turn], hi[turn] = _dlae2(d1[turn], np.sqrt(e2[turn]), d2[turn],
+                                (ad2 < ad1)[turn])
+    swap = hi < lo
+    return np.stack((np.where(swap, hi, lo), np.where(swap, lo, hi)), -1)
+
+
+def _dlae2(d1, b, d2, qr):
+    """LAPACK's dlae2 as dsterf calls it on [[d1, b], [b, d2]] with b > 0:
+    the eigenvalues (rt1, rt2), rt1 the one of larger magnitude.
+
+    dsterf passes the diagonal entry of smaller magnitude first (``qr``
+    where |d2| < |d1|, its QR sweep), so dlae2's acmx is the other one.
+    Its three branches for rt coincide here: with b > 0 the larger of
+    |d1 - d2| and 2b is positive, and at a tie 1 + 1 is 2.
+    """
+    sm = d1 + d2
+    adf = np.abs(d1 - d2)
+    ab = b + b  # |2b|, as b > 0
+    big, small = np.maximum(adf, ab), np.minimum(adf, ab)
+    ratio = small / big
+    rt = big * np.sqrt(1.0 + ratio * ratio)
+    rt1 = 0.5 * np.where(sm < 0.0, sm - rt, sm + rt)
+    acmx, acmn = np.where(qr, d1, d2), np.where(qr, d2, d1)
+    rt2 = np.where(sm == 0.0, -0.5 * rt, (acmx / rt1) * acmn - (b / rt1) * b)
+    return rt1, rt2
 
 
 def _jones_values(block: RadialBlock, grids, counts) -> list:
@@ -205,7 +286,8 @@ def _jones_values(block: RadialBlock, grids, counts) -> list:
     columns side by side.
 
     One flatness read serves every grid, so the grids share the moment
-    sums and one eigvalsh batch; each grid's sum reads its own columns.
+    sums and one batch of plane fits; each grid's sum reads its own
+    columns.
     """
     beta_sq, theta = _block_flatness(
         block, np.concatenate([radii for radii, _ in grids]), counts)
@@ -257,11 +339,11 @@ def jones_integrals(
 
     One radial pass over one reader (``_jones_values``): each block of
     centres is sorted once (RadialBlock) and its distinct balls are
-    fitted by one batched eigvalsh call; each centre's integrand is summed
-    over its own row, so every value equals jones_integral at that centre
-    bit for bit.  With a density ``floor`` the same orders also give each
-    centre's sup_density(centre, floor), and the result is the pair
-    (integrals, sups).  An empty span (r_hi <= r_lo) integrates to 0.0 at
+    fitted in one batch (``_plane_residuals``); each centre's integrand is
+    summed over its own row, so every value equals jones_integral at that
+    centre bit for bit.  With a density ``floor`` the same orders also
+    give each centre's sup_density(centre, floor), and the result is the
+    pair (integrals, sups).  An empty span (r_hi <= r_lo) integrates to 0.0 at
     every centre; an r_lo below r_min raises whatever r_hi is.
     """
     radii, log_rho = _checked_jones_grid(measure, r_lo, r_hi,

@@ -410,11 +410,12 @@ def _head(store: np.ndarray, *shape) -> np.ndarray:
 def _prefix(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sums of ``values`` along each row over each leading run, into ``out``.
 
-    ``out`` is one longer along the rows (axis 1): entry k sums the first
-    k values, so entry 0 is zero.  The sums accumulate straight into place.
+    ``out`` is one longer along the rows (the last axis): entry k sums the
+    first k values, so entry 0 is zero.  The sums accumulate straight into
+    place.
     """
-    out[:, 0] = 0.0
-    np.cumsum(values, axis=1, out=out[:, 1:])
+    out[..., 0] = 0.0
+    np.cumsum(values, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -436,8 +437,10 @@ class RadialBlock:
     mass's prefix sums, column 0 zero, so ``sums[i, k]`` is the mass of
     the k nearest atoms of centre i.  Sums of other per-atom values
     (kernel terms, moments) are taken by the readers of a pass, one array
-    at a time; ``verify.verify_checks`` reads each sorted block for the
-    truncation sums, the damped sums and the flatness sums of four checks.
+    at a time.  Kernel terms are laid out like ``offsets``, component
+    first, so each component is summed along a contiguous row.
+    ``verify.verify_checks`` reads each sorted block for the truncation
+    sums, the damped sums and the flatness sums of four checks.
 
     The buffers are allocated once, for ``width`` centres, and every
     ``sort`` writes into them; each array of a block is a view of its
@@ -512,7 +515,7 @@ class RadialBlock:
         per radius of ``radii`` (a scalar or a 1-d array shared by every
         centre)."""
         radii = np.asarray(radii, dtype=float)
-        return np.array([np.searchsorted(dist, radii, side="right")
+        return np.array([dist.searchsorted(radii, "right")
                          for dist in self.dist],
                         dtype=np.intp).reshape((self.rows,) + radii.shape)
 

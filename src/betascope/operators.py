@@ -16,12 +16,13 @@ per-centre inputs (cutoffs, Phi) by the block's ``centres`` and returns
 its block's rows; the pass stacks them in centre order.  The truncation
 reader (``_cutoff_sums``) is a function of the sorted block alone, so
 ``verify.main_lemma_check`` reads the same block for its truncation
-energies and for its flatness energies: one sort per atom.  The kernel
-values of a block (``_kernel_terms``) give the plain terms and, times the
-factor of ``_block_damping``, the damped ones, so ``verify.verify_checks``
-takes the truncations and T_Phi from one kernel evaluation.  A kernel with
-a ``radial`` form takes the block's distances instead of recomputing the
-norms of its offsets.
+energies and for its flatness energies: one sort per atom.  One kernel
+evaluation per block (``_kernel_terms``) gives the plain terms and the
+damping factor of the suppressed kernel, so ``verify.verify_checks``
+takes the truncations and T_Phi from it.  The terms and their sums are
+stored component-major, (out_dim, rows, atoms), so each component is
+summed along a contiguous row.  A kernel with a ``radial`` form takes the
+block's distances instead of recomputing the norms of its offsets.
 """
 
 from __future__ import annotations
@@ -66,9 +67,10 @@ class CZKernel:
 
     fn maps an (m, d) array of nonzero difference vectors to (m, out_dim)
     values.  constants = (c0, c1, c2) bound |grad^j K| by c_j/|x|^(n+j).
-    ``radial``, if set, maps the same differences and their norms to fn's
-    values bit for bit; the radial passes, which hold the norms already,
-    call it instead of fn.
+    ``radial``, if set, maps differences and their norms, shaped to
+    broadcast against them, to fn's values bit for bit in the differences'
+    layout; the radial passes, which hold the norms already, call it
+    instead of fn, with the differences component-major: (d, rows, atoms).
     """
 
     name: str
@@ -100,10 +102,10 @@ def riesz_kernel(n: int, d: int) -> CZKernel:
     c2 = math.sqrt(a * a * (3.0 * d + 6.0) - 6.0 * a * b + b * b)
 
     def radial(v, r):
-        return v / r[:, None] ** (n + 1)
+        return v / r ** (n + 1)
 
     def fn(v):
-        return radial(v, np.linalg.norm(v, axis=1))
+        return radial(v, np.linalg.norm(v, axis=1)[:, None])
 
     return CZKernel(f"riesz({n},{d})", n, d, d, fn, (1.0, c1, c2), radial)
 
@@ -249,74 +251,89 @@ class BumpFamily:
         return self.psi_k(k, t) - self.psi_k(k + 1, t)
 
 
-def _kernel_terms(kernel, block):
-    """The kernel values K(x - p) along the rows of ``block`` and the terms
-    K(x - p) w_p, each of shape (rows x atoms, out_dim).
+def _kernel_terms(kernel, block, phi_x=None, phi_y=None):
+    """The terms K(x - p) w_p along the rows of ``block``, component-major:
+    shape (out_dim, rows, atoms).  Given Phi at every centre of the pass
+    (``phi_x``) and at every atom (``phi_y``), also the factor of
+    ``suppressed_kernel`` per entry, (rows, atoms), from the kernel values;
+    else None.
 
-    The atoms at a row's centre lead it at distance 0; the kernel sees a
-    finite stand-in offset and distance there, so those entries are no
-    terms and must not be summed.
+    A radial form divides each sorted offset plane by its row's distances;
+    ``fn`` takes the offsets as (rows x atoms, d) rows and its values are
+    transposed once.  The atoms at a row's centre lead it at distance 0;
+    the kernel sees a finite stand-in offset or distance there, so those
+    entries are no terms and must not be summed.
     """
-    dim = block.offsets.shape[0]
     zero = block.dist == 0.0
     # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
-    diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
-    diffs[zero] = 1.0
-    diffs = diffs.reshape(-1, dim)
     if kernel.radial is not None and block.exact_norms:
-        vals = kernel.radial(diffs, np.where(zero, 1.0, block.dist).ravel())
+        dist = block.dist.copy()
+        dist[zero] = 1.0
+        terms = kernel.radial(np.negative(block.offsets), dist)
     else:
-        vals = kernel(diffs)
-    del diffs
-    return vals, vals * block.mass.reshape(-1, 1)
+        diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
+        diffs[zero] = 1.0
+        terms = kernel(diffs.reshape(-1, diffs.shape[-1]))
+        del diffs
+        terms = np.ascontiguousarray(terms.T).reshape(-1, *block.dist.shape)
+    damping = None if phi_y is None else _damping(
+        kernel, terms, phi_x[block.centres, None], phi_y[block.order])
+    # the values become the terms in place
+    terms *= block.mass
+    return terms, damping
 
 
-def _block_damping(kernel, block, vals, phi_x, phi_y) -> np.ndarray:
-    """The factor of ``suppressed_kernel`` per entry of ``block``, from its
-    kernel values, given Phi at every centre of the pass (``phi_x``) and
-    at every atom (``phi_y``)."""
-    return _damping(kernel, vals, np.repeat(phi_x[block.centres],
-                                            block.dist.shape[1]),
-                    phi_y[block.order].reshape(-1))[:, None]
+def _norm_sq(vals) -> np.ndarray:
+    """Squared norms over the component axis (axis 0) of ``vals``.
 
-
-def _suffix(terms, block) -> np.ndarray:
-    """Farthest-first sums of ``terms`` along each row of ``block``.
-
-    Entry [i, k] sums the terms of row i from sorted position k on, so
-    entry [i, count(r)] is the sum over |p - x| > r and the last entry is
-    zero; the shape is (rows, atoms + 1, out_dim).  The entries before a
-    row's ``near`` count hold the stand-in terms at its centre, so they are
-    no sums and must not be looked up.
+    They are summed as numpy sums a row's squares along a contiguous last
+    axis, so they equal ``np.sum(v**2, axis=-1)`` on the component-last
+    layout bit for bit: in order up to 7 components, pairwise from 8 on.
     """
-    rows, size = block.dist.shape
-    terms = terms.reshape(rows, size, terms.shape[-1])
-    out = np.empty((rows, size + 1, terms.shape[2]))
-    return np.flip(_prefix(np.flip(terms, 1), out), 1)
+    squares = vals * vals
+    if len(squares) < 8:
+        return np.sum(squares, axis=0)
+    return np.sum(np.moveaxis(squares, 0, -1).copy(), axis=-1)
+
+
+def _suffix(terms) -> np.ndarray:
+    """Farthest-first sums of the component-major ``terms`` of a block
+    along each row.
+
+    Entry [c, i, k] sums component c of the terms of row i from sorted
+    position k on, so entry [:, i, count(r)] is the sum over |p - x| > r
+    and the last entry is zero; the shape is (out_dim, rows, atoms + 1).
+    The entries before a row's ``near`` count hold the stand-in terms at
+    its centre, so they are no sums and must not be looked up.
+    """
+    out = np.empty(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    # prefix sums of the reversed rows, written reversed: out stays in
+    # sorted order and contiguous
+    _prefix(np.flip(terms, -1), np.flip(out, -1))
+    return out
 
 
 def _suffix_sums(kernel, block, phi_x=None, phi_y=None) -> np.ndarray:
     """``_suffix`` of the kernel terms of ``block``, each damped by the
-    factor of ``suppressed_kernel`` when Phi is given (``_block_damping``).
+    factor of ``suppressed_kernel`` when Phi is given (``_kernel_terms``).
     """
-    vals, terms = _kernel_terms(kernel, block)
-    if phi_y is not None:
-        terms *= _block_damping(kernel, block, vals, phi_x, phi_y)
-    # each block-sized temporary is dropped once read, so fewer of them
-    # are alive when the next is made
-    del vals
-    return _suffix(terms, block)
+    terms, damping = _kernel_terms(kernel, block, phi_x, phi_y)
+    if damping is not None:
+        terms *= damping
+    return _suffix(terms)
 
 
 def _cutoff_sums(suffix, block, counts) -> np.ndarray:
     """The truncation reader: each row's sums beyond the cutoffs that hold
-    ``counts`` atoms, (rows, cutoffs, out_dim).
+    ``counts`` atoms, component-major: (out_dim, rows, cutoffs).
 
     Counts are clamped past the atoms at the centre, which no truncation
     holds.
     """
     counts = np.maximum(counts, block.near[:, None])
-    return suffix[np.arange(block.rows)[:, None], counts]
+    # each row's entries as flat indices into a component's (rows, atoms + 1)
+    counts += (np.arange(block.rows) * suffix.shape[-1])[:, None]
+    return suffix.reshape(len(suffix), -1).take(counts, axis=1)
 
 
 def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
@@ -328,8 +345,9 @@ def truncated_field(kernel, measure, centers, eps_values) -> np.ndarray:
     eps_values = np.asarray(eps_values, dtype=float).reshape(-1)
     return radial_pass(
         measure, centers,
-        lambda block: _cutoff_sums(_suffix_sums(kernel, block), block,
-                                   block.count(eps_values)))
+        lambda block: np.moveaxis(_cutoff_sums(
+            _suffix_sums(kernel, block), block, block.count(eps_values)),
+            0, -1))
 
 
 def _phi_values(measure, centers, phi_centers, phi_atoms):
@@ -345,10 +363,11 @@ def _phi_values(measure, centers, phi_centers, phi_atoms):
 
 
 def _damping(kernel, vals, phi_x, phi_y: np.ndarray) -> np.ndarray:
-    """1/(1 + |K|^2 (Phi(x) Phi(y))^n) from the kernel values K per row."""
-    ksq = np.sum(vals**2, axis=1)
-    return 1.0 / (1.0 + ksq * (np.maximum(phi_x, 0.0)
-                               * np.maximum(phi_y, 0.0)) ** kernel.n)
+    """1/(1 + |K|^2 (Phi(x) Phi(y))^n) from the kernel values K,
+    component-major."""
+    return 1.0 / (1.0 + _norm_sq(vals) * (np.maximum(phi_x, 0.0)
+                                          * np.maximum(phi_y, 0.0))
+                  ** kernel.n)
 
 
 def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
@@ -359,7 +378,8 @@ def suppressed_kernel(kernel, x, y, phi_x: float, phi_y: float) -> np.ndarray:
     """
     diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     vals = kernel(diff[None, :])
-    factor = _damping(kernel, vals, float(phi_x), np.array([float(phi_y)]))
+    factor = _damping(kernel, vals.T, float(phi_x),
+                      np.array([float(phi_y)]))
     return vals[0] * factor[0]
 
 
@@ -385,7 +405,7 @@ def t_phi_eps(kernel, measure, centers, eps, phi_centers,
         suffix = _suffix_sums(kernel, block, phi_x, phi_y)
         # on a sorted row this count is the right-sided search
         counts = np.count_nonzero(block.dist <= eps[block.centres], axis=1)
-        return suffix[np.arange(block.rows), counts]
+        return suffix[:, np.arange(block.rows), counts].T
 
     return radial_pass(measure, centers, visit)
 
@@ -409,7 +429,7 @@ def t_phi_star(kernel, measure, centers, phi_centers,
         starts = np.ones((block.rows, size + 1), dtype=bool)
         starts[:, 1:size] = dist[:, 1:] != dist[:, :-1]
         starts &= np.arange(size + 1) >= near[:, None]
-        norms = np.where(starts, np.linalg.norm(suffix, axis=2), -np.inf)
+        norms = np.where(starts, np.sqrt(_norm_sq(suffix)), -np.inf)
         return norms.max(axis=1)
 
     return radial_pass(measure, centers, visit)

@@ -27,9 +27,9 @@ from .corona import TreeGeometry, _packing_record, _packing_span
 from .measure import WeightedPointMeasure, radial_pass
 from .operators import (
     BumpFamily,
-    _block_damping,
     _cutoff_sums,
     _kernel_terms,
+    _norm_sq,
     _suffix,
     k_r_chain,
     m_tilde,
@@ -105,12 +105,17 @@ def _cutoff_grid(measure, scales_per_octave: int) -> np.ndarray:
 
 def _main_lemma_grids(measure, scales_per_octave: int):
     """The main lemma's cutoffs and its flatness grid (radii, log_rho),
-    empty when the diameter is below the flatness floor."""
+    empty when the diameter is below the flatness floor.  ValueError for
+    an empty measure, and for an r_min whose flatness floor overflows."""
     if measure.is_empty:
         raise ValueError("measure is empty")
+    floor = _flatness_floor(measure, scales_per_octave)
+    if not math.isfinite(floor):
+        raise ValueError(
+            f"r_min={measure.r_min:.6g}: the flatness floor "
+            f"r_min * 2^(1/(2 * scales_per_octave)) leaves float64 range")
     return _cutoff_grid(measure, scales_per_octave), _checked_jones_grid(
-        measure, _flatness_floor(measure, scales_per_octave),
-        measure.diameter, scales_per_octave)
+        measure, floor, measure.diameter, scales_per_octave)
 
 
 def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
@@ -125,7 +130,7 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
     radii = np.concatenate((eps_grid, grid[0]))
 
     def visit(block):
-        return _lemma_reads(block, _kernel_terms(kernel, block)[1],
+        return _lemma_reads(block, _kernel_terms(kernel, block)[0],
                             block.count(radii), eps_grid.size, [grid])
 
     squares, jones = radial_pass(measure, measure.points, visit)
@@ -135,13 +140,14 @@ def main_lemma_check(measure, kernel, scales_per_octave: int = 4) -> dict:
 
 def _lemma_reads(block, terms, counts, cuts, grids):
     """Each row's squared truncations at the cutoffs, then its flatness sum
-    over each of ``grids``, from the plain kernel ``terms`` of ``block``
-    and the row counts at the cutoffs (the first ``cuts`` columns) and at
-    the grids' radii.  ``terms`` is read, not changed."""
+    over each of ``grids``, from the plain component-major kernel
+    ``terms`` of ``block`` and the row counts at the cutoffs (the first
+    ``cuts`` columns) and at the grids' radii.  ``terms`` is read, not
+    changed."""
     # the suffix sums are dropped once the cutoffs are read; with no radii
     # every row's flatness sum is empty, so 0.0
-    squares = np.sum(_cutoff_sums(_suffix(terms, block), block,
-                                  counts[:, :cuts])**2, axis=2)
+    squares = _norm_sq(_cutoff_sums(_suffix(terms), block,
+                                    counts[:, :cuts]))
     return (squares, *_jones_values(block, grids, counts[:, cuts:]))
 
 
@@ -284,12 +290,10 @@ def verify_checks(kernel, corona, scales_per_octave: int = 4,
 
     def visit(block):
         counts = block.count(radii)
-        vals, terms = _kernel_terms(kernel, block)
-        damping = _block_damping(kernel, block, vals, phi, phi)
-        del vals
+        terms, damping = _kernel_terms(kernel, block, phi, phi)
         reads = _lemma_reads(block, terms, counts, eps_grid.size, grids)
         terms *= damping
-        field = _suffix(terms, block)[np.arange(block.rows), block.near]
+        field = _suffix(terms)[:, np.arange(block.rows), block.near].T
         del terms
         return field, *reads
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from betascope import (Ball, WeightedPointMeasure, beta2, beta_profile_rows,
                        jones_field, jones_integral, lipschitz_graph,
                        main_lemma_check, riesz_kernel, segment,
                        t1_ball_check, verify_checks)
+from betascope import beta as beta_module
 from betascope.beta import _checked_jones_grid, jones_integrals
 from conftest import oracle_beta2, random_instance
 
@@ -203,3 +205,104 @@ def test_every_flatness_reader_checks_scales_per_octave(reader):
     corona = build_corona(build_lattice(m))
     with pytest.raises(ValueError, match="^scales_per_octave must be >= 1$"):
         reader(m, riesz_kernel(1, 2), corona)
+
+
+def _symmetric(d1, e, d2):
+    """A stack of symmetric 2 x 2 matrices [[d1, e], [e, d2]]."""
+    return np.stack((np.stack((d1, e), -1), np.stack((e, d2), -1)), -2)
+
+
+def _normal_products(rng, size, count=2):
+    """Sums of ``count`` products of normals, each stack scaled by 2^k,
+    |k| <= 40: only IEEE sums, products and exact scalings."""
+    g = rng.standard_normal((2 * count, size))
+    total = g[0] * g[1]
+    for a, b in zip(g[2::2], g[3::2]):
+        total = total + a * b
+    return np.ldexp(total, rng.integers(-40, 41, size))
+
+
+@functools.cache
+def _lapack_batches():
+    """Seeded batches of symmetric 2 x 2 matrices, by kind."""
+    rng = np.random.default_rng(2024)
+    size = 4000
+    a, b, c, d = (np.ldexp(rng.standard_normal(size),
+                           rng.integers(-20, 21, size)) for _ in range(4))
+    # Gram matrices of [[a, b], [c, d]] rows: positive semi-definite,
+    # scaled exactly from about 1e-150 (2^-498) to about 1e140 (2^465)
+    psd = _symmetric(a * a + b * b, a * c + b * d, c * c + d * d)
+    batches = {f"psd-2^{k}": np.ldexp(psd, k) for k in range(-498, 466, 33)}
+    batches["indefinite"] = _symmetric(*(_normal_products(rng, size)
+                                         for _ in range(3)))
+    # d1 + d2 = 0: dlae2's own branch for a zero trace
+    batches["traceless"] = _symmetric(a * b, c * d, -(a * b))
+    # v v^T plus a small multiple of e2 e2^T: one eigenvalue near 0
+    tilt = np.ldexp(rng.standard_normal(size) * rng.standard_normal(size),
+                    -30)
+    batches["near-rank-1"] = _symmetric(a * a, a * c, c * c + tilt * d * d)
+    # |e| at sqrt|d1| sqrt|d2| 2^-53, where the matrix splits, and one ulp
+    # either side: the split and the QL/QR sweep's e^2 test round apart
+    e = np.ldexp(a * c, -53)
+    batches["coupling-at-split"] = np.concatenate([
+        _symmetric(a * a, coupling, -(c * c)) for coupling in
+        (e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf))])
+    signs = np.array([0.0, -0.0])
+    zero = np.array([(x, y, z) for x in signs for y in signs for z in signs])
+    batches["zero"] = _symmetric(*zero.T)
+    # diagonal entries of either sign and signed zeros, with e = +-0; and
+    # signed zero diagonals around e != 0, where d1 + d2 is 0 or -0
+    diag = np.concatenate((a[:50], -b[:50], signs))
+    d1, d2 = (m.ravel() for m in np.meshgrid(diag, diag))
+    batches["diagonal"] = np.concatenate(
+        (_symmetric(d1, np.zeros_like(d1), d2),
+         _symmetric(d1, np.full_like(d1, -0.0), d2),
+         _symmetric(*(m.ravel() for m in np.meshgrid(signs, a[:50], signs)))))
+    # largest entries outside [2^-405, 2^485], where LAPACK rescales:
+    # unscaled normals keep every largest entry within 2^-15 to 2^6
+    x, y, z, w = rng.standard_normal((4, size))
+    plain = np.concatenate((_symmetric(x * x + y * y, x * z + y * w,
+                                       z * z + w * w),
+                            _symmetric(x * y, z * w, -(x * w))))
+    batches["rescaled"] = np.concatenate([np.ldexp(plain, k)
+                                          for k in (-440, -420, 500, 510)])
+    return batches
+
+
+@pytest.mark.parametrize("kind", sorted(_lapack_batches()))
+def test_eigvalsh2_is_lapack_bit_for_bit(kind):
+    """Planar fits use LAPACK's 2 x 2 arithmetic in numpy; every
+    eigenvalue has LAPACK's bits, and no floating-point error is raised."""
+    cov = _lapack_batches()[kind]
+    with np.errstate(all="raise"):
+        ours = beta_module._eigvalsh2(cov[:, 0, 0], cov[:, 1, 0],
+                                      cov[:, 1, 1])
+        lapack = np.linalg.eigvalsh(cov)
+    assert ours.shape == lapack.shape
+    assert np.array_equal(ours.view(np.int64), lapack.view(np.int64))
+
+
+def test_rescaled_batch_leaves_the_arithmetic_range():
+    top = np.abs(_lapack_batches()["rescaled"]).max(axis=(1, 2))
+    lo, hi = beta_module._EIG2_RANGE
+    assert ((top < lo) | (top > hi)).all()
+    assert (top < lo).any() and (top > hi).any()
+
+
+def test_only_spatial_fits_call_lapack(monkeypatch):
+    """The planar flatness path makes no eigvalsh call; d = 3 does."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(matrices):
+        calls.append(len(matrices))
+        return eigvalsh(matrices)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    graph = lipschitz_graph(80, seed=1)
+    jones_field(graph)
+    assert calls == []
+    rng = np.random.default_rng(3)
+    cloud = WeightedPointMeasure(rng.uniform(size=(40, 3)), np.ones(40), 1)
+    jones_field(cloud)
+    assert sum(calls) > 0

@@ -11,6 +11,7 @@ from betascope import (BumpFamily, CZKernel, KernelValidationError,
                        lipschitz_graph, m_tilde, make_kernel, riesz_kernel,
                        segment, suppressed_kernel, t_phi_eps, t_phi_star,
                        truncated_field, validate_kernel)
+from betascope import operators
 
 
 class TestKernels:
@@ -206,6 +207,20 @@ class TestSuppression:
             val = np.linalg.norm(suppressed_kernel(k, x, y, px, py))
             worst = max(worst, val * max(px, py))
         assert worst <= 2.0 * k.constants[0] + 1e-9
+
+
+
+@pytest.mark.parametrize("components", range(1, 12))
+def test_component_major_norms_are_the_row_norms_bit_for_bit(components):
+    """Squared norms over the leading component axis equal numpy's sums
+    of squares along a contiguous last axis: in order below 8
+    components, pairwise from 8 on."""
+    rng = np.random.default_rng(components)
+    vals = rng.standard_normal((components, 7, 33)) * np.exp2(
+        rng.integers(-30, 31, (components, 7, 33)))
+    rows = np.ascontiguousarray(np.moveaxis(vals, 0, -1))
+    assert np.array_equal(operators._norm_sq(vals).view(np.int64),
+                          np.sum(rows**2, axis=-1).view(np.int64))
 
 
 class TestSuppressedTruncation:

@@ -19,6 +19,7 @@ from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
                        lipschitz_graph, m_tilde, main_lemma_check,
                        packing_audit, riesz_kernel, t_phi_eps, t_phi_star,
                        truncated_field)
+from betascope import beta as beta_module
 from betascope import measure as measure_module
 from betascope.beta import _checked_jones_grid, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
@@ -374,15 +375,15 @@ def test_pass_memory_is_a_few_blocks_not_atoms_squared():
 
 
 def test_one_plane_fit_per_distinct_ball(monkeypatch, measure):
-    """Radii whose balls hold the same atoms share one eigvalsh matrix."""
+    """Radii whose balls hold the same atoms share one plane fit."""
     fitted = []
-    eigvalsh = np.linalg.eigvalsh
+    plane_residuals = beta_module._plane_residuals
 
-    def spy(matrices):
-        fitted.append(len(matrices))
-        return eigvalsh(matrices)
+    def spy(W, S1, S2, n):
+        fitted.append(len(W))
+        return plane_residuals(W, S1, S2, n)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(beta_module, "_plane_residuals", spy)
     xs = centres(measure)
     r_lo, r_hi = ranges(measure)[0]
     radii, _ = _checked_jones_grid(measure, r_lo, r_hi, 4)

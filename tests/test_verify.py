@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ class TestMainLemma:
                                  np.array([0.5, 0.5]), 1)
         rec = main_lemma_check(m, kernel)
         assert np.isfinite(rec["ratio"])
+
+    @pytest.mark.parametrize("r_min, spo", [(1.5e308, 1), (1.7e308, 4)])
+    def test_r_min_whose_flatness_floor_overflows(self, kernel, r_min, spo):
+        """r_min * 2^(1/(2 * scales_per_octave)) is inf above about
+        1.27e308 at one scale per octave and 1.65e308 at four; the error
+        names r_min."""
+        five = segment(5)
+        huge = WeightedPointMeasure(five.points, five.weights,
+                                    five.target_dim, r_min=r_min)
+        with pytest.raises(ValueError, match=(
+                "^" + re.escape(f"r_min={r_min:.6g}")
+                + ": the flatness floor .* leaves float64 range$")):
+            main_lemma_check(huge, kernel, scales_per_octave=spo)
+        # below the overflow the same measure is checked as usual
+        below = WeightedPointMeasure(five.points, five.weights,
+                                     five.target_dim, r_min=r_min / 1.2)
+        assert np.isfinite(main_lemma_check(below, kernel,
+                                            scales_per_octave=spo)["ratio"])
 
 
 class TestT1Balls:
