@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +112,16 @@ class _Sweep:
             yield first, first + k
 
 
+def _centre_rows(centers, dim: int) -> np.ndarray:
+    """One centre (d,) or m of them (m, d) as (m, d) rows; ValueError for
+    any other shape."""
+    centers = np.asarray(centers, dtype=float)
+    if centers.ndim not in (1, 2) or centers.shape[-1] != dim:
+        got = centers.shape[-1] if centers.ndim in (1, 2) else centers.shape
+        raise ValueError(f"center has dim {got}, expected {dim}")
+    return centers.reshape(-1, dim)
+
+
 def _least_sq_gap(sites: np.ndarray) -> float:
     """Least squared distance between two rows of ``sites``.
 
@@ -195,6 +206,9 @@ class WeightedPointMeasure:
                 raise ValueError(f"atom {i}: coordinates must be finite")
             raise ValueError(f"atom {i}: weight must be finite and > 0, "
                              f"got {float(weights[i])}")
+        if not float(target_dim).is_integer():
+            raise ValueError(
+                f"target_dim must be an integer, got {target_dim}")
         target_dim = int(target_dim)
         dim = int(points.shape[1])
         if not 1 <= target_dim <= dim:
@@ -293,27 +307,24 @@ class WeightedPointMeasure:
 
         The one-centre case of ``ball_batches``.
         """
-        if self.is_empty:
-            return np.empty(0, dtype=np.intp)
-        center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self._dim:
-            raise ValueError(f"center has dim {center.shape[0]}, expected {self._dim}")
-        return next(self.ball_batches(center, float(radius)))[1]
+        batches = self.ball_batches(np.ravel(center), float(radius))
+        return next(batches, (0, np.empty(0, dtype=np.intp)))[1]
 
     def ball_batches(self, centers, radius):
         """The closed balls B(c, r) about the rows c of ``centers``, in chunks.
 
-        ``radius`` is one radius or one per centre.  Yields ``(start, atoms,
-        dist, bounds)`` per chunk of consecutive centres: the ball of centre
+        ``centers`` is one centre (d,) or m of them (m, d), and ``radius``
+        one radius or one per centre.  Yields ``(start, atoms, dist,
+        bounds)`` per chunk of consecutive centres: the ball of centre
         ``start + j`` holds ``atoms[bounds[j]:bounds[j + 1]]``, in index
-        order, at distances ``dist[bounds[j]:bounds[j + 1]]``.  The
-        candidates of a ball are its slab of the sweep order
-        (``_Sweep.slabs``); membership is decided by the norm arithmetic of
-        a naive scan, so each ball is a naive scan's result bit for bit.
+        order, at distances ``dist[bounds[j]:bounds[j + 1]]``.  A ball's
+        candidates are its slab of the sweep order (``_Sweep.slabs``);
+        membership is decided by the norm arithmetic of a naive scan, so
+        each ball is a naive scan's result bit for bit.
         Chunks are cut so that their slabs hold about BALL_CHUNK_ENTRIES
         candidates, at least one centre each.
         """
-        centers = np.asarray(centers, dtype=float).reshape(-1, self._dim)
+        centers = _centre_rows(centers, self._dim)
         count = centers.shape[0]
         radius = np.broadcast_to(np.asarray(radius, dtype=float), (count,))
         if self.is_empty or count == 0:
@@ -376,9 +387,7 @@ class WeightedPointMeasure:
         radius = float(radius)
         if radius <= 0:
             raise ValueError(f"annulus tail needs r > 0, got {radius}")
-        center = np.asarray(center, dtype=float).reshape(-1)
-        if center.shape[0] != self._dim:
-            raise ValueError(f"center has dim {center.shape[0]}, expected {self._dim}")
+        center = _centre_rows(np.ravel(center), self._dim)
         dist = np.linalg.norm(self._points - center, axis=1)
         mask = dist > radius
         return float(np.sum(self._weights[mask] / dist[mask] ** (self._n + 1)))
@@ -463,27 +472,19 @@ class RadialBlock:
     def rows(self) -> int:
         return self.dist.shape[0]
 
-    @property
-    def exact_norms(self) -> bool:
-        """Whether every distance is ``np.linalg.norm(p - x)`` bit for bit.
-
-        ``sort`` adds the squares left to right.  numpy's norm does the
-        same for up to 7 coordinates; from 8 on it sums them pairwise, and
-        a distance can differ from it in the last place.
-        """
-        return self._points.shape[0] < 8
-
     def sort(self, centers) -> "RadialBlock":
         """Order the atoms by distance from each of ``centers``.
 
-        Fills ``order``, ``dist``, ``mass``, ``offsets`` and ``sums``.
+        Fills ``order``, ``dist``, ``mass``, ``offsets`` and ``sums``, and
+        drops ``near``.
         """
         dim, size = self._points.shape
-        centers = np.asarray(centers, dtype=float).reshape(-1, dim)
+        centers = _centre_rows(centers, dim)
         rows = centers.shape[0]
         raw = _head(self._scratch, rows, size)
         self.dist = _head(self._dist, rows, size)
-        # the squares summed left to right, then the root (see exact_norms)
+        # the squares summed left to right, then the root: numpy's norm up
+        # to 7 coordinates (``operators._kernel_terms``)
         for a in range(dim):
             square = self.dist if a else raw
             np.subtract(self._points[a], centers[:, a, None], out=square)
@@ -508,6 +509,7 @@ class RadialBlock:
                     mode="clip")
             np.subtract(self.offsets[a], centers[:, a, None],
                         out=self.offsets[a])
+        self.__dict__.pop("near", None)
         return self
 
     def count(self, radii) -> np.ndarray:
@@ -519,11 +521,15 @@ class RadialBlock:
                          for dist in self.dist],
                         dtype=np.intp).reshape((self.rows,) + radii.shape)
 
-    @property
+    @cached_property
     def near(self) -> np.ndarray:
         """Atoms at each centre: its row's leading zero distances, so
-        ``count(0.0)`` without a search."""
-        return np.count_nonzero(self.dist == 0.0, axis=1)
+        ``count(0.0)`` without a search.  Counted at the first read after a
+        sort, in leading columns that double until the last holds no 0."""
+        lead = 1
+        while lead < self.dist.shape[1] and not self.dist[:, lead - 1].all():
+            lead *= 2
+        return np.count_nonzero(self.dist[:, :lead] == 0.0, axis=1)
 
     def sup_density(self, floor: float) -> np.ndarray:
         """Per centre, the sup of mu(B(x, r)) / r^n over r >= floor.
@@ -547,8 +553,9 @@ class RadialBlock:
 def radial_pass(measure: WeightedPointMeasure, centers, visit):
     """``visit(block)`` on a RadialBlock sorted about each block of centres.
 
-    Each visit returns an array, or a tuple of arrays (lanes), with one
-    row per centre of its block, whose slice of ``centers`` it finds on
+    ``centers`` is one centre (d,) or m of them (m, d).  Each visit
+    returns an array, or a tuple of arrays (lanes), with one row per
+    centre of its block, whose slice of ``centers`` it finds on
     ``block.centres``; the result stacks them in centre order, lane by
     lane.  With no centres one empty block is visited, so every lane still
     has its trailing shape.  A block holds as many centres as keep each of
@@ -556,7 +563,7 @@ def radial_pass(measure: WeightedPointMeasure, centers, visit):
     (atoms + 1) elements for the offsets.  One block is allocated and
     re-sorted block after block.
     """
-    centers = np.asarray(centers, dtype=float).reshape(-1, measure.dim)
+    centers = _centre_rows(centers, measure.dim)
     count = centers.shape[0]
     width = max(1, RADIAL_BLOCK_ELEMENTS // (measure.dim * (measure.size + 1)))
     block = RadialBlock(measure, min(width, count))

@@ -21,8 +21,8 @@ evaluation per block (``_kernel_terms``) gives the plain terms and the
 damping factor of the suppressed kernel, so ``verify.verify_checks``
 takes the truncations and T_Phi from it.  The terms and their sums are
 stored component-major, (out_dim, rows, atoms), so each component is
-summed along a contiguous row.  A kernel with a ``radial`` form takes the
-block's distances instead of recomputing the norms of its offsets.
+summed along a contiguous row.  A kernel is one function of the offsets,
+coordinate first, and their norms, which a block holds already.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measure import WeightedPointMeasure, _prefix, radial_pass
+from .measure import WeightedPointMeasure, _centre_rows, _prefix, radial_pass
 
 __all__ = [
     "CZKernel",
@@ -65,12 +65,11 @@ class KernelValidationError(ValueError):
 class CZKernel:
     """Odd kernel with declared size/derivative constants.
 
-    fn maps an (m, d) array of nonzero difference vectors to (m, out_dim)
-    values.  constants = (c0, c1, c2) bound |grad^j K| by c_j/|x|^(n+j).
-    ``radial``, if set, maps differences and their norms, shaped to
-    broadcast against them, to fn's values bit for bit in the differences'
-    layout; the radial passes, which hold the norms already, call it
-    instead of fn, with the differences component-major: (d, rows, atoms).
+    ``fn(v, r)`` maps nonzero differences v, coordinate axis first (d, ...),
+    and their norms r (...) to the values, component axis first
+    (out_dim, ...).  constants = (c0, c1, c2) bound |grad^j K| by
+    c_j/|x|^(n+j).  Called on (m, d) rows, the kernel gives C-contiguous
+    (m, out_dim) values with numpy's row norms.
     """
 
     name: str
@@ -79,12 +78,11 @@ class CZKernel:
     out_dim: int
     fn: object
     constants: tuple = field(default=(1.0, 1.0, 1.0))
-    radial: object = None
 
     def __call__(self, diffs: np.ndarray) -> np.ndarray:
         diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
-        out = self.fn(diffs)
-        return np.atleast_2d(np.asarray(out, dtype=float))
+        out = self.fn(diffs.T, np.linalg.norm(diffs, axis=1))
+        return np.ascontiguousarray(out.T, dtype=float)
 
 
 def riesz_kernel(n: int, d: int) -> CZKernel:
@@ -101,13 +99,10 @@ def riesz_kernel(n: int, d: int) -> CZKernel:
     c1 = math.sqrt(d - 2.0 * a + a * a)
     c2 = math.sqrt(a * a * (3.0 * d + 6.0) - 6.0 * a * b + b * b)
 
-    def radial(v, r):
+    def fn(v, r):
         return v / r ** (n + 1)
 
-    def fn(v):
-        return radial(v, np.linalg.norm(v, axis=1)[:, None])
-
-    return CZKernel(f"riesz({n},{d})", n, d, d, fn, (1.0, c1, c2), radial)
+    return CZKernel(f"riesz({n},{d})", n, d, d, fn, (1.0, c1, c2))
 
 
 def cauchy_kernel() -> CZKernel:
@@ -115,15 +110,18 @@ def cauchy_kernel() -> CZKernel:
 
     -1/w in complex notation is (-w1, w2)/|w|^2; a coordinate reflection of
     the planar Riesz kernel, so it shares its exact constants.  It fits only
-    n = 1 in the plane, as ``make_kernel(kind, n, d)`` checks.
+    n = 1 in the plane, as ``make_kernel(kind, n, d)`` checks.  It reads 0
+    where |w|^2 is 0: in a block, exactly at the centre's own atoms, whose
+    distance is the root of the same sum.
     """
-    riesz = riesz_kernel(1, 2)
+    def fn(v, r):
+        den = v[0] ** 2 + v[1] ** 2
+        out = np.divide(v, den, out=np.zeros(v.shape), where=den > 0.0)
+        # -(w1/|w|^2) is (-w1)/|w|^2 bit for bit
+        np.negative(out[0], out=out[0])
+        return out
 
-    def fn(v):
-        r2 = v[:, 0] ** 2 + v[:, 1] ** 2
-        return np.column_stack((-v[:, 0], v[:, 1])) / r2[:, None]
-
-    return CZKernel("cauchy", 1, 2, 2, fn, riesz.constants)
+    return CZKernel("cauchy", 1, 2, 2, fn, riesz_kernel(1, 2).constants)
 
 
 def make_kernel(kind: str, n: int, d: int) -> CZKernel:
@@ -258,24 +256,18 @@ def _kernel_terms(kernel, block, phi_x=None, phi_y=None):
     ``suppressed_kernel`` per entry, (rows, atoms), from the kernel values;
     else None.
 
-    A radial form divides each sorted offset plane by its row's distances;
-    ``fn`` takes the offsets as (rows x atoms, d) rows and its values are
-    transposed once.  The atoms at a row's centre lead it at distance 0;
-    the kernel sees a finite stand-in offset or distance there, so those
-    entries are no terms and must not be summed.
+    The kernel takes the sorted offsets and their norms: the block's
+    distances up to 7 coordinates, numpy's norms bit for bit; from 8 on
+    numpy sums the squares pairwise, and so do the norms here.  The atoms
+    at a row's centre lead it at distance 0; the kernel sees the norm 1.0
+    there, so those entries are no terms and must not be summed.
     """
-    zero = block.dist == 0.0
     # x - p is formed exactly as -(p - x): IEEE rounding is symmetric
-    if kernel.radial is not None and block.exact_norms:
-        dist = block.dist.copy()
-        dist[zero] = 1.0
-        terms = kernel.radial(np.negative(block.offsets), dist)
-    else:
-        diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
-        diffs[zero] = 1.0
-        terms = kernel(diffs.reshape(-1, diffs.shape[-1]))
-        del diffs
-        terms = np.ascontiguousarray(terms.T).reshape(-1, *block.dist.shape)
+    v = np.negative(block.offsets)
+    norms = block.dist.copy() if len(v) < 8 else np.sqrt(_norm_sq(v))
+    norms[block.dist == 0.0] = 1.0
+    terms = kernel.fn(v, norms)
+    del v, norms
     damping = None if phi_y is None else _damping(
         kernel, terms, phi_x[block.centres, None], phi_y[block.order])
     # the values become the terms in place
@@ -394,7 +386,7 @@ def t_phi_eps(kernel, measure, centers, eps, phi_centers,
     at eps_i = 0 the strict inequality leaves out exactly the atoms
     sitting at x_i, so the row sums over every atom at a positive distance.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = _centre_rows(centers, measure.dim)
     eps = np.broadcast_to(np.asarray(eps, dtype=float).reshape(-1),
                           centers.shape[:1])[:, None]
     if not (eps >= 0).all():
@@ -420,7 +412,7 @@ def t_phi_star(kernel, measure, centers, phi_centers,
     positive distances, and the final zero.  A centre with no atom at a
     positive distance reads only that zero, so it gets 0.0.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = _centre_rows(centers, measure.dim)
     phi_x, phi_y = _phi_values(measure, centers, phi_centers, phi_atoms)
 
     def visit(block):
@@ -444,7 +436,7 @@ def m_tilde(sigma: WeightedPointMeasure, f, centers) -> np.ndarray:
     The radii read start at half the least positive distance d1, so the
     limit |f(x)| of the ratio on (0, d1/3) is missed where it is larger.
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    centers = _centre_rows(centers, sigma.dim)
     if sigma.is_empty:
         return np.zeros(centers.shape[0])
     fz = np.abs(np.asarray(f, dtype=float))

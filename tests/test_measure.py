@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from betascope import (Ball, WeightedPointMeasure, cantor4, lipschitz_graph,
-                       load_csv, load_json, save_csv, save_json, segment,
-                       square_area)
+                       load_csv, load_json, riesz_kernel, save_csv, save_json,
+                       segment, square_area, t_phi_star, truncated_field)
 from betascope import measure as measure_mod
+from betascope.beta import jones_integrals
 from betascope._util import diameter_candidates
 
 
@@ -28,6 +29,19 @@ def old_ball_indices(measure, center, radius):
         return np.empty(0, dtype=np.intp)
     dist = np.linalg.norm(measure.points - center, axis=1)
     return np.flatnonzero(dist <= radius)
+
+
+# one call per query that takes centres, on a planar measure m
+CENTRE_QUERIES = {
+    "truncated_field": lambda m, c: truncated_field(
+        riesz_kernel(1, 2), m, c, [0.1]),
+    "t_phi_star": lambda m, c: t_phi_star(
+        riesz_kernel(1, 2), m, c, np.zeros(np.atleast_2d(c).shape[0]),
+        np.zeros(m.size)),
+    "jones_integrals": lambda m, c: jones_integrals(m, c, m.r_min, 1.0),
+    "sup_density": lambda m, c: m.sup_density(c, 0.1),
+    "ball_batches": lambda m, c: list(m.ball_batches(c, 0.1)),
+}
 
 
 def small_measure(seed=0, m=30, d=2):
@@ -112,6 +126,10 @@ class TestConstruction:
     def test_rejects_bad_target_dim(self):
         with pytest.raises(ValueError):
             WeightedPointMeasure(np.zeros((3, 2)), np.ones(3), 0)
+        # a fractional n is no growth degree; int() would truncate it
+        for n in (1.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="must be an integer"):
+                WeightedPointMeasure([[0, 0], [1, 0]], [1, 1], n)
         # n = d is allowed (full-dimensional density)
         m = WeightedPointMeasure(np.arange(6.0).reshape(3, 2), np.ones(3), 2)
         assert m.target_dim == 2
@@ -251,6 +269,15 @@ class TestBallMass:
                           lambda c, r: old_ball_indices(m, c, r)):
                 with pytest.raises(ValueError, match="center has dim"):
                     query(center, 1.0)
+
+    @pytest.mark.parametrize("query", sorted(CENTRE_QUERIES))
+    @pytest.mark.parametrize("centers", [np.zeros((2, 3)), np.zeros((2, 2, 2)),
+                                         [0.1, 0.2, 0.3, 0.4], 0.5])
+    def test_every_centre_query_takes_one_shape_rule(self, query, centers):
+        """A centre is (d,) or (m, d): an array of other rows is rejected,
+        not reshaped into rows of d coordinates."""
+        with pytest.raises(ValueError, match="center has dim .*, expected 2"):
+            CENTRE_QUERIES[query](segment(20), centers)
 
 
 class TestSupDensity:

@@ -12,6 +12,7 @@ from betascope import (BumpFamily, CZKernel, KernelValidationError,
                        segment, suppressed_kernel, t_phi_eps, t_phi_star,
                        truncated_field, validate_kernel)
 from betascope import operators
+from betascope.measure import RadialBlock
 
 
 class TestKernels:
@@ -56,6 +57,24 @@ class TestKernels:
         assert k.n == 2 and k.dim == 3
         with pytest.raises(ValueError):
             make_kernel("custom", n=1, d=2)
+
+    @pytest.mark.parametrize("kernel", [riesz_kernel(1, 2), cauchy_kernel(),
+                                        riesz_kernel(2, 8)])
+    def test_rows_are_a_contiguous_view_of_fn(self, kernel):
+        """Called on (m, d) rows the kernel is fn on the transposed rows and
+        numpy's row norms, C-contiguous for the BLAS products."""
+        diffs = np.random.default_rng(1).normal(size=(40, kernel.dim))
+        out = kernel(diffs)
+        assert out.shape == (40, kernel.out_dim) and out.flags.c_contiguous
+        want = kernel.fn(diffs.T, np.linalg.norm(diffs, axis=1)).T
+        assert np.array_equal(out, want)
+
+    def test_cauchy_reads_zero_where_the_squares_vanish(self):
+        # the squares of 1e-170 underflow: no division by zero happens
+        diffs = np.array([[0.0, 0.0], [-0.0, 1e-170], [3.0, 4.0]])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            out = cauchy_kernel()(diffs)
+        assert np.array_equal(out, [[0.0, 0.0], [0.0, 0.0], [-0.12, 0.16]])
 
     def test_cauchy_kernel_needs_the_plane(self):
         assert make_kernel("cauchy", 1, 2).name == "cauchy"
@@ -208,6 +227,43 @@ class TestSuppression:
             worst = max(worst, val * max(px, py))
         assert worst <= 2.0 * k.constants[0] + 1e-9
 
+
+
+def old_kernel_terms(kernel, block):
+    """The terms of ``operators._kernel_terms`` by the route of kernels
+    without a norm argument: the offsets as (rows x atoms, d) rows, a
+    stand-in offset at the centre's atoms, the values transposed back."""
+    diffs = np.negative(np.moveaxis(block.offsets, 0, -1), order="C")
+    diffs[block.dist == 0.0] = 1.0
+    terms = kernel(diffs.reshape(-1, diffs.shape[-1]))
+    terms = np.ascontiguousarray(terms.T).reshape(-1, *block.dist.shape)
+    return terms * block.mass
+
+
+@pytest.mark.parametrize("kernel", [riesz_kernel(1, 2), riesz_kernel(2, 3),
+                                    riesz_kernel(1, 8), riesz_kernel(3, 11),
+                                    cauchy_kernel()],
+                         ids=lambda k: k.name)
+def test_kernel_terms_equal_the_rows_route_bit_for_bit(kernel):
+    """One route for every kernel: the block's offsets and norms give the
+    terms of the rows route on every entry off the centre's atoms, where
+    the block's distances (d < 8) or the pairwise norms (d >= 8) stand in
+    for numpy's row norms.  The centre's atoms give zero terms."""
+    rng = np.random.default_rng(kernel.dim)
+    pts = rng.normal(size=(60, kernel.dim)) * np.exp2(rng.integers(-3, 4,
+                                                                   (60, 1)))
+    pts = np.vstack((pts, pts[:3]))
+    measure = WeightedPointMeasure(pts, rng.uniform(0.5, 2.0, len(pts)), 1)
+    xs = np.vstack((pts[:20], rng.normal(size=(4, kernel.dim))))
+    block = RadialBlock(measure, len(xs)).sort(xs)
+    block.centres = slice(0, len(xs))
+    terms, damping = operators._kernel_terms(kernel, block)
+    off = block.dist != 0.0
+    want = old_kernel_terms(kernel, block)
+    assert damping is None and terms.shape == want.shape
+    assert np.array_equal(terms[:, off].view(np.int64),
+                          want[:, off].view(np.int64))
+    assert (terms[:, ~off] == 0.0).all() and (~off).any()
 
 
 @pytest.mark.parametrize("components", range(1, 12))

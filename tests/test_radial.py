@@ -422,6 +422,20 @@ def test_truncated_field_bit_equal_to_per_cutoff_loop(monkeypatch, measure,
                               row)
 
 
+def test_near_counts_the_leading_zeros_once_per_sort():
+    """``near`` is the count of each row's zero distances, read once per
+    sort: duplicated atoms put up to three zeros at a row's head."""
+    pts = np.repeat(np.random.default_rng(4).normal(size=(9, 2)),
+                    [1, 2, 3, 1, 1, 2, 1, 1, 1], axis=0)
+    measure = WeightedPointMeasure(pts, np.ones(len(pts)), 1)
+    block = RadialBlock(measure, len(pts))
+    for xs in (pts, pts[::-1][:5], np.zeros((2, 2)), pts[:1]):
+        block.sort(xs)
+        assert np.array_equal(block.near,
+                              np.count_nonzero(block.dist == 0.0, axis=1))
+        assert block.near is block.near
+
+
 def test_truncated_field_in_eight_dimensions_bit_equal(monkeypatch):
     """From d = 8 on numpy's norm sums the squares pairwise, so the block's
     distances can differ from it in the last place.  The Riesz kernel then
@@ -437,7 +451,7 @@ def test_truncated_field_in_eight_dimensions_bit_equal(monkeypatch):
     norms = np.sort(np.linalg.norm(pts[None, :, :] - xs[:, None, :], axis=2),
                     axis=1, kind="stable")
     # the case at stake: some sorted distances are not the norms
-    assert not block.exact_norms and (block.dist != norms).any()
+    assert (block.dist != norms).any()
     # cutoffs off the atom distances, where the two roundings agree on
     # every count
     eps = np.concatenate(([0.0, 1e-300],

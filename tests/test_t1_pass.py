@@ -201,10 +201,8 @@ def test_outside_terms_never_reach_a_ball():
                                    np.full(80, 1.0 / 80), 1)
     riesz = riesz_kernel(1, 2)
 
-    def fn(v):
-        vals = riesz.fn(v)
-        r = np.linalg.norm(v, axis=1)
-        return np.where((r > 10.0)[:, None], np.nan, vals)
+    def fn(v, r):
+        return np.where(r > 10.0, np.nan, riesz.fn(v, r))
 
     kernel = CZKernel("riesz-nan-far", 1, 2, 2, fn)
     balls = [Ball(near[c], r) for c, r in

@@ -214,7 +214,7 @@ FUSED_INPUTS = {
     "tie-cloud": lambda: (tie_cloud_measure(), riesz_kernel(1, 2)),
     "coincident": lambda: (WeightedPointMeasure(np.zeros((3, 2)), np.ones(3),
                                                 1), riesz_kernel(1, 2)),
-    # no radial form: the kernel takes the offsets alone
+    # the Cauchy kernel forms |w|^2 from the offsets, not the norms
     "cauchy": lambda: (lipschitz_graph(120, seed=5), cauchy_kernel()),
     # 8 coordinates: the block's distances are not numpy's norms
     "d8-cloud": lambda: (cloud_measure(8, 40, 7), riesz_kernel(1, 8)),
