@@ -136,27 +136,46 @@ def _moment_sums(block: RadialBlock, rows, counts):
     hold the ``counts[j]`` nearest atoms of block row ``rows[j]``.
 
     Returns (W, S1, S2) of shapes (balls,), (balls, d), (balls, d, d).
-    Each moment w z_a or w (z_a z_b) is built for the whole block, summed
-    along the rows and gathered at the balls before the next is built, so
-    the pass holds one product and one prefix-sum array at a time.  z_a z_b
-    and z_b z_a round alike, so one sum serves both entries.
+    The (d + 1)(d + 2) / 2 lanes, w z_a for each a, w (z_a z_b) for
+    a <= b and w itself, in that order, are written two at a time into the
+    real and imaginary halves of the block's complex workspace
+    (``block.lanes``): at d = 2 the pairs are (w z_0, w z_1),
+    (w z_0 z_0, w z_0 z_1) and (w z_1 z_1, w).  Each pair is
+    summed along the rows by one complex prefix sum and gathered at the
+    balls before the next is written; an odd last lane gets a zero
+    partner.  A complex add is two float adds, so every sum is its lane's
+    float prefix sum bit for bit.  z_a z_b and z_b z_a round alike, so one
+    sum serves both entries.
     """
     z, w = block.offsets, block.mass
     dim = z.shape[0]
-    product = np.empty(w.shape)
-    prefix = np.empty(block.sums.shape)
-    first = np.empty((rows.size, dim))
-    second = np.empty((rows.size, dim, dim))
+    lanes = [(a,) for a in range(dim)]
+    lanes += itertools.combinations_with_replacement(range(dim), 2)
+    lanes.append(())
+    if len(lanes) % 2:
+        lanes.append(None)
+    halves = block.lanes.real, block.lanes.imag
     # each ball's entry of a (rows, atoms + 1) sum array, as a flat index
-    at = rows * prefix.shape[1] + counts
-    for a in range(dim):
-        np.multiply(w, z[a], out=product)
-        first[:, a] = _prefix(product, prefix).take(at)
-    for a, b in itertools.combinations_with_replacement(range(dim), 2):
-        np.multiply(z[a], z[b], out=product)
-        np.multiply(w, product, out=product)
-        second[:, a, b] = second[:, b, a] = _prefix(product, prefix).take(at)
-    return block.sums.take(at), first, second
+    at = rows * block.lane_sums.shape[1] + counts
+    sums = np.empty((len(lanes), rows.size))
+    for p in range(0, len(lanes), 2):
+        for half, axes in zip(halves, lanes[p:p + 2]):
+            if axes is None:
+                half.fill(0.0)
+            elif len(axes) == 2:
+                np.multiply(z[axes[0]], z[axes[1]], out=half)
+                np.multiply(w, half, out=half)
+            elif axes:
+                np.multiply(w, z[axes[0]], out=half)
+            else:
+                np.copyto(half, w)
+        pair = _prefix(block.lanes, block.lane_sums).take(at)
+        sums[p], sums[p + 1] = pair.real, pair.imag
+    mass = lanes.index(())
+    second = np.empty((rows.size, dim, dim))
+    for (a, b), lane in zip(lanes[dim:mass], sums[dim:mass]):
+        second[:, a, b] = second[:, b, a] = lane
+    return sums[mass], sums[:dim].T, second
 
 
 def _block_flatness(block: RadialBlock, radii, counts):

@@ -24,7 +24,8 @@ from collections import deque
 
 import numpy as np
 
-from ._util import BLOCK_ELEMENTS, dump_json, ordered_sum, ragged, segment_sums
+from ._util import (BLOCK_ELEMENTS, dump_json, ordered_sum, ragged,
+                    segment_sums, unique)
 from .beta import beta2, jones_integrals
 # perfbench/tracer.py patches jones_integral here by name
 from .beta import jones_integral  # noqa: F401
@@ -263,7 +264,7 @@ class TreeGeometry:
                                        lattice.bounds[:-1])
         cells, hit = lattice.first_flagged(
             lattice.side <= cell_min / REG_FACTOR, candidates)
-        return np.unique(cells[hit]).tolist()
+        return unique(cells[hit]).tolist()
 
 
 def packing_audit(corona: CoronaTree, scales_per_octave: int = 4) -> dict:

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from ._util import (BLOCK_ELEMENTS, chunks, diameter_candidates, dump_json,
-                    max_sq_pair_distance, ragged, segment_sums)
+                    max_sq_pair_distance, ragged, segment_sums, unique)
 from .measure import WeightedPointMeasure, _Sweep
 
 __all__ = [
@@ -505,7 +505,7 @@ def cover_by_doubling(lattice: Lattice, cell_id: int):
     cell = lattice.cells[cell_id]
     atoms = cell.point_indices
     found, hit = lattice.first_flagged(lattice.doubling, atoms, cell.level)
-    return np.unique(found[hit]).tolist(), atoms[~hit]
+    return unique(found[hit]).tolist(), atoms[~hit]
 
 
 def check_lattice(lattice: Lattice) -> dict:
@@ -549,7 +549,7 @@ def check_lattice(lattice: Lattice) -> dict:
         sizes = counts[ids]
         row = np.repeat(np.arange(ids.size), sizes)
         # (cell, atom) pairs as cell * N + atom: a cell lists each atom once
-        level_keys = np.unique(ids[row] * n_pts + atoms)
+        level_keys = unique(ids[row] * n_pts + atoms)
         keys.append(level_keys)
         if not np.array_equal(np.bincount(level_keys % n_pts,
                                           minlength=n_pts),
@@ -578,16 +578,23 @@ def check_lattice(lattice: Lattice) -> dict:
 
         report["five_b_violations"] += _five_b_violations(
             points[lattice.center_index[ids]], radii)
-    keys = np.concatenate(keys)
-    if not np.isin(np.concatenate(center_keys), keys).all():
+    keys = np.sort(np.concatenate(keys))
+    if not _held(np.concatenate(center_keys), keys):
         report["center_membership_ok"] = False
-    if not np.isin(np.concatenate(parent_keys), keys).all():
+    if not _held(np.concatenate(parent_keys), keys):
         report["nesting_ok"] = False
     report["nonconforming"] = int(np.count_nonzero(~lattice.conforming))
     report["nonconforming_fraction"] = report["nonconforming"] / max(
         1, len(lattice.cells)
     )
     return report
+
+
+def _held(queries, keys) -> bool:
+    """Whether every entry of ``queries`` is among the sorted ``keys``
+    (``np.isin``, which would import numpy.ma through np.unique)."""
+    at = np.searchsorted(keys, queries)
+    return bool((at < keys.size).all() and (keys[at] == queries).all())
 
 
 def _cell_diameters(pts, sizes, sides, c0):

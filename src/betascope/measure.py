@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ._util import (BLOCK_ELEMENTS, chunks, diameter_candidates,
-                    max_sq_pair_distance, ragged)
+                    max_sq_pair_distance, ragged, unique)
 
 __all__ = [
     "Ball",
@@ -274,10 +274,10 @@ class WeightedPointMeasure:
     def _default_r_min(self) -> float:
         # Closest pair of distinct sites; duplicates carry no positive
         # distance and must not collapse the resolution to zero.
-        unique = np.unique(self._points, axis=0)
-        if unique.shape[0] < 2:
+        unique_sites = unique(self._points)
+        if unique_sites.shape[0] < 2:
             return DEFAULT_SINGLETON_RMIN
-        least = _least_sq_gap(unique)
+        least = _least_sq_gap(unique_sites)
         if least <= 0:
             # the sites lie so close that their squared gap underflows
             return DEFAULT_SINGLETON_RMIN
@@ -406,8 +406,9 @@ class WeightedPointMeasure:
 
 
 # Elements per array of a RadialBlock: each holds at most
-# d x centres x (atoms + 1), the size of the offsets, whatever the input
-# size.
+# d x centres x (atoms + 1) floats, the size of the offsets, whatever the
+# input size.  The complex moment workspace holds 2 x centres x (atoms + 1)
+# floats, within that bound from d = 2 on (twice the offsets at d = 1).
 RADIAL_BLOCK_ELEMENTS = BLOCK_ELEMENTS // 4
 
 
@@ -421,7 +422,9 @@ def _prefix(values: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     ``out`` is one longer along the rows (the last axis): entry k sums the
     first k values, so entry 0 is zero.  The sums accumulate straight into
-    place.
+    place.  Complex ``values`` carry two float lanes, one in each half: a
+    complex add is two independent float adds, so each half's sums are
+    its lane's float sums bit for bit, at the cost of one float pass.
     """
     out[..., 0] = 0.0
     np.cumsum(values, axis=-1, out=out[..., 1:])
@@ -441,15 +444,17 @@ class RadialBlock:
     Row i of every array belongs to centre i of the block, which is centre
     ``centres.start + i`` of its pass (``radial_pass`` sets that slice):
     ``order`` maps its sorted positions to atom indices, ``dist`` holds
-    the sorted distances, ``mass`` the weights in that order, ``offsets``
-    (coordinate first) the sorted differences p - x, and ``sums`` the
-    mass's prefix sums, column 0 zero, so ``sums[i, k]`` is the mass of
-    the k nearest atoms of centre i.  Sums of other per-atom values
-    (kernel terms, moments) are taken by the readers of a pass, one array
-    at a time.  Kernel terms are laid out like ``offsets``, component
-    first, so each component is summed along a contiguous row.
-    ``verify.verify_checks`` reads each sorted block for the truncation
-    sums, the damped sums and the flatness sums of four checks.
+    the sorted distances, ``mass`` the weights in that order and
+    ``offsets`` (coordinate first) the sorted differences p - x.  Sums of
+    per-atom values are taken when a reader of the pass asks for them.
+    The mass's (``sums``) are summed at their first read after a sort.
+    Kernel terms are laid out like ``offsets``, component first, so each
+    component is summed along a contiguous row.  The flatness reader
+    (``beta._moment_sums``) sums its moments two lanes per complex step
+    in the complex workspace ``lanes`` (rows, atoms) and ``lane_sums``
+    (rows, atoms + 1).  ``verify.verify_checks`` reads each sorted block
+    for the truncation sums, the damped sums and the flatness sums of
+    four checks.
 
     The buffers are allocated once, for ``width`` centres, and every
     ``sort`` writes into them; each array of a block is a view of its
@@ -467,6 +472,8 @@ class RadialBlock:
         self._offsets = np.empty(dim * width * size)
         self._mass = np.empty(width * size)
         self._sums = np.empty(width * (size + 1))
+        self._lanes = np.empty(width * size, dtype=complex)
+        self._lane_sums = np.empty(width * (size + 1), dtype=complex)
 
     @property
     def rows(self) -> int:
@@ -475,8 +482,9 @@ class RadialBlock:
     def sort(self, centers) -> "RadialBlock":
         """Order the atoms by distance from each of ``centers``.
 
-        Fills ``order``, ``dist``, ``mass``, ``offsets`` and ``sums``, and
-        drops ``near``.
+        Fills ``order``, ``dist``, ``mass`` and ``offsets``, points
+        ``lanes`` and ``lane_sums`` at the workspace's head, and drops
+        ``near`` and ``sums``.
         """
         dim, size = self._points.shape
         centers = _centre_rows(centers, dim)
@@ -497,7 +505,6 @@ class RadialBlock:
         # mode="clip" lets take write straight into out; every index is
         # in range, so nothing is clipped
         np.take(self._weights, self.order, out=self.mass, mode="clip")
-        self.sums = _prefix(self.mass, _head(self._sums, rows, size + 1))
         flat = _head(self._flat, rows, size)
         np.add(self.order, (np.arange(rows) * size)[:, None], out=flat)
         np.take(raw, flat, out=self.dist, mode="clip")
@@ -509,7 +516,10 @@ class RadialBlock:
                     mode="clip")
             np.subtract(self.offsets[a], centers[:, a, None],
                         out=self.offsets[a])
+        self.lanes = _head(self._lanes, rows, size)
+        self.lane_sums = _head(self._lane_sums, rows, size + 1)
         self.__dict__.pop("near", None)
+        self.__dict__.pop("sums", None)
         return self
 
     def count(self, radii) -> np.ndarray:
@@ -520,6 +530,14 @@ class RadialBlock:
         return np.array([dist.searchsorted(radii, "right")
                          for dist in self.dist],
                         dtype=np.intp).reshape((self.rows,) + radii.shape)
+
+    @cached_property
+    def sums(self) -> np.ndarray:
+        """The mass's prefix sums along each row, column 0 zero, so
+        ``sums[i, k]`` is the mass of the k nearest atoms of centre i.
+        Summed into the block's buffer at the first read after a sort."""
+        return _prefix(self.mass, _head(self._sums, self.rows,
+                                        self.mass.shape[1] + 1))
 
     @cached_property
     def near(self) -> np.ndarray:

@@ -10,7 +10,7 @@ from betascope import (WeightedPointMeasure, boundary_audit, build_lattice,
                        cantor4, check_lattice, cover_by_doubling,
                        lattice_to_json, lipschitz_graph, segment, square_area)
 from betascope import lattice as lattice_mod
-from betascope._util import ordered_sum, segment_sums
+from betascope._util import ordered_sum, segment_sums, unique
 from betascope.lattice import (COVER_FACTOR, DOUBLING_FACTOR, FIVE_B,
                                NET_FACTOR)
 from betascope.measure import _TREE_SLACK
@@ -937,6 +937,33 @@ def test_segment_sums_match_np_sum():
     starts = np.cumsum(sizes) - sizes
     assert sums.tolist() == [np.sum(values[a:a + n])
                              for a, n in zip(starts, sizes)]
+
+
+def test_unique_is_np_unique():
+    """Sorted distinct entries or rows and their counts, as np.unique gives
+    them: -0.0 and 0.0 are one value, rows compare lexicographically."""
+    rng = np.random.default_rng(11)
+    cases = [
+        rng.integers(-5, 5, 200),
+        np.concatenate((rng.choice([-1.5, 0.25, 3.0], 50),
+                        [0.0, -0.0, -0.0, 0.0, 5e-324, -5e-324])),
+        np.array([-0.0, 0.0]),
+        # duplicated rows, and rows equal up to the sign of a zero
+        rng.choice([-1.0, -0.0, 0.0, 2.0], (120, 3)),
+        np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, -1.0]]),
+        rng.choice(np.arange(4) * 7, (50, 2)),
+        np.zeros(0),
+        np.zeros(0, dtype=np.intp),
+        np.zeros((0, 2)),
+    ]
+    for values in cases:
+        axis = 0 if values.ndim == 2 else None
+        want, want_counts = np.unique(values, axis=axis, return_counts=True)
+        got, counts = unique(values, counts=True)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(counts, want_counts)
+        assert np.array_equal(unique(values), np.unique(values, axis=axis))
 
 
 def test_ordered_sum_is_the_python_loop():

@@ -8,8 +8,10 @@ blocks of centres at once, lane-major, and must reproduce every value bit
 for bit, so every comparison here is exact equality.
 """
 
+import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -21,9 +23,9 @@ from betascope import (WeightedPointMeasure, beta_profile_rows, build_corona,
                        truncated_field)
 from betascope import beta as beta_module
 from betascope import measure as measure_module
-from betascope.beta import _checked_jones_grid, jones_integrals
+from betascope.beta import _checked_jones_grid, _moment_sums, jones_integrals
 from betascope.measure import (RADIAL_BLOCK_ELEMENTS, Ball, RadialBlock,
-                               radial_pass)
+                               _prefix, radial_pass)
 from betascope.verify import _flatness_floor
 from test_radial import (ALL_MEASURES, OldBetaProfile, centres, old_sup_density,
                          surface)
@@ -288,6 +290,115 @@ def test_every_sort_fills_the_mass_sums():
         want = np.hstack((np.zeros((len(xs), 1)),
                           np.cumsum(block.mass, axis=1)))
         assert np.array_equal(block.sums, want)
+
+
+def old_moment_sums(block, rows, counts):
+    """The flatness reader's moment sums, one float lane at a time."""
+    z, w = block.offsets, block.mass
+    dim = z.shape[0]
+    product = np.empty(w.shape)
+    prefix = np.zeros((w.shape[0], w.shape[1] + 1))
+    first = np.empty((rows.size, dim))
+    second = np.empty((rows.size, dim, dim))
+    at = rows * prefix.shape[1] + counts
+    np.cumsum(w, axis=1, out=prefix[:, 1:])
+    mass = prefix.take(at)
+    for a in range(dim):
+        np.multiply(w, z[a], out=product)
+        np.cumsum(product, axis=1, out=prefix[:, 1:])
+        first[:, a] = prefix.take(at)
+    for a, b in itertools.combinations_with_replacement(range(dim), 2):
+        np.multiply(z[a], z[b], out=product)
+        np.multiply(w, product, out=product)
+        np.cumsum(product, axis=1, out=prefix[:, 1:])
+        second[:, a, b] = second[:, b, a] = prefix.take(at)
+    return mass, first, second
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape
+            and np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                               np.ascontiguousarray(want).view(np.int64)))
+
+
+def test_prefix_sums_two_lanes_per_complex_step_bit_for_bit():
+    """Each half of a complex prefix sum is its lane's float prefix sum,
+    bit for bit, and raises the same warnings: signed zeros, subnormals,
+    infinities, NaN and sums that overflow."""
+    big, tiny = np.finfo(float).max, 5e-324
+    rng = np.random.default_rng(8)
+    re = np.array([
+        [big, big, -big, 1.0, 2.0, 3.0],
+        [-0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 0.0],
+        [np.inf, -np.inf, 1.0, np.nan, -0.0, 4.0],
+        [1e308, 1e308, 1e308, -1e308, 0.5, -0.0],
+        *(rng.normal(size=(3, 6)) * 10.0 ** rng.integers(-300, 300, (3, 6))),
+    ])
+    im = np.array([
+        [-0.0, 0.0, -0.0, tiny, tiny, -tiny],
+        [big, big, np.nan, -big, np.inf, -np.inf],
+        [0.1, 0.2, 0.3, -np.inf, np.inf, 1.0],
+        [-big, -big, big, 2.0, -0.0, 0.0],
+        *(rng.normal(size=(3, 6)) * 10.0 ** rng.integers(-300, 300, (3, 6))),
+    ])
+    lanes = np.empty(re.shape, dtype=complex)
+    lanes.real, lanes.imag = re, im
+
+    def summed(values, dtype):
+        with warnings.catch_warnings(record=True) as seen, \
+                np.errstate(all="warn"):
+            warnings.simplefilter("always")
+            out = _prefix(values, np.empty((len(values), 7), dtype=dtype))
+        return out, {str(w.message) for w in seen}
+
+    pair, told = summed(lanes, complex)
+    real, told_re = summed(re, float)
+    imag, told_im = summed(im, float)
+    assert same_bits(pair.real, real) and same_bits(pair.imag, imag)
+    assert told == told_re | told_im
+    assert told == {"overflow encountered in accumulate",
+                    "invalid value encountered in accumulate"}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_moment_sums_equal_the_per_lane_sums(dim):
+    """(d + 1)(d + 2) / 2 lanes, two per complex step and at d = 4 and 8
+    an odd last one with a zero partner: every W, S1 and S2 entry is the
+    per-lane float sum bit for bit, in a full block, in a narrower block
+    sorted into the same workspace, and after a re-sort."""
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(size=(150, dim)) * 10.0 ** rng.integers(-3, 3, (150, 1))
+    pts[100:] = pts[:50]    # ties and zero distances
+    weights = 10.0 ** rng.uniform(-6, 6, 150)
+    measure = WeightedPointMeasure(pts, weights, 1)
+    block = RadialBlock(measure, 6)
+    for xs in (pts[:6], pts[40:43], rng.normal(size=(6, dim)), pts[:1]):
+        block.sort(xs)
+        rows = rng.integers(0, len(xs), 40)
+        counts = rng.integers(0, measure.size + 1, 40)
+        counts[:2] = measure.size, 1
+        got = _moment_sums(block, rows, counts)
+        for lane, want in zip(got, old_moment_sums(block, rows, counts)):
+            assert same_bits(lane, want)
+        assert same_bits(block.sums[rows, counts], got[0])
+
+
+def test_a_sort_drops_the_mass_sums():
+    """``sums`` is summed at its first read after a sort; a re-sort drops
+    it, so the next read sums the new order."""
+    graph = lipschitz_graph(120, seed=3)
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, graph.size)
+    measure = WeightedPointMeasure(graph.points, weights, 1)
+    block = RadialBlock(measure, 3)
+    block.sort(measure.points[:3])
+    stale = block.sums.copy()
+    assert block.sums is block.sums
+    block.sort(measure.points[-3:])
+    assert "sums" not in vars(block)
+    want = np.hstack((np.zeros((3, 1)), np.cumsum(block.mass, axis=1)))
+    assert np.array_equal(block.sums, want)
+    assert not np.array_equal(stale, want)
 
 
 # each reader with no centres, and the shapes of its lanes

@@ -1,11 +1,13 @@
-"""No command needs scipy.
+"""No command needs scipy or numpy.ma.
 
 ``analyze`` and ``capacity`` read r_min, the diameter and radial passes,
 and ``lattice`` (with or without ``--boundary-audit``), ``corona`` and
 ``verify`` answer their ball and nearest-atom queries from a sorted numpy
 sweep, so all of them run on numpy alone; scipy is a test dependency
-only.  Each case runs in a fresh interpreter with scipy blocked, so every
-scipy import its commands make raises and fails the case.
+only.  numpy.ma is imported by np.unique and np.isin, which no command
+calls (``_util.unique`` stands in), so no command pays for its import.
+Each case runs in a fresh interpreter with scipy and numpy.ma blocked, so
+every import of either that its commands make raises and fails the case.
 
 Besides ``cantor4(3)`` (``m``) the cases read its atoms duplicated
 (``dup``), which leaves no cell with one atom, so every cell takes the
@@ -23,6 +25,7 @@ import pytest
 SCRIPT = """
 import json, sys
 sys.modules["scipy"] = None    # every scipy import now raises ImportError
+sys.modules["numpy.ma"] = None    # and so does every numpy.ma import
 import numpy as np
 from betascope import WeightedPointMeasure, cantor4, cli, save_csv
 
